@@ -495,6 +495,28 @@ def transport_oneone(L: GFrame, r: OneOneTensor, checked: bool = False) -> IMOne
     return IMOneOne(A, tuple(theta), l_grid, r)
 
 
+def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None = None):
+    """The infinitesimal checks of a frame's algebroid as (name, verdict)
+    steps: the axioms, then the form datum, then (given r) the transported
+    tensor datum.  Each stage runs only if the one before it passed; a tensor
+    that cannot be transported ends the chain with an inconclusive step."""
+    v = check_algebroid(A)
+    yield "algebroid_axioms", v
+    if v.status != "pass":
+        return
+    v = check_IM_form(imf, v)
+    yield "im_form", v
+    if v.status != "pass" or r is None:
+        return
+    try:
+        T = transport_oneone(L, r)
+        yield "im_oneone", check_IM_oneone(T)
+        yield "im_nijenhuis", check_IM_nijenhuis(T)
+        yield "im_compat", check_IM_compat(imf, T, checked=True)
+    except PreconditionError as e:
+        yield "transport", Verdict.inconclusive(("precondition", str(e)))
+
+
 # -- holomorphic (real-part) and quasi variants -----------------------------------------
 
 

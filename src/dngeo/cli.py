@@ -12,70 +12,65 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-import time
 
 from . import __version__
-from .errors import AdmissibilityError, DngeoError, HierarchyKernelError
+from .errors import AdmissibilityError, DngeoError, HierarchyKernelError, PreconditionError
 from .symbolic.scalar import to_str
-from .dirac import FAIL, INCONCLUSIVE, PASS
-from .scene import SceneError, parse_scene, run_scene
+from .dirac import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    Verdict,
+    _dn_steps,
+    check_traces_involution,
+    dirac_nijenhuis_report,
+    hierarchy,
+    traces,
+)
+from .scene import CheckRecord, SceneError, parse_scene, run_scene, timed
 
 REPORT_FORMAT = "report-v1"
 SCENE_FORMAT = "scene-v1"
+EXIT_CODES = {PASS: 0, FAIL: 1, INCONCLUSIVE: 2}
 
 
-class _Report:
-    def __init__(self, kind: str, digest: str, mode: str, timings: bool):
-        self.lines = [
-            f"tool: dngeo {__version__}",
-            f"format: {REPORT_FORMAT}",
-            f"kind: {kind}",
-            f"scene: {digest}",
-        ]
-        if digest != "selftest":
-            self.lines.append(f"scene_format: {SCENE_FORMAT}")
-        self.lines.append(f"mode: {mode}")
-        self.timings = timings
-        self.statuses = []
-
-    def add(self, k, v):
-        self.lines.append(f"{k}: {v}")
-
-    def check(self, index: int, name: str, verdict, elapsed: float):
-        self.add(f"check.{index}.name", name)
-        self.add(f"check.{index}.verdict", verdict.status)
-        for wname, wval in verdict.witnesses:
-            val = wval if isinstance(wval, str) else to_str(wval)
-            self.add(f"check.{index}.witness.{wname}", val)
-        if self.timings:
-            self.add(f"check.{index}.elapsed_ms", f"{elapsed * 1000:.1f}")
-        self.statuses.append(verdict.status)
-
-    def finish(self):
-        if FAIL in self.statuses:
-            overall, code = FAIL, 1
-        elif INCONCLUSIVE in self.statuses:
-            overall, code = INCONCLUSIVE, 2
-        else:
-            overall, code = PASS, 0
-        self.add("checks", str(len(self.statuses)))
-        self.add("status", overall)
-        return "\n".join(self.lines) + "\n", code
-
-
-def _emit(text: str, output: str | None):
+def _report(args, header, records, footer=()) -> int:
+    """Write the report for `records` to stdout (and to --output); return the
+    exit code.  `header` and `footer` are (key, value) lines."""
+    lines = [("tool", f"dngeo {__version__}"), ("format", REPORT_FORMAT), *header]
+    for i, rec in enumerate(records):
+        lines += rec.data
+        lines += [(f"check.{i}.name", rec.name), (f"check.{i}.verdict", rec.verdict.status)]
+        for wname, wval in rec.verdict.witnesses:
+            lines.append((f"check.{i}.witness.{wname}", wval if isinstance(wval, str) else to_str(wval)))
+        if args.timings:
+            lines.append((f"check.{i}.elapsed_ms", f"{rec.elapsed * 1000:.1f}"))
+    status = Verdict.merge((rec.name, rec.verdict) for rec in records).status
+    lines += [*footer, ("checks", len(records)), ("status", status)]
+    text = "".join(f"{k}: {v}\n" for k, v in lines)
     sys.stdout.write(text)
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
+    return EXIT_CODES[status]
 
 
-def _load_scene(path: str, mode: str = "real"):
-    with open(path, "rb") as fh:
+def _load_scene(args, kind: str):
+    """The scene named on the command line and the header of its report."""
+    with open(args.scene, "rb") as fh:
         data = fh.read()
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    scene = parse_scene(data.decode("utf-8"), default_mode=mode)
-    return scene, digest
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SceneError(f"scene is not UTF-8 text ({e.reason})", data.count(b"\n", 0, e.start) + 1) from None
+    scene = parse_scene(text, default_mode=args.mode)
+    header = [
+        ("kind", kind),
+        ("scene", "sha256:" + hashlib.sha256(data).hexdigest()),
+        ("scene_format", SCENE_FORMAT),
+        ("mode", scene.chart.mode),
+    ]
+    return scene, header
 
 
 def _unique(table: dict, flag_value, what: str):
@@ -90,191 +85,125 @@ def _unique(table: dict, flag_value, what: str):
     return next(iter(table.values()))
 
 
+def _components(values) -> str:
+    return "(" + ", ".join(to_str(c) for c in values) + ")"
+
+
 def cmd_check(args) -> int:
-    scene, digest = _load_scene(args.scene, args.mode)
-    report = _Report("check", digest, scene.chart.mode, args.timings)
-    for i, rec in enumerate(run_scene(scene, args.samples)):
-        report.check(i, rec.name, rec.verdict, rec.elapsed)
-    text, code = report.finish()
-    _emit(text, args.output)
-    return code
+    scene, header = _load_scene(args, "check")
+    return _report(args, header, run_scene(scene, args.samples))
 
 
 def cmd_hierarchy(args) -> int:
-    from .dirac import dirac_nijenhuis_report, hierarchy
-    from .scene import _merge_report
-
-    scene, digest = _load_scene(args.scene, args.mode)
+    scene, header = _load_scene(args, "hierarchy")
     frame = _unique(scene.frames, args.frame, "frame")
     r = _unique(scene.oneones, args.oneone, "oneone")
-    side = {"n0": "n0", "0n": "0n"}.get(args.side)
-    if side is None:
-        raise SceneError("side must be n0 or 0n", 0)
-    report = _Report("hierarchy", digest, scene.chart.mode, args.timings)
-    report.add("side", side)
-    report.add("n", str(args.n))
-    idx = 0
-    for step in range(1, args.n + 1):
-        t0 = time.monotonic()
-        try:
-            member = hierarchy(frame, r, step, side, args.samples)
-        except HierarchyKernelError as e:
-            from .dirac import Verdict
+    dim = scene.chart.dim
 
-            report.check(idx, f"hierarchy[{step}]", Verdict(FAIL, (("kernel", str(e)),)), 0.0)
-            idx += 1
-            break
-        for a, s in enumerate(member.sections):
-            for lbl, parts in (("vec", s.vec.comps), ("cov", [s.cov.get((i,)) for i in range(scene.chart.dim)])):
-                report.add(
-                    f"frame.{step}.section.{a}.{lbl}",
-                    "(" + ", ".join(to_str(c) for c in parts) + ")",
-                )
-        verdict = _merge_report(dirac_nijenhuis_report(member, r, args.samples))
-        report.check(idx, f"dirac_nijenhuis hierarchy[{step}]", verdict, time.monotonic() - t0)
-        idx += 1
-    text, code = report.finish()
-    _emit(text, args.output)
-    return code
+    def steps():
+        for step in range(1, args.n + 1):
+            try:
+                member = hierarchy(frame, r, step, args.side, args.samples)
+            except HierarchyKernelError as e:
+                yield CheckRecord(f"hierarchy[{step}]", Verdict.fail(("kernel", str(e))))
+                return
+            data = []
+            for a, s in enumerate(member.sections):
+                data.append((f"frame.{step}.section.{a}.vec", _components(s.vec.comps)))
+                data.append((f"frame.{step}.section.{a}.cov", _components(s.cov.get((i,)) for i in range(dim))))
+            verdict = Verdict.merge(dirac_nijenhuis_report(member, r, args.samples).named())
+            yield CheckRecord(f"dirac_nijenhuis hierarchy[{step}]", verdict, data=tuple(data))
+
+    return _report(args, header + [("side", args.side), ("n", args.n)], timed(steps()))
 
 
 def cmd_traces(args) -> int:
-    from .dirac import Verdict, check_traces_involution, traces
-
-    scene, digest = _load_scene(args.scene, args.mode)
+    scene, header = _load_scene(args, "traces")
     frame = _unique(scene.frames, args.frame, "frame")
     r = _unique(scene.oneones, args.oneone, "oneone")
-    report = _Report("traces", digest, scene.chart.mode, args.timings)
-    report.add("jmax", str(args.jmax))
-    for j, phi in enumerate(traces(r, args.jmax), start=1):
-        report.add(f"trace.{j}", to_str(phi))
-    t0 = time.monotonic()
-    try:
-        verdict = check_traces_involution(frame, r, args.jmax)
-    except AdmissibilityError as e:
-        verdict = Verdict(FAIL, (("error", str(e)),))
-    report.check(0, f"traces_involution jmax={args.jmax}", verdict, time.monotonic() - t0)
-    text, code = report.finish()
-    _emit(text, args.output)
-    return code
+
+    def steps():
+        data = tuple((f"trace.{j}", to_str(phi)) for j, phi in enumerate(traces(r, args.jmax), start=1))
+        try:
+            verdict = check_traces_involution(frame, r, args.jmax)
+        except AdmissibilityError as e:
+            verdict = Verdict.fail(("error", str(e)))
+        yield CheckRecord(f"traces_involution jmax={args.jmax}", verdict, data=data)
+
+    return _report(args, header + [("jmax", args.jmax)], timed(steps()))
 
 
 def cmd_holomorphic(args) -> int:
-    from .holomorphic import ComplexStructure, check_holomorphic_dirac
-    from .scene import _merge_report
+    from .holomorphic import ComplexStructure
 
-    scene, digest = _load_scene(args.scene, args.mode)
+    scene, header = _load_scene(args, "holomorphic")
     frame = _unique(scene.frames, args.frame, "frame")
     r = _unique(scene.oneones, args.oneone, "oneone")
-    report = _Report("holomorphic", digest, scene.chart.mode, args.timings)
-    t0 = time.monotonic()
-    try:
-        J = ComplexStructure(r)
-    except DngeoError as e:
-        from .dirac import Verdict
 
-        report.check(0, "complex_structure", Verdict(FAIL, (("error", str(e)),)), 0.0)
-        text, code = report.finish()
-        _emit(text, args.output)
-        return code
-    rep = check_holomorphic_dirac(frame, J, args.samples)
-    for i, (name, v) in enumerate(rep.named()):
-        report.check(i, f"holomorphic_dirac.{name}", v, time.monotonic() - t0)
-    text, code = report.finish()
-    _emit(text, args.output)
-    return code
+    def steps():
+        try:
+            J = ComplexStructure(r)
+        except DngeoError as e:
+            yield CheckRecord("complex_structure", Verdict.fail(("error", str(e))))
+            return
+        for name, verdict in _dn_steps(frame, J.r, args.samples):
+            yield CheckRecord(f"holomorphic_dirac.{name}", verdict)
+
+    return _report(args, header, timed(steps()))
 
 
 def cmd_algebroid(args) -> int:
-    from .algebroid import (
-        check_algebroid,
-        check_IM_compat,
-        check_IM_form,
-        check_IM_nijenhuis,
-        check_IM_oneone,
-        dirac_to_algebroid,
-        transport_oneone,
-    )
-    from .dirac import Verdict
-    from .errors import PreconditionError
+    from .algebroid import _im_steps, dirac_to_algebroid
 
-    scene, digest = _load_scene(args.scene, args.mode)
+    scene, header = _load_scene(args, "algebroid")
     frame = _unique(scene.frames, args.frame, "frame")
-    r = scene.oneones.get(args.oneone) if args.oneone else None
-    if args.oneone and r is None:
-        raise SceneError(f"unknown oneone {args.oneone!r}", 0)
-    if r is None and len(scene.oneones) == 1:
-        r = next(iter(scene.oneones.values()))
-    report = _Report("algebroid", digest, scene.chart.mode, args.timings)
-    t0 = time.monotonic()
-    try:
-        A, imf = dirac_to_algebroid(frame)
-    except PreconditionError as e:
-        report.check(0, "dirac_to_algebroid", Verdict(FAIL, (("error", str(e)),)), 0.0)
-        text, code = report.finish()
-        _emit(text, args.output)
-        return code
-    for a in range(A.rank):
-        report.add(
-            f"anchor.{a}",
-            "(" + ", ".join(to_str(c) for c in A.anchors[a].comps) + ")",
-        )
-    for (a, b, c), val in sorted(A.struct.items()):
-        report.add(f"struct.{a + 1}.{b + 1}.{c + 1}", to_str(val))
-    idx = 0
-    v = check_algebroid(A)
-    report.check(idx, "algebroid_axioms", v, time.monotonic() - t0)
-    idx += 1
-    if v.status == PASS:
-        v = check_IM_form(imf, v)
-        report.check(idx, "im_form", v, 0.0)
-        idx += 1
-        if r is not None and v.status == PASS:
-            try:
-                T = transport_oneone(frame, r)
-                for name, chk in (
-                    ("im_oneone", check_IM_oneone),
-                    ("im_nijenhuis", check_IM_nijenhuis),
-                ):
-                    v2 = chk(T)
-                    report.check(idx, name, v2, 0.0)
-                    idx += 1
-                report.check(idx, "im_compat", check_IM_compat(imf, T, checked=True), 0.0)
-                idx += 1
-            except PreconditionError as e:
-                report.check(idx, "transport", Verdict(INCONCLUSIVE, (("precondition", str(e)),)), 0.0)
-                idx += 1
-    text, code = report.finish()
-    _emit(text, args.output)
-    return code
+    r = None
+    if args.oneone or len(scene.oneones) == 1:
+        r = _unique(scene.oneones, args.oneone, "oneone")
+
+    def steps():
+        try:
+            A, imf = dirac_to_algebroid(frame)
+        except PreconditionError as e:
+            yield CheckRecord("dirac_to_algebroid", Verdict.fail(("error", str(e))))
+            return
+        data = [(f"anchor.{a}", _components(A.anchors[a].comps)) for a in range(A.rank)]
+        data += [(f"struct.{a + 1}.{b + 1}.{c + 1}", to_str(v)) for (a, b, c), v in sorted(A.struct.items())]
+        for name, verdict in _im_steps(A, imf, frame, r):
+            yield CheckRecord(name, verdict, data=tuple(data))
+            data = ()
+
+    return _report(args, header, timed(steps()))
 
 
 def cmd_selftest(args) -> int:
-    from .identities import run_all
+    from .identities import IDENTITIES, run_identity
 
-    report = _Report("selftest", "selftest", "real", args.timings)
-    report.add("seed", str(args.seed))
-    report.add("instances", str(args.instances))
-    from .dirac import Verdict
+    def record(name):
+        fails = run_identity(name, args.seed, args.instances)
+        verdict = Verdict.ok() if fails == 0 else Verdict.fail(("failing_instances", str(fails)))
+        return CheckRecord(f"identity.{name}", verdict)
 
-    results = run_all(seed=args.seed, instances=args.instances)
-    total = 0
-    failures = 0
-    for i, (name, inst, fails) in enumerate(results):
-        total += inst
-        failures += fails
-        verdict = (
-            Verdict(PASS)
-            if fails == 0
-            else Verdict(FAIL, (("failing_instances", str(fails)),))
-        )
-        report.check(i, f"identity.{name}", verdict, 0.0)
-    report.add("identities", str(len(results)))
-    report.add("instances_total", str(total))
-    report.add("failures_total", str(failures))
-    text, code = report.finish()
-    _emit(text, args.output)
-    return code
+    records = timed(record(name) for name in sorted(IDENTITIES))
+    failures = sum(int(count) for rec in records for _, count in rec.verdict.witnesses)
+    header = [("kind", "selftest"), ("scene", "selftest"), ("mode", "real")]
+    header += [("seed", args.seed), ("instances", args.instances)]
+    footer = [
+        ("identities", len(records)),
+        ("instances_total", len(records) * args.instances),
+        ("failures_total", failures),
+    ]
+    return _report(args, header, records, footer)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         if scene:
             sp.add_argument("scene", help="scene file path")
         sp.add_argument("--output", help="also write the report to this path")
-        sp.add_argument("--samples", type=int, default=3, help="sample-point count")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        sp.add_argument("--samples", type=_positive_int, default=3, help="sample-point count")
         sp.add_argument(
             "--mode",
             choices=("real", "complex"),
@@ -300,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--timings",
             action="store_true",
-            help="include wall-clock timings (makes reports non-reproducible)",
+            help="include each check's own wall-clock time (makes reports non-reproducible)",
         )
 
     sp = sub.add_parser("check", help="run the checks declared in a scene")
@@ -310,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hierarchy", help="emit and check hierarchy members")
     common(sp)
     sp.add_argument("--side", required=True, choices=("n0", "0n"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--frame", help="frame name (defaults to the unique one)")
     sp.add_argument("--oneone", help="tensor name (defaults to the unique one)")
     sp.set_defaults(fn=cmd_hierarchy)
 
     sp = sub.add_parser("traces", help="trace functions and their involution")
     common(sp)
-    sp.add_argument("--jmax", type=int, required=True)
+    sp.add_argument("--jmax", type=_positive_int, required=True)
     sp.add_argument("--frame")
     sp.add_argument("--oneone")
     sp.set_defaults(fn=cmd_traces)
@@ -336,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="run the built-in identity suite")
     common(sp, scene=False)
-    sp.add_argument("--instances", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0, help="seed for the randomized identity suite")
+    sp.add_argument("--instances", type=_positive_int, default=3)
     sp.set_defaults(fn=cmd_selftest)
     return p
 

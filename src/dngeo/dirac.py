@@ -77,6 +77,16 @@ class Verdict:
     def inconclusive(*witnesses) -> "Verdict":
         return Verdict(INCONCLUSIVE, tuple(witnesses))
 
+    @staticmethod
+    def merge(named) -> "Verdict":
+        """One verdict for (name, verdict) parts: fail if any part fails, else
+        inconclusive if any part is, else pass; witnesses are prefixed by the
+        name of their part."""
+        named = tuple(named)
+        statuses = {v.status for _, v in named}
+        worst = FAIL if FAIL in statuses else INCONCLUSIVE if INCONCLUSIVE in statuses else PASS
+        return Verdict(worst, tuple((f"{name}.{w}", val) for name, v in named for w, val in v.witnesses))
+
 
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections."""
@@ -232,15 +242,7 @@ def _require(verdict: Verdict, what: str):
 def check_involutive(L: GFrame, lagrangian: Verdict | None = None) -> Verdict:
     """Vanishing of T(s_a, s_b, s_c) = <[[s_a, s_b]], s_c> on frame triples."""
     _require(lagrangian or check_lagrangian(L), "lagrangian")
-    n = L.chart.dim
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = courant_bracket(L.sections[a], L.sections[b])
-            for c in range(n):
-                val = pairing(br, L.sections[c])
-                if not val.is_zero():
-                    return Verdict.fail((f"T[{a},{b},{c}]", val))
-    return Verdict.ok()
+    return _involutive_under(L, courant_bracket)
 
 
 def check_invariance(L: GFrame, r: OneOneTensor, lagrangian: Verdict | None = None) -> Verdict:
@@ -284,20 +286,31 @@ def check_nijenhuis(r: OneOneTensor) -> Verdict:
     return Verdict.ok()
 
 
-def dirac_nijenhuis_report(L: GFrame, r: OneOneTensor, samples: int = 3) -> DNReport:
+def _dn_steps(L: GFrame, r: OneOneTensor, samples: int = 3):
+    """The Dirac-Nijenhuis test as (name, verdict) steps in DNReport order.
+
+    Each step runs only when the consumer asks for it, so a consumer can
+    time the steps one by one.
+    """
     lag = check_lagrangian(L, samples)
-    blocked = Verdict.inconclusive(("precondition", "lagrangian did not pass"))
-    if lag.status == PASS:
-        inv = check_involutive(L, lag)
-        rr = check_invariance(L, r, lag)
-        if rr.status == PASS:
-            stab = check_D_stability(L, r, lag, rr)
-        else:
-            stab = Verdict.inconclusive(("precondition", "invariance did not pass"))
+    yield "lagrangian", lag
+    if lag.status != PASS:
+        blocked = Verdict.inconclusive(("precondition", "lagrangian did not pass"))
+        for name in ("involutive", "invariance", "d_stability"):
+            yield name, blocked
     else:
-        inv = rr = stab = blocked
-    nij = check_nijenhuis(r)
-    return DNReport(lag, inv, rr, stab, nij)
+        yield "involutive", check_involutive(L, lag)
+        rr = check_invariance(L, r, lag)
+        yield "invariance", rr
+        if rr.status == PASS:
+            yield "d_stability", check_D_stability(L, r, lag, rr)
+        else:
+            yield "d_stability", Verdict.inconclusive(("precondition", "invariance did not pass"))
+    yield "nijenhuis", check_nijenhuis(r)
+
+
+def dirac_nijenhuis_report(L: GFrame, r: OneOneTensor, samples: int = 3) -> DNReport:
+    return DNReport(*(v for _, v in _dn_steps(L, r, samples)))
 
 
 # -- membership and span utilities ----------------------------------------------
@@ -501,8 +514,10 @@ def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int) -> Verdict:
     """Admissibility of trace(r) and involution of all trace functions.
 
     Raises AdmissibilityError('trace not admissible') when the first trace
-    fails the null-distribution test.
+    fails the null-distribution test, and ValueError when jmax < 1.
     """
+    if jmax < 1:
+        raise ValueError("traces jmax must be at least 1")
     lag = check_lagrangian(L)
     _require(lag, "lagrangian")
     phis = traces(r, jmax)

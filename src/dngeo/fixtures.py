@@ -50,13 +50,6 @@ def random_scalar(
     return out
 
 
-def random_rational_scalar(chart: Chart, rng: random.Random, max_deg: int = 2) -> ScalarExpr:
-    """A random honest rational function with a nonvanishing-at-samples denominator."""
-    num = random_scalar(chart, rng, max_deg)
-    den = chart.one() + random_scalar(chart, rng, 1, 2) ** 2
-    return num / den
-
-
 def random_vf(chart: Chart, rng: random.Random, max_deg: int = 3) -> VectorField:
     return VectorField(
         chart, [random_scalar(chart, rng, max_deg, 2) for _ in range(chart.dim)]

@@ -109,14 +109,6 @@ def run_identity(name: str, seed: int = 0, instances: int = 3) -> int:
     return failures
 
 
-def run_all(seed: int = 0, instances: int = 3):
-    """[(name, instances, failures)] over the whole registry, sorted by name."""
-    out = []
-    for name in sorted(IDENTITIES):
-        out.append((name, instances, run_identity(name, seed, instances)))
-    return out
-
-
 # -- symbolic kernel ------------------------------------------------------------------
 
 

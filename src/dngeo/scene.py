@@ -25,7 +25,8 @@ Errors carry the 1-based line and column of the offending token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     AdmissibilityError,
@@ -56,7 +57,6 @@ from .dirac import (
     make_graph_presymplectic,
     make_split,
     quasi_nijenhuis_check,
-    traces,
 )
 from .tensor import Bivector, OneOneTensor, PForm, VectorField
 
@@ -306,6 +306,20 @@ class CheckRecord:
     name: str
     verdict: Verdict
     elapsed: float = 0.0
+    data: tuple = ()  # (key, value) report lines that precede the check
+
+
+def timed(records) -> list:
+    """Drain an iterable of CheckRecords whose elements are computed on
+    demand, giving each record the time its own step took."""
+    out = []
+    it = iter(records)
+    while True:
+        t0 = time.monotonic()
+        rec = next(it, None)
+        if rec is None:
+            return out
+        out.append(replace(rec, elapsed=time.monotonic() - t0))
 
 
 def _get(scene, table, name, lineno, what):
@@ -313,19 +327,6 @@ def _get(scene, table, name, lineno, what):
     if obj is None:
         raise SceneError(f"unknown {what} {name!r}", lineno)
     return obj
-
-
-def _merge_report(report) -> Verdict:
-    worst = PASS
-    witnesses = []
-    for name, v in report.named():
-        if v.status == FAIL and worst != FAIL:
-            worst = FAIL
-        elif v.status == INCONCLUSIVE and worst == PASS:
-            worst = INCONCLUSIVE
-        for wname, wval in v.witnesses:
-            witnesses.append((f"{name}.{wname}", wval))
-    return Verdict(worst, tuple(witnesses))
 
 
 def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> Verdict:
@@ -366,7 +367,7 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             return check_D_stability(frame(), oneone(1))
         if kind == "dirac_nijenhuis":
             arity(2)
-            return _merge_report(dirac_nijenhuis_report(frame(), oneone(1), samples))
+            return Verdict.merge(dirac_nijenhuis_report(frame(), oneone(1), samples).named())
         if kind == "form_compat":
             arity(2)
             return check_form_compat(form(0), oneone(1))
@@ -387,7 +388,7 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             from .holomorphic import ComplexStructure, check_holomorphic_dirac
 
             J = ComplexStructure(oneone(1))
-            return _merge_report(check_holomorphic_dirac(frame(), J, samples))
+            return Verdict.merge(check_holomorphic_dirac(frame(), J, samples).named())
         if kind == "holo_form":
             arity(3)
             from .holomorphic import ComplexStructure, check_holo_form
@@ -404,29 +405,14 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
         if kind == "algebroid":
             if len(args) not in (1, 2):
                 raise SceneError("check algebroid takes 1 or 2 arguments", lineno)
-            from .algebroid import (
-                check_algebroid,
-                check_IM_compat,
-                check_IM_form,
-                check_IM_nijenhuis,
-                check_IM_oneone,
-                dirac_to_algebroid,
-                transport_oneone,
-            )
+            from .algebroid import _im_steps, dirac_to_algebroid
 
+            r = oneone(1) if len(args) == 2 else None
             A, imf = dirac_to_algebroid(frame())
-            v = check_algebroid(A)
-            if v.status != PASS:
-                return v
-            v = check_IM_form(imf, v)
-            if v.status != PASS or len(args) == 1:
-                return v
-            T = transport_oneone(frame(), oneone(1))
-            for chk in (check_IM_oneone, check_IM_nijenhuis):
-                v = chk(T)
+            for _, v in _im_steps(A, imf, frame(), r):
                 if v.status != PASS:
-                    return v
-            return check_IM_compat(imf, T, checked=True)
+                    break
+            return v
         raise SceneError(f"unknown check kind {kind!r}", lineno)
     except AdmissibilityError as e:
         return Verdict(FAIL, (("error", str(e)),))
@@ -436,16 +422,8 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
         raise SceneError(str(e), lineno) from None
 
 
-def run_scene(scene: Scene, samples: int = 3):
-    import time
-
-    records = []
-    for lineno, kind, args in scene.checks:
-        t0 = time.monotonic()
-        verdict = run_check(scene, lineno, kind, args, samples)
-        records.append(
-            CheckRecord(
-                f"{kind} {' '.join(args)}".strip(), verdict, time.monotonic() - t0
-            )
-        )
-    return records
+def run_scene(scene: Scene, samples: int = 3) -> list:
+    return timed(
+        CheckRecord(f"{kind} {' '.join(args)}".strip(), run_check(scene, lineno, kind, args, samples))
+        for lineno, kind, args in scene.checks
+    )

@@ -1,6 +1,8 @@
 """Scene parsing, check dispatch, report format, exit codes, determinism."""
 
 import re
+import time
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +314,76 @@ class TestRemainingCheckKinds:
         code, _, err = run_cli(capsys, "check", path)
         assert code == 3
         assert "3-form" in err
+
+
+class TestInputContract:
+    """Bad command-line values and unreadable scenes end in exit 3 with an
+    `error:` line, never a traceback or a vacuous verdict."""
+
+    POISSON = "chart R2 x y\nbivector pi = 1 2 1\noneone r = x, 0 ; 0, x\nframe L = poisson pi\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{scene}", "--samples", "0"],
+            ["hierarchy", "{scene}", "--side", "n0", "--n", "0"],
+            ["traces", "{scene}", "--jmax", "-3"],
+            ["selftest", "--instances", "0"],
+            ["check", "{scene}", "--seed", "1"],
+        ],
+        ids=["samples", "n", "jmax", "instances", "seed-on-scene-command"],
+    )
+    def test_rejected_flag_values(self, capsys, scene_file, argv):
+        path = scene_file(self.POISSON + "check lagrangian L\n")
+        code, out, err = run_cli(capsys, *[a.format(scene=path) for a in argv])
+        assert code == 3
+        assert "error:" in err and out == ""
+
+    def test_traces_check_with_jmax_zero(self, capsys, scene_file):
+        code, _, err = run_cli(capsys, "check", scene_file(self.POISSON + "check traces L r 0\n"))
+        assert code == 3
+        assert "error:" in err and "line 5" in err
+
+    def test_scene_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scene"
+        path.write_bytes(b"chart R2 x y\n# caf\xe9\n")
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 3
+        assert err.startswith("error:") and "line 2" in err
+
+    def test_algebroid_check_names_an_unknown_tensor(self, capsys, scene_file):
+        # the frame is not lagrangian, so the tensor is never reached; the
+        # unknown name is still a usage error, not an inconclusive verdict
+        text = "chart R2 x y\nvector w = x ; 0\nframe B = sections w 0 ; w 0\ncheck algebroid B bogus\n"
+        code, _, err = run_cli(capsys, "check", scene_file(text))
+        assert code == 3
+        assert "unknown oneone 'bogus'" in err
+
+
+class TestTimings:
+    """--timings gives each check its own time: the times add up to no more
+    than the whole run, and for selftest to most of it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["holomorphic", "tests/golden/holomorphic_pass.scene"],
+            ["algebroid", "scenes/scalar_hierarchy.scene"],
+            ["selftest", "--instances", "1"],
+        ],
+        ids=["holomorphic", "algebroid", "selftest"],
+    )
+    def test_check_times_fit_in_the_run(self, capsys, argv):
+        root = Path(__file__).resolve().parent.parent
+        argv = [str(root / a) if a.endswith(".scene") else a for a in argv]
+        t0 = time.monotonic()
+        code = main([*argv, "--timings"])
+        wall_ms = (time.monotonic() - t0) * 1000
+        out = capsys.readouterr().out
+        elapsed = [float(v) for v in re.findall(r"^check\.\d+\.elapsed_ms: (.+)$", out, re.M)]
+        assert code == 0 and elapsed
+        # each printed time is rounded to 0.1 ms
+        total_ms = sum(elapsed) - 0.05 * len(elapsed)
+        assert total_ms <= wall_ms
+        if argv[0] == "selftest":
+            assert total_ms > wall_ms / 2

@@ -1,0 +1,61 @@
+"""Golden reports: stdout bytes and exit code of each subcommand on fixed
+inputs.  The files under tests/golden/ pin the default report format, so a
+refactor of the front end must reproduce them byte for byte.
+
+After a deliberate change to the report, re-record them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from dngeo.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SCALAR = "scenes/scalar_hierarchy.scene"
+
+# name -> (argv relative to the repository root, exit code)
+CASES = {
+    "check_worked_split": (["check", "scenes/worked_split.scene"], 1),
+    "check_scalar_hierarchy": (["check", SCALAR], 0),
+    "check_gauge_nonclosed": (["check", "scenes/gauge_nonclosed.scene"], 1),
+    "hierarchy_n0_3": (["hierarchy", SCALAR, "--side", "n0", "--n", "3"], 0),
+    "hierarchy_0n_2": (["hierarchy", SCALAR, "--side", "0n", "--n", "2"], 0),
+    "traces_jmax_4": (["traces", SCALAR, "--jmax", "4"], 0),
+    "algebroid_scalar": (["algebroid", SCALAR], 0),
+    "holomorphic_not_complex": (["holomorphic", SCALAR], 1),
+    "algebroid_gauge_nonclosed": (["algebroid", "scenes/gauge_nonclosed.scene"], 2),
+    "holomorphic_pass": (["holomorphic", "tests/golden/holomorphic_pass.scene"], 0),
+    "hierarchy_kernel": (
+        ["hierarchy", "tests/golden/hierarchy_kernel.scene", "--side", "n0", "--n", "2"],
+        1,
+    ),
+    "selftest_1": (["selftest", "--instances", "1"], 0),
+}
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(ROOT / a) if a.startswith(("scenes/", "tests/")) else a for a in argv])
+    return out.getvalue(), code
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    argv, expected_code = CASES[name]
+    text, code = run(argv)
+    assert code == expected_code
+    assert text == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        text, code = run(argv)
+        (GOLDEN / f"{name}.out").write_text(text)
+        print(f"{name}: exit {code}" + ("" if code == expected_code else f" (table says {expected_code})"))
