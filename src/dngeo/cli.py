@@ -91,6 +91,8 @@ def _components(values) -> str:
 
 def cmd_check(args) -> int:
     scene, header = _load_scene(args, "check")
+    if not scene.checks:
+        raise DngeoError("scene declares no checks")
     return _report(args, header, run_scene(scene, args.samples))
 
 
@@ -143,8 +145,8 @@ def cmd_holomorphic(args) -> int:
     def steps():
         try:
             J = ComplexStructure(r)
-        except DngeoError as e:
-            yield CheckRecord("complex_structure", Verdict.fail(("error", str(e))))
+        except PreconditionError as e:
+            yield CheckRecord("complex_structure", Verdict.inconclusive(("precondition", str(e))))
             return
         for name, verdict in _dn_steps(frame, J.r, args.samples):
             yield CheckRecord(f"holomorphic_dirac.{name}", verdict)
@@ -165,7 +167,7 @@ def cmd_algebroid(args) -> int:
         try:
             A, imf = dirac_to_algebroid(frame)
         except PreconditionError as e:
-            yield CheckRecord("dirac_to_algebroid", Verdict.fail(("error", str(e))))
+            yield CheckRecord("dirac_to_algebroid", Verdict.inconclusive(("precondition", str(e))))
             return
         data = [(f"anchor.{a}", _components(A.anchors[a].comps)) for a in range(A.rank)]
         data += [(f"struct.{a + 1}.{b + 1}.{c + 1}", to_str(v)) for (a, b, c), v in sorted(A.struct.items())]
@@ -217,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, scene=True):
         if scene:
             sp.add_argument("scene", help="scene file path")
+            sp.add_argument("--samples", type=_positive_int, default=3, help="sample-point count")
+            sp.add_argument(
+                "--mode",
+                choices=("real", "complex"),
+                default="real",
+                help="default scalar mode for charts declared without one",
+            )
         sp.add_argument("--output", help="also write the report to this path")
-        sp.add_argument("--samples", type=_positive_int, default=3, help="sample-point count")
-        sp.add_argument(
-            "--mode",
-            choices=("real", "complex"),
-            default="real",
-            help="default scalar mode for charts declared without one",
-        )
         sp.add_argument(
             "--timings",
             action="store_true",

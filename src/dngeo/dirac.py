@@ -14,11 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AdmissibilityError, HierarchyKernelError, PreconditionError
+from .errors import (
+    AdmissibilityError,
+    HierarchyKernelError,
+    PointEvaluationError,
+    PreconditionError,
+)
 from .symbolic import (
     Chart,
     FracMatrix,
     ScalarExpr,
+    eval_matrix_at_sample,
     generic_rank,
     kernel_basis,
     rank_at_samples,
@@ -216,18 +222,74 @@ def make_split(fields, samples: int = 3) -> GFrame:
 # -- elementary checks -----------------------------------------------------------
 
 
+def _pairings(L1: GFrame, L2: GFrame):
+    """((a, b), <s_a, t_b>) for the sections s of L1 and t of L2 in row
+    order; for one frame (L1 is L2) only the pairs a <= b."""
+    n = L1.chart.dim
+    for a in range(n):
+        for b in range(a if L1 is L2 else 0, n):
+            yield (a, b), pairing(L1.sections[a], L2.sections[b])
+
+
+def _beside(m1: FracMatrix, m2: FracMatrix) -> FracMatrix:
+    """The block matrix [m1 | m2]."""
+    return FracMatrix(m1.chart, [r1 + r2 for r1, r2 in zip(m1.entries, m2.entries)])
+
+
+def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
+    """Whether every section of L1 pairs to zero with every section of L2.
+
+    A pairing that is nonzero at a sample point is nonzero, so a frame pair
+    that fails is mostly rejected at one exact point, before any pairing of
+    rational functions is formed.
+    """
+    n = L1.chart.dim
+    try:
+        _, v = eval_matrix_at_sample(_beside(L1.matrix(), L2.matrix()))
+    except PointEvaluationError:
+        v = None
+    if v is not None and any(
+        sum(v[i][a] * v[n + i][n + b] + v[n + i][a] * v[i][n + b] for i in range(n))
+        for a in range(n)
+        for b in range(n)
+    ):
+        return False
+    return all(val.is_zero() for _, val in _pairings(L1, L2))
+
+
+def _rank_certificate(m: FracMatrix, samples: int = 1):
+    """(sampled, full): the rank of m at the sample points (None when no
+    valid sample point exists) and whether m has full column rank over the
+    function field.
+
+    The generic rank is at least the rank at any point and at most the
+    number of columns, so full rank at one exact sample point proves it;
+    Bareiss runs only when the sampled rank falls short or is missing.
+    """
+    try:
+        sampled = rank_at_samples(m, samples)
+    except PointEvaluationError:
+        sampled = None
+    return sampled, sampled == m.cols or generic_rank(m) == m.cols
+
+
+def _is_lagrangian(L: GFrame) -> bool:
+    """Isotropic with generic rank n, decided exactly."""
+    return _pairings_vanish(L, L) and _rank_certificate(L.matrix())[1]
+
+
 def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     """Pass iff the frame pairs to zero with itself and has rank n pointwise."""
     n = L.chart.dim
-    for a in range(n):
-        for b in range(a, n):
-            val = pairing(L.sections[a], L.sections[b])
-            if not val.is_zero():
-                return Verdict.fail((f"pairing[{a},{b}]", val))
-    m = L.matrix()
-    if generic_rank(m) != n:
+    for (a, b), val in _pairings(L, L):
+        if not val.is_zero():
+            return Verdict.fail((f"pairing[{a},{b}]", val))
+    sampled, full = _rank_certificate(L.matrix(), samples)
+    if not full:
         return Verdict.fail(("rank", f"generic rank below {n}"))
-    if rank_at_samples(m, samples) != n:
+    if sampled is None:
+        return Verdict.inconclusive(("rank", "no valid sample point"))
+    if sampled != n:
         return Verdict.inconclusive(("rank", "rank drop at sample points"))
     if L.flags:
         return Verdict.inconclusive(*((f"flag[{i}]", f) for i, f in enumerate(L.flags)))
@@ -323,11 +385,33 @@ def section_in_span(s: GSection, L: GFrame, lagrangian: Verdict | None = None) -
 
 
 def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
-    """Mutual span containment over the function field (solve both ways)."""
+    """Equality of the spans over the function field.
+
+    The pairing b(X) + a(Y) is nondegenerate over Q(x) and Q(i)(x), so a
+    lagrangian span L is its own orthogonal.  Hence for lagrangian L2 the
+    spans are equal exactly when <L1, L2> = 0 and L1 has rank n.  Being
+    lagrangian is a property of the span, so a lagrangian L1 with a
+    non-lagrangian L2 gives unequal spans.  When neither frame is lagrangian
+    the spans are equal exactly when rank m1 = rank m2 = rank [m1 | m2]; a
+    rank of [m1 | m2] above rank m1 at a sample point already proves them
+    unequal, since the generic rank is at least the rank at any point.
+    """
+    same_chart(L1.sections[0], L2.sections[0])
+    if _is_lagrangian(L2):
+        return _pairings_vanish(L1, L2) and _rank_certificate(L1.matrix())[1]
+    if _is_lagrangian(L1):
+        return False
     m1, m2 = L1.matrix(), L2.matrix()
-    return all(
-        solve_linear(m2, s.components()) is not None for s in L1.sections
-    ) and all(solve_linear(m1, s.components()) is not None for s in L2.sections)
+    rank = generic_rank(m1)
+    if generic_rank(m2) != rank:
+        return False
+    both = _beside(m1, m2)
+    try:
+        if rank_at_samples(both, 1) > rank:
+            return False
+    except PointEvaluationError:
+        pass
+    return generic_rank(both) == rank
 
 
 # -- concomitants ------------------------------------------------------------------
@@ -440,7 +524,13 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
     else:
         out = transform_frame(L, lambda v: v, rn.dual, provenance=L.provenance)
     m = out.matrix()
-    if generic_rank(m) != L.chart.dim or rank_at_samples(m, samples) != L.chart.dim:
+    try:
+        full = rank_at_samples(m, samples) == m.cols
+    except PointEvaluationError:
+        if generic_rank(m) == m.cols:
+            raise
+        full = False
+    if not full:
         raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
     return out
 

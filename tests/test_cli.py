@@ -299,8 +299,32 @@ class TestRemainingCheckKinds:
             "frame L = sections E1 0 ; E2 0\n"
         )
         code, out, _ = run_cli(capsys, "holomorphic", path)
-        assert code == 1
-        assert "square is not -identity" in out
+        assert code == 2
+        assert "check.0.verdict: inconclusive" in out
+        assert "check.0.witness.precondition: square is not -identity" in out
+
+    def test_algebroid_on_a_frame_that_is_not_lagrangian(self, capsys, scene_file):
+        # a precondition failure is inconclusive, as `check algebroid` reports it
+        path = scene_file("chart R2 x y\nvector w = x ; 0\nframe B = sections w 0 ; w 0\n")
+        code, out, _ = run_cli(capsys, "algebroid", path)
+        assert code == 2
+        assert "check.0.name: dirac_to_algebroid" in out
+        assert "check.0.witness.precondition: frame is not lagrangian" in out
+
+    def test_lagrangian_with_a_pole_at_every_sample_point(self, capsys, scene_file):
+        # every sample point (1+s+7t, 2+s+7t) lies on y = x + 1, where the
+        # frame has a pole; the generic rank is still full, so the rank is
+        # unsupported by sampling rather than an error
+        path = scene_file(
+            "chart R2 x y\n"
+            "bivector p = 1 2 1/(y - x - 1)\n"
+            "frame L = poisson p\n"
+            "check lagrangian L\n"
+        )
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and err == ""
+        assert "check.0.verdict: inconclusive" in out
+        assert "check.0.witness.rank: no valid sample point" in out
 
     def test_wrong_arity_form_maps_to_parse_error(self, capsys, scene_file):
         path = scene_file(
@@ -330,14 +354,21 @@ class TestInputContract:
             ["traces", "{scene}", "--jmax", "-3"],
             ["selftest", "--instances", "0"],
             ["check", "{scene}", "--seed", "1"],
+            ["selftest", "--samples", "2"],
+            ["selftest", "--mode", "real"],
         ],
-        ids=["samples", "n", "jmax", "instances", "seed-on-scene-command"],
+        ids=["samples", "n", "jmax", "instances", "seed-on-scene-command", "samples-on-selftest", "mode-on-selftest"],
     )
     def test_rejected_flag_values(self, capsys, scene_file, argv):
         path = scene_file(self.POISSON + "check lagrangian L\n")
         code, out, err = run_cli(capsys, *[a.format(scene=path) for a in argv])
         assert code == 3
         assert "error:" in err and out == ""
+
+    def test_scene_without_checks(self, capsys, scene_file):
+        code, out, err = run_cli(capsys, "check", scene_file(self.POISSON))
+        assert code == 3
+        assert err == "error: scene declares no checks\n" and out == ""
 
     def test_traces_check_with_jmax_zero(self, capsys, scene_file):
         code, _, err = run_cli(capsys, "check", scene_file(self.POISSON + "check traces L r 0\n"))

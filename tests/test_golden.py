@@ -28,7 +28,7 @@ CASES = {
     "hierarchy_0n_2": (["hierarchy", SCALAR, "--side", "0n", "--n", "2"], 0),
     "traces_jmax_4": (["traces", SCALAR, "--jmax", "4"], 0),
     "algebroid_scalar": (["algebroid", SCALAR], 0),
-    "holomorphic_not_complex": (["holomorphic", SCALAR], 1),
+    "holomorphic_not_complex": (["holomorphic", SCALAR], 2),
     "algebroid_gauge_nonclosed": (["algebroid", "scenes/gauge_nonclosed.scene"], 2),
     "holomorphic_pass": (["holomorphic", "tests/golden/holomorphic_pass.scene"], 0),
     "hierarchy_kernel": (
