@@ -191,7 +191,8 @@ def make_split(fields, samples: int = 3) -> GFrame:
 
     The annihilator basis comes from the kernel of the field-component matrix
     over the function field.  Involutivity of F and rank constancy are
-    verified; a sample-point rank defect only flags the frame.
+    verified; a sample-point rank defect, or a pole at every sample point,
+    only flags the frame.
     """
     chart = same_chart(*fields)
     n = chart.dim
@@ -207,8 +208,11 @@ def make_split(fields, samples: int = 3) -> GFrame:
             br = lie_bracket(fields[a], fields[b])
             if solve_linear(span_rows, list(br.comps)) is None:
                 raise PreconditionError("split fields do not span an involutive distribution")
-    if rank_at_samples(fmat, samples) != k:
-        flags.append("split rank defect at sample points")
+    try:
+        if rank_at_samples(fmat, samples) != k:
+            flags.append("split rank defect at sample points")
+    except PointEvaluationError:
+        flags.append("split fields have no valid sample point")
     ann = kernel_basis(fmat)
     if len(ann) != n - k:
         raise PreconditionError("annihilator has unexpected generic rank")
@@ -511,7 +515,8 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
     """(r^n, id)(L) for side 'n0', or (id, (r*)^n)(L) for side '0n'.
 
     The kernel condition of the chosen side is enforced as generic plus
-    sample-point rank fullness of the transformed frame.
+    sample-point rank fullness of the transformed frame.  A member of full
+    generic rank with a pole at every sample point is returned flagged.
     """
     if side not in ("n0", "0n"):
         raise ValueError("side must be 'n0' or '0n'")
@@ -528,7 +533,8 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
         full = rank_at_samples(m, samples) == m.cols
     except PointEvaluationError:
         if generic_rank(m) == m.cols:
-            raise
+            flags = out.flags + ("hierarchy member has no valid sample point",)
+            return GFrame(out.sections, provenance=out.provenance, flags=flags)
         full = False
     if not full:
         raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
@@ -897,8 +903,10 @@ def check_double_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
         return Verdict.inconclusive(("transform", "(r, id) restricted to L is not injective"))
     for name, frame in (("L", L), ("L10", L10)):
         flag = check_lagrangian(frame, samples)
-        if flag.status != PASS:
+        if flag.status == FAIL:
             return Verdict.fail((name, "not lagrangian"))
+        if flag.status != PASS:
+            return Verdict.merge([(name, flag)])
         for bname, bracket in (
             ("courant", courant_bracket),
             ("double", lambda s1, s2: double_bracket(s1, s2, r)),

@@ -10,6 +10,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import PointEvaluationError
 from .gaussian import GaussianRational
@@ -168,24 +169,11 @@ def normalize_vector(vec):
                 fracs.extend((c.re, c.im))
             else:
                 fracs.append(c)
-    denom_lcm = 1
-    for f in fracs:
-        if f:
-            denom_lcm = denom_lcm * f.denominator // _gcd_int(denom_lcm, f.denominator)
-    num_gcd = 0
-    for f in fracs:
-        if f:
-            num_gcd = _gcd_int(num_gcd, abs(f.numerator))
-    scale = Fraction(denom_lcm, num_gcd if num_gcd else 1)
+    num_gcd = gcd(*[f.numerator for f in fracs])
+    scale = Fraction(lcm(*[f.denominator for f in fracs]), num_gcd if num_gcd else 1)
     if scale != 1:
         polys = [p.scale(scale) for p in polys]
     return [ScalarExpr(chart, p, chart._poly_one()) for p in polys]
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def kernel_basis(m: FracMatrix):

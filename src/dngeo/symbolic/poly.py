@@ -5,6 +5,22 @@ A Polynomial is a sparse map from exponent tuples to nonzero coefficients
 used for leading terms, printing and canonical forms is graded lexicographic
 over the chart's variable order.
 
+Products and exact quotients run on integers.  Both bring each operand to
+integer numerators over one common denominator, the lcm of its coefficient
+denominators; over Q(i) a numerator is a (re, im) pair of integers.
+`Polynomial.__mul__` multiplies and sums plain ints and builds one Fraction
+or GaussianRational per output term rather than per pair of terms.
+`divexact` packs each exponent tuple into one int whose order is graded-lex,
+keeps the remainder in one dict updated in place and finds its leading term
+with a lazy max-heap.  Products keep exponent tuples: most products here have
+a one- or two-term operand, where packing costs more than it saves.
+
+`terms` still holds rational coefficients, not integers plus a content: the
+printer, `normalize_vector` and `_one_like` branch on the coefficient type,
+and code outside the package reads `terms` directly.  The kernels give every
+output coefficient the type the term-by-term Fraction or GaussianRational
+arithmetic would give it, also for dicts that mix the two.
+
 The gcd is computed by recursive content / primitive-part extraction with a
 subresultant pseudo-remainder sequence on the main variable, so no external
 library is needed.  All divisions performed by the PRS are exact.
@@ -13,6 +29,9 @@ library is needed.  All divisions performed by the PRS are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, mul
 
 from .gaussian import GaussianRational
 
@@ -106,34 +125,53 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.nvars)
+        a, b = _integral(self, False), _integral(other, False)
+        gaussian = a is None or b is None
+        if gaussian:  # some coefficient is a GaussianRational
+            a, b = _integral(self, True), _integral(other, True)
+        (da, a), (db, b) = a, b
+        den = da * db
+        # the term-pair loop of Fraction arithmetic, on ints: a term is
+        # dropped when its sum cancels, as the coefficient would be
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
+        get = out.get
+        if not gaussian:
+            for ea, na in a:
+                for eb, nb in b:
+                    e = tuple(map(add, ea, eb))
+                    s = get(e)
+                    if s is None:
+                        out[e] = na * nb
+                    else:
+                        s += na * nb
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
+            return Polynomial(self.nvars, {e: Fraction(s, den) for e, s in out.items()})
+        for ea, ra, ia, ga in a:
+            for eb, rb, ib, gb in b:
+                e = tuple(map(add, ea, eb))
+                re = ra * rb - ia * ib
+                im = ra * ib + ia * rb
+                s = get(e)
                 if s is None:
-                    out[e] = c
+                    out[e] = [re, im, ga or gb]
                 else:
-                    s = s + c
-                    if s:
-                        out[e] = s
+                    re += s[0]
+                    im += s[1]
+                    if re or im:
+                        s[0], s[1], s[2] = re, im, s[2] or ga or gb
                     else:
                         del out[e]
-        return Polynomial(self.nvars, out)
+        return Polynomial(
+            self.nvars, {e: _coefficient(re, im, g, den) for e, (re, im, g) in out.items()}
+        )
 
     def scale(self, c) -> "Polynomial":
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial(self.nvars, {e: k * c for e, k in self.terms.items()})
-
-    def mul_term(self, expo, c) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, expo)): k * c for e, k in self.terms.items()},
-        )
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -232,6 +270,41 @@ def poly_one(nvars: int, complex_mode: bool = False) -> Polynomial:
     return Polynomial.const(nvars, one)
 
 
+# -- integer kernels ---------------------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def _integral(p: Polynomial, gaussian: bool):
+    """(den, terms): the coefficients of p as integer numerators over their
+    common denominator den, in terms (exponent, numerator).  In Gaussian form
+    the numerator is re, im and whether the coefficient is a GaussianRational;
+    otherwise None when p has a GaussianRational coefficient."""
+    if not gaussian:
+        try:
+            den = lcm(*[c.denominator for c in p.terms.values()])
+        except AttributeError:  # a GaussianRational
+            return None
+        return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+    parts = [
+        (e, c.re, c.im, True) if isinstance(c, GaussianRational) else (e, c, _ZERO, False)
+        for e, c in p.terms.items()
+    ]
+    den = lcm(*[x.denominator for _, re, im, _ in parts for x in (re, im)])
+    return den, [
+        (e, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), g)
+        for e, re, im, g in parts
+    ]
+
+
+def _coefficient(re: int, im: int, gaussian: bool, den: int):
+    """(re + i im)/den as a GaussianRational, or as a Fraction when no
+    GaussianRational went into it (im is then 0)."""
+    if gaussian:
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return Fraction(re, den)
+
+
 # -- exact division ---------------------------------------------------------
 
 
@@ -243,18 +316,63 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     if g.is_one():
         return f
-    ge, gc = g.leading()
+    n = f.nvars
+    # Exponents are packed into ints: sum(map(mul, e, weights)) holds the
+    # total degree, then the exponents in variable order, in fields of w bits,
+    # so packed ints compare as _grlex_key does and add as exponents do.
+    # Every remainder term has total degree <= deg f, and one guard bit per
+    # field lets a single subtraction test that the lead of g divides a term.
+    w = max(map(sum, (*f.terms, *g.terms))).bit_length() + 1
+    weights = [(1 << w * n) + (1 << w * j) for j in range(n - 1, -1, -1)]
+    guard = sum(1 << w * j + w - 1 for j in range(n + 1))
+    # over Q too the kernel works on (re, im) pairs: the division is not hot
+    # enough to carry a second copy for real coefficients
+    (df, rem), (dg, terms) = _integral(f, True), _integral(g, True)
+    terms = sorted([(sum(map(mul, e, weights)), *v) for e, *v in terms], reverse=True)
+    (glk, lr, li, lg), terms = terms[0], terms[1:]
+    norm = lr * lr + li * li
+    # the remainder f - (quotient so far) * g is rem / (df * scale) with
+    # integer rem; scale grows only when the lead of g does not divide the
+    # lead of rem, which an exact division by a primitive g never meets
+    scale = 1
+    rem = {sum(map(mul, e, weights)): [re, im, gc] for e, re, im, gc in rem}
+    heap = [-k for k in rem]
+    heapify(heap)
     out: dict = {}
-    r = f
-    while not r.is_zero():
-        re, rc = r.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in qe):
+    while rem:
+        rk = -heappop(heap)
+        if rk not in rem:
+            continue
+        if (rk | guard) - glk & guard != guard:
             raise ValueError("inexact polynomial division")
-        qc = rc / gc
-        out[qe] = qc
-        r = r - g.mul_term(qe, qc)
-    return Polynomial(f.nvars, out)
+        qk = rk - glk
+        cr, ci, cg = rem.pop(rk)
+        # (cr + i ci) / (lr + i li) = (ar + i ai) / b in lowest terms
+        xr, xi = cr * lr + ci * li, ci * lr - cr * li
+        h = gcd(xr, xi, norm)
+        ar, ai, b = xr // h, xi // h, norm // h
+        if b != 1:
+            scale *= b
+            for v in rem.values():
+                v[0] *= b
+                v[1] *= b
+        qg = cg or lg
+        out[qk] = _coefficient(ar * dg, ai * dg, qg, df * scale)
+        for k, vr, vi, vg in terms:
+            k += qk
+            tr, ti = ar * vr - ai * vi, ar * vi + ai * vr
+            s = rem.get(k)
+            if s is None:
+                rem[k] = [-tr, -ti, qg or vg]
+                heappush(heap, -k)
+            else:
+                tr, ti = s[0] - tr, s[1] - ti
+                if tr or ti:
+                    s[0], s[1], s[2] = tr, ti, s[2] or qg or vg
+                else:
+                    del rem[k]
+    mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
+    return Polynomial(n, {tuple([k >> s & mask for s in shifts]): c for k, c in out.items()})
 
 
 # -- univariate views --------------------------------------------------------
@@ -284,12 +402,11 @@ def prem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     lcg = uni_lead(g, k)
     r = f
     e = f.degree_in(k) - l + 1
-    xk_shift = [0] * f.nvars
     while not r.is_zero() and r.degree_in(k) >= l:
         dr = r.degree_in(k)
-        lcr = uni_lead(r, k)
-        xk_shift[k] = dr - l
-        r = lcg * r - lcr.mul_term(tuple(xk_shift), _one_like(lcg)) * g
+        # the x_k^dr coefficient of r, times x_k^(dr - l)
+        lead = {x[:k] + (dr - l,) + x[k + 1:]: c for x, c in r.terms.items() if x[k] == dr}
+        r = lcg * r - Polynomial(f.nvars, lead) * g
         e -= 1
     for _ in range(e):
         r = lcg * r

@@ -326,6 +326,47 @@ class TestRemainingCheckKinds:
         assert "check.0.verdict: inconclusive" in out
         assert "check.0.witness.rank: no valid sample point" in out
 
+    def test_hierarchy_member_with_a_pole_at_every_sample_point(self, capsys, scene_file):
+        # (r, id)(L) keeps the pole on y = x + 1 and has full generic rank,
+        # so the member is emitted flagged and its checks are inconclusive
+        path = scene_file(
+            "chart R2 x y\n"
+            "bivector p = 1 2 1/(y - x - 1)\n"
+            "oneone r = x, 0 ; 0, x\n"
+            "frame L = poisson p\n"
+        )
+        code, out, err = run_cli(capsys, "hierarchy", path, "--side", "n0", "--n", "1")
+        assert code == 2 and err == ""
+        assert "frame.1.section.0.vec: (0, (-x)/(x - y + 1))" in out
+        assert "check.0.verdict: inconclusive" in out
+        assert "check.0.witness.lagrangian.rank: no valid sample point" in out
+
+    def test_split_with_a_pole_at_every_sample_point(self, capsys, scene_file):
+        path = scene_file(
+            "chart R2 x y\n"
+            "vector v = 1/(y - x - 1) ; 0\n"
+            "frame S = split v\n"
+            "check lagrangian S\n"
+        )
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and err == ""
+        assert "check.0.verdict: inconclusive" in out
+        assert "check.0.witness.rank: no valid sample point" in out
+
+    def test_double_type_with_a_pole_at_every_sample_point_of_the_transform(self, capsys, scene_file):
+        # L samples fine, (r, id)(L) does not: inconclusive, never a fail
+        path = scene_file(
+            "chart R2 x y\n"
+            "bivector p = 1 2 1\n"
+            "oneone r = 1/(y - x - 1), 0 ; 0, 1/(y - x - 1)\n"
+            "frame L = poisson p\n"
+            "check double_type L r\n"
+        )
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and err == ""
+        assert "check.0.verdict: inconclusive" in out
+        assert "check.0.witness.L10.rank: no valid sample point" in out
+
     def test_wrong_arity_form_maps_to_parse_error(self, capsys, scene_file):
         path = scene_file(
             "chart R3 x y z\n"

@@ -76,12 +76,15 @@ def lagrangian_in_old_order(L, samples=3):
     return Verdict.ok()
 
 
-def hierarchy_in_old_order(L, r, n, side, samples=3):
+def transformed(L, r, n, side):
     rn = r.power(n)
     if side == "n0":
-        out = transform_frame(L, rn.apply, lambda a: a, provenance=L.provenance)
-    else:
-        out = transform_frame(L, lambda v: v, rn.dual, provenance=L.provenance)
+        return transform_frame(L, rn.apply, lambda a: a, provenance=L.provenance)
+    return transform_frame(L, lambda v: v, rn.dual, provenance=L.provenance)
+
+
+def hierarchy_in_old_order(L, r, n, side, samples=3):
+    out = transformed(L, r, n, side)
     m = out.matrix()
     if generic_rank(m) != L.chart.dim or rank_at_samples(m, samples) != L.chart.dim:
         raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
@@ -297,8 +300,16 @@ def test_hierarchy_outcomes_match_the_old_order():
         L = lagrangian_frame(chart, rng)
         r = hierarchy_tensor(chart, rng)
         got = frame_outcome(hierarchy, L, r, n, side)
-        assert got == frame_outcome(hierarchy_in_old_order, L, r, n, side)
+        want = frame_outcome(hierarchy_in_old_order, L, r, n, side)
+        if want[:2] == ("raises", PointEvaluationError):
+            # the one deliberate change: a member of full generic rank with a
+            # pole at every sample point is returned flagged, not raised
+            out = transformed(L, r, n, side)
+            flags = L.flags + ("hierarchy member has no valid sample point",)
+            want = "value", [s.components() for s in out.sections], out.provenance, flags
+            seen.add("flagged")
+        assert got == want
         seen.add(got[0] if got[0] == "value" else got[1])
 
     check()
-    assert seen == {"value", HierarchyKernelError, PointEvaluationError}
+    assert seen == {"value", "flagged", HierarchyKernelError}
