@@ -491,7 +491,11 @@ def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int
     cov = L.covector_matrix()
     combos = kernel_basis(cov)
     gen_rank = chart.dim - len(combos)
-    if rank_at_samples(cov, samples) != gen_rank:
+    try:
+        sample_rank = rank_at_samples(cov, samples)
+    except PointEvaluationError:
+        raise PreconditionError("null distribution has no valid sample point") from None
+    if sample_rank != gen_rank:
         raise PreconditionError("null distribution rank drops at sample points")
     basis = []
     for c in combos:

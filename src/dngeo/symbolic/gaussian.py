@@ -1,22 +1,30 @@
 """Exact arithmetic in the field Q(i).
 
 GaussianRational holds two Fractions, so every operation stays exact and
-canonical (both parts are reduced by Fraction itself).  Instances mix freely
-with int and Fraction operands, which keeps the polynomial layer agnostic of
-the coefficient field.
+canonical (both parts are reduced by Fraction itself).
+
+A coefficient's type is a function of its value: an element of Q(i) is a
+Fraction when its imaginary part is 0 and a GaussianRational only when that
+part is nonzero.  Every operation below returns through `gaussian`, which
+applies this rule, and accepts int, Fraction and GaussianRational operands,
+including a GaussianRational built by hand with a zero imaginary part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+_RATIONAL = (int, Fraction)
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
+
+def gaussian(re: Fraction, im: Fraction):
+    """re + i im for Fractions re and im: re itself when im is 0."""
+    if not im:
+        return re
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
 
 
 class GaussianRational:
@@ -29,22 +37,8 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- conversions ------------------------------------------------------
-
-    @staticmethod
-    def coerce(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        f = _as_fraction(x)
-        if f is None:
-            raise TypeError(f"cannot coerce {x!r} to GaussianRational")
-        return GaussianRational(f)
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+    def conjugate(self):
+        return gaussian(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -52,38 +46,34 @@ class GaussianRational:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            return GaussianRational(self.re + o, self.im)
+        if isinstance(other, _RATIONAL):
+            return gaussian(self.re + other, self.im)
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            return gaussian(self.re + other.re, self.im + other.im)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return gaussian(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            return GaussianRational(self.re - o, self.im)
+        if isinstance(other, _RATIONAL):
+            return gaussian(self.re - other, self.im)
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
+            return gaussian(self.re - other.re, self.im - other.im)
         return NotImplemented
 
     def __rsub__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            return GaussianRational(o - self.re, -self.im)
+        if isinstance(other, _RATIONAL):
+            return gaussian(other - self.re, -self.im)
         return NotImplemented
 
     def __mul__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            return GaussianRational(self.re * o, self.im * o)
+        if isinstance(other, _RATIONAL):
+            return gaussian(self.re * other, self.im * other)
         if isinstance(other, GaussianRational):
-            return GaussianRational(
+            return gaussian(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
@@ -92,29 +82,33 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            if o == 0:
+        if isinstance(other, _RATIONAL):
+            if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return GaussianRational(self.re / o, self.im / o)
+            return gaussian(self.re / other, self.im / other)
         if isinstance(other, GaussianRational):
             n2 = other.norm2()
             if n2 == 0:
                 raise ZeroDivisionError("division by zero")
-            num = self * other.conjugate()
-            return GaussianRational(num.re / n2, num.im / n2)
+            # self * conj(other) / |other|^2
+            return gaussian(
+                (self.re * other.re + self.im * other.im) / n2,
+                (self.im * other.re - self.re * other.im) / n2,
+            )
         return NotImplemented
 
     def __rtruediv__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            return GaussianRational(o) / self
+        if isinstance(other, _RATIONAL):
+            n2 = self.norm2()
+            if n2 == 0:
+                raise ZeroDivisionError("division by zero")
+            return gaussian(other * self.re / n2, -other * self.im / n2)
         return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
-            return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
+            return 1 / self ** (-k)
+        out = Fraction(1)
         base = self
         while k:
             if k & 1:
@@ -126,9 +120,8 @@ class GaussianRational:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        o = _as_fraction(other)
-        if o is not None:
-            return self.im == 0 and self.re == o
+        if isinstance(other, _RATIONAL):
+            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
         return NotImplemented

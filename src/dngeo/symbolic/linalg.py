@@ -42,10 +42,10 @@ class FracMatrix:
 
 
 def _cleared_rows(m: FracMatrix, rhs=None):
-    """Denominator-free copies of the rows (and rhs) as Polynomial lists."""
-    one = poly_one(m.chart.dim, m.chart.mode == "complex")
+    """Denominator-free copies of the rows as Polynomial lists, each with its
+    rhs entry appended as a last column when rhs is given."""
+    one = poly_one(m.chart.dim)
     rows = []
-    rvec = []
     for i in range(m.rows):
         entries = list(m.entries[i]) + ([rhs[i]] if rhs is not None else [])
         common = one
@@ -58,16 +58,15 @@ def _cleared_rows(m: FracMatrix, rhs=None):
                 cleared.append(e.num)
             else:
                 cleared.append(e.num * divexact(common, e.den))
-        if rhs is not None:
-            rvec.append(cleared.pop())
         rows.append(cleared)
-    return rows, (rvec if rhs is not None else None)
+    return rows
 
 
-def _bareiss(rows, rvec=None):
-    """In-place fraction-free elimination; returns the pivot list [(row, col)]."""
+def _bareiss(rows, ncols):
+    """In-place fraction-free elimination with pivots in the first ncols
+    columns (later columns are updated with their rows); returns the pivot
+    list [(row, col)]."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots = []
     prev = None
     pr = 0
@@ -81,25 +80,16 @@ def _bareiss(rows, rvec=None):
             continue
         if pivot_row != pr:
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            if rvec is not None:
-                rvec[pr], rvec[pivot_row] = rvec[pivot_row], rvec[pr]
         piv = rows[pr][pc]
         for i in range(pr + 1, nrows):
             head = rows[i][pc]
-            for j in range(ncols):
+            for j in range(len(rows[i])):
                 val = piv * rows[i][j] - head * rows[pr][j]
                 if prev is not None and not val.is_zero():
                     val = divexact(val, prev)
                 elif prev is not None:
                     val = Polynomial.zero(val.nvars)
                 rows[i][j] = val
-            if rvec is not None:
-                val = piv * rvec[i] - head * rvec[pr]
-                if prev is not None and not val.is_zero():
-                    val = divexact(val, prev)
-                elif prev is not None:
-                    val = Polynomial.zero(val.nvars)
-                rvec[i] = val
         pivots.append((pr, pc))
         prev = piv
         pr += 1
@@ -109,24 +99,24 @@ def _bareiss(rows, rvec=None):
 
 
 def generic_rank(m: FracMatrix) -> int:
-    rows, _ = _cleared_rows(m)
+    rows = _cleared_rows(m)
     if not rows:
         return 0
-    return len(_bareiss(rows))
+    return len(_bareiss(rows, m.cols))
 
 
-def _back_substitute(chart, rows, pivots, values, rhs=None):
-    """Fill pivot variables of `values` bottom-up; rhs entries are Polynomials."""
+def _back_substitute(chart, rows, pivots, values):
+    """Fill pivot variables of `values` bottom-up; a row one entry longer than
+    `values` carries its rhs entry last."""
     zero = chart.zero()
     for pr, pc in reversed(pivots):
-        acc = (
-            ScalarExpr(chart, rhs[pr], chart._poly_one()) if rhs is not None else zero
-        )
+        row = rows[pr]
+        acc = ScalarExpr(chart, row[-1], poly_one(chart.dim)) if len(row) > len(values) else zero
         for c in range(pc + 1, len(values)):
-            if values[c].is_zero() or rows[pr][c].is_zero():
+            if values[c].is_zero() or row[c].is_zero():
                 continue
-            acc = acc - ScalarExpr(chart, rows[pr][c], chart._poly_one()) * values[c]
-        values[pc] = acc / ScalarExpr(chart, rows[pr][pc], chart._poly_one())
+            acc = acc - ScalarExpr(chart, row[c], poly_one(chart.dim)) * values[c]
+        values[pc] = acc / ScalarExpr(chart, row[pc], poly_one(chart.dim))
     return values
 
 
@@ -140,7 +130,7 @@ def normalize_vector(vec):
     chart = same_chart(*vec)
     if all(v.is_zero() for v in vec):
         return list(vec)
-    one = poly_one(chart.dim, chart.mode == "complex")
+    one = poly_one(chart.dim)
     common = one
     for v in vec:
         if not v.den.is_one():
@@ -173,7 +163,7 @@ def normalize_vector(vec):
     scale = Fraction(lcm(*[f.denominator for f in fracs]), num_gcd if num_gcd else 1)
     if scale != 1:
         polys = [p.scale(scale) for p in polys]
-    return [ScalarExpr(chart, p, chart._poly_one()) for p in polys]
+    return [ScalarExpr(chart, p, poly_one(chart.dim)) for p in polys]
 
 
 def kernel_basis(m: FracMatrix):
@@ -186,8 +176,8 @@ def kernel_basis(m: FracMatrix):
             )
             for j in range(m.cols)
         ]
-    rows, _ = _cleared_rows(m)
-    pivots = _bareiss(rows)
+    rows = _cleared_rows(m)
+    pivots = _bareiss(rows, m.cols)
     pivot_cols = {pc for _, pc in pivots}
     basis = []
     for free in range(m.cols):
@@ -212,14 +202,13 @@ def solve_linear(m: FracMatrix, rhs):
     rhs = list(rhs)
     if m.rows == 0:
         return [chart.zero() for _ in range(m.cols)]
-    rows, rvec = _cleared_rows(m, rhs)
-    pivots = _bareiss(rows, rvec)
-    pivot_rows = {pr for pr, _ in pivots}
-    for i in range(m.rows):
-        if i not in pivot_rows and not rvec[i].is_zero():
-            return None
+    rows = _cleared_rows(m, rhs)
+    pivots = _bareiss(rows, m.cols)
+    # rows below the pivot rows are zero but for their rhs entry
+    if any(not row[-1].is_zero() for row in rows[len(pivots):]):
+        return None
     values = [chart.zero() for _ in range(m.cols)]
-    _back_substitute(chart, rows, pivots, values, rvec)
+    _back_substitute(chart, rows, pivots, values)
     return values
 
 

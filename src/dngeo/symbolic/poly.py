@@ -1,25 +1,23 @@
 """Multivariate polynomials over Q or Q(i).
 
-A Polynomial is a sparse map from exponent tuples to nonzero coefficients
-(Fraction in real mode, GaussianRational in complex mode).  The term order
-used for leading terms, printing and canonical forms is graded lexicographic
-over the chart's variable order.
+A Polynomial is a sparse map from exponent tuples to nonzero coefficients.
+A coefficient is a Fraction, or a GaussianRational when its imaginary part
+is nonzero (see gaussian.py); both fields share every routine here.  The
+term order used for leading terms, printing and canonical forms is graded
+lexicographic over the chart's variable order.
 
 Products and exact quotients run on integers.  Both bring each operand to
 integer numerators over one common denominator, the lcm of its coefficient
 denominators; over Q(i) a numerator is a (re, im) pair of integers.
-`Polynomial.__mul__` multiplies and sums plain ints and builds one Fraction
-or GaussianRational per output term rather than per pair of terms.
-`divexact` packs each exponent tuple into one int whose order is graded-lex,
-keeps the remainder in one dict updated in place and finds its leading term
-with a lazy max-heap.  Products keep exponent tuples: most products here have
-a one- or two-term operand, where packing costs more than it saves.
+`Polynomial.__mul__` multiplies and sums plain ints and builds one
+coefficient per output term rather than per pair of terms.  `divexact` packs
+each exponent tuple into one int whose order is graded-lex, keeps the
+remainder in one dict updated in place and finds its leading term with a
+lazy max-heap.  Products keep exponent tuples: most products here have a
+one- or two-term operand, where packing costs more than it saves.
 
-`terms` still holds rational coefficients, not integers plus a content: the
-printer, `normalize_vector` and `_one_like` branch on the coefficient type,
-and code outside the package reads `terms` directly.  The kernels give every
-output coefficient the type the term-by-term Fraction or GaussianRational
-arithmetic would give it, also for dicts that mix the two.
+`terms` holds rational coefficients, not integers plus a content, because
+code outside the package reads `terms` directly.
 
 The gcd is computed by recursive content / primitive-part extraction with a
 subresultant pseudo-remainder sequence on the main variable, so no external
@@ -33,7 +31,9 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, mul
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, gaussian
+
+_ONE = Fraction(1)
 
 
 def _grlex_key(expo):
@@ -61,10 +61,10 @@ class Polynomial:
         return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
-    def variable(nvars: int, k: int, one) -> "Polynomial":
+    def variable(nvars: int, k: int) -> "Polynomial":
         expo = [0] * nvars
         expo[k] = 1
-        return Polynomial(nvars, {tuple(expo): one})
+        return Polynomial(nvars, {tuple(expo): _ONE})
 
     # -- predicates -------------------------------------------------------
 
@@ -126,8 +126,8 @@ class Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.nvars)
         a, b = _integral(self, False), _integral(other, False)
-        gaussian = a is None or b is None
-        if gaussian:  # some coefficient is a GaussianRational
+        pairs = a is None or b is None
+        if pairs:  # some coefficient is a GaussianRational
             a, b = _integral(self, True), _integral(other, True)
         (da, a), (db, b) = a, b
         den = da * db
@@ -135,7 +135,7 @@ class Polynomial:
         # dropped when its sum cancels, as the coefficient would be
         out: dict = {}
         get = out.get
-        if not gaussian:
+        if not pairs:
             for ea, na in a:
                 for eb, nb in b:
                     e = tuple(map(add, ea, eb))
@@ -149,24 +149,20 @@ class Polynomial:
                         else:
                             del out[e]
             return Polynomial(self.nvars, {e: Fraction(s, den) for e, s in out.items()})
-        for ea, ra, ia, ga in a:
-            for eb, rb, ib, gb in b:
+        for ea, ra, ia in a:
+            for eb, rb, ib in b:
                 e = tuple(map(add, ea, eb))
                 re = ra * rb - ia * ib
                 im = ra * ib + ia * rb
                 s = get(e)
-                if s is None:
-                    out[e] = [re, im, ga or gb]
-                else:
+                if s is not None:
                     re += s[0]
                     im += s[1]
-                    if re or im:
-                        s[0], s[1], s[2] = re, im, s[2] or ga or gb
-                    else:
+                    if not (re or im):
                         del out[e]
-        return Polynomial(
-            self.nvars, {e: _coefficient(re, im, g, den) for e, (re, im, g) in out.items()}
-        )
+                        continue
+                out[e] = re, im
+        return Polynomial(self.nvars, {e: _coefficient(re, im, den) for e, (re, im) in out.items()})
 
     def scale(self, c) -> "Polynomial":
         if not c:
@@ -176,7 +172,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.const(self.nvars, _one_like(self))
+        out = poly_one(self.nvars)
         base = self
         while k:
             if k & 1:
@@ -257,51 +253,38 @@ class Polynomial:
         return Polynomial(new_nvars, out)
 
 
-def _one_like(p: Polynomial):
-    for c in p.terms.values():
-        if isinstance(c, GaussianRational):
-            return GaussianRational(1)
-        return Fraction(1)
-    return Fraction(1)
-
-
-def poly_one(nvars: int, complex_mode: bool = False) -> Polynomial:
-    one = GaussianRational(1) if complex_mode else Fraction(1)
-    return Polynomial.const(nvars, one)
+def poly_one(nvars: int) -> Polynomial:
+    return Polynomial(nvars, {(0,) * nvars: _ONE})
 
 
 # -- integer kernels ---------------------------------------------------------
 
-_ZERO = Fraction(0)
 
-
-def _integral(p: Polynomial, gaussian: bool):
+def _integral(p: Polynomial, pairs: bool):
     """(den, terms): the coefficients of p as integer numerators over their
-    common denominator den, in terms (exponent, numerator).  In Gaussian form
-    the numerator is re, im and whether the coefficient is a GaussianRational;
-    otherwise None when p has a GaussianRational coefficient."""
-    if not gaussian:
+    common denominator den, in terms (exponent, numerator).  With pairs the
+    numerator is re, im; otherwise None when p has a GaussianRational
+    coefficient."""
+    if not pairs:
         try:
             den = lcm(*[c.denominator for c in p.terms.values()])
         except AttributeError:  # a GaussianRational
             return None
         return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
     parts = [
-        (e, c.re, c.im, True) if isinstance(c, GaussianRational) else (e, c, _ZERO, False)
-        for e, c in p.terms.items()
+        (e, c.re, c.im) if isinstance(c, GaussianRational) else (e, c, 0) for e, c in p.terms.items()
     ]
-    den = lcm(*[x.denominator for _, re, im, _ in parts for x in (re, im)])
+    den = lcm(*[x.denominator for _, re, im in parts for x in (re, im)])
     return den, [
-        (e, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), g)
-        for e, re, im, g in parts
+        (e, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for e, re, im in parts
     ]
 
 
-def _coefficient(re: int, im: int, gaussian: bool, den: int):
-    """(re + i im)/den as a GaussianRational, or as a Fraction when no
-    GaussianRational went into it (im is then 0)."""
-    if gaussian:
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+def _coefficient(re: int, im: int, den: int):
+    """(re + i im)/den: a Fraction when im is 0, else a GaussianRational."""
+    if im:
+        return gaussian(Fraction(re, den), Fraction(im, den))
     return Fraction(re, den)
 
 
@@ -329,13 +312,13 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     # enough to carry a second copy for real coefficients
     (df, rem), (dg, terms) = _integral(f, True), _integral(g, True)
     terms = sorted([(sum(map(mul, e, weights)), *v) for e, *v in terms], reverse=True)
-    (glk, lr, li, lg), terms = terms[0], terms[1:]
+    (glk, lr, li), terms = terms[0], terms[1:]
     norm = lr * lr + li * li
     # the remainder f - (quotient so far) * g is rem / (df * scale) with
     # integer rem; scale grows only when the lead of g does not divide the
     # lead of rem, which an exact division by a primitive g never meets
     scale = 1
-    rem = {sum(map(mul, e, weights)): [re, im, gc] for e, re, im, gc in rem}
+    rem = {sum(map(mul, e, weights)): [re, im] for e, re, im in rem}
     heap = [-k for k in rem]
     heapify(heap)
     out: dict = {}
@@ -346,7 +329,7 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
         if (rk | guard) - glk & guard != guard:
             raise ValueError("inexact polynomial division")
         qk = rk - glk
-        cr, ci, cg = rem.pop(rk)
+        cr, ci = rem.pop(rk)
         # (cr + i ci) / (lr + i li) = (ar + i ai) / b in lowest terms
         xr, xi = cr * lr + ci * li, ci * lr - cr * li
         h = gcd(xr, xi, norm)
@@ -356,19 +339,18 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
             for v in rem.values():
                 v[0] *= b
                 v[1] *= b
-        qg = cg or lg
-        out[qk] = _coefficient(ar * dg, ai * dg, qg, df * scale)
-        for k, vr, vi, vg in terms:
+        out[qk] = _coefficient(ar * dg, ai * dg, df * scale)
+        for k, vr, vi in terms:
             k += qk
             tr, ti = ar * vr - ai * vi, ar * vi + ai * vr
             s = rem.get(k)
             if s is None:
-                rem[k] = [-tr, -ti, qg or vg]
+                rem[k] = [-tr, -ti]
                 heappush(heap, -k)
             else:
                 tr, ti = s[0] - tr, s[1] - ti
                 if tr or ti:
-                    s[0], s[1], s[2] = tr, ti, s[2] or qg or vg
+                    s[0], s[1] = tr, ti
                 else:
                     del rem[k]
     mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
@@ -473,7 +455,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         return _monic(f)
     if f.is_constant() or g.is_constant():
-        return Polynomial.const(f.nvars, _one_like(f) if not f.is_zero() else _one_like(g))
+        return poly_one(f.nvars)
     k = next(
         i
         for i in range(f.nvars)

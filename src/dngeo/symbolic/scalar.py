@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from ..errors import ChartMismatchError, PointEvaluationError, ZeroDenominatorError
 from .gaussian import GaussianRational
-from .poly import Polynomial, divexact, poly_gcd
+from .poly import Polynomial, divexact, poly_gcd, poly_one
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,24 @@ class Chart:
     # -- scalar constructors ----------------------------------------------
 
     def coeff(self, value):
-        """Coerce a number into this chart's coefficient field."""
-        if self.mode == "complex":
-            return GaussianRational.coerce(value)
+        """Coerce a number into this chart's coefficient field: a Fraction,
+        or a GaussianRational with a nonzero imaginary part."""
         if isinstance(value, GaussianRational):
-            if not value.is_real():
+            if not value.im:
+                return value.re
+            if self.mode != "complex":
                 raise ValueError("complex coefficient on a real chart")
-            return value.re
+            return value
         return Fraction(value)
 
     def zero(self) -> "ScalarExpr":
-        return ScalarExpr(self, Polynomial.zero(self.dim), self._poly_one())
+        return ScalarExpr(self, Polynomial.zero(self.dim), poly_one(self.dim))
 
     def one(self) -> "ScalarExpr":
         return self.const(1)
 
     def const(self, value) -> "ScalarExpr":
-        return ScalarExpr(self, Polynomial.const(self.dim, self.coeff(value)), self._poly_one())
+        return ScalarExpr(self, Polynomial.const(self.dim, self.coeff(value)), poly_one(self.dim))
 
     def imag_unit(self) -> "ScalarExpr":
         if self.mode != "complex":
@@ -78,17 +79,12 @@ class Chart:
 
     def var(self, name: str) -> "ScalarExpr":
         k = self.index(name)
-        return ScalarExpr(
-            self, Polynomial.variable(self.dim, k, self.coeff(1)), self._poly_one()
-        )
+        return ScalarExpr(self, Polynomial.variable(self.dim, k), poly_one(self.dim))
 
     def scalar(self, text: str) -> "ScalarExpr":
         from .parse import parse_scalar
 
         return parse_scalar(text, self)
-
-    def _poly_one(self) -> Polynomial:
-        return Polynomial.const(self.dim, self.coeff(1))
 
     def compatible(self, other: "Chart") -> bool:
         return self.variables == other.variables and self.mode == other.mode
@@ -113,7 +109,7 @@ class ScalarExpr:
             raise ZeroDenominatorError("zero denominator")
         if num.is_zero():
             num = Polynomial.zero(chart.dim)
-            den = chart._poly_one()
+            den = poly_one(chart.dim)
         elif not den.is_one():
             g = poly_gcd(num, den)
             if not g.is_one():
@@ -235,10 +231,7 @@ class ScalarExpr:
         dv = self.den.eval(point)
         if not dv:
             raise PointEvaluationError(f"denominator vanishes at {tuple(point)}")
-        nv = self.num.eval(point)
-        if not nv:
-            return self.chart.coeff(0)
-        return nv / dv
+        return self.num.eval(point) / dv
 
     def substitute(self, assign: dict) -> "ScalarExpr":
         """Substitute constants for named variables; result stays on this chart."""

@@ -36,6 +36,7 @@ from dngeo.dirac import (
     backward_transfer,
     forward_transfer,
     traces,
+    Verdict,
     )
 from dngeo.errors import AdmissibilityError, HierarchyKernelError, PreconditionError
 from dngeo.fixtures import (
@@ -270,6 +271,13 @@ class TestNullDistribution:
         nd = null_distribution(Lw)
         assert len(nd.basis) == 1
         assert nd.basis[0] == VectorField.coordinate(ch, 2)
+
+    def test_pole_at_every_sample_point(self):
+        # every sample point (1+s+7t, 2+s+7t) has y = x + 1
+        ch = Chart("R2", ("x", "y"))
+        w = PForm(ch, 2, {(0, 1): parse_scalar("1/(y - x - 1)", ch)})
+        with pytest.raises(PreconditionError, match="no valid sample point"):
+            null_distribution(make_graph_presymplectic(w), Verdict.ok())
 
 
 class TestHierarchy:

@@ -258,3 +258,9 @@ class TestChart:
         ch = Chart("R1", ("x",))
         with pytest.raises(ValueError):
             ch.const(GaussianRational(0, 1))
+        with pytest.raises(ValueError, match="complex coefficient on a real chart"):
+            ch.coeff(GaussianRational(0, 1))
+        # a zero imaginary part is real on either chart
+        for c in (ch, Chart("C1", ("x",), "complex")):
+            assert type(c.coeff(GaussianRational(3, 0))) is Fraction
+            assert c.coeff(GaussianRational(3, 0)) == 3
