@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .symbolic import ScalarExpr, kernel_basis, solve_linear
+from .symbolic import ScalarExpr, generic_rank, solve_linear
 from .courant import apply_rr, big_D, courant_bracket
 from .dirac import GFrame, Verdict, check_involutive, check_lagrangian
 from .tensor import (
@@ -424,7 +424,7 @@ def check_IM_compat(imf: IMForm, T: IMOneOne, checked: bool = False) -> Verdict:
 # -- the subbundle-to-algebroid construction ------------------------------------------
 
 
-def dirac_to_algebroid(L: GFrame, checked: bool = False):
+def dirac_to_algebroid(L: GFrame, checked: bool = False, samples: int = 3):
     """Algebroid data of a checked frame plus its closed 2-form datum.
 
     Anchors are the vector parts; structure functions come from solving the
@@ -433,7 +433,7 @@ def dirac_to_algebroid(L: GFrame, checked: bool = False):
     transversality condition holds by construction and is asserted anyway.
     """
     if not checked:
-        lag = check_lagrangian(L)
+        lag = check_lagrangian(L, samples)
         if lag.status != "pass":
             raise PreconditionError("frame is not lagrangian")
         if check_involutive(L, lag).status != "pass":
@@ -452,7 +452,7 @@ def dirac_to_algebroid(L: GFrame, checked: bool = False):
                 if not coeffs[c].is_zero():
                     struct[(a, b, c)] = coeffs[c]
     A = AlgebroidData(chart, [s.vec for s in L.sections], struct)
-    if kernel_basis(fm):
+    if generic_rank(fm) != n:
         raise PreconditionError("kernel transversality fails")
     mu = tuple(s.cov for s in L.sections)
     nu = tuple(PForm.zero(chart, 2) for _ in range(n))

@@ -127,9 +127,11 @@ def cmd_traces(args) -> int:
     def steps():
         data = tuple((f"trace.{j}", to_str(phi)) for j, phi in enumerate(traces(r, args.jmax), start=1))
         try:
-            verdict = check_traces_involution(frame, r, args.jmax)
+            verdict = check_traces_involution(frame, r, args.jmax, args.samples)
         except AdmissibilityError as e:
             verdict = Verdict.fail(("error", str(e)))
+        except PreconditionError as e:
+            verdict = Verdict.inconclusive(("precondition", str(e)))
         yield CheckRecord(f"traces_involution jmax={args.jmax}", verdict, data=data)
 
     return _report(args, header + [("jmax", args.jmax)], timed(steps()))
@@ -165,7 +167,7 @@ def cmd_algebroid(args) -> int:
 
     def steps():
         try:
-            A, imf = dirac_to_algebroid(frame)
+            A, imf = dirac_to_algebroid(frame, samples=args.samples)
         except PreconditionError as e:
             yield CheckRecord("dirac_to_algebroid", Verdict.inconclusive(("precondition", str(e))))
             return

@@ -27,6 +27,7 @@ from .symbolic import (
     eval_matrix_at_sample,
     generic_rank,
     kernel_basis,
+    pivot_columns,
     rank_at_samples,
     same_chart,
     solve_linear,
@@ -261,25 +262,9 @@ def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
     return all(val.is_zero() for _, val in _pairings(L1, L2))
 
 
-def _rank_certificate(m: FracMatrix, samples: int = 1):
-    """(sampled, full): the rank of m at the sample points (None when no
-    valid sample point exists) and whether m has full column rank over the
-    function field.
-
-    The generic rank is at least the rank at any point and at most the
-    number of columns, so full rank at one exact sample point proves it;
-    Bareiss runs only when the sampled rank falls short or is missing.
-    """
-    try:
-        sampled = rank_at_samples(m, samples)
-    except PointEvaluationError:
-        sampled = None
-    return sampled, sampled == m.cols or generic_rank(m) == m.cols
-
-
 def _is_lagrangian(L: GFrame) -> bool:
     """Isotropic with generic rank n, decided exactly."""
-    return _pairings_vanish(L, L) and _rank_certificate(L.matrix())[1]
+    return _pairings_vanish(L, L) and generic_rank(L.matrix()) == L.chart.dim
 
 
 def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
@@ -288,8 +273,12 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     for (a, b), val in _pairings(L, L):
         if not val.is_zero():
             return Verdict.fail((f"pairing[{a},{b}]", val))
-    sampled, full = _rank_certificate(L.matrix(), samples)
-    if not full:
+    m = L.matrix()
+    try:
+        sampled = rank_at_samples(m, samples)
+    except PointEvaluationError:
+        sampled = None
+    if sampled != n and generic_rank(m) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled is None:
         return Verdict.inconclusive(("rank", "no valid sample point"))
@@ -307,14 +296,14 @@ def _require(verdict: Verdict, what: str):
 
 def check_involutive(L: GFrame, lagrangian: Verdict | None = None) -> Verdict:
     """Vanishing of T(s_a, s_b, s_c) = <[[s_a, s_b]], s_c> on frame triples."""
-    _require(lagrangian or check_lagrangian(L), "lagrangian")
+    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
     return _involutive_under(L, courant_bracket)
 
 
 def check_invariance(L: GFrame, r: OneOneTensor, lagrangian: Verdict | None = None) -> Verdict:
     """(r, r*)(L) inside L, tested by pairing against the frame (valid since L = L-perp)."""
     same_chart(L.sections[0], r)
-    _require(lagrangian or check_lagrangian(L), "lagrangian")
+    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
     n = L.chart.dim
     for a in range(n):
         ra = apply_rr(L.sections[a], r)
@@ -332,8 +321,8 @@ def check_D_stability(
     invariance: Verdict | None = None,
 ) -> Verdict:
     """Stability of the span under the combined derivation, via its concomitant."""
-    _require(lagrangian or check_lagrangian(L), "lagrangian")
-    _require(invariance or check_invariance(L, r, Verdict.ok()), "invariance")
+    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
+    _require(check_invariance(L, r, Verdict.ok()) if invariance is None else invariance, "invariance")
     n = L.chart.dim
     for a in range(n):
         for b in range(a, n):
@@ -384,7 +373,7 @@ def dirac_nijenhuis_report(L: GFrame, r: OneOneTensor, samples: int = 3) -> DNRe
 
 def section_in_span(s: GSection, L: GFrame, lagrangian: Verdict | None = None) -> bool:
     """Membership via pairing with the frame; requires the lagrangian check."""
-    _require(lagrangian or check_lagrangian(L), "lagrangian")
+    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
     return all(pairing(s, t).is_zero() for t in L.sections)
 
 
@@ -402,7 +391,7 @@ def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
     """
     same_chart(L1.sections[0], L2.sections[0])
     if _is_lagrangian(L2):
-        return _pairings_vanish(L1, L2) and _rank_certificate(L1.matrix())[1]
+        return _pairings_vanish(L1, L2) and generic_rank(L1.matrix()) == L1.chart.dim
     if _is_lagrangian(L1):
         return False
     m1, m2 = L1.matrix(), L2.matrix()
@@ -484,9 +473,18 @@ def check_form_compat(omega: PForm, r: OneOneTensor) -> Verdict:
 # -- null distribution -------------------------------------------------------------
 
 
+def _vector_combination(L: GFrame, coeffs) -> VectorField:
+    """The vector part of sum_a c_a s_a over the sections s_a of L."""
+    X = VectorField.zero(L.chart)
+    for a, c in enumerate(coeffs):
+        if not c.is_zero():
+            X = X + L.sections[a].vec.scale(c)
+    return X
+
+
 def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int = 3) -> NullDistribution:
     """Basis of L intersect TM over the function field."""
-    _require(lagrangian or check_lagrangian(L), "lagrangian")
+    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
     chart = L.chart
     cov = L.covector_matrix()
     combos = kernel_basis(cov)
@@ -497,14 +495,7 @@ def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int
         raise PreconditionError("null distribution has no valid sample point") from None
     if sample_rank != gen_rank:
         raise PreconditionError("null distribution rank drops at sample points")
-    basis = []
-    for c in combos:
-        v = VectorField.zero(chart)
-        for a, coeff in enumerate(c):
-            if not coeff.is_zero():
-                v = v + L.sections[a].vec.scale(coeff)
-        basis.append(v)
-    return NullDistribution(chart, tuple(basis))
+    return NullDistribution(chart, tuple(_vector_combination(L, c) for c in combos))
 
 
 # -- hierarchy ----------------------------------------------------------------------
@@ -565,11 +556,7 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
         c = solve_linear(L2.covector_matrix(), target)
         if c is None:
             raise PreconditionError("covector projections differ at the generic point")
-        partner = VectorField.zero(chart)
-        for a, coeff in enumerate(c):
-            if not coeff.is_zero():
-                partner = partner + L2.sections[a].vec.scale(coeff)
-        secs.append(GSection(s.vec + partner, s.cov))
+        secs.append(GSection(s.vec + _vector_combination(L2, c), s.cov))
     product = GFrame(secs, provenance="generic")
     lag = check_lagrangian(product, samples)
     if lag.status == FAIL:
@@ -599,10 +586,7 @@ def hamiltonian_representative(L: GFrame, f: ScalarExpr) -> VectorField | None:
     coeffs = solve_linear(L.covector_matrix(), [df.get((i,)) for i in range(chart.dim)])
     if coeffs is None:
         return None
-    X = VectorField.zero(chart)
-    for a, c in enumerate(coeffs):
-        if not c.is_zero():
-            X = X + L.sections[a].vec.scale(c)
+    X = _vector_combination(L, coeffs)
     # consistency: (X, df) must pair to zero with the frame
     cand = GSection(X, df)
     if not all(pairing(cand, s).is_zero() for s in L.sections):
@@ -610,7 +594,7 @@ def hamiltonian_representative(L: GFrame, f: ScalarExpr) -> VectorField | None:
     return X
 
 
-def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int) -> Verdict:
+def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int, samples: int = 3) -> Verdict:
     """Admissibility of trace(r) and involution of all trace functions.
 
     Raises AdmissibilityError('trace not admissible') when the first trace
@@ -618,10 +602,10 @@ def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int) -> Verdict:
     """
     if jmax < 1:
         raise ValueError("traces jmax must be at least 1")
-    lag = check_lagrangian(L)
+    lag = check_lagrangian(L, samples)
     _require(lag, "lagrangian")
     phis = traces(r, jmax)
-    null = null_distribution(L, lag)
+    null = null_distribution(L, lag, samples)
     dphi1 = scalar_d(phis[0])
     for k in null.basis:
         val = interior(k, dphi1).as_scalar()
@@ -700,22 +684,11 @@ def quasi_nijenhuis_check(L: GFrame, r: OneOneTensor, phi: PForm) -> Verdict:
 
 
 def _span_basis(sections, chart, expected: int):
-    """Greedy basis of the span of a section list over the function field."""
-    chosen = []
-    for s in sections:
-        if s.is_zero():
-            continue
-        if not chosen:
-            chosen.append(s)
-            continue
-        rows = [
-            [t.components()[i] for t in chosen] for i in range(2 * chart.dim)
-        ]
-        if solve_linear(FracMatrix(chart, rows), s.components()) is None:
-            chosen.append(s)
-        if len(chosen) == expected:
-            break
-    return chosen
+    """Greedy basis of the span of a section list over the function field:
+    the sections at the first `expected` pivot columns."""
+    cols = [s.components() for s in sections]
+    m = FracMatrix(chart, [[c[i] for c in cols] for i in range(2 * chart.dim)])
+    return [sections[c] for c in pivot_columns(m)[:expected]]
 
 
 def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = None, samples: int = 3):
@@ -778,8 +751,11 @@ def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = No
     if len(basis) != len(kept):
         raise PreconditionError("backward transfer rank defect (non-clean slice)")
     out = GFrame(basis, provenance="generic")
-    if rank_at_samples(out.matrix(), samples) != len(kept):
-        out = GFrame(basis, provenance="generic", flags=("backward rank drop at samples",))
+    try:
+        if rank_at_samples(out.matrix(), samples) != len(kept):
+            out = GFrame(basis, provenance="generic", flags=("backward rank drop at samples",))
+    except PointEvaluationError:
+        out = GFrame(basis, provenance="generic", flags=("backward transfer has no valid sample point",))
     return out, r_C
 
 
@@ -854,10 +830,10 @@ def forward_transfer(L: GFrame, retained, r: OneOneTensor | None = None, samples
 # -- contraction- and double-type comparisons -------------------------------------------
 
 
-def check_contraction_type(L: GFrame, r: OneOneTensor) -> Verdict:
+def check_contraction_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
     """(i) invariance, (ii) derivation-stability along pr_T(L) only,
     (iii) torsion vanishing on pr_T(L)."""
-    lag = check_lagrangian(L)
+    lag = check_lagrangian(L, samples)
     _require(lag, "lagrangian")
     inv = check_invariance(L, r, lag)
     if inv.status != PASS:

@@ -349,7 +349,7 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             return check_lagrangian(frame(), samples)
         if kind == "involutive":
             arity(1)
-            return check_involutive(frame())
+            return check_involutive(frame(), check_lagrangian(frame(), samples))
         if kind == "dirac":
             arity(1)
             lag = check_lagrangian(frame(), samples)
@@ -361,10 +361,10 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             return check_nijenhuis(oneone(0))
         if kind == "invariance":
             arity(2)
-            return check_invariance(frame(), oneone(1))
+            return check_invariance(frame(), oneone(1), check_lagrangian(frame(), samples))
         if kind == "d_stability":
             arity(2)
-            return check_D_stability(frame(), oneone(1))
+            return check_D_stability(frame(), oneone(1), check_lagrangian(frame(), samples))
         if kind == "dirac_nijenhuis":
             arity(2)
             return Verdict.merge(dirac_nijenhuis_report(frame(), oneone(1), samples).named())
@@ -379,7 +379,7 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             return check_concur(frame(0), frame(1), samples)
         if kind == "contraction_type":
             arity(2)
-            return check_contraction_type(frame(), oneone(1))
+            return check_contraction_type(frame(), oneone(1), samples)
         if kind == "double_type":
             arity(2)
             return check_double_type(frame(), oneone(1), samples)
@@ -401,14 +401,14 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
                 jmax = int(args[2])
             except ValueError:
                 raise SceneError("traces jmax must be an integer", lineno) from None
-            return check_traces_involution(frame(), oneone(1), jmax)
+            return check_traces_involution(frame(), oneone(1), jmax, samples)
         if kind == "algebroid":
             if len(args) not in (1, 2):
                 raise SceneError("check algebroid takes 1 or 2 arguments", lineno)
             from .algebroid import _im_steps, dirac_to_algebroid
 
             r = oneone(1) if len(args) == 2 else None
-            A, imf = dirac_to_algebroid(frame())
+            A, imf = dirac_to_algebroid(frame(), samples=samples)
             for _, v in _im_steps(A, imf, frame(), r):
                 if v.status != PASS:
                     break

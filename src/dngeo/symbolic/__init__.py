@@ -9,6 +9,7 @@ from .linalg import (
     kernel_basis,
     normalize_vector,
     numeric_rank,
+    pivot_columns,
     rank_at_samples,
     sample_point,
     solve_linear,
@@ -30,6 +31,7 @@ __all__ = [
     "kernel_basis",
     "normalize_vector",
     "numeric_rank",
+    "pivot_columns",
     "parse_scalar",
     "poly_gcd",
     "poly_lcm",

@@ -81,14 +81,13 @@ def _bareiss(rows, ncols):
         if pivot_row != pr:
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         piv = rows[pr][pc]
+        # left of pc, the rows at and below pr are already zero
         for i in range(pr + 1, nrows):
             head = rows[i][pc]
-            for j in range(len(rows[i])):
+            for j in range(pc, len(rows[i])):
                 val = piv * rows[i][j] - head * rows[pr][j]
                 if prev is not None and not val.is_zero():
                     val = divexact(val, prev)
-                elif prev is not None:
-                    val = Polynomial.zero(val.nvars)
                 rows[i][j] = val
         pivots.append((pr, pc))
         prev = piv
@@ -98,11 +97,27 @@ def _bareiss(rows, ncols):
     return pivots
 
 
+def pivot_columns(m: FracMatrix) -> list:
+    """The columns of m that are not combinations of earlier ones, in order,
+    read from one fraction-free elimination."""
+    return [pc for _, pc in _bareiss(_cleared_rows(m), m.cols)]
+
+
 def generic_rank(m: FracMatrix) -> int:
-    rows = _cleared_rows(m)
-    if not rows:
-        return 0
-    return len(_bareiss(rows, m.cols))
+    """Rank over the function field.
+
+    The generic rank is at least the rank at any point and at most
+    min(rows, cols), so a rank of min(rows, cols) at one exact sample point
+    proves it; elimination runs only when the sampled rank falls short or
+    every sample point is a pole.
+    """
+    full = min(m.rows, m.cols)
+    try:
+        if rank_at_samples(m, 1) == full:
+            return full
+    except PointEvaluationError:
+        pass
+    return len(pivot_columns(m))
 
 
 def _back_substitute(chart, rows, pivots, values):

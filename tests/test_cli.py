@@ -431,6 +431,17 @@ class TestInputContract:
         assert code == 3
         assert "unknown oneone 'bogus'" in err
 
+    @pytest.mark.parametrize("argv", [["traces", "--jmax", "1"], ["algebroid"]], ids=["traces", "algebroid"])
+    def test_samples_flag_reaches_the_lagrangian_precondition(self, capsys, argv):
+        # the frame loses rank at the first sample point only, so with one
+        # sample point the lagrangian precondition is not met
+        path = str(Path(__file__).resolve().parent / "golden" / "samples_1.scene")
+        assert run_cli(capsys, argv[0], path, *argv[1:])[0] == 0
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:], "--samples", "1")
+        assert code == 2 and err == ""
+        assert "check.0.verdict: inconclusive" in out
+        assert re.search(r"^check\.0\.witness\.precondition: .*lagrangian$", out, re.M)
+
 
 class TestTimings:
     """--timings gives each check its own time: the times add up to no more

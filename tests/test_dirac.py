@@ -506,6 +506,18 @@ class TestTransfers:
         with pytest.raises(PreconditionError):
             backward_transfer(L, {"z": Fraction(1)}, rbad)
 
+    def test_backward_slice_with_a_pole_at_every_sample_point(self):
+        # on z = 0 the frame has 1/(y - x - 1), and every sample point
+        # (1+s+7t, 2+s+7t) of the slice chart lies on y = x + 1
+        ch = Chart("M", ("x", "y", "z"))
+        L = make_graph_poisson(Bivector(ch, {(0, 1): ch.scalar("1/(y - x - 1 + z)")}))
+        assert check_lagrangian(L).status == PASS
+        Lb, _ = backward_transfer(L, {"z": Fraction(0)})
+        assert Lb.flags == ("backward transfer has no valid sample point",)
+        assert check_lagrangian(Lb).status == INCONCLUSIVE
+        target = make_graph_poisson(Bivector(Lb.chart, {(0, 1): Lb.chart.scalar("1/(y - x - 1)")}))
+        assert frames_equal_span(Lb, target)
+
     def test_forward_split_quotient(self, ch):
         Ls = make_split([VectorField.coordinate(ch, 1)])
         Lf, _ = forward_transfer(Ls, ("x",))

@@ -36,6 +36,8 @@ CASES = {
         1,
     ),
     "selftest_1": (["selftest", "--instances", "1"], 0),
+    "check_samples_1": (["check", "tests/golden/samples_1.scene", "--samples", "1"], 2),
+    "traces_precondition": (["traces", "tests/golden/traces_precondition.scene", "--jmax", "1"], 2),
 }
 
 

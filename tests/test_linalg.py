@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dngeo.errors import PointEvaluationError
 from dngeo.fixtures import random_scalar
 from dngeo.symbolic import (
     Chart,
@@ -14,6 +15,7 @@ from dngeo.symbolic import (
     kernel_basis,
     normalize_vector,
     parse_scalar,
+    pivot_columns,
     rank_at_samples,
     sample_point,
     solve_linear,
@@ -148,3 +150,35 @@ class TestSamplePoints:
         m = M(ch, [["x", "0"], ["0", "x"]])
         assert generic_rank(m) == 2
         assert rank_at_samples(m, 2) == 2
+
+
+class TestGenericRank:
+    def test_full_rank_at_a_sample_point_needs_no_elimination(self, ch, monkeypatch):
+        import dngeo.symbolic.linalg as linalg
+
+        def eliminate(m):
+            raise AssertionError("elimination ran")
+
+        monkeypatch.setattr(linalg, "pivot_columns", eliminate)
+        assert generic_rank(M(ch, [["x", "1"], ["y", "x*y"], ["1", "0"]])) == 2
+        assert generic_rank(M(ch, [["x", "1", "y"]])) == 1
+        assert generic_rank(FracMatrix(ch, [])) == 0
+
+    def test_rank_drop_at_the_sample_point_falls_back(self, ch):
+        # x - 1 vanishes at the first sample point (1, 2)
+        m = M(ch, [["x - 1", "0"], ["0", "1"]])
+        assert rank_at_samples(m, 1) == 1
+        assert generic_rank(m) == 2
+        assert generic_rank(M(ch, [["x", "y"], ["x^2", "x*y"]])) == 1
+
+    def test_pole_at_every_sample_point_falls_back(self, ch):
+        # every sample point (1+s+7t, 2+s+7t) has y = x + 1
+        m = M(ch, [["1/(y - x - 1)", "0"], ["0", "1"]])
+        with pytest.raises(PointEvaluationError):
+            rank_at_samples(m, 1)
+        assert generic_rank(m) == 2
+
+    def test_pivot_columns_skip_dependent_and_zero_columns(self, ch):
+        m = M(ch, [["0", "x", "x*y", "1"], ["0", "1", "y", "0"]])
+        assert pivot_columns(m) == [1, 3]
+        assert pivot_columns(FracMatrix(ch, [])) == []

@@ -1,7 +1,9 @@
-"""Span equality and the rank checks of frames against the algorithms they
-replaced, kept here as oracles: span equality by solving every section of
-each frame into the other, and the lagrangian and hierarchy rank checks in
-their old order (Bareiss first, then the sample points)."""
+"""Span equality, span bases, generic ranks and the rank checks of frames
+against the algorithms they replaced, kept here as oracles: span equality by
+solving every section of each frame into the other, span bases by one solve
+per candidate section, the generic rank by elimination on every matrix, and
+the lagrangian and hierarchy rank checks in their old order (Bareiss first,
+then the sample points)."""
 
 import random
 
@@ -15,6 +17,7 @@ from dngeo.dirac import (
     PASS,
     GFrame,
     Verdict,
+    _span_basis,
     check_lagrangian,
     frames_equal_span,
     hierarchy,
@@ -25,7 +28,7 @@ from dngeo.dirac import (
 )
 from dngeo.errors import HierarchyKernelError, PointEvaluationError
 from dngeo.fixtures import chart2, chart3, random_scalar
-from dngeo.symbolic import generic_rank, rank_at_samples, solve_linear
+from dngeo.symbolic import FracMatrix, generic_rank, pivot_columns, rank_at_samples, solve_linear
 from dngeo.tensor import Bivector, OneOneTensor, PForm, VectorField
 
 SETTINGS = settings(
@@ -59,6 +62,30 @@ def span_by_solves(L1, L2):
     )
 
 
+def rank_by_elimination(m):
+    """The generic rank as Bareiss alone finds it, on every matrix."""
+    return len(pivot_columns(m))
+
+
+def span_basis_by_solves(sections, chart, expected):
+    """The old greedy loop: keep each section that does not solve into the
+    sections kept so far.  It tested `expected` only after a second section,
+    so it is an oracle for expected >= 2 only."""
+    chosen = []
+    for s in sections:
+        if s.is_zero():
+            continue
+        if not chosen:
+            chosen.append(s)
+            continue
+        rows = [[t.components()[i] for t in chosen] for i in range(2 * chart.dim)]
+        if solve_linear(FracMatrix(chart, rows), s.components()) is None:
+            chosen.append(s)
+        if len(chosen) == expected:
+            break
+    return chosen
+
+
 def lagrangian_in_old_order(L, samples=3):
     n = L.chart.dim
     for a in range(n):
@@ -67,7 +94,7 @@ def lagrangian_in_old_order(L, samples=3):
             if not val.is_zero():
                 return Verdict.fail((f"pairing[{a},{b}]", val))
     m = L.matrix()
-    if generic_rank(m) != n:
+    if rank_by_elimination(m) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if rank_at_samples(m, samples) != n:
         return Verdict.inconclusive(("rank", "rank drop at sample points"))
@@ -86,7 +113,7 @@ def transformed(L, r, n, side):
 def hierarchy_in_old_order(L, r, n, side, samples=3):
     out = transformed(L, r, n, side)
     m = out.matrix()
-    if generic_rank(m) != L.chart.dim or rank_at_samples(m, samples) != L.chart.dim:
+    if rank_by_elimination(m) != L.chart.dim or rank_at_samples(m, samples) != L.chart.dim:
         raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
     return out
 
@@ -243,7 +270,110 @@ def hierarchy_tensor(chart, rng):
     return OneOneTensor(chart, [[diagonal[i] if i == j else chart.zero() for j in range(n)] for i in range(n)])
 
 
+def rank_case(seed, dim, mode, kind, wide):
+    """(matrix, generic rank known by construction): the 2n x n matrix of a
+    lagrangian frame, with one column replaced by a combination of the others
+    for a deficient kind, every entry times a pole at every sample point for
+    a pole kind, and transposed when wide."""
+    rng = random.Random(seed)
+    chart = (chart2 if dim == 2 else chart3)(mode)
+    cols = [list(c) for c in zip(*lagrangian_frame(chart, rng).matrix().entries)]
+    rank = dim
+    if kind.startswith("deficient"):
+        k = rng.randrange(dim)
+        combo = [chart.zero()] * (2 * dim)
+        for j in range(dim):
+            if j != k and rng.random() < 0.7:
+                f = nonzero_factor(chart, rng, poles=False)
+                combo = [e + f * c for e, c in zip(combo, cols[j])]
+        cols[k] = combo
+        rank = dim - 1
+    if kind.endswith("pole"):
+        pole = pole_at_every_sample_point(chart)
+        cols = [[e * pole for e in c] for c in cols]
+    rows = cols if wide else [list(r) for r in zip(*cols)]
+    return FracMatrix(chart, rows), rank
+
+
+def candidate_sections(seed, dim, mode, count):
+    """Sections to pick a span basis from: random ones, zero ones, repeats,
+    and combinations of earlier ones with rational-function factors."""
+    rng = random.Random(seed)
+    chart = (chart2 if dim == 2 else chart3)(mode)
+    out = []
+    for _ in range(count):
+        kind = rng.choice(("random", "random", "zero", "repeat", "combination"))
+        if kind == "zero" or (kind != "random" and not out):
+            out.append(GSection.zero(chart))
+        elif kind == "random":
+            out.append(random_section(chart, rng))
+        elif kind == "repeat":
+            out.append(rng.choice(out))
+        else:
+            s = GSection.zero(chart)
+            for t in rng.sample(out, rng.randint(1, min(2, len(out)))):
+                s = s + t.scale(nonzero_factor(chart, rng, poles=False))
+            out.append(s)
+    return chart, out
+
+
 # -- the properties ------------------------------------------------------------------
+
+
+def test_generic_rank_matches_elimination():
+    seen = set()
+
+    @SETTINGS
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from((2, 3)),
+        st.sampled_from(("real", "complex")),
+        st.sampled_from(("full", "deficient", "full_pole", "deficient_pole")),
+        st.booleans(),
+    )
+    def check(seed, dim, mode, kind, wide):
+        m, rank = rank_case(seed, dim, mode, kind, wide)
+        assert generic_rank(m) == rank_by_elimination(m) == rank
+        try:
+            seen.add(("certified", rank_at_samples(m, 1) == min(m.rows, m.cols)))
+        except PointEvaluationError:
+            seen.add(("certified", None))
+
+    check()
+    assert seen == {("certified", True), ("certified", False), ("certified", None)}
+
+
+def test_span_basis_matches_the_solve_oracle():
+    sizes = set()
+
+    @SETTINGS
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from((2, 3)),
+        st.sampled_from(("real", "complex")),
+        st.integers(1, 7),
+        st.integers(2, 6),
+    )
+    def check(seed, dim, mode, count, expected):
+        chart, sections = candidate_sections(seed, dim, mode, count)
+        expected = min(expected, 2 * dim)
+        got = _span_basis(sections, chart, expected)
+        want = span_basis_by_solves(sections, chart, expected)
+        assert [id(s) for s in got] == [id(s) for s in want]
+        sizes.add(len(got))
+
+    check()
+    assert {0, 1, 2, 3} <= sizes
+
+
+def test_span_basis_stops_at_one_section():
+    chart = chart2("real")
+    x, y = (GSection.from_vector(VectorField.coordinate(chart, i)) for i in range(2))
+    zero = GSection.zero(chart)
+    assert _span_basis([zero, x, x.scale(chart.var("y")), y], chart, 1) == [x]
+    assert _span_basis([zero, x, x.scale(chart.var("y")), y], chart, 4) == [x, y]
+
+
 
 
 def test_span_equality_matches_the_solve_oracle():
