@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .symbolic import ScalarExpr, generic_rank, solve_linear
+from .symbolic import ScalarExpr, solve_linear
 from .courant import apply_rr, big_D, courant_bracket
 from .dirac import GFrame, Verdict, check_involutive, check_lagrangian
 from .tensor import (
@@ -23,6 +23,7 @@ from .tensor import (
     D_r,
     D_r_star,
     D_r_star_pform,
+    combination,
     deformed_bracket,
     ext_d,
     form_as_covform,
@@ -63,11 +64,7 @@ class AlgebroidData:
         return self.chart.zero() if val is None else -val
 
     def anchor_of(self, coeffs) -> VectorField:
-        out = VectorField.zero(self.chart)
-        for a, f in enumerate(coeffs):
-            if not f.is_zero():
-                out = out + self.anchors[a].scale(f)
-        return out
+        return combination(self.anchors, coeffs, VectorField.zero(self.chart))
 
     def frame_section(self, a: int):
         return [
@@ -141,18 +138,10 @@ class IMForm:
     nu: tuple
 
     def mu_of(self, coeffs) -> PForm:
-        out = PForm.zero(self.parent.chart, self.degree - 1)
-        for a, f in enumerate(coeffs):
-            if not f.is_zero():
-                out = out + self.mu[a].scale(f)
-        return out
+        return combination(self.mu, coeffs, PForm.zero(self.parent.chart, self.degree - 1))
 
     def nu_of(self, coeffs) -> PForm:
-        out = PForm.zero(self.parent.chart, self.degree)
-        for a, f in enumerate(coeffs):
-            if not f.is_zero():
-                out = out + self.nu[a].scale(f)
-        return out
+        return combination(self.nu, coeffs, PForm.zero(self.parent.chart, self.degree))
 
 
 def check_IM_form(imf: IMForm, algebroid_ok: Verdict | None = None) -> Verdict:
@@ -162,7 +151,7 @@ def check_IM_form(imf: IMForm, algebroid_ok: Verdict | None = None) -> Verdict:
     differential equations on frame pairs settle the general case.
     """
     A = imf.parent
-    if (algebroid_ok or check_algebroid(A)).status != "pass":
+    if (check_algebroid(A) if algebroid_ok is None else algebroid_ok).status != "pass":
         raise PreconditionError("algebroid axioms fail")
     m = A.rank
     # third equation: i_{rho(a)} mu(b) = -i_{rho(b)} mu(a)
@@ -246,7 +235,7 @@ class IMOneOne:
 def check_IM_oneone(T: IMOneOne, algebroid_ok: Verdict | None = None) -> Verdict:
     """The four structure equations for a derivation triple on an algebroid."""
     A = T.parent
-    if (algebroid_ok or check_algebroid(A)).status != "pass":
+    if (check_algebroid(A) if algebroid_ok is None else algebroid_ok).status != "pass":
         raise PreconditionError("algebroid axioms fail")
     chart = A.chart
     m = A.rank
@@ -323,7 +312,7 @@ def im_D_square(T: IMOneOne, X: VectorField, Y: VectorField, coeffs):
 def check_IM_nijenhuis(T: IMOneOne, algebroid_ok: Verdict | None = None) -> Verdict:
     """Vanishing torsion, l-D commutation, and the squared-derivation equation."""
     A = T.parent
-    if (algebroid_ok or check_algebroid(A)).status != "pass":
+    if (check_algebroid(A) if algebroid_ok is None else algebroid_ok).status != "pass":
         raise PreconditionError("algebroid axioms fail")
     chart = A.chart
     m = A.rank
@@ -424,20 +413,23 @@ def check_IM_compat(imf: IMForm, T: IMOneOne, checked: bool = False) -> Verdict:
 # -- the subbundle-to-algebroid construction ------------------------------------------
 
 
-def dirac_to_algebroid(L: GFrame, checked: bool = False, samples: int = 3):
-    """Algebroid data of a checked frame plus its closed 2-form datum.
+def dirac_to_algebroid(L: GFrame, samples: int = 3):
+    """Algebroid data of a Dirac frame plus its closed 2-form datum.
 
-    Anchors are the vector parts; structure functions come from solving the
-    bracket of frame sections back into the frame (possible exactly when the
-    frame is involutive); mu is the covector part, nu = 0.  The kernel
-    transversality condition holds by construction and is asserted anyway.
+    The frame must pass `check_lagrangian` at `samples` sample points and
+    then `check_involutive`; otherwise PreconditionError.  Anchors are the
+    vector parts; structure functions come from solving the bracket of frame
+    sections back into the frame (possible exactly when the frame is
+    involutive); mu is the covector part, nu = 0.  The kernel transversality
+    condition (the frame matrix has rank n) is part of the lagrangian pass.
+    Build the algebroid once per frame and hand it to `transport_oneone` and
+    the checks.
     """
-    if not checked:
-        lag = check_lagrangian(L, samples)
-        if lag.status != "pass":
-            raise PreconditionError("frame is not lagrangian")
-        if check_involutive(L, lag).status != "pass":
-            raise PreconditionError("frame is not involutive")
+    lag = check_lagrangian(L, samples)
+    if lag.status != "pass":
+        raise PreconditionError("frame is not lagrangian")
+    if check_involutive(L, lag).status != "pass":
+        raise PreconditionError("frame is not involutive")
     chart = L.chart
     n = chart.dim
     fm = L.matrix()
@@ -452,20 +444,22 @@ def dirac_to_algebroid(L: GFrame, checked: bool = False, samples: int = 3):
                 if not coeffs[c].is_zero():
                     struct[(a, b, c)] = coeffs[c]
     A = AlgebroidData(chart, [s.vec for s in L.sections], struct)
-    if generic_rank(fm) != n:
-        raise PreconditionError("kernel transversality fails")
     mu = tuple(s.cov for s in L.sections)
     nu = tuple(PForm.zero(chart, 2) for _ in range(n))
     return A, IMForm(A, 2, mu, nu)
 
 
-def transport_oneone(L: GFrame, r: OneOneTensor, checked: bool = False) -> IMOneOne:
-    """The derivation triple a compatible tensor induces on the frame algebroid.
+def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
+    """The derivation triple a compatible tensor induces on the algebroid A
+    that `dirac_to_algebroid(L)` built from the frame L.
 
     l is solved from (r, r*) applied to frame sections; theta from the
     combined derivation along coordinate fields.  Both solves succeed exactly
-    when the compatibility conditions hold.
+    when the compatibility conditions hold; otherwise PreconditionError.
+    The frame's own checks are not repeated: A already carries them.
     """
+    if A.anchors != tuple(s.vec for s in L.sections):
+        raise ValueError("the algebroid is not built from this frame")
     chart = L.chart
     n = chart.dim
     fm = L.matrix()
@@ -491,27 +485,29 @@ def transport_oneone(L: GFrame, r: OneOneTensor, checked: bool = False) -> IMOne
                 for b in range(n)
             )
         )
-    A, _ = dirac_to_algebroid(L, checked=checked)
     return IMOneOne(A, tuple(theta), l_grid, r)
 
 
 def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None = None):
     """The infinitesimal checks of a frame's algebroid as (name, verdict)
-    steps: the axioms, then the form datum, then (given r) the transported
-    tensor datum.  Each stage runs only if the one before it passed; a tensor
-    that cannot be transported ends the chain with an inconclusive step."""
-    v = check_algebroid(A)
-    yield "algebroid_axioms", v
-    if v.status != "pass":
+    steps: the axioms, then the form datum, then (given r) the tensor datum
+    transported onto the same A.  `A, imf` come from one
+    `dirac_to_algebroid(L, samples)` call, so the frame is checked once, at
+    the caller's sample count; the axiom verdict is handed to every later
+    check.  Each stage runs only if the one before it passed; a tensor that
+    cannot be transported ends the chain with an inconclusive step."""
+    axioms = check_algebroid(A)
+    yield "algebroid_axioms", axioms
+    if axioms.status != "pass":
         return
-    v = check_IM_form(imf, v)
+    v = check_IM_form(imf, axioms)
     yield "im_form", v
     if v.status != "pass" or r is None:
         return
     try:
-        T = transport_oneone(L, r)
-        yield "im_oneone", check_IM_oneone(T)
-        yield "im_nijenhuis", check_IM_nijenhuis(T)
+        T = transport_oneone(A, L, r)
+        yield "im_oneone", check_IM_oneone(T, axioms)
+        yield "im_nijenhuis", check_IM_nijenhuis(T, axioms)
         yield "im_compat", check_IM_compat(imf, T, checked=True)
     except PreconditionError as e:
         yield "transport", Verdict.inconclusive(("precondition", str(e)))

@@ -49,6 +49,7 @@ from .tensor import (
     VectorField,
     D_r,
     D_r_star,
+    combination,
     ext_d,
     form_as_covform,
     form_r,
@@ -98,15 +99,14 @@ class Verdict:
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections."""
 
-    __slots__ = ("chart", "sections", "provenance", "flags")
+    __slots__ = ("chart", "sections", "flags")
 
-    def __init__(self, sections, provenance: str = "generic", flags=()):
+    def __init__(self, sections, flags=()):
         chart = same_chart(*sections)
         if len(sections) != chart.dim:
             raise ValueError("a frame needs exactly n sections")
         self.chart = chart
         self.sections = tuple(sections)
-        self.provenance = provenance
         self.flags = tuple(flags)
 
     def matrix(self) -> FracMatrix:
@@ -172,7 +172,7 @@ def make_graph_poisson(pi: Bivector) -> GFrame:
         GSection(pi.sharp(PForm.coordinate(chart, i)), PForm.coordinate(chart, i))
         for i in range(chart.dim)
     ]
-    return GFrame(secs, provenance="graph_poisson")
+    return GFrame(secs)
 
 
 def make_graph_presymplectic(omega: PForm) -> GFrame:
@@ -184,7 +184,7 @@ def make_graph_presymplectic(omega: PForm) -> GFrame:
         GSection(VectorField.coordinate(chart, i), interior(VectorField.coordinate(chart, i), omega))
         for i in range(chart.dim)
     ]
-    return GFrame(secs, provenance="graph_presymplectic")
+    return GFrame(secs)
 
 
 def make_split(fields, samples: int = 3) -> GFrame:
@@ -221,7 +221,7 @@ def make_split(fields, samples: int = 3) -> GFrame:
         GSection.from_form(PForm(chart, 1, {(i,): vec[i] for i in range(n)}))
         for vec in ann
     ]
-    return GFrame(secs, provenance="split_distribution", flags=tuple(flags))
+    return GFrame(secs, flags=tuple(flags))
 
 
 # -- elementary checks -----------------------------------------------------------
@@ -278,7 +278,13 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
         sampled = rank_at_samples(m, samples)
     except PointEvaluationError:
         sampled = None
-    if sampled != n and generic_rank(m) != n:
+    if sampled is None:
+        full = generic_rank(m) == n
+    else:
+        # the sampled rank is the best over the points, so below n the first
+        # point cannot certify full rank and elimination decides at once
+        full = sampled == n or len(pivot_columns(m)) == n
+    if not full:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled is None:
         return Verdict.inconclusive(("rank", "no valid sample point"))
@@ -473,15 +479,6 @@ def check_form_compat(omega: PForm, r: OneOneTensor) -> Verdict:
 # -- null distribution -------------------------------------------------------------
 
 
-def _vector_combination(L: GFrame, coeffs) -> VectorField:
-    """The vector part of sum_a c_a s_a over the sections s_a of L."""
-    X = VectorField.zero(L.chart)
-    for a, c in enumerate(coeffs):
-        if not c.is_zero():
-            X = X + L.sections[a].vec.scale(c)
-    return X
-
-
 def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int = 3) -> NullDistribution:
     """Basis of L intersect TM over the function field."""
     _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
@@ -495,15 +492,16 @@ def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int
         raise PreconditionError("null distribution has no valid sample point") from None
     if sample_rank != gen_rank:
         raise PreconditionError("null distribution rank drops at sample points")
-    return NullDistribution(chart, tuple(_vector_combination(L, c) for c in combos))
+    vecs = [s.vec for s in L.sections]
+    return NullDistribution(chart, tuple(combination(vecs, c, VectorField.zero(chart)) for c in combos))
 
 
 # -- hierarchy ----------------------------------------------------------------------
 
 
-def transform_frame(L: GFrame, vec_op, cov_op, provenance="generic") -> GFrame:
+def transform_frame(L: GFrame, vec_op, cov_op) -> GFrame:
     secs = [GSection(vec_op(s.vec), cov_op(s.cov)) for s in L.sections]
-    return GFrame(secs, provenance=provenance, flags=L.flags)
+    return GFrame(secs, flags=L.flags)
 
 
 def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -> GFrame:
@@ -520,16 +518,16 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
     same_chart(L.sections[0], r)
     rn = r.power(n)
     if side == "n0":
-        out = transform_frame(L, rn.apply, lambda a: a, provenance=L.provenance)
+        out = transform_frame(L, rn.apply, lambda a: a)
     else:
-        out = transform_frame(L, lambda v: v, rn.dual, provenance=L.provenance)
+        out = transform_frame(L, lambda v: v, rn.dual)
     m = out.matrix()
     try:
         full = rank_at_samples(m, samples) == m.cols
     except PointEvaluationError:
         if generic_rank(m) == m.cols:
             flags = out.flags + ("hierarchy member has no valid sample point",)
-            return GFrame(out.sections, provenance=out.provenance, flags=flags)
+            return GFrame(out.sections, flags=flags)
         full = False
     if not full:
         raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
@@ -550,14 +548,15 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
     if generic_rank(L1.covector_matrix()) != generic_rank(L2.covector_matrix()):
         raise PreconditionError("covector projections differ at the generic point")
     chart = L1.chart
+    vecs2 = [s.vec for s in L2.sections]
     secs = []
     for s in L1.sections:
         target = [s.cov.get((i,)) for i in range(chart.dim)]
         c = solve_linear(L2.covector_matrix(), target)
         if c is None:
             raise PreconditionError("covector projections differ at the generic point")
-        secs.append(GSection(s.vec + _vector_combination(L2, c), s.cov))
-    product = GFrame(secs, provenance="generic")
+        secs.append(GSection(s.vec + combination(vecs2, c, VectorField.zero(chart)), s.cov))
+    product = GFrame(secs)
     lag = check_lagrangian(product, samples)
     if lag.status == FAIL:
         return lag
@@ -586,7 +585,7 @@ def hamiltonian_representative(L: GFrame, f: ScalarExpr) -> VectorField | None:
     coeffs = solve_linear(L.covector_matrix(), [df.get((i,)) for i in range(chart.dim)])
     if coeffs is None:
         return None
-    X = _vector_combination(L, coeffs)
+    X = combination([s.vec for s in L.sections], coeffs, VectorField.zero(chart))
     # consistency: (X, df) must pair to zero with the frame
     cand = GSection(X, df)
     if not all(pairing(cand, s).is_zero() for s in L.sections):
@@ -652,7 +651,7 @@ def gauge_transform(pi: Bivector, B: PForm):
         a = PForm.coordinate(chart, i)
         v = pi.sharp(a)
         secs.append(GSection(v, a + interior(v, B)))
-    return r, GFrame(secs, provenance="generic")
+    return r, GFrame(secs)
 
 
 # -- quasi variant ------------------------------------------------------------------
@@ -691,6 +690,26 @@ def _span_basis(sections, chart, expected: int):
     return [sections[c] for c in pivot_columns(m)[:expected]]
 
 
+def _transfer_sections(L: GFrame, combos, kept, sub: Chart, restrict):
+    """sum_a c_a s_a for each coefficient vector c in `combos`, over the
+    sections s_a of L restricted to `sub` (the components at `kept`, each
+    mapped by `restrict`); combos None stands for each section alone.  A
+    section is restricted once, and only when some combination uses it: a
+    section no combination uses may have a pole on a slice."""
+
+    def restricted(s):
+        return GSection(
+            VectorField(sub, [restrict(s.vec.comps[i]) for i in kept]),
+            PForm(sub, 1, {(pos,): restrict(s.cov.get((i,))) for pos, i in enumerate(kept)}),
+        )
+
+    if combos is None:
+        return [restricted(s) for s in L.sections]
+    used = {a for c in combos for a, e in enumerate(c) if not e.is_zero()}
+    parts = [restricted(s) if a in used else None for a, s in enumerate(L.sections)]
+    return [combination(parts, c, GSection.zero(sub)) for c in combos]
+
+
 def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = None, samples: int = 3):
     """Pull back along the inclusion of a coordinate slice {x_j = c_j}.
 
@@ -720,42 +739,18 @@ def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = No
                     raise PreconditionError("slice is not r-invariant")
         r_C = OneOneTensor(sub, [[restrict(r.grid[i][j]) for j in kept] for i in kept])
     # sections of L tangent to the slice: kernel of sliced vector components
-    rows = []
-    for i in sliced_idx:
-        rows.append([L.sections[a].vec.comps[i].substitute(assign).project(sub) for a in range(chart.dim)])
-    if rows:
-        combos = kernel_basis(FracMatrix(sub, rows))
-    else:
-        combos = [
-            [sub.one() if a == b else sub.zero() for a in range(chart.dim)]
-            for b in range(chart.dim)
-        ]
-    candidates = []
-    for c in combos:
-        vec = [sub.zero()] * len(kept)
-        cov = [sub.zero()] * len(kept)
-        for a, coeff in enumerate(c):
-            if coeff.is_zero():
-                continue
-            s = L.sections[a]
-            for pos, i in enumerate(kept):
-                vec[pos] = vec[pos] + coeff * restrict(s.vec.comps[i])
-                cov[pos] = cov[pos] + coeff * restrict(s.cov.get((i,)))
-        candidates.append(
-            GSection(
-                VectorField(sub, vec),
-                PForm(sub, 1, {(pos,): cov[pos] for pos in range(len(kept))}),
-            )
-        )
+    rows = [[restrict(s.vec.comps[i]) for s in L.sections] for i in sliced_idx]
+    combos = kernel_basis(FracMatrix(sub, rows)) if rows else None
+    candidates = _transfer_sections(L, combos, kept, sub, restrict)
     basis = _span_basis(candidates, sub, len(kept))
     if len(basis) != len(kept):
         raise PreconditionError("backward transfer rank defect (non-clean slice)")
-    out = GFrame(basis, provenance="generic")
+    out = GFrame(basis)
     try:
         if rank_at_samples(out.matrix(), samples) != len(kept):
-            out = GFrame(basis, provenance="generic", flags=("backward rank drop at samples",))
+            out = GFrame(basis, flags=("backward rank drop at samples",))
     except PointEvaluationError:
-        out = GFrame(basis, provenance="generic", flags=("backward transfer has no valid sample point",))
+        out = GFrame(basis, flags=("backward transfer has no valid sample point",))
     return out, r_C
 
 
@@ -793,38 +788,15 @@ def forward_transfer(L: GFrame, retained, r: OneOneTensor | None = None, samples
                     raise PreconditionError("tensor does not descend along the projection")
         r_Q = OneOneTensor(sub, [[r.grid[i][j].project(sub) for j in kept] for i in kept])
     # sections with covector part annihilating the dropped directions push forward
-    rows = [
-        [L.sections[a].cov.get((i,)) for a in range(chart.dim)] for i in dropped
-    ]
-    combos = (
-        kernel_basis(FracMatrix(chart, rows))
-        if rows
-        else [
-            [chart.one() if a == b else chart.zero() for a in range(chart.dim)]
-            for b in range(chart.dim)
-        ]
-    )
-    candidates = []
-    for c in combos:
-        vec = [chart.zero()] * len(kept)
-        cov = [chart.zero()] * len(kept)
-        for a, coeff in enumerate(c):
-            if coeff.is_zero():
-                continue
-            s = L.sections[a]
-            for pos, i in enumerate(kept):
-                vec[pos] = vec[pos] + coeff * s.vec.comps[i]
-                cov[pos] = cov[pos] + coeff * s.cov.get((i,))
-        candidates.append(
-            GSection(
-                VectorField(sub, [e.project(sub) for e in vec]),
-                PForm(sub, 1, {(pos,): cov[pos].project(sub) for pos in range(len(kept))}),
-            )
-        )
+    rows = [[s.cov.get((i,)) for s in L.sections] for i in dropped]
+    combos = None
+    if rows:
+        combos = [[e.project(sub) for e in c] for c in kernel_basis(FracMatrix(chart, rows))]
+    candidates = _transfer_sections(L, combos, kept, sub, lambda e: e.project(sub))
     basis = _span_basis(candidates, sub, len(kept))
     if len(basis) != len(kept):
         raise PreconditionError("forward transfer rank defect")
-    return GFrame(basis, provenance="generic"), r_Q
+    return GFrame(basis), r_Q
 
 
 # -- contraction- and double-type comparisons -------------------------------------------

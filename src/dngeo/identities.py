@@ -350,10 +350,8 @@ def lift_relations_hold(r: OneOneTensor, u: VectorField, a: PForm) -> bool:
     ch = r.chart
     n = ch.dim
     tg, tgch = tangent_lift(r)
-    ok = tg.apply(vertical_lift_vf(u, tgch, "v_")) == vertical_lift_vf(
-        r.apply(u), tgch, "v_"
-    )
-    lhs = lie_deriv_tensor(vertical_lift_vf(u, tgch, "v_"), tg)
+    ok = tg.apply(vertical_lift_vf(u, tgch)) == vertical_lift_vf(r.apply(u), tgch)
+    lhs = lie_deriv_tensor(vertical_lift_vf(u, tgch), tg)
     grid = [[tgch.zero() for _ in range(2 * n)] for _ in range(2 * n)]
     for j in range(n):
         w = D_r(VectorField.coordinate(ch, j), u, r)
@@ -1117,7 +1115,7 @@ def _(rng, k):
     ch = chart2()
     pi = Bivector(ch, {(0, 1): ch.one() + random_scalar(ch, rng, 1) ** 2})
     L = make_graph_poisson(pi)
-    perm = GFrame(tuple(reversed(L.sections)), provenance="generic")
+    perm = GFrame(tuple(reversed(L.sections)))
     v1 = check_IM_form(dirac_to_algebroid(L)[1])
     v2 = check_IM_form(dirac_to_algebroid(perm)[1])
     return v1.status == v2.status == "pass"

@@ -408,8 +408,9 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             from .algebroid import _im_steps, dirac_to_algebroid
 
             r = oneone(1) if len(args) == 2 else None
-            A, imf = dirac_to_algebroid(frame(), samples=samples)
-            for _, v in _im_steps(A, imf, frame(), r):
+            L = frame()
+            A, imf = dirac_to_algebroid(L, samples=samples)
+            for _, v in _im_steps(A, imf, L, r):
                 if v.status != PASS:
                     break
             return v

@@ -189,6 +189,12 @@ class PForm:
         return f"PForm{self.degree}(" + (" + ".join(bits) if bits else "0") + ")"
 
 
+def combination(items, coeffs, zero):
+    """sum_a c_a x_a for fields, forms or sections x_a, summed onto `zero`;
+    terms with a zero coefficient are skipped."""
+    return sum((x.scale(c) for x, c in zip(items, coeffs) if not c.is_zero()), zero)
+
+
 class OneOneTensor:
     __slots__ = ("chart", "grid")
 
@@ -885,7 +891,7 @@ def cotangent_lift(r: OneOneTensor):
     return OneOneTensor(big, grid), big
 
 
-def vertical_lift_vf(u: VectorField, big: Chart, fiber_prefix: str) -> VectorField:
+def vertical_lift_vf(u: VectorField, big: Chart) -> VectorField:
     """u^ = u^i(x) d/d(fiber_i) on a doubled chart."""
     chart = u.chart
     n = chart.dim

@@ -254,7 +254,7 @@ class TestAcceptance:
             ok = ok and check_IM_form(imf, v).status == PASS
             rep = dirac_nijenhuis_report(L, r)
             if rep.all_pass():
-                T = transport_oneone(L, r)
+                T = transport_oneone(A, L, r)
                 ok = ok and check_IM_oneone(T, v).status == PASS
                 ok = ok and check_IM_nijenhuis(T, v).status == PASS
                 ok = ok and check_IM_compat(imf, T, checked=True).status == PASS

@@ -203,17 +203,18 @@ class TestIMOneOne:
         pi = Bivector(ch, {(0, 1): ch.one()})
         L = make_graph_poisson(pi)
         rx = OneOneTensor.scalar(ch, ch.var("x"))
-        T = transport_oneone(L, rx)
+        A, imf = dirac_to_algebroid(L)
+        T = transport_oneone(A, L, rx)
+        assert T.parent is A
         assert check_IM_oneone(T).status == PASS
         assert check_IM_nijenhuis(T).status == PASS
-        _, imf = dirac_to_algebroid(L)
         assert check_IM_compat(imf, T).status == PASS
 
     def test_torsionful_tensor_fails_nijenhuis(self, ch):
         a = parse_scalar("x^2", ch)
         c = parse_scalar("x+1", ch)
         Ls, rt = split_43_fixture(a, c)
-        T = transport_oneone(Ls, rt)
+        T = transport_oneone(dirac_to_algebroid(Ls)[0], Ls, rt)
         assert check_IM_oneone(T).status == PASS
         v = check_IM_nijenhuis(T)
         assert v.status == FAIL
@@ -223,8 +224,16 @@ class TestIMOneOne:
         pi = Bivector(ch, {(0, 1): ch.one()})
         L = make_graph_poisson(pi)
         r = OneOneTensor.diagonal(ch, [ch.one(), ch.var("x")])
+        A, _ = dirac_to_algebroid(L)
         with pytest.raises(PreconditionError):
-            transport_oneone(L, r)
+            transport_oneone(A, L, r)
+
+    def test_transport_rejects_another_frames_algebroid(self, ch):
+        L = make_graph_poisson(Bivector(ch, {(0, 1): ch.one()}))
+        other = make_graph_poisson(Bivector(ch, {(0, 1): ch.var("x")}))
+        A, _ = dirac_to_algebroid(other)
+        with pytest.raises(ValueError):
+            transport_oneone(A, L, OneOneTensor.identity(ch))
 
 
 class TestLeibnizExtension:
@@ -286,7 +295,7 @@ class TestIMCompat:
         L = make_graph_poisson(pi)
         A, imf = dirac_to_algebroid(L)
         rid = OneOneTensor.identity(ch)
-        T = transport_oneone(L, rid)
+        T = transport_oneone(A, L, rid)
         assert check_IM_compat(imf, T).status == PASS
 
     def test_perturbed_tensor_fails(self, ch):
@@ -294,7 +303,7 @@ class TestIMCompat:
         L = make_graph_poisson(pi)
         A, imf = dirac_to_algebroid(L)
         rx = OneOneTensor.scalar(ch, ch.var("x"))
-        T = transport_oneone(L, rx)
+        T = transport_oneone(A, L, rx)
         # perturb r after transport: compatibility must now fail
         bad = IMOneOne(
             T.parent, T.theta, T.l_grid, OneOneTensor.scalar(ch, ch.var("y"))
@@ -306,7 +315,7 @@ class TestRealPartIM:
     def test_holomorphic_fixture(self):
         ch, J, pi4, L = holomorphic_poisson_real_part(random.Random(2))
         A, imf = dirac_to_algebroid(L)
-        T = transport_oneone(L, J.r)
+        T = transport_oneone(A, L, J.r)
         assert real_part_IM(imf, T).status == PASS
 
     def test_zero_form_passes(self):
@@ -338,7 +347,7 @@ class TestRealPartIM:
     def test_broken_compat_fails(self):
         ch, J, pi4, L = holomorphic_poisson_real_part(random.Random(3))
         A, imf = dirac_to_algebroid(L)
-        T = transport_oneone(L, J.r)
+        T = transport_oneone(A, L, J.r)
         # perturb nu away from nu . l compatibility
         bad = IMForm(
             imf.parent,
@@ -386,7 +395,7 @@ class TestQuasiIM:
         assert rep.compatible() and rep.involutive.status == PASS
         assert quasi_nijenhuis_check(L, r, phi).status == PASS
         A, imf = dirac_to_algebroid(L)
-        T = transport_oneone(L, r)
+        T = transport_oneone(A, L, r)
         assert quasi_IM_check(imf, r, phi).status == PASS
         assert quasi_IM_nu_tilde(imf, T).status == PASS
         assert quasi_IM_check(imf, r, phi.scale(ch.const(2))).status == FAIL

@@ -442,6 +442,66 @@ class TestInputContract:
         assert "check.0.verdict: inconclusive" in out
         assert re.search(r"^check\.0\.witness\.precondition: .*lagrangian$", out, re.M)
 
+    # the frame loses rank at the first three sample points, x = 1, 2, 3
+    CUBIC = (
+        "chart R2 x y\n"
+        "vector v = (x - 1)*(x - 2)*(x - 3) ; 0\n"
+        "form a 1 = 2 1\n"
+        "oneone r = 1, 0 ; 0, 1\n"
+        "frame L = sections v 0 ; 0 a\n"
+        "check algebroid L r\n"
+    )
+
+    def test_samples_flag_reaches_the_algebroid_transport(self, capsys, scene_file):
+        path = scene_file(self.CUBIC)
+        code, out, _ = run_cli(capsys, "algebroid", path, "--samples", "4")
+        assert code == 0
+        names = re.findall(r"^check\.\d+\.name: (.+)$", out, re.M)
+        assert names == ["algebroid_axioms", "im_form", "im_oneone", "im_nijenhuis", "im_compat"]
+        assert out.count("verdict: pass") == 5 and out.endswith("status: pass\n")
+        code, out, _ = run_cli(capsys, "check", path, "--samples", "4")
+        assert code == 0
+        assert "check.0.name: algebroid L r\ncheck.0.verdict: pass\n" in out
+        code, out, _ = run_cli(capsys, "algebroid", path, "--samples", "3")
+        assert code == 2
+        assert "check.0.name: dirac_to_algebroid\ncheck.0.verdict: inconclusive\n" in out
+
+    def test_algebroid_is_built_and_checked_once(self, capsys, monkeypatch):
+        import dngeo.algebroid as alg
+
+        calls = {"dirac_to_algebroid": 0, "check_algebroid": 0}
+        for name in calls:
+            original = getattr(alg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(alg, name, counted)
+        path = str(Path(__file__).resolve().parent.parent / "scenes" / "scalar_hierarchy.scene")
+        code, out, _ = run_cli(capsys, "algebroid", path)
+        assert code == 0 and "im_compat" in out
+        assert calls == {"dirac_to_algebroid": 1, "check_algebroid": 1}
+
+    def test_lagrangian_rank_evaluates_each_sample_point_once(self, capsys, monkeypatch):
+        # a sampled rank below n goes straight to elimination, without
+        # evaluating the first sample point again
+        import dngeo.dirac
+        import dngeo.symbolic.linalg as linalg
+
+        count = [0]
+        original = linalg.eval_matrix_at_sample
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eval_matrix_at_sample", counted)
+        monkeypatch.setattr(dngeo.dirac, "eval_matrix_at_sample", counted)
+        path = str(Path(__file__).resolve().parent / "golden" / "samples_1.scene")
+        assert run_cli(capsys, "check", path, "--samples", "1")[0] == 2
+        assert count[0] == 7
+
 
 class TestTimings:
     """--timings gives each check its own time: the times add up to no more

@@ -518,6 +518,18 @@ class TestTransfers:
         target = make_graph_poisson(Bivector(Lb.chart, {(0, 1): Lb.chart.scalar("1/(y - x - 1)")}))
         assert frames_equal_span(Lb, target)
 
+    def test_backward_slice_ignores_a_transverse_section_with_a_pole(self):
+        # L = TM framed by (d_x, 0) and (d_x/y + d_y, 0); only the first
+        # section is tangent to y = 0, and the second has a pole there
+        ch = chart2()
+        s1 = GSection.from_vector(VectorField.coordinate(ch, 0))
+        s2 = GSection.from_vector(VectorField(ch, [ch.scalar("1/y"), ch.one()]))
+        L = GFrame([s1, s2])
+        assert check_lagrangian(L).status == PASS
+        Lb, _ = backward_transfer(L, {"y": Fraction(0)})
+        assert Lb.chart.variables == ("x",)
+        assert Lb.sections == (GSection.from_vector(VectorField.coordinate(Lb.chart, 0)),)
+
     def test_forward_split_quotient(self, ch):
         Ls = make_split([VectorField.coordinate(ch, 1)])
         Lf, _ = forward_transfer(Ls, ("x",))

@@ -106,8 +106,8 @@ def lagrangian_in_old_order(L, samples=3):
 def transformed(L, r, n, side):
     rn = r.power(n)
     if side == "n0":
-        return transform_frame(L, rn.apply, lambda a: a, provenance=L.provenance)
-    return transform_frame(L, lambda v: v, rn.dual, provenance=L.provenance)
+        return transform_frame(L, rn.apply, lambda a: a)
+    return transform_frame(L, lambda v: v, rn.dual)
 
 
 def hierarchy_in_old_order(L, r, n, side, samples=3):
@@ -131,7 +131,7 @@ def frame_outcome(fn, *args):
     if got[0] == "raises":
         return got
     L = got[1]
-    return "value", [s.components() for s in L.sections], L.provenance, L.flags
+    return "value", [s.components() for s in L.sections], L.flags
 
 
 # -- generated frames -------------------------------------------------------------
@@ -436,7 +436,7 @@ def test_hierarchy_outcomes_match_the_old_order():
             # pole at every sample point is returned flagged, not raised
             out = transformed(L, r, n, side)
             flags = L.flags + ("hierarchy member has no valid sample point",)
-            want = "value", [s.components() for s in out.sections], out.provenance, flags
+            want = "value", [s.components() for s in out.sections], flags
             seen.add("flagged")
         assert got == want
         seen.add(got[0] if got[0] == "value" else got[1])
