@@ -74,14 +74,16 @@ def _load_scene(args, kind: str):
 
 
 def _unique(table: dict, flag_value, what: str):
+    """The entry named by --<what>, or the scene's only one; a usage error
+    names the flag, since it has no position in the scene."""
     if flag_value is not None:
         if flag_value not in table:
-            raise SceneError(f"unknown {what} {flag_value!r}", 0)
+            raise DngeoError(f"unknown {what} {flag_value!r} (--{what})")
         return table[flag_value]
+    if not table:
+        raise DngeoError(f"scene declares no {what}s")
     if len(table) != 1:
-        raise SceneError(
-            f"scene declares {len(table)} {what}s; pass --{what} to pick one", 0
-        )
+        raise DngeoError(f"scene declares {len(table)} {what}s; pass --{what} to pick one")
     return next(iter(table.values()))
 
 

@@ -17,7 +17,6 @@ from itertools import combinations
 from .errors import (
     AdmissibilityError,
     HierarchyKernelError,
-    PointEvaluationError,
     PreconditionError,
 )
 from .symbolic import (
@@ -200,7 +199,8 @@ def make_split(fields, samples: int = 3) -> GFrame:
     k = len(fields)
     flags = []
     fmat = FracMatrix(chart, [[f.comps[i] for i in range(n)] for f in fields])
-    if generic_rank(fmat) != k:
+    sampled = rank_at_samples(fmat, samples)
+    if sampled != k and len(pivot_columns(fmat)) != k:
         raise PreconditionError("split fields are dependent over the function field")
     # involutivity of the distribution
     span_rows = FracMatrix(chart, [[f.comps[i] for f in fields] for i in range(n)])
@@ -209,11 +209,10 @@ def make_split(fields, samples: int = 3) -> GFrame:
             br = lie_bracket(fields[a], fields[b])
             if solve_linear(span_rows, list(br.comps)) is None:
                 raise PreconditionError("split fields do not span an involutive distribution")
-    try:
-        if rank_at_samples(fmat, samples) != k:
-            flags.append("split rank defect at sample points")
-    except PointEvaluationError:
+    if sampled is None:
         flags.append("split fields have no valid sample point")
+    elif sampled != k:
+        flags.append("split rank defect at sample points")
     ann = kernel_basis(fmat)
     if len(ann) != n - k:
         raise PreconditionError("annihilator has unexpected generic rank")
@@ -249,10 +248,7 @@ def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
     rational functions is formed.
     """
     n = L1.chart.dim
-    try:
-        _, v = eval_matrix_at_sample(_beside(L1.matrix(), L2.matrix()))
-    except PointEvaluationError:
-        v = None
+    v = eval_matrix_at_sample(_beside(L1.matrix(), L2.matrix()))
     if v is not None and any(
         sum(v[i][a] * v[n + i][n + b] + v[n + i][a] * v[i][n + b] for i in range(n))
         for a in range(n)
@@ -262,11 +258,6 @@ def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
     return all(val.is_zero() for _, val in _pairings(L1, L2))
 
 
-def _is_lagrangian(L: GFrame) -> bool:
-    """Isotropic with generic rank n, decided exactly."""
-    return _pairings_vanish(L, L) and generic_rank(L.matrix()) == L.chart.dim
-
-
 def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     """Pass iff the frame pairs to zero with itself and has rank n pointwise."""
     n = L.chart.dim
@@ -274,17 +265,8 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
         if not val.is_zero():
             return Verdict.fail((f"pairing[{a},{b}]", val))
     m = L.matrix()
-    try:
-        sampled = rank_at_samples(m, samples)
-    except PointEvaluationError:
-        sampled = None
-    if sampled is None:
-        full = generic_rank(m) == n
-    else:
-        # the sampled rank is the best over the points, so below n the first
-        # point cannot certify full rank and elimination decides at once
-        full = sampled == n or len(pivot_columns(m)) == n
-    if not full:
+    sampled = rank_at_samples(m, samples)
+    if sampled != n and len(pivot_columns(m)) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled is None:
         return Verdict.inconclusive(("rank", "no valid sample point"))
@@ -386,31 +368,26 @@ def section_in_span(s: GSection, L: GFrame, lagrangian: Verdict | None = None) -
 def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
     """Equality of the spans over the function field.
 
-    The pairing b(X) + a(Y) is nondegenerate over Q(x) and Q(i)(x), so a
-    lagrangian span L is its own orthogonal.  Hence for lagrangian L2 the
-    spans are equal exactly when <L1, L2> = 0 and L1 has rank n.  Being
-    lagrangian is a property of the span, so a lagrangian L1 with a
-    non-lagrangian L2 gives unequal spans.  When neither frame is lagrangian
-    the spans are equal exactly when rank m1 = rank m2 = rank [m1 | m2]; a
-    rank of [m1 | m2] above rank m1 at a sample point already proves them
-    unequal, since the generic rank is at least the rank at any point.
+    Equal spans have equal generic rank, and then they are equal exactly when
+    rank [m1 | m2] is that rank too; a rank of [m1 | m2] above it at a sample
+    point already proves them unequal, since the generic rank is at least the
+    rank at any point.  The pairing b(X) + a(Y) is nondegenerate over Q(x) and
+    Q(i)(x), so a lagrangian span L is its own orthogonal.  Hence when both
+    ranks are n and L2 is isotropic, so lagrangian, the spans are equal
+    exactly when <L1, L2> = 0, and [m1 | m2] is never eliminated.
     """
     same_chart(L1.sections[0], L2.sections[0])
-    if _is_lagrangian(L2):
-        return _pairings_vanish(L1, L2) and generic_rank(L1.matrix()) == L1.chart.dim
-    if _is_lagrangian(L1):
-        return False
     m1, m2 = L1.matrix(), L2.matrix()
     rank = generic_rank(m1)
     if generic_rank(m2) != rank:
         return False
+    if rank == L1.chart.dim and _pairings_vanish(L2, L2):
+        return _pairings_vanish(L1, L2)
     both = _beside(m1, m2)
-    try:
-        if rank_at_samples(both, 1) > rank:
-            return False
-    except PointEvaluationError:
-        pass
-    return generic_rank(both) == rank
+    sampled = rank_at_samples(both, 1)
+    if sampled is not None and sampled > rank:
+        return False
+    return len(pivot_columns(both)) == rank
 
 
 # -- concomitants ------------------------------------------------------------------
@@ -486,10 +463,9 @@ def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int
     cov = L.covector_matrix()
     combos = kernel_basis(cov)
     gen_rank = chart.dim - len(combos)
-    try:
-        sample_rank = rank_at_samples(cov, samples)
-    except PointEvaluationError:
-        raise PreconditionError("null distribution has no valid sample point") from None
+    sample_rank = rank_at_samples(cov, samples)
+    if sample_rank is None:
+        raise PreconditionError("null distribution has no valid sample point")
     if sample_rank != gen_rank:
         raise PreconditionError("null distribution rank drops at sample points")
     vecs = [s.vec for s in L.sections]
@@ -522,16 +498,12 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
     else:
         out = transform_frame(L, lambda v: v, rn.dual)
     m = out.matrix()
-    try:
-        full = rank_at_samples(m, samples) == m.cols
-    except PointEvaluationError:
-        if generic_rank(m) == m.cols:
-            flags = out.flags + ("hierarchy member has no valid sample point",)
-            return GFrame(out.sections, flags=flags)
-        full = False
-    if not full:
-        raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
-    return out
+    sampled = rank_at_samples(m, samples)
+    if sampled == m.cols:
+        return out
+    if sampled is None and len(pivot_columns(m)) == m.cols:
+        return GFrame(out.sections, flags=out.flags + ("hierarchy member has no valid sample point",))
+    raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
 
 
 def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
@@ -746,11 +718,11 @@ def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = No
     if len(basis) != len(kept):
         raise PreconditionError("backward transfer rank defect (non-clean slice)")
     out = GFrame(basis)
-    try:
-        if rank_at_samples(out.matrix(), samples) != len(kept):
-            out = GFrame(basis, flags=("backward rank drop at samples",))
-    except PointEvaluationError:
+    sampled = rank_at_samples(out.matrix(), samples)
+    if sampled is None:
         out = GFrame(basis, flags=("backward transfer has no valid sample point",))
+    elif sampled != len(kept):
+        out = GFrame(basis, flags=("backward rank drop at samples",))
     return out, r_C
 
 

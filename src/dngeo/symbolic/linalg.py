@@ -109,14 +109,11 @@ def generic_rank(m: FracMatrix) -> int:
     The generic rank is at least the rank at any point and at most
     min(rows, cols), so a rank of min(rows, cols) at one exact sample point
     proves it; elimination runs only when the sampled rank falls short or
-    every sample point is a pole.
+    the sample point is a pole.
     """
     full = min(m.rows, m.cols)
-    try:
-        if rank_at_samples(m, 1) == full:
-            return full
-    except PointEvaluationError:
-        pass
+    if rank_at_samples(m, 1) == full:
+        return full
     return len(pivot_columns(m))
 
 
@@ -239,20 +236,15 @@ MAX_POINT_RETRIES = 20
 
 
 def eval_matrix_at_sample(m: FracMatrix, s: int = 0):
-    """Evaluate all entries at sample point s, retrying past denominator zeros."""
+    """The entries' values at sample point s, retrying past denominator zeros;
+    None when every retry is a pole."""
     for retry in range(MAX_POINT_RETRIES + 1):
         point = sample_point(m.chart, s, retry)
         try:
-            values = [
-                [m.entries[i][j].eval(point) for j in range(m.cols)]
-                for i in range(m.rows)
-            ]
-            return point, values
+            return [[e.eval(point) for e in row] for row in m.entries]
         except PointEvaluationError:
             continue
-    raise PointEvaluationError(
-        f"no valid sample point found after {MAX_POINT_RETRIES} retries"
-    )
+    return None
 
 
 def numeric_rank(values) -> int:
@@ -283,9 +275,12 @@ def numeric_rank(values) -> int:
 
 
 def rank_at_samples(m: FracMatrix, samples: int = 3):
-    """Max rank observed over the deterministic sample points."""
+    """Max rank observed over the deterministic sample points, or None as soon
+    as one of them has no valid retry."""
     best = 0
     for s in range(samples):
-        _, values = eval_matrix_at_sample(m, s)
+        values = eval_matrix_at_sample(m, s)
+        if values is None:
+            return None
         best = max(best, numeric_rank(values))
     return best

@@ -42,6 +42,31 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture
+def evaluations(monkeypatch):
+    """Running counts of eval_matrix_at_sample ("matrix") and ScalarExpr.eval
+    ("scalar") calls."""
+    import dngeo.dirac
+    import dngeo.symbolic.linalg as linalg
+    from dngeo.symbolic.scalar import ScalarExpr
+
+    count = {"matrix": 0, "scalar": 0}
+    matrix, scalar = linalg.eval_matrix_at_sample, ScalarExpr.eval
+
+    def counted_matrix(*args, **kwargs):
+        count["matrix"] += 1
+        return matrix(*args, **kwargs)
+
+    def counted_scalar(*args, **kwargs):
+        count["scalar"] += 1
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eval_matrix_at_sample", counted_matrix)
+    monkeypatch.setattr(dngeo.dirac, "eval_matrix_at_sample", counted_matrix)
+    monkeypatch.setattr(ScalarExpr, "eval", counted_scalar)
+    return count
+
+
+@pytest.fixture
 def scene_file(tmp_path):
     def write(text, name="scene.txt"):
         p = tmp_path / name
@@ -423,6 +448,33 @@ class TestInputContract:
         assert code == 3
         assert err.startswith("error:") and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hierarchy", "--side", "n0", "--n", "1", "--frame", "Z"], "unknown frame 'Z' (--frame)"),
+            (["traces", "--jmax", "1", "--oneone", "q"], "unknown oneone 'q' (--oneone)"),
+        ],
+        ids=["frame", "oneone"],
+    )
+    def test_unknown_name_in_a_flag(self, capsys, scene_file, argv, message):
+        path = scene_file(self.POISSON)
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (POISSON + "frame M = poisson pi\n", "scene declares 2 frames; pass --frame to pick one"),
+            (POISSON.replace("frame L = poisson pi\n", ""), "scene declares no frames"),
+        ],
+        ids=["two", "none"],
+    )
+    def test_frame_flag_without_a_unique_frame(self, capsys, scene_file, text, message):
+        code, out, err = run_cli(capsys, "holomorphic", scene_file(text))
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_algebroid_check_names_an_unknown_tensor(self, capsys, scene_file):
         # the frame is not lagrangian, so the tensor is never reached; the
         # unknown name is still a usage error, not an inconclusive verdict
@@ -483,24 +535,72 @@ class TestInputContract:
         assert code == 0 and "im_compat" in out
         assert calls == {"dirac_to_algebroid": 1, "check_algebroid": 1}
 
-    def test_lagrangian_rank_evaluates_each_sample_point_once(self, capsys, monkeypatch):
+    def test_lagrangian_rank_evaluates_each_sample_point_once(self, capsys, evaluations):
         # a sampled rank below n goes straight to elimination, without
         # evaluating the first sample point again
-        import dngeo.dirac
-        import dngeo.symbolic.linalg as linalg
-
-        count = [0]
-        original = linalg.eval_matrix_at_sample
-
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "eval_matrix_at_sample", counted)
-        monkeypatch.setattr(dngeo.dirac, "eval_matrix_at_sample", counted)
         path = str(Path(__file__).resolve().parent / "golden" / "samples_1.scene")
         assert run_cli(capsys, "check", path, "--samples", "1")[0] == 2
-        assert count[0] == 7
+        assert evaluations["matrix"] == 7
+
+    # every retry of every sample point (1+s+7t, 2+s+7t) has y = x + 1
+    POLE = "chart R2 x y\nbivector p = 1 2 1/(y - x - 1)\n"
+
+    @pytest.mark.parametrize(
+        "text, argv, counts",
+        [
+            (POLE + "frame L = poisson p\ncheck lagrangian L\n", ["check"], (1, 42)),
+            (
+                "chart R2 x y\nvector v = 1/(y - x - 1) ; 0\nframe S = split v\ncheck lagrangian S\n",
+                ["check"],
+                (2, 42),
+            ),
+            (
+                POLE + "oneone r = x, 0 ; 0, x\nframe L = poisson p\n",
+                ["hierarchy", "--side", "n0", "--n", "1"],
+                (2, 84),
+            ),
+        ],
+        ids=["poisson", "split", "hierarchy"],
+    )
+    def test_pole_scenes_evaluate_each_sample_point_once(
+        self, capsys, scene_file, evaluations, text, argv, counts
+    ):
+        # (eval_matrix_at_sample, ScalarExpr.eval) calls: each matrix tries
+        # the 21 retries of its first sample point once, then eliminates
+        code, out, err = run_cli(capsys, argv[0], scene_file(text), *argv[1:])
+        assert code == 2 and err == ""
+        assert "rank: no valid sample point" in out
+        assert (evaluations["matrix"], evaluations["scalar"]) == counts
+
+    def test_split_frame_evaluates_each_sample_point_once(self, evaluations):
+        # the sampled rank proves the fields independent and also sets the
+        # frame's flags, so the first point is not evaluated a second time
+        scene = parse_scene("chart R2 x y\nvector v = x ; 1\nframe S = split v\n")
+        assert scene.frames["S"].flags == ()
+        assert evaluations["matrix"] == 3
+
+    SPANS = (
+        "chart R2 x y\nvector u = 1 ; 0\nvector t = 0 ; 1\nvector v = x ; 0\nvector w = y ; 0\n"
+        "form a 1 = 1 1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "frames, equal, count",
+        [
+            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, 3),
+            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, 4),
+        ],
+        ids=["isotropic-rank-1", "rank-2-not-isotropic"],
+    )
+    def test_span_equality_evaluates_each_sample_point_once(self, evaluations, frames, equal, count):
+        # m1, m2 and [m1 | m2] are each sampled once; a rank-n pair also
+        # samples the pairings of the second frame with itself
+        from dngeo.dirac import frames_equal_span
+
+        scene = parse_scene(self.SPANS + frames)
+        evaluations["matrix"] = 0
+        assert frames_equal_span(scene.frames["A"], scene.frames["B"]) is equal
+        assert evaluations["matrix"] == count
 
 
 class TestTimings:

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from dngeo.errors import PointEvaluationError
 from dngeo.fixtures import random_scalar
 from dngeo.symbolic import (
     Chart,
@@ -174,8 +173,7 @@ class TestGenericRank:
     def test_pole_at_every_sample_point_falls_back(self, ch):
         # every sample point (1+s+7t, 2+s+7t) has y = x + 1
         m = M(ch, [["1/(y - x - 1)", "0"], ["0", "1"]])
-        with pytest.raises(PointEvaluationError):
-            rank_at_samples(m, 1)
+        assert rank_at_samples(m, 1) is None
         assert generic_rank(m) == 2
 
     def test_pivot_columns_skip_dependent_and_zero_columns(self, ch):

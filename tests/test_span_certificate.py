@@ -67,6 +67,15 @@ def rank_by_elimination(m):
     return len(pivot_columns(m))
 
 
+def sampled_rank(m, samples):
+    """rank_at_samples, raising where it returns None, as the sampler of the
+    old rank checks did."""
+    rank = rank_at_samples(m, samples)
+    if rank is None:
+        raise PointEvaluationError("no valid sample point")
+    return rank
+
+
 def span_basis_by_solves(sections, chart, expected):
     """The old greedy loop: keep each section that does not solve into the
     sections kept so far.  It tested `expected` only after a second section,
@@ -96,7 +105,7 @@ def lagrangian_in_old_order(L, samples=3):
     m = L.matrix()
     if rank_by_elimination(m) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
-    if rank_at_samples(m, samples) != n:
+    if sampled_rank(m, samples) != n:
         return Verdict.inconclusive(("rank", "rank drop at sample points"))
     if L.flags:
         return Verdict.inconclusive(*((f"flag[{i}]", f) for i, f in enumerate(L.flags)))
@@ -113,7 +122,7 @@ def transformed(L, r, n, side):
 def hierarchy_in_old_order(L, r, n, side, samples=3):
     out = transformed(L, r, n, side)
     m = out.matrix()
-    if rank_by_elimination(m) != L.chart.dim or rank_at_samples(m, samples) != L.chart.dim:
+    if rank_by_elimination(m) != L.chart.dim or sampled_rank(m, samples) != L.chart.dim:
         raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
     return out
 
@@ -335,7 +344,7 @@ def test_generic_rank_matches_elimination():
         m, rank = rank_case(seed, dim, mode, kind, wide)
         assert generic_rank(m) == rank_by_elimination(m) == rank
         try:
-            seen.add(("certified", rank_at_samples(m, 1) == min(m.rows, m.cols)))
+            seen.add(("certified", sampled_rank(m, 1) == min(m.rows, m.cols)))
         except PointEvaluationError:
             seen.add(("certified", None))
 
