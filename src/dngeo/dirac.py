@@ -96,17 +96,19 @@ class Verdict:
 
 
 class GFrame:
-    """A rank-n subbundle of TM + T*M presented by n generating sections."""
+    """A rank-n subbundle of TM + T*M presented by n generating sections.
 
-    __slots__ = ("chart", "sections", "flags")
+    The frame is its sections and nothing else: its sampled rank is decided
+    by `check_lagrangian` at the caller's sample count."""
 
-    def __init__(self, sections, flags=()):
+    __slots__ = ("chart", "sections")
+
+    def __init__(self, sections):
         chart = same_chart(*sections)
         if len(sections) != chart.dim:
             raise ValueError("a frame needs exactly n sections")
         self.chart = chart
         self.sections = tuple(sections)
-        self.flags = tuple(flags)
 
     def matrix(self) -> FracMatrix:
         """2n x n matrix whose columns are the stacked section components."""
@@ -186,21 +188,19 @@ def make_graph_presymplectic(omega: PForm) -> GFrame:
     return GFrame(secs)
 
 
-def make_split(fields, samples: int = 3) -> GFrame:
+def make_split(fields) -> GFrame:
     """Frame of F + Ann(F) for a distribution spanned by `fields`.
 
     The annihilator basis comes from the kernel of the field-component matrix
-    over the function field.  Involutivity of F and rank constancy are
-    verified; a sample-point rank defect, or a pole at every sample point,
-    only flags the frame.
+    over the function field.  Independence and involutivity of F are
+    verified over the function field; a rank drop of the frame at sample
+    points is left to `check_lagrangian`.
     """
     chart = same_chart(*fields)
     n = chart.dim
     k = len(fields)
-    flags = []
     fmat = FracMatrix(chart, [[f.comps[i] for i in range(n)] for f in fields])
-    sampled = rank_at_samples(fmat, samples)
-    if sampled != k and len(pivot_columns(fmat)) != k:
+    if generic_rank(fmat) != k:
         raise PreconditionError("split fields are dependent over the function field")
     # involutivity of the distribution
     span_rows = FracMatrix(chart, [[f.comps[i] for f in fields] for i in range(n)])
@@ -209,10 +209,6 @@ def make_split(fields, samples: int = 3) -> GFrame:
             br = lie_bracket(fields[a], fields[b])
             if solve_linear(span_rows, list(br.comps)) is None:
                 raise PreconditionError("split fields do not span an involutive distribution")
-    if sampled is None:
-        flags.append("split fields have no valid sample point")
-    elif sampled != k:
-        flags.append("split rank defect at sample points")
     ann = kernel_basis(fmat)
     if len(ann) != n - k:
         raise PreconditionError("annihilator has unexpected generic rank")
@@ -220,7 +216,7 @@ def make_split(fields, samples: int = 3) -> GFrame:
         GSection.from_form(PForm(chart, 1, {(i,): vec[i] for i in range(n)}))
         for vec in ann
     ]
-    return GFrame(secs, flags=tuple(flags))
+    return GFrame(secs)
 
 
 # -- elementary checks -----------------------------------------------------------
@@ -245,12 +241,14 @@ def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
 
     A pairing that is nonzero at a sample point is nonzero, so a frame pair
     that fails is mostly rejected at one exact point, before any pairing of
-    rational functions is formed.
+    rational functions is formed.  One frame (L1 is L2) is evaluated once,
+    its sections read as both sides.
     """
     n = L1.chart.dim
-    v = eval_matrix_at_sample(_beside(L1.matrix(), L2.matrix()))
+    off = 0 if L1 is L2 else n
+    v = eval_matrix_at_sample(L1.matrix() if L1 is L2 else _beside(L1.matrix(), L2.matrix()))
     if v is not None and any(
-        sum(v[i][a] * v[n + i][n + b] + v[n + i][a] * v[i][n + b] for i in range(n))
+        sum(v[i][a] * v[n + i][off + b] + v[n + i][a] * v[i][off + b] for i in range(n))
         for a in range(n)
         for b in range(n)
     ):
@@ -259,7 +257,12 @@ def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
 
 
 def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
-    """Pass iff the frame pairs to zero with itself and has rank n pointwise."""
+    """Pass iff the frame pairs to zero with itself and has rank n pointwise.
+
+    The rank is sampled at `samples` points: a generic rank below n fails; a
+    rank below n at every sample point, or a pole at every one, is
+    inconclusive.  Frame constructors leave this sampled rank to the check.
+    """
     n = L.chart.dim
     for (a, b), val in _pairings(L, L):
         if not val.is_zero():
@@ -272,8 +275,6 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
         return Verdict.inconclusive(("rank", "no valid sample point"))
     if sampled != n:
         return Verdict.inconclusive(("rank", "rank drop at sample points"))
-    if L.flags:
-        return Verdict.inconclusive(*((f"flag[{i}]", f) for i, f in enumerate(L.flags)))
     return Verdict.ok()
 
 
@@ -477,15 +478,16 @@ def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int
 
 def transform_frame(L: GFrame, vec_op, cov_op) -> GFrame:
     secs = [GSection(vec_op(s.vec), cov_op(s.cov)) for s in L.sections]
-    return GFrame(secs, flags=L.flags)
+    return GFrame(secs)
 
 
 def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -> GFrame:
     """(r^n, id)(L) for side 'n0', or (id, (r*)^n)(L) for side '0n'.
 
-    The kernel condition of the chosen side is enforced as generic plus
-    sample-point rank fullness of the transformed frame.  A member of full
-    generic rank with a pole at every sample point is returned flagged.
+    The kernel condition of the chosen side is enforced as sample-point
+    rank fullness of the transformed frame, or generic rank fullness when
+    every sample point is a pole; such a member is returned as it is, and
+    `check_lagrangian` reports it inconclusive.
     """
     if side not in ("n0", "0n"):
         raise ValueError("side must be 'n0' or '0n'")
@@ -499,10 +501,8 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
         out = transform_frame(L, lambda v: v, rn.dual)
     m = out.matrix()
     sampled = rank_at_samples(m, samples)
-    if sampled == m.cols:
+    if sampled == m.cols or (sampled is None and len(pivot_columns(m)) == m.cols):
         return out
-    if sampled is None and len(pivot_columns(m)) == m.cols:
-        return GFrame(out.sections, flags=out.flags + ("hierarchy member has no valid sample point",))
     raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
 
 
@@ -687,7 +687,8 @@ def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = No
 
     Returns (frame on the sliced chart, restricted tensor or None).  When r
     is supplied the slice must be r-invariant, asserted componentwise after
-    substitution.
+    substitution.  The sliced frame has full generic rank; its rank at
+    sample points is left to `check_lagrangian`.
     """
     chart = L.chart
     lag = check_lagrangian(L, samples)
@@ -717,13 +718,7 @@ def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = No
     basis = _span_basis(candidates, sub, len(kept))
     if len(basis) != len(kept):
         raise PreconditionError("backward transfer rank defect (non-clean slice)")
-    out = GFrame(basis)
-    sampled = rank_at_samples(out.matrix(), samples)
-    if sampled is None:
-        out = GFrame(basis, flags=("backward transfer has no valid sample point",))
-    elif sampled != len(kept):
-        out = GFrame(basis, flags=("backward rank drop at samples",))
-    return out, r_C
+    return GFrame(basis), r_C
 
 
 def forward_transfer(L: GFrame, retained, r: OneOneTensor | None = None, samples: int = 3):

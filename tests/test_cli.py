@@ -573,11 +573,24 @@ class TestInputContract:
         assert (evaluations["matrix"], evaluations["scalar"]) == counts
 
     def test_split_frame_evaluates_each_sample_point_once(self, evaluations):
-        # the sampled rank proves the fields independent and also sets the
-        # frame's flags, so the first point is not evaluated a second time
-        scene = parse_scene("chart R2 x y\nvector v = x ; 1\nframe S = split v\n")
-        assert scene.frames["S"].flags == ()
-        assert evaluations["matrix"] == 3
+        # one sample point proves the fields independent; the frame's rank
+        # at the caller's sample points is left to check_lagrangian
+        parse_scene("chart R2 x y\nvector v = x ; 1\nframe S = split v\n")
+        assert evaluations["matrix"] == 1
+
+    # the split field vanishes at the first three sample points, x = 1, 2, 3
+    SPLIT_CUBIC = (
+        "chart R2 x y\nvector v = (x - 1)*(x - 2)*(x - 3) ; 0\nframe S = split v\ncheck lagrangian S\n"
+    )
+
+    def test_samples_flag_reaches_split_frames(self, capsys, scene_file):
+        path = scene_file(self.SPLIT_CUBIC)
+        code, out, err = run_cli(capsys, "check", path, "--samples", "4")
+        assert (code, err) == (0, "")
+        assert "check.0.verdict: pass\n" in out and out.endswith("status: pass\n")
+        code, out, err = run_cli(capsys, "check", path, "--samples", "3")
+        assert (code, err) == (2, "")
+        assert "check.0.verdict: inconclusive\ncheck.0.witness.rank: rank drop at sample points\n" in out
 
     SPANS = (
         "chart R2 x y\nvector u = 1 ; 0\nvector t = 0 ; 1\nvector v = x ; 0\nvector w = y ; 0\n"
@@ -585,22 +598,24 @@ class TestInputContract:
     )
 
     @pytest.mark.parametrize(
-        "frames, equal, count",
+        "frames, equal, counts",
         [
-            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, 3),
-            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, 4),
+            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, (3, 32)),
+            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (4, 40)),
+            ("frame A = sections u 0 ; t 0\nframe B = sections v 0 ; t 0\n", True, (4, 40)),
         ],
-        ids=["isotropic-rank-1", "rank-2-not-isotropic"],
+        ids=["isotropic-rank-1", "rank-2-not-isotropic", "lagrangian"],
     )
-    def test_span_equality_evaluates_each_sample_point_once(self, evaluations, frames, equal, count):
-        # m1, m2 and [m1 | m2] are each sampled once; a rank-n pair also
-        # samples the pairings of the second frame with itself
+    def test_span_equality_evaluates_each_sample_point_once(self, evaluations, frames, equal, counts):
+        # (eval_matrix_at_sample, ScalarExpr.eval) calls: m1, m2 and
+        # [m1 | m2] are each sampled once; a rank-n pair samples m2 once more
+        # for the pairings of the second frame with itself
         from dngeo.dirac import frames_equal_span
 
         scene = parse_scene(self.SPANS + frames)
-        evaluations["matrix"] = 0
+        evaluations.update(matrix=0, scalar=0)
         assert frames_equal_span(scene.frames["A"], scene.frames["B"]) is equal
-        assert evaluations["matrix"] == count
+        assert (evaluations["matrix"], evaluations["scalar"]) == counts
 
 
 class TestTimings:

@@ -99,12 +99,15 @@ class TestFrameConstructors:
         assert Ls.sections[1] == GSection.from_form(PForm.coordinate(ch, 0))
 
     def test_split_rank_defect_flags_inconclusive(self, ch):
-        # generically independent field that vanishes at every default sample
-        # point: the frame is flagged and the lagrangian verdict degrades
+        # generically independent field that vanishes at the first three
+        # sample points, x = 1, 2, 3: the lagrangian verdict degrades at the
+        # default count and passes once a fourth point is sampled
         f = parse_scalar("(x-1)*(x-2)*(x-3)", ch)
         Ls = make_split([VectorField(ch, [f, ch.zero()])])
-        assert Ls.flags
-        assert check_lagrangian(Ls).status == INCONCLUSIVE
+        lag = check_lagrangian(Ls, 3)
+        assert lag.status == INCONCLUSIVE
+        assert lag.witnesses == (("rank", "rank drop at sample points"),)
+        assert check_lagrangian(Ls, 4).status == PASS
 
     def test_high_degree_forms_collapse_to_zero(self, ch):
         w = PForm(ch, 3, {})
@@ -513,8 +516,9 @@ class TestTransfers:
         L = make_graph_poisson(Bivector(ch, {(0, 1): ch.scalar("1/(y - x - 1 + z)")}))
         assert check_lagrangian(L).status == PASS
         Lb, _ = backward_transfer(L, {"z": Fraction(0)})
-        assert Lb.flags == ("backward transfer has no valid sample point",)
-        assert check_lagrangian(Lb).status == INCONCLUSIVE
+        lag = check_lagrangian(Lb)
+        assert lag.status == INCONCLUSIVE
+        assert lag.witnesses == (("rank", "no valid sample point"),)
         target = make_graph_poisson(Bivector(Lb.chart, {(0, 1): Lb.chart.scalar("1/(y - x - 1)")}))
         assert frames_equal_span(Lb, target)
 

@@ -1,9 +1,10 @@
 """Span equality, span bases, generic ranks and the rank checks of frames
 against the algorithms they replaced, kept here as oracles: span equality by
 solving every section of each frame into the other, span bases by one solve
-per candidate section, the generic rank by elimination on every matrix, and
+per candidate section, the generic rank by elimination on every matrix,
 the lagrangian and hierarchy rank checks in their old order (Bareiss first,
-then the sample points)."""
+then the sample points), and the lagrangian verdict on split frames when
+make_split flagged them from their fields' sampled rank."""
 
 import random
 
@@ -107,9 +108,29 @@ def lagrangian_in_old_order(L, samples=3):
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled_rank(m, samples) != n:
         return Verdict.inconclusive(("rank", "rank drop at sample points"))
-    if L.flags:
-        return Verdict.inconclusive(*((f"flag[{i}]", f) for i, f in enumerate(L.flags)))
     return Verdict.ok()
+
+
+def split_flag(fields):
+    """The flag a split frame carried when make_split sampled its fields at
+    the default 3 points, or None."""
+    chart, k = fields[0].chart, len(fields)
+    sampled = rank_at_samples(FracMatrix(chart, [[f.comps[i] for i in range(chart.dim)] for f in fields]), 3)
+    if sampled == k:
+        return None
+    return "split fields have no valid sample point" if sampled is None else "split rank defect at sample points"
+
+
+def split_lagrangian_with_flags(fields, samples):
+    """The lagrangian verdict on make_split(fields) when split frames carried
+    that flag and the check reported it after its own verdicts, a pole at
+    every sample point among them."""
+    got = outcome(lagrangian_in_old_order, make_split(fields), samples)
+    verdict = got[1] if got[0] == "value" else Verdict.inconclusive(("rank", "no valid sample point"))
+    flag = split_flag(fields)
+    if verdict.status == PASS and flag is not None:
+        return Verdict.inconclusive(("flag[0]", flag))
+    return verdict
 
 
 def transformed(L, r, n, side):
@@ -139,8 +160,7 @@ def frame_outcome(fn, *args):
     got = outcome(fn, *args)
     if got[0] == "raises":
         return got
-    L = got[1]
-    return "value", [s.components() for s in L.sections], L.flags
+    return "value", [s.components() for s in got[1].sections]
 
 
 # -- generated frames -------------------------------------------------------------
@@ -262,6 +282,41 @@ pairs = st.builds(
     st.sampled_from(("real", "complex")),
     st.sampled_from(RELATIONS),
 )
+
+
+def vanishing_factor(chart, rng):
+    """A polynomial that vanishes at none, some or all of the first three
+    sample points (x = 1, 2, 3), or at every retry of every sample point; or
+    a pole at every retry of every sample point."""
+    x, y = (chart.var(v) for v in chart.variables[:2])
+    kind = rng.choice(("none", "some", "all", "every_retry", "pole"))
+    if kind == "every_retry":
+        return y - x - chart.one()
+    if kind == "pole":
+        return pole_at_every_sample_point(chart)
+    roots = {"none": (), "some": rng.sample((1, 2, 3), rng.randint(1, 2)), "all": (1, 2, 3)}[kind]
+    f = chart.one()
+    for c in roots:
+        f = f * (x - chart.const(c))
+    return f
+
+
+def split_fields(seed, dim, mode):
+    """Independent, involutive fields that vanish at some sample points or
+    have poles: one random field, or scaled coordinate fields, each times a
+    vanishing factor."""
+    rng = random.Random(seed)
+    chart = (chart2 if dim == 2 else chart3)(mode)
+    k = rng.randint(1, dim - 1)
+    if k == 1:
+        field = VectorField(chart, [random_scalar(chart, rng, 1, 2) for _ in range(dim)])
+        while field.is_zero():
+            field = VectorField(chart, [random_scalar(chart, rng, 1, 2) for _ in range(dim)])
+        return [field.scale(vanishing_factor(chart, rng))]
+    return [
+        VectorField.coordinate(chart, i).scale(vanishing_factor(chart, rng) * nonzero_factor(chart, rng, poles=False))
+        for i in range(k)
+    ]
 
 
 def hierarchy_tensor(chart, rng):
@@ -442,13 +497,36 @@ def test_hierarchy_outcomes_match_the_old_order():
         want = frame_outcome(hierarchy_in_old_order, L, r, n, side)
         if want[:2] == ("raises", PointEvaluationError):
             # the one deliberate change: a member of full generic rank with a
-            # pole at every sample point is returned flagged, not raised
-            out = transformed(L, r, n, side)
-            flags = L.flags + ("hierarchy member has no valid sample point",)
-            want = "value", [s.components() for s in out.sections], flags
-            seen.add("flagged")
+            # pole at every sample point is returned, not raised
+            want = "value", [s.components() for s in transformed(L, r, n, side).sections]
+            seen.add("no valid sample point")
         assert got == want
         seen.add(got[0] if got[0] == "value" else got[1])
 
     check()
-    assert seen == {"value", "flagged", HierarchyKernelError}
+    assert seen == {"value", "no valid sample point", HierarchyKernelError}
+
+
+def test_split_verdicts_match_the_flagged_frames():
+    # the sampled rank of the frame already decides every case the flag of
+    # its fields covered, at each count up to the default
+    seen = set()
+
+    @SETTINGS
+    @given(st.integers(0, 10**6), st.sampled_from((2, 3)), st.sampled_from(("real", "complex")))
+    def check(seed, dim, mode):
+        fields = split_fields(seed, dim, mode)
+        L = make_split(fields)
+        flagged = split_flag(fields) is not None
+        for samples in (1, 2, 3):
+            got = check_lagrangian(L, samples)
+            assert got == split_lagrangian_with_flags(fields, samples)
+            seen.add((got.witnesses, flagged))
+
+    check()
+    assert seen == {
+        ((), False),
+        ((("rank", "rank drop at sample points"),), False),
+        ((("rank", "rank drop at sample points"),), True),
+        ((("rank", "no valid sample point"),), True),
+    }
