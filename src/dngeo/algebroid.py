@@ -80,9 +80,7 @@ class AlgebroidData:
             acc = self.chart.zero()
             for a in range(self.rank):
                 for b in range(self.rank):
-                    val = self.c(a, b, c)
-                    if not val.is_zero():
-                        acc = acc + u[a] * v[b] * val
+                    acc = acc + self.c(a, b, c) * u[a] * v[b]
             acc = acc + rho_u.deriv(v[c]) - rho_v.deriv(u[c])
             out.append(acc)
         return out
@@ -216,7 +214,7 @@ class IMOneOne:
         """D_X(sum f^a e_a), extended by the Leibniz rule."""
         A = self.parent
         m = A.rank
-        out = [A.chart.zero() for _ in range(m)]
+        out = [A.chart.zero()] * m
         rX = self.r.apply(X)
         for a in range(m):
             f = coeffs[a]
@@ -441,8 +439,7 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
             if coeffs is None:
                 raise PreconditionError("bracket leaves the frame span")
             for c in range(n):
-                if not coeffs[c].is_zero():
-                    struct[(a, b, c)] = coeffs[c]
+                struct[(a, b, c)] = coeffs[c]
     A = AlgebroidData(chart, [s.vec for s in L.sections], struct)
     mu = tuple(s.cov for s in L.sections)
     nu = tuple(PForm.zero(chart, 2) for _ in range(n))

@@ -26,6 +26,7 @@ from .symbolic import (
     eval_matrix_at_sample,
     generic_rank,
     kernel_basis,
+    numeric_rank,
     pivot_columns,
     rank_at_samples,
     same_chart,
@@ -236,19 +237,17 @@ def _beside(m1: FracMatrix, m2: FracMatrix) -> FracMatrix:
     return FracMatrix(m1.chart, [r1 + r2 for r1, r2 in zip(m1.entries, m2.entries)])
 
 
-def _pairings_vanish(L1: GFrame, L2: GFrame) -> bool:
+def _pairings_vanish(L1: GFrame, L2: GFrame, v1, v2) -> bool:
     """Whether every section of L1 pairs to zero with every section of L2.
 
+    v1 and v2 are the frames' matrices at one common sample point, or None.
     A pairing that is nonzero at a sample point is nonzero, so a frame pair
-    that fails is mostly rejected at one exact point, before any pairing of
-    rational functions is formed.  One frame (L1 is L2) is evaluated once,
-    its sections read as both sides.
+    that fails is mostly rejected there, before any pairing of rational
+    functions is formed.
     """
     n = L1.chart.dim
-    off = 0 if L1 is L2 else n
-    v = eval_matrix_at_sample(L1.matrix() if L1 is L2 else _beside(L1.matrix(), L2.matrix()))
-    if v is not None and any(
-        sum(v[i][a] * v[n + i][off + b] + v[n + i][a] * v[i][off + b] for i in range(n))
+    if v1 is not None and any(
+        sum(v1[i][a] * v2[n + i][b] + v1[n + i][a] * v2[i][b] for i in range(n))
         for a in range(n)
         for b in range(n)
     ):
@@ -376,19 +375,34 @@ def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
     Q(i)(x), so a lagrangian span L is its own orthogonal.  Hence when both
     ranks are n and L2 is isotropic, so lagrangian, the spans are equal
     exactly when <L1, L2> = 0, and [m1 | m2] is never eliminated.
+
+    [m1 | m2] is evaluated once, at the first pole-free retry of sample point
+    0.  Every sampled rank and pairing is read from those values: a rank of n
+    at any pole-free point proves a generic rank of n, and elimination runs
+    only where the sample falls short.
     """
     same_chart(L1.sections[0], L2.sections[0])
+    n = L1.chart.dim
     m1, m2 = L1.matrix(), L2.matrix()
-    rank = generic_rank(m1)
-    if generic_rank(m2) != rank:
-        return False
-    if rank == L1.chart.dim and _pairings_vanish(L2, L2):
-        return _pairings_vanish(L1, L2)
     both = _beside(m1, m2)
-    sampled = rank_at_samples(both, 1)
-    if sampled is not None and sampled > rank:
+    v = eval_matrix_at_sample(both)
+    v1 = v2 = None
+    if v is not None:
+        v1, v2 = [row[:n] for row in v], [row[n:] for row in v]
+
+    def rank(m, values):
+        if values is not None and numeric_rank(values) == n:
+            return n
+        return len(pivot_columns(m))
+
+    r = rank(m1, v1)
+    if rank(m2, v2) != r:
         return False
-    return len(pivot_columns(both)) == rank
+    if r == n and _pairings_vanish(L2, L2, v2, v2):
+        return _pairings_vanish(L1, L2, v1, v2)
+    if v is not None and numeric_rank(v) > r:
+        return False
+    return len(pivot_columns(both)) == r
 
 
 # -- concomitants ------------------------------------------------------------------

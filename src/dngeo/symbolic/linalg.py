@@ -120,15 +120,15 @@ def generic_rank(m: FracMatrix) -> int:
 def _back_substitute(chart, rows, pivots, values):
     """Fill pivot variables of `values` bottom-up; a row one entry longer than
     `values` carries its rhs entry last."""
-    zero = chart.zero()
+    one = poly_one(chart.dim)
     for pr, pc in reversed(pivots):
         row = rows[pr]
-        acc = ScalarExpr(chart, row[-1], poly_one(chart.dim)) if len(row) > len(values) else zero
+        acc = ScalarExpr(chart, row[-1], one) if len(row) > len(values) else chart.zero()
         for c in range(pc + 1, len(values)):
             if values[c].is_zero() or row[c].is_zero():
                 continue
-            acc = acc - ScalarExpr(chart, row[c], poly_one(chart.dim)) * values[c]
-        values[pc] = acc / ScalarExpr(chart, row[pc], poly_one(chart.dim))
+            acc = acc - ScalarExpr(chart, row[c], one) * values[c]
+        values[pc] = acc / ScalarExpr(chart, row[pc], one)
     return values
 
 
@@ -195,7 +195,7 @@ def kernel_basis(m: FracMatrix):
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        values = [chart.zero() for _ in range(m.cols)]
+        values = [chart.zero()] * m.cols
         values[free] = chart.one()
         _back_substitute(chart, rows, pivots, values)
         basis.append(normalize_vector(values))
@@ -213,13 +213,13 @@ def solve_linear(m: FracMatrix, rhs):
         raise ValueError("rhs length mismatch")
     rhs = list(rhs)
     if m.rows == 0:
-        return [chart.zero() for _ in range(m.cols)]
+        return [chart.zero()] * m.cols
     rows = _cleared_rows(m, rhs)
     pivots = _bareiss(rows, m.cols)
     # rows below the pivot rows are zero but for their rhs entry
     if any(not row[-1].is_zero() for row in rows[len(pivots):]):
         return None
-    values = [chart.zero() for _ in range(m.cols)]
+    values = [chart.zero()] * m.cols
     _back_substitute(chart, rows, pivots, values)
     return values
 

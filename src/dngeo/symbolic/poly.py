@@ -172,14 +172,17 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = poly_one(self.nvars)
+        if not k:
+            return poly_one(self.nvars)
+        out = None
         base = self
-        while k:
+        while True:  # no square after the last bit
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         return (

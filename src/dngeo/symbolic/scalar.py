@@ -10,6 +10,16 @@ coefficient field, kept in the canonical form
 
 Two ScalarExpr built in any order from the same rational function therefore
 compare equal structurally.
+
+ScalarExpr, Polynomial and Chart are immutable: nothing assigns `num`,
+`den`, `terms` or a chart field after construction, so results may share
+them.  Each chart holds one zero scalar, which `Chart.zero()` and the zero
+short-circuits of the arithmetic return.  `ScalarExpr.__init__`
+canonicalises its input; the trusted constructor `ScalarExpr._make` skips
+that and may be used only where the result is canonical by construction: a
+negation, a power of a nonzero scalar, a nonzero sum or product of two
+scalars over denominator 1 (over a field a product of nonzero polynomials
+is nonzero), and the derivative of a scalar over denominator 1.
 """
 
 from __future__ import annotations
@@ -39,10 +49,11 @@ class Chart:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "complex" and "i" in self.variables:
             raise ValueError("'i' is reserved in complex mode")
-
-    @property
-    def dim(self) -> int:
-        return len(self.variables)
+        # plain attributes, not fields: equality, hash and repr stay those of
+        # (name, variables, mode)
+        dim = len(self.variables)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_zero", ScalarExpr._make(self, Polynomial.zero(dim), poly_one(dim)))
 
     def index(self, name: str) -> int:
         try:
@@ -64,7 +75,7 @@ class Chart:
         return Fraction(value)
 
     def zero(self) -> "ScalarExpr":
-        return ScalarExpr(self, Polynomial.zero(self.dim), poly_one(self.dim))
+        return self._zero
 
     def one(self) -> "ScalarExpr":
         return self.const(1)
@@ -93,7 +104,7 @@ class Chart:
 def same_chart(*objs):
     chart = objs[0].chart
     for o in objs[1:]:
-        if not chart.compatible(o.chart):
+        if o.chart is not chart and not chart.compatible(o.chart):
             raise ChartMismatchError(
                 f"chart mismatch: {chart.name}{chart.variables} vs "
                 f"{o.chart.name}{o.chart.variables}"
@@ -108,8 +119,7 @@ class ScalarExpr:
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
         if num.is_zero():
-            num = Polynomial.zero(chart.dim)
-            den = poly_one(chart.dim)
+            num, den = chart._zero.num, chart._zero.den
         elif not den.is_one():
             g = poly_gcd(num, den)
             if not g.is_one():
@@ -125,13 +135,20 @@ class ScalarExpr:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _make(cls, chart: Chart, num: Polynomial, den: Polynomial) -> "ScalarExpr":
+        """Trusted constructor: num/den must already be canonical."""
+        s = object.__new__(cls)
+        s.chart, s.num, s.den = chart, num, den
+        return s
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -150,14 +167,20 @@ class ScalarExpr:
 
     def _coerce(self, other) -> "ScalarExpr":
         if isinstance(other, ScalarExpr):
-            same_chart(self, other)
+            if other.chart is not self.chart:
+                same_chart(self, other)
             return other
         return self.chart.const(other)
 
     def __add__(self, other):
         o = self._coerce(other)
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return o
         if self.den.is_one() and o.den.is_one():
-            return ScalarExpr(self.chart, self.num + o.num, self.den)
+            num = self.num + o.num
+            return ScalarExpr._make(self.chart, num, self.den) if num.terms else self.chart._zero
         return ScalarExpr(
             self.chart, self.num * o.den + o.num * self.den, self.den * o.den
         )
@@ -165,7 +188,9 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self.chart, -self.num, self.den)
+        if not self.num.terms:
+            return self
+        return ScalarExpr._make(self.chart, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -175,10 +200,10 @@ class ScalarExpr:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if self.num.is_zero() or o.num.is_zero():
-            return self.chart.zero()
+        if not self.num.terms or not o.num.terms:
+            return self.chart._zero
         if self.den.is_one() and o.den.is_one():
-            return ScalarExpr(self.chart, self.num * o.num, self.den)
+            return ScalarExpr._make(self.chart, self.num * o.num, self.den)
         # cross-cancel before multiplying to keep intermediate sizes down
         a, b, c, d = self.num, self.den, o.num, o.den
         g1 = poly_gcd(a, d)
@@ -205,21 +230,20 @@ class ScalarExpr:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.chart.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if not k:
+            return self.chart.one()
+        if not self.num.terms:
+            return self
+        # coprime num and den stay coprime, and a monic den stays monic
+        return ScalarExpr._make(self.chart, self.num ** k, self.den if self.den.is_one() else self.den ** k)
 
     # -- calculus -------------------------------------------------------------
 
     def diff(self, var) -> "ScalarExpr":
         k = var if isinstance(var, int) else self.chart.index(var)
         if self.den.is_one():
-            return ScalarExpr(self.chart, self.num.diff(k), self.den)
+            num = self.num.diff(k)
+            return ScalarExpr._make(self.chart, num, self.den) if num.terms else self.chart._zero
         n, d = self.num, self.den
         return ScalarExpr(self.chart, n.diff(k) * d - n * d.diff(k), d * d)
 

@@ -528,11 +528,8 @@ class VectorValuedTwoForm:
             acc = self.chart.zero()
             for j in range(n):
                 for k in range(n):
-                    if j == k:
-                        continue
-                    v = self.get(i, j, k)
-                    if not v.is_zero():
-                        acc = acc + v * X.comps[j] * Y.comps[k]
+                    if j != k:
+                        acc = acc + self.get(i, j, k) * X.comps[j] * Y.comps[k]
             comps.append(acc)
         return VectorField(self.chart, comps)
 
@@ -553,18 +550,9 @@ class VectorValuedTwoForm:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y]^i = X(Y^i) - Y(X^i)."""
     chart = same_chart(X, Y)
-    n = chart.dim
-    comps = []
-    for i in range(n):
-        acc = chart.zero()
-        for j in range(n):
-            if not X.comps[j].is_zero():
-                acc = acc + X.comps[j] * Y.comps[i].diff(j)
-            if not Y.comps[j].is_zero():
-                acc = acc - Y.comps[j] * X.comps[i].diff(j)
-        comps.append(acc)
-    return VectorField(chart, comps)
+    return VectorField(chart, [X.deriv(b) - Y.deriv(a) for a, b in zip(X.comps, Y.comps)])
 
 
 def ext_d(w: PForm) -> PForm:
