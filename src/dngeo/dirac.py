@@ -23,15 +23,15 @@ from .symbolic import (
     Chart,
     FracMatrix,
     ScalarExpr,
-    eval_matrix_at_sample,
     generic_rank,
+    image_at_sample,
     kernel_basis,
-    numeric_rank,
     pivot_columns,
     rank_at_samples,
     same_chart,
     solve_linear,
 )
+from .symbolic import modp
 from .symbolic.scalar import to_str
 from .courant import (
     GSection,
@@ -240,14 +240,14 @@ def _beside(m1: FracMatrix, m2: FracMatrix) -> FracMatrix:
 def _pairings_vanish(L1: GFrame, L2: GFrame, v1, v2) -> bool:
     """Whether every section of L1 pairs to zero with every section of L2.
 
-    v1 and v2 are the frames' matrices at one common sample point, or None.
-    A pairing that is nonzero at a sample point is nonzero, so a frame pair
-    that fails is mostly rejected there, before any pairing of rational
-    functions is formed.
+    v1 and v2 are the frames' matrices mod P at one common sample point, or
+    None.  A pairing whose image is nonzero there is nonzero, so a frame pair
+    that fails is mostly rejected before any pairing of rational functions
+    is formed.
     """
     n = L1.chart.dim
     if v1 is not None and any(
-        sum(v1[i][a] * v2[n + i][b] + v1[n + i][a] * v2[i][b] for i in range(n))
+        sum(v1[i][a] * v2[n + i][b] + v1[n + i][a] * v2[i][b] for i in range(n)) % modp.P
         for a in range(n)
         for b in range(n)
     ):
@@ -376,22 +376,24 @@ def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
     ranks are n and L2 is isotropic, so lagrangian, the spans are equal
     exactly when <L1, L2> = 0, and [m1 | m2] is never eliminated.
 
-    [m1 | m2] is evaluated once, at the first pole-free retry of sample point
-    0.  Every sampled rank and pairing is read from those values: a rank of n
-    at any pole-free point proves a generic rank of n, and elimination runs
-    only where the sample falls short.
+    [m1 | m2] is taken mod P once, at the first retry of sample point 0
+    where no denominator image vanishes.  Every sampled rank and pairing is
+    read from that image, and each read is one-sided: an image rank of n
+    proves a generic rank of n, an image rank of [m1 | m2] above r proves
+    the spans unequal, and a nonzero image pairing proves a nonzero pairing.
+    Whatever the image does not prove is decided exactly.
     """
     same_chart(L1.sections[0], L2.sections[0])
     n = L1.chart.dim
     m1, m2 = L1.matrix(), L2.matrix()
     both = _beside(m1, m2)
-    v = eval_matrix_at_sample(both)
+    v = image_at_sample(both)
     v1 = v2 = None
     if v is not None:
         v1, v2 = [row[:n] for row in v], [row[n:] for row in v]
 
     def rank(m, values):
-        if values is not None and numeric_rank(values) == n:
+        if values is not None and modp.rank(values) == n:
             return n
         return len(pivot_columns(m))
 
@@ -400,7 +402,7 @@ def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
         return False
     if r == n and _pairings_vanish(L2, L2, v2, v2):
         return _pairings_vanish(L1, L2, v1, v2)
-    if v is not None and numeric_rank(v) > r:
+    if v is not None and modp.rank(v) > r:
         return False
     return len(pivot_columns(both)) == r
 

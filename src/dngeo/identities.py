@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import PointEvaluationError
 from .symbolic import (
     Chart,
     FracMatrix,
@@ -179,7 +180,7 @@ def _(rng, k):
         try:
             if a.eval(point):
                 hits += 1
-        except Exception:
+        except PointEvaluationError:
             continue
     return hits >= 1
 

@@ -6,6 +6,7 @@ from .linalg import (
     FracMatrix,
     eval_matrix_at_sample,
     generic_rank,
+    image_at_sample,
     kernel_basis,
     normalize_vector,
     numeric_rank,
@@ -28,6 +29,7 @@ __all__ = [
     "divexact",
     "eval_matrix_at_sample",
     "generic_rank",
+    "image_at_sample",
     "kernel_basis",
     "normalize_vector",
     "numeric_rank",

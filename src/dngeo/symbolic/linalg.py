@@ -5,6 +5,11 @@ of denominators, after which all row updates are exact polynomial divisions.
 The pivot of each column is the first nonzero entry found scanning the
 remaining rows in order, so eliminations, kernels and solutions are
 reproducible byte for byte.
+
+Every sampled rank is decided first modulo one prime (see modp.py), at the
+same sample point the exact evaluation would use.  An image of full rank
+proves that rank over Q or Q(i); any other image falls back to evaluating
+the point exactly, so a sampled rank is the exact one.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import PointEvaluationError
+from . import modp
 from .gaussian import GaussianRational
 from .poly import Polynomial, divexact, poly_gcd, poly_lcm, poly_one
 from .scalar import Chart, ScalarExpr, same_chart
@@ -239,11 +245,26 @@ def eval_matrix_at_sample(m: FracMatrix, s: int = 0):
     """The entries' values at sample point s, retrying past denominator zeros;
     None when every retry is a pole."""
     for retry in range(MAX_POINT_RETRIES + 1):
+        # a sample point is already in every chart's coefficient field
         point = sample_point(m.chart, s, retry)
         try:
-            return [[e.eval(point) for e in row] for row in m.entries]
+            return [[e._eval(point) for e in row] for row in m.entries]
         except PointEvaluationError:
             continue
+    return None
+
+
+def image_at_sample(m: FracMatrix, s: int = 0):
+    """The entries mod P at the first retry of sample point s where no
+    denominator image vanishes; None when there is none, or when a
+    coefficient has no image."""
+    image = modp.matrix_image(m)
+    if image is None:
+        return None
+    for retry in range(MAX_POINT_RETRIES + 1):
+        values = image.at(sample_point(m.chart, s, retry))
+        if values is not None:
+            return values
     return None
 
 
@@ -276,9 +297,22 @@ def numeric_rank(values) -> int:
 
 def rank_at_samples(m: FracMatrix, samples: int = 3):
     """Max rank observed over the deterministic sample points, or None as soon
-    as one of them has no valid retry."""
+    as one of them has no valid retry.
+
+    Each sample point is tried mod P at its first retry: an image rank of
+    min(rows, cols) proves that rank there.  A shorter image rank, a
+    vanishing denominator image or a coefficient without image sends the
+    point to exact evaluation, which retries past poles.
+    """
+    full = min(m.rows, m.cols)
+    image = modp.matrix_image(m)
     best = 0
     for s in range(samples):
+        if image is not None:
+            values = image.at(sample_point(m.chart, s))
+            if values is not None and modp.rank(values) == full:
+                best = full
+                continue
         values = eval_matrix_at_sample(m, s)
         if values is None:
             return None

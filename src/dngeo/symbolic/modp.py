@@ -1,0 +1,146 @@
+"""Images of rational functions modulo one fixed prime.
+
+P = 2^61 - 31 is prime and P = 1 (mod 4), and I^2 = -1 (mod P), so Q and
+Q(i) map into the integers mod P by one rule: a/b goes to a * b^-1 and
+re + i im to img(re) + I img(im).  A coefficient whose denominator P divides
+has no image.
+
+An image proves only one-sided facts about the exact values it comes from:
+a nonzero image is the image of a nonzero value, and a matrix whose image
+has rank r has rank at least r.  Every other outcome is left to exact
+arithmetic, so a decision read from an image is the exact one.
+"""
+
+from __future__ import annotations
+
+from .gaussian import GaussianRational
+
+P = 2**61 - 31
+I = 583529827753931384
+
+
+def coeff_image(c):
+    """c mod P for c in Q or Q(i); None when P divides a denominator of c."""
+    if isinstance(c, GaussianRational):
+        re, im = coeff_image(c.re), coeff_image(c.im)
+        return None if re is None or im is None else (re + I * im) % P
+    d = c.denominator
+    if d == 1:
+        return c.numerator % P
+    if not d % P:
+        return None
+    return c.numerator * pow(d, -1, P) % P
+
+
+def poly_image(p):
+    """[(exponent, coefficient mod P)] for the terms of p, or None when a
+    coefficient has no image."""
+    out = []
+    for e, c in p.terms.items():
+        c = coeff_image(c)
+        if c is None:
+            return None
+        out.append((e, c))
+    return out
+
+
+class MatrixImage:
+    """A matrix of rational functions with its coefficients mapped mod P
+    once, to be evaluated at any number of points."""
+
+    __slots__ = ("rows", "degrees")
+
+    def __init__(self, rows, degrees):
+        self.rows = rows  # each entry (numerator terms, denominator terms or None for 1)
+        self.degrees = degrees  # the highest exponent of each variable
+
+    def at(self, point):
+        """The entries mod P at point, or None when a coordinate has no image
+        or a denominator image vanishes there."""
+        powers = []
+        for x, d in zip(point, self.degrees):
+            x = coeff_image(x)
+            if x is None:
+                return None
+            row = [1]
+            for _ in range(d):
+                row.append(row[-1] * x % P)
+            powers.append(row)
+        monomials = {}
+
+        def value(terms):
+            total = 0
+            for e, c in terms:
+                v = monomials.get(e)
+                if v is None:
+                    v = 1
+                    for row, k in zip(powers, e):
+                        if k:
+                            v = v * row[k] % P
+                    monomials[e] = v
+                total += c * v
+            return total % P
+
+        out = []
+        for row in self.rows:
+            values = []
+            for num, den in row:
+                v = value(num)
+                if den is not None:
+                    d = value(den)
+                    if not d:
+                        return None
+                    v = v * pow(d, -1, P) % P
+                values.append(v)
+            out.append(values)
+        return out
+
+
+def matrix_image(m):
+    """The MatrixImage of a FracMatrix, or None when a coefficient has no
+    image."""
+    rows = []
+    degrees = [0] * m.chart.dim
+    for row in m.entries:
+        images = []
+        for s in row:
+            num = poly_image(s.num)
+            den = None if s.den.is_one() else poly_image(s.den)
+            if num is None or den is None and not s.den.is_one():
+                return None
+            for e, _ in num + (den or []):
+                for k, d in enumerate(e):
+                    if d > degrees[k]:
+                        degrees[k] = d
+            images.append((num, den))
+        rows.append(images)
+    return MatrixImage(rows, degrees)
+
+
+def rank(values) -> int:
+    """Rank of a matrix of integers mod P by Gaussian elimination."""
+    rows = [list(r) for r in values]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][pc]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        inv = pow(top[pc], -1, P)
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            if row[pc]:
+                f = row[pc] * inv % P
+                for j in range(pc, ncols):
+                    row[j] = (row[j] - f * top[j]) % P
+        r += 1
+        if r == nrows:
+            break
+    return r

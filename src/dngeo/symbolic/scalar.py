@@ -19,7 +19,10 @@ canonicalises its input; the trusted constructor `ScalarExpr._make` skips
 that and may be used only where the result is canonical by construction: a
 negation, a power of a nonzero scalar, a nonzero sum or product of two
 scalars over denominator 1 (over a field a product of nonzero polynomials
-is nonzero), and the derivative of a scalar over denominator 1.
+is nonzero), the general product once its cross pairs are cancelled (the
+numerator of each factor is then coprime to the denominator of the other,
+and a monic denominator divided by a monic gcd stays monic), and the
+derivative of a scalar over denominator 1.
 """
 
 from __future__ import annotations
@@ -212,7 +215,8 @@ class ScalarExpr:
         g2 = poly_gcd(c, b)
         if not g2.is_one():
             c, b = divexact(c, g2), divexact(b, g2)
-        return ScalarExpr(self.chart, a * c, b * d)
+        # a*c and b*d are coprime, as each cross pair is; b and d stay monic
+        return ScalarExpr._make(self.chart, a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -251,7 +255,11 @@ class ScalarExpr:
         """Exact value at a rational point; raises PointEvaluationError on poles."""
         if len(point) != self.chart.dim:
             raise ValueError("point dimension mismatch")
-        point = [self.chart.coeff(v) for v in point]
+        return self._eval([self.chart.coeff(v) for v in point])
+
+    def _eval(self, point):
+        """eval at a point whose coordinates are already coefficients of the
+        chart's field."""
         dv = self.den.eval(point)
         if not dv:
             raise PointEvaluationError(f"denominator vanishes at {tuple(point)}")

@@ -1,0 +1,28 @@
+"""Fixtures shared by several test modules."""
+
+import pytest
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Running counts of the point evaluations behind sampled decisions:
+    "image" counts matrices evaluated mod P at a point, "matrix" the exact
+    fallbacks (eval_matrix_at_sample calls) and "scalar" the exact scalar
+    evaluations (ScalarExpr._eval, which ScalarExpr.eval also reaches)."""
+    import dngeo.symbolic.linalg as linalg
+    from dngeo.symbolic.modp import MatrixImage
+    from dngeo.symbolic.scalar import ScalarExpr
+
+    count = {"image": 0, "matrix": 0, "scalar": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            count[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(MatrixImage, "at", counted("image", MatrixImage.at))
+    monkeypatch.setattr(linalg, "eval_matrix_at_sample", counted("matrix", linalg.eval_matrix_at_sample))
+    monkeypatch.setattr(ScalarExpr, "_eval", counted("scalar", ScalarExpr._eval))
+    return count

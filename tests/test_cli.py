@@ -42,31 +42,6 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    """Running counts of eval_matrix_at_sample ("matrix") and ScalarExpr.eval
-    ("scalar") calls."""
-    import dngeo.dirac
-    import dngeo.symbolic.linalg as linalg
-    from dngeo.symbolic.scalar import ScalarExpr
-
-    count = {"matrix": 0, "scalar": 0}
-    matrix, scalar = linalg.eval_matrix_at_sample, ScalarExpr.eval
-
-    def counted_matrix(*args, **kwargs):
-        count["matrix"] += 1
-        return matrix(*args, **kwargs)
-
-    def counted_scalar(*args, **kwargs):
-        count["scalar"] += 1
-        return scalar(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "eval_matrix_at_sample", counted_matrix)
-    monkeypatch.setattr(dngeo.dirac, "eval_matrix_at_sample", counted_matrix)
-    monkeypatch.setattr(ScalarExpr, "eval", counted_scalar)
-    return count
-
-
-@pytest.fixture
 def scene_file(tmp_path):
     def write(text, name="scene.txt"):
         p = tmp_path / name
@@ -537,10 +512,12 @@ class TestInputContract:
 
     def test_lagrangian_rank_evaluates_each_sample_point_once(self, capsys, evaluations):
         # a sampled rank below n goes straight to elimination, without
-        # evaluating the first sample point again
+        # evaluating the first sample point again; the image of each of the 7
+        # rank reads is rank deficient at (1, 2), as the point itself is, so
+        # each falls back to one exact evaluation of the 4x2 matrix
         path = str(Path(__file__).resolve().parent / "golden" / "samples_1.scene")
         assert run_cli(capsys, "check", path, "--samples", "1")[0] == 2
-        assert evaluations["matrix"] == 7
+        assert evaluations == {"image": 7, "matrix": 7, "scalar": 56}
 
     # every retry of every sample point (1+s+7t, 2+s+7t) has y = x + 1
     POLE = "chart R2 x y\nbivector p = 1 2 1/(y - x - 1)\n"
@@ -548,16 +525,16 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "text, argv, counts",
         [
-            (POLE + "frame L = poisson p\ncheck lagrangian L\n", ["check"], (1, 42)),
+            (POLE + "frame L = poisson p\ncheck lagrangian L\n", ["check"], (1, 1, 42)),
             (
                 "chart R2 x y\nvector v = 1/(y - x - 1) ; 0\nframe S = split v\ncheck lagrangian S\n",
                 ["check"],
-                (2, 42),
+                (2, 2, 42),
             ),
             (
                 POLE + "oneone r = x, 0 ; 0, x\nframe L = poisson p\n",
                 ["hierarchy", "--side", "n0", "--n", "1"],
-                (2, 84),
+                (2, 2, 84),
             ),
         ],
         ids=["poisson", "split", "hierarchy"],
@@ -565,18 +542,21 @@ class TestInputContract:
     def test_pole_scenes_evaluate_each_sample_point_once(
         self, capsys, scene_file, evaluations, text, argv, counts
     ):
-        # (eval_matrix_at_sample, ScalarExpr.eval) calls: each matrix tries
-        # the 21 retries of its first sample point once, then eliminates
+        # (image, exact matrix, exact scalar) evaluations: the image of each
+        # matrix has a vanishing denominator at the first retry, so the
+        # matrix tries the 21 retries of its first sample point exactly
+        # once, then eliminates
         code, out, err = run_cli(capsys, argv[0], scene_file(text), *argv[1:])
         assert code == 2 and err == ""
         assert "rank: no valid sample point" in out
-        assert (evaluations["matrix"], evaluations["scalar"]) == counts
+        assert (evaluations["image"], evaluations["matrix"], evaluations["scalar"]) == counts
 
     def test_split_frame_evaluates_each_sample_point_once(self, evaluations):
-        # one sample point proves the fields independent; the frame's rank
-        # at the caller's sample points is left to check_lagrangian
+        # the image at one sample point proves the fields independent; the
+        # frame's rank at the caller's sample points is left to
+        # check_lagrangian
         parse_scene("chart R2 x y\nvector v = x ; 1\nframe S = split v\n")
-        assert evaluations["matrix"] == 1
+        assert evaluations == {"image": 1, "matrix": 0, "scalar": 0}
 
     # the split field vanishes at the first three sample points, x = 1, 2, 3
     SPLIT_CUBIC = (
@@ -600,21 +580,22 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "frames, equal, counts",
         [
-            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, (1, 16)),
-            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (1, 16)),
-            ("frame A = sections u 0 ; t 0\nframe B = sections v 0 ; t 0\n", True, (1, 16)),
+            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, (1, 0, 0)),
+            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (1, 0, 0)),
+            ("frame A = sections u 0 ; t 0\nframe B = sections v 0 ; t 0\n", True, (1, 0, 0)),
         ],
         ids=["isotropic-rank-1", "rank-2-not-isotropic", "lagrangian"],
     )
     def test_span_equality_evaluates_each_sample_point_once(self, evaluations, frames, equal, counts):
-        # (eval_matrix_at_sample, ScalarExpr.eval) calls: [m1 | m2] is
-        # sampled once, and every sampled rank and pairing is read from it
+        # (image, exact matrix, exact scalar) evaluations: [m1 | m2] is
+        # taken mod P once, every sampled rank and pairing is read from
+        # that image, and nothing is evaluated exactly
         from dngeo.dirac import frames_equal_span
 
         scene = parse_scene(self.SPANS + frames)
-        evaluations.update(matrix=0, scalar=0)
+        evaluations.update(image=0, matrix=0, scalar=0)
         assert frames_equal_span(scene.frames["A"], scene.frames["B"]) is equal
-        assert (evaluations["matrix"], evaluations["scalar"]) == counts
+        assert (evaluations["image"], evaluations["matrix"], evaluations["scalar"]) == counts
 
 
 class TestTimings:

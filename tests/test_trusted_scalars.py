@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dngeo.errors import ChartMismatchError
@@ -35,15 +35,20 @@ def polys(draw, chart, max_terms=3):
 
 @st.composite
 def scalars(draw, chart):
-    """Zero, constants, polynomials (denominator 1, the trusted paths) and
-    proper fractions, all canonical."""
+    """Zero, constants, polynomials (denominator 1, the trusted paths),
+    fractions and proper fractions, all canonical.  A proper fraction's
+    denominator has a term x^(2 dim + 1) of higher degree than its numerator,
+    so it keeps a non-constant denominator."""
     num = draw(polys(chart))
-    kind = draw(st.sampled_from(("zero", "const", "poly", "poly", "fraction")))
+    kind = draw(st.sampled_from(("zero", "const", "poly", "poly", "fraction", "proper")))
     if kind == "zero":
         return chart.zero()
     if kind == "const":
         return chart.const(draw(st.integers(-3, 3)))
-    den = draw(polys(chart, 2)) if kind == "fraction" else poly_one(chart.dim)
+    den = draw(polys(chart, 2)) if kind in ("fraction", "proper") else poly_one(chart.dim)
+    if kind == "proper":
+        den = den + Polynomial.variable(chart.dim, 0) ** (2 * chart.dim + 1)
+        num = num if num.terms else poly_one(chart.dim)
     if den.is_zero():
         den = poly_one(chart.dim)
     return ScalarExpr(chart, num, den)
@@ -85,8 +90,26 @@ def cases(draw):
     return chart, a, b
 
 
+def _proper_products():
+    """Operands with non-1 denominators: without cancellation, with a cross
+    pair cancelled, and over Q(i)."""
+    r2, c1 = CHARTS[0], CHARTS[1]
+    x, y, z, i = r2.var("x"), r2.var("y"), c1.var("z"), c1.imag_unit()
+    return [
+        (r2, x / (y + 1), (x + 2) / (x * y + 3)),
+        (r2, (x * x - 1) / (y + 1), (y + 1) / (x + 1)),
+        (c1, z / (z + i), (z + i) / (z * z - 2 * i)),
+    ]
+
+
+PROPER = _proper_products()
+
+
 @SETTINGS
 @given(cases(), st.sampled_from(sorted(BINARY)), st.integers(0, 4))
+@example(PROPER[0], "*", 2)
+@example(PROPER[1], "*", 1)
+@example(PROPER[2], "/", 0)
 def test_results_are_canonical_and_match_evaluation(case, op, k):
     chart, a, b = case
     results = [(-a, lambda p: -value(a, p)), (a + (-a), lambda p: 0)]
@@ -101,6 +124,11 @@ def test_results_are_canonical_and_match_evaluation(case, op, k):
             if value(a, p) is None or value(b, p) is None or (op == "/" and not value(b, p)):
                 continue
             assert value(s, p) == want(p)
+
+
+def test_the_examples_multiply_two_proper_fractions():
+    for _, a, b in PROPER:
+        assert not a.den.is_one() and not b.den.is_one() and not b.inverse().den.is_one()
 
 
 def test_trusted_paths_on_fixed_inputs():
