@@ -1,15 +1,25 @@
 """Linear algebra over the rational-function field.
 
-Elimination is fraction-free in the Bareiss style: every row is first cleared
-of denominators, after which all row updates are exact polynomial divisions.
-The pivot of each column is the first nonzero entry found scanning the
-remaining rows in order, so eliminations, kernels and solutions are
-reproducible byte for byte.
+pivot_columns, solve_linear and kernel_basis share one integer elimination.
+Every row is cleared of denominators, then scaled by the lcm of its
+coefficient denominators, which changes no pivot and no solution, and its
+entries are packed once per matrix (see poly.py) into polynomials with
+integer coefficients over Q or Gaussian-integer ones over Q(i).  Bareiss
+elimination on them makes every row update a product, a difference and an
+exact division.  The pivot of each column is the first nonzero entry found
+scanning the remaining rows in order, so eliminations, kernels and
+solutions are reproducible byte for byte.
+
+Solutions are read by Cramer's rule without fractions: with D the last
+pivot, an r x r minor, y = D x is polynomial and fills bottom-up with
+products and exact divisions.  Each x_i = y_i / D then becomes a scalar
+once, by one trial division before any gcd.
 
 Every sampled rank is decided first modulo one prime (see modp.py), at the
-same sample point the exact evaluation would use.  An image of full rank
-proves that rank over Q or Q(i); any other image falls back to evaluating
-the point exactly, so a sampled rank is the exact one.
+same sample points the exact evaluation would use.  An image of full rank
+proves that rank over Q or Q(i); only a denominator whose image vanishes is
+evaluated exactly, and only an image rank that falls short sends the point
+to exact evaluation, so a sampled rank is the exact one.
 """
 
 from __future__ import annotations
@@ -20,7 +30,19 @@ from math import gcd, lcm
 from ..errors import PointEvaluationError
 from . import modp
 from .gaussian import GaussianRational
-from .poly import Polynomial, divexact, poly_gcd, poly_lcm, poly_one
+from .poly import (
+    Polynomial,
+    _divide,
+    _dot,
+    _integral,
+    _packed,
+    _packing,
+    _unpacked,
+    divexact,
+    poly_gcd,
+    poly_lcm,
+    poly_one,
+)
 from .scalar import Chart, ScalarExpr, same_chart
 
 
@@ -68,33 +90,60 @@ def _cleared_rows(m: FracMatrix, rhs=None):
     return rows
 
 
-def _bareiss(rows, ncols):
-    """In-place fraction-free elimination with pivots in the first ncols
-    columns (later columns are updated with their rows); returns the pivot
-    list [(row, col)]."""
+def _packed_rows(m: FracMatrix, rhs=None):
+    """(rows, pairs, guard, unpack): the cleared rows, each scaled by the lcm
+    of its coefficient denominators, as packed polynomials (see poly.py)
+    with int coefficients, or [re, im] ones with pairs over Q(i), and the
+    map from a packed polynomial back to a Polynomial.
+
+    Every entry of the elimination and of y is a minor of these rows, so its
+    total degree is at most the sum of the row degrees, and a product of two
+    at most twice that; the fields are sized for such a product.
+    """
+    cleared = _cleared_rows(m, rhs)
+    pairs = any(isinstance(c, GaussianRational) for row in cleared for p in row for c in p.terms.values())
+    degree = sum(max((sum(e) for p in row for e in p.terms), default=0) for row in cleared)
+    n = m.chart.dim
+    w, weights, guard = _packing(n, 2 * degree)
+    rows = []
+    for row in cleared:
+        entries = [_integral(p, pairs) for p in row]
+        common = lcm(*[d for d, _ in entries])
+        rows.append([_packed(terms, weights, pairs, common // d) for d, terms in entries])
+    return rows, pairs, guard, lambda p: _unpacked(p, n, w, pairs)
+
+
+def _quotient(rem, divisor, guard, pairs):
+    """rem / divisor for packed polynomials; every quotient of the
+    elimination has integer coefficients."""
+    q, scale = _divide(rem, divisor, guard, pairs)
+    if scale != 1:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _eliminate(rows, ncols, pairs, guard):
+    """In-place fraction-free elimination of packed rows with pivots in the
+    first ncols columns (later columns are updated with their rows); returns
+    the pivot list [(row, col)]."""
     nrows = len(rows)
     pivots = []
     prev = None
     pr = 0
     for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, nrows):
-            if not rows[i][pc].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(pr, nrows) if rows[i][pc]), None)
         if pivot_row is None:
             continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][pc]
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        top = rows[pr]
+        piv = top[pc]
         # left of pc, the rows at and below pr are already zero
         for i in range(pr + 1, nrows):
-            head = rows[i][pc]
-            for j in range(pc, len(rows[i])):
-                val = piv * rows[i][j] - head * rows[pr][j]
-                if prev is not None and not val.is_zero():
-                    val = divexact(val, prev)
-                rows[i][j] = val
+            row = rows[i]
+            head = row[pc]
+            for j in range(pc, len(row)):
+                val = _dot([(piv, row[j])], [(head, top[j])], pairs)
+                row[j] = _quotient(val, prev, guard, pairs) if prev and val else val
         pivots.append((pr, pc))
         prev = piv
         pr += 1
@@ -103,10 +152,35 @@ def _bareiss(rows, ncols):
     return pivots
 
 
+def _scaled_solution(rows, pivots, ncols, free, pairs, guard):
+    """(y, D): D is the last pivot, an r x r minor, and y = D x for the
+    solution x of the eliminated rows with x_free = 1 and the other free
+    entries 0, or, when free is None, with every free entry 0 and the rows'
+    last entries as right-hand side.
+
+    By Cramer's rule every y_c is a minor, so y fills bottom-up with
+    products and exact divisions only: y_pc = (D rhs - sum_c row[c] y_c) / row[pc].
+    """
+    D = rows[pivots[-1][0]][pivots[-1][1]] if pivots else {0: [1, 0] if pairs else 1}
+    y = [{}] * ncols
+    if free is not None:
+        y[free] = D
+    for pr, pc in reversed(pivots):
+        row = rows[pr]
+        acc = _dot(
+            [(D, row[-1])] if free is None else [],
+            [(row[c], y[c]) for c in range(pc + 1, ncols) if y[c] and row[c]],
+            pairs,
+        )
+        y[pc] = _quotient(acc, row[pc], guard, pairs) if acc else {}
+    return y, D
+
+
 def pivot_columns(m: FracMatrix) -> list:
     """The columns of m that are not combinations of earlier ones, in order,
     read from one fraction-free elimination."""
-    return [pc for _, pc in _bareiss(_cleared_rows(m), m.cols)]
+    rows, pairs, guard, _ = _packed_rows(m)
+    return [pc for _, pc in _eliminate(rows, m.cols, pairs, guard)]
 
 
 def generic_rank(m: FracMatrix) -> int:
@@ -123,27 +197,12 @@ def generic_rank(m: FracMatrix) -> int:
     return len(pivot_columns(m))
 
 
-def _back_substitute(chart, rows, pivots, values):
-    """Fill pivot variables of `values` bottom-up; a row one entry longer than
-    `values` carries its rhs entry last."""
-    one = poly_one(chart.dim)
-    for pr, pc in reversed(pivots):
-        row = rows[pr]
-        acc = ScalarExpr(chart, row[-1], one) if len(row) > len(values) else chart.zero()
-        for c in range(pc + 1, len(values)):
-            if values[c].is_zero() or row[c].is_zero():
-                continue
-            acc = acc - ScalarExpr(chart, row[c], one) * values[c]
-        values[pc] = acc / ScalarExpr(chart, row[pc], one)
-    return values
-
-
 def normalize_vector(vec):
     """Denominator-cleared, content-reduced copy of a ScalarExpr vector.
 
     The first nonzero entry's leading coefficient is normalized positive,
-    every entry becomes a polynomial, and (in real mode) the integer content
-    of all coefficients is 1.
+    every entry becomes a polynomial, and the integer content of all
+    coefficients (both parts of a Gaussian rational) is 1.
     """
     chart = same_chart(*vec)
     if all(v.is_zero() for v in vec):
@@ -184,50 +243,50 @@ def normalize_vector(vec):
     return [ScalarExpr(chart, p, poly_one(chart.dim)) for p in polys]
 
 
+def _ratio(chart: Chart, y: Polynomial, d: Polynomial) -> ScalarExpr:
+    """The scalar y/d, by one trial division before the gcd."""
+    if y.is_zero():
+        return chart.zero()
+    try:
+        return ScalarExpr._make(chart, divexact(y, d), poly_one(chart.dim))
+    except ValueError:
+        return ScalarExpr(chart, y, d)
+
+
 def kernel_basis(m: FracMatrix):
-    """Basis of the right kernel over the function field (normalized vectors)."""
+    """Basis of the right kernel over the function field (normalized vectors),
+    one vector per free column."""
     chart = m.chart
-    if m.rows == 0:
-        return [
-            normalize_vector(
-                [chart.one() if c == j else chart.zero() for c in range(m.cols)]
-            )
-            for j in range(m.cols)
-        ]
-    rows = _cleared_rows(m)
-    pivots = _bareiss(rows, m.cols)
+    rows, pairs, guard, unpack = _packed_rows(m)
+    pivots = _eliminate(rows, m.cols, pairs, guard)
     pivot_cols = {pc for _, pc in pivots}
-    basis = []
+    basis, d = [], None
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        values = [chart.zero()] * m.cols
-        values[free] = chart.one()
-        _back_substitute(chart, rows, pivots, values)
-        basis.append(normalize_vector(values))
+        y, D = _scaled_solution(rows, pivots, m.cols, free, pairs, guard)
+        if d is None:  # the same last pivot for every free column
+            d = unpack(D)
+        basis.append(normalize_vector([_ratio(chart, unpack(v), d) for v in y]))
     return basis
 
 
 def solve_linear(m: FracMatrix, rhs):
     """One particular solution of m x = rhs, or None when inconsistent.
 
-    Free variables are set to zero; the solution is the deterministic output
-    of back-substitution after fraction-free elimination.
+    Free variables are set to zero; the solution is x = y/D from the
+    fraction-free elimination of [m | rhs].
     """
-    chart = m.chart
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    rhs = list(rhs)
-    if m.rows == 0:
-        return [chart.zero()] * m.cols
-    rows = _cleared_rows(m, rhs)
-    pivots = _bareiss(rows, m.cols)
+    rows, pairs, guard, unpack = _packed_rows(m, list(rhs))
+    pivots = _eliminate(rows, m.cols, pairs, guard)
     # rows below the pivot rows are zero but for their rhs entry
-    if any(not row[-1].is_zero() for row in rows[len(pivots):]):
+    if any(row[-1] for row in rows[len(pivots):]):
         return None
-    values = [chart.zero()] * m.cols
-    _back_substitute(chart, rows, pivots, values)
-    return values
+    y, D = _scaled_solution(rows, pivots, m.cols, None, pairs, guard)
+    d = unpack(D)
+    return [_ratio(m.chart, unpack(v), d) for v in y]
 
 
 # -- sample points -------------------------------------------------------------
@@ -241,14 +300,23 @@ def sample_point(chart: Chart, s: int = 0, retry: int = 0):
 MAX_POINT_RETRIES = 20
 
 
+def _exact_values(m: FracMatrix, point):
+    """The entries' values at point; raises PointEvaluationError at a pole."""
+    # a sample point is already in every chart's coefficient field
+    return [[e._eval(point) for e in row] for row in m.entries]
+
+
+def _pole(s: ScalarExpr, point) -> bool:
+    """Whether the denominator of s vanishes at point, evaluated exactly."""
+    return not s.den.eval(point)
+
+
 def eval_matrix_at_sample(m: FracMatrix, s: int = 0):
     """The entries' values at sample point s, retrying past denominator zeros;
     None when every retry is a pole."""
     for retry in range(MAX_POINT_RETRIES + 1):
-        # a sample point is already in every chart's coefficient field
-        point = sample_point(m.chart, s, retry)
         try:
-            return [[e._eval(point) for e in row] for row in m.entries]
+            return _exact_values(m, sample_point(m.chart, s, retry))
         except PointEvaluationError:
             continue
     return None
@@ -263,7 +331,7 @@ def image_at_sample(m: FracMatrix, s: int = 0):
         return None
     for retry in range(MAX_POINT_RETRIES + 1):
         values = image.at(sample_point(m.chart, s, retry))
-        if values is not None:
+        if values is not None and None not in (v for row in values for v in row):
             return values
     return None
 
@@ -295,26 +363,43 @@ def numeric_rank(values) -> int:
     return rank
 
 
+def _rank_at(m: FracMatrix, image, s: int):
+    """The rank at the first pole-free retry of sample point s, or None when
+    every retry is a pole."""
+    for retry in range(MAX_POINT_RETRIES + 1):
+        point = sample_point(m.chart, s, retry)
+        values = None if image is None else image.at(point)
+        if values is not None:
+            # a denominator with a nonzero image is nonzero
+            lost = [e for row, images in zip(m.entries, values) if None in images for e, v in zip(row, images) if v is None]
+            if any(_pole(e, point) for e in lost):
+                continue
+            full = min(m.rows, m.cols)
+            if not lost and modp.rank(values) == full:
+                return full
+        try:
+            return numeric_rank(_exact_values(m, point))
+        except PointEvaluationError:  # only a matrix without image gets here
+            continue
+    return None
+
+
 def rank_at_samples(m: FracMatrix, samples: int = 3):
     """Max rank observed over the deterministic sample points, or None as soon
     as one of them has no valid retry.
 
-    Each sample point is tried mod P at its first retry: an image rank of
-    min(rows, cols) proves that rank there.  A shorter image rank, a
-    vanishing denominator image or a coefficient without image sends the
-    point to exact evaluation, which retries past poles.
+    Each retry of a sample point is tried mod P first.  The denominators
+    whose image vanishes there are evaluated exactly, and an exact zero makes
+    the retry a pole.  At the first pole-free retry an image rank of
+    min(rows, cols) proves that rank; a shorter image rank or an entry
+    without image sends that retry to exact evaluation.  A matrix with a
+    coefficient without image is evaluated exactly at every retry.
     """
-    full = min(m.rows, m.cols)
     image = modp.matrix_image(m)
     best = 0
     for s in range(samples):
-        if image is not None:
-            values = image.at(sample_point(m.chart, s))
-            if values is not None and modp.rank(values) == full:
-                best = full
-                continue
-        values = eval_matrix_at_sample(m, s)
-        if values is None:
+        rank = _rank_at(m, image, s)
+        if rank is None:
             return None
-        best = max(best, numeric_rank(values))
+        best = max(best, rank)
     return best

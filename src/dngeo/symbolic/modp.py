@@ -55,8 +55,9 @@ class MatrixImage:
         self.degrees = degrees  # the highest exponent of each variable
 
     def at(self, point):
-        """The entries mod P at point, or None when a coordinate has no image
-        or a denominator image vanishes there."""
+        """The entries mod P at point, with None for an entry whose
+        denominator image vanishes there; None when a coordinate has no
+        image."""
         powers = []
         for x, d in zip(point, self.degrees):
             x = coeff_image(x)
@@ -88,9 +89,7 @@ class MatrixImage:
                 v = value(num)
                 if den is not None:
                     d = value(den)
-                    if not d:
-                        return None
-                    v = v * pow(d, -1, P) % P
+                    v = v * pow(d, -1, P) % P if d else None
                 values.append(v)
             out.append(values)
         return out

@@ -11,10 +11,11 @@ integer numerators over one common denominator, the lcm of its coefficient
 denominators; over Q(i) a numerator is a (re, im) pair of integers.
 `Polynomial.__mul__` multiplies and sums plain ints and builds one
 coefficient per output term rather than per pair of terms.  `divexact` packs
-each exponent tuple into one int whose order is graded-lex, keeps the
-remainder in one dict updated in place and finds its leading term with a
-lazy max-heap.  Products keep exponent tuples: most products here have a
-one- or two-term operand, where packing costs more than it saves.
+each exponent tuple into one int whose order is graded-lex (`_packing`) and
+divides in `_divide`, which linalg's elimination shares with it together
+with the product kernel `_dot`; the elimination packs once per matrix.
+Products keep exponent tuples: most products here have a one- or two-term
+operand, where packing costs more than it saves.
 
 `terms` holds rational coefficients, not integers plus a content, because
 code outside the package reads `terms` directly.
@@ -291,37 +292,90 @@ def _coefficient(re: int, im: int, den: int):
     return Fraction(re, den)
 
 
-# -- exact division ---------------------------------------------------------
+# -- packed integer polynomials ----------------------------------------------
 
 
-def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises ValueError when g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return f
-    if g.is_one():
-        return f
-    n = f.nvars
-    # Exponents are packed into ints: sum(map(mul, e, weights)) holds the
-    # total degree, then the exponents in variable order, in fields of w bits,
-    # so packed ints compare as _grlex_key does and add as exponents do.
-    # Every remainder term has total degree <= deg f, and one guard bit per
-    # field lets a single subtraction test that the lead of g divides a term.
-    w = max(map(sum, (*f.terms, *g.terms))).bit_length() + 1
+def _packing(n: int, degree: int):
+    """(width, weights, guard) for packing exponent tuples of n variables
+    whose total degree is at most degree.
+
+    A packed exponent sum(map(mul, e, weights)) holds the total degree, then
+    the exponents in variable order, in fields of width bits, so packed ints
+    compare as _grlex_key does and add as exponents do.  The top bit of each
+    field (guard) stays clear, so one subtraction tests that a packed
+    exponent divides another.
+    """
+    w = degree.bit_length() + 1
     weights = [(1 << w * n) + (1 << w * j) for j in range(n - 1, -1, -1)]
     guard = sum(1 << w * j + w - 1 for j in range(n + 1))
-    # over Q too the kernel works on (re, im) pairs: the division is not hot
-    # enough to carry a second copy for real coefficients
-    (df, rem), (dg, terms) = _integral(f, True), _integral(g, True)
-    terms = sorted([(sum(map(mul, e, weights)), *v) for e, *v in terms], reverse=True)
-    (glk, lr, li), terms = terms[0], terms[1:]
-    norm = lr * lr + li * li
-    # the remainder f - (quotient so far) * g is rem / (df * scale) with
-    # integer rem; scale grows only when the lead of g does not divide the
-    # lead of rem, which an exact division by a primitive g never meets
+    return w, weights, guard
+
+
+def _packed(terms, weights, pairs: bool, k: int = 1) -> dict:
+    """The (exponent, numerator) terms of _integral as a packed polynomial,
+    each numerator times k."""
+    if pairs:
+        return {sum(map(mul, e, weights)): [re * k, im * k] for e, re, im in terms}
+    return {sum(map(mul, e, weights)): c * k for e, c in terms}
+
+
+def _unpacked(p: dict, n: int, w: int, pairs: bool, num: int = 1, den: int = 1) -> Polynomial:
+    """The Polynomial num/den * p for a packed p of n variables and width w."""
+    mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
+    if pairs:
+        return Polynomial(n, {
+            tuple([k >> s & mask for s in shifts]): _coefficient(re * num, im * num, den) for k, (re, im) in p.items()
+        })
+    return Polynomial(n, {tuple([k >> s & mask for s in shifts]): Fraction(c * num, den) for k, c in p.items()})
+
+
+def _dot(plus, minus, pairs: bool) -> dict:
+    """sum p*q over the pairs (p, q) of plus, minus that over minus, for
+    packed polynomials with int coefficients, or [re, im] ones with pairs."""
+    out: dict = {}
+    get = out.get
+    for sign, products in ((1, plus), (-1, minus)):
+        for p, q in products:
+            q = q.items()
+            if not pairs:
+                for kp, cp in p.items():
+                    cp *= sign
+                    for kq, cq in q:
+                        k = kp + kq
+                        out[k] = get(k, 0) + cp * cq
+                continue
+            for kp, (pr, pi) in p.items():
+                pr, pi = sign * pr, sign * pi
+                for kq, (qr, qi) in q:
+                    k = kp + kq
+                    re, im = pr * qr - pi * qi, pr * qi + pi * qr
+                    s = get(k)
+                    if s is None:
+                        out[k] = [re, im]
+                    else:
+                        s[0] += re
+                        s[1] += im
+    if pairs:
+        return {k: v for k, v in out.items() if v[0] or v[1]}
+    return {k: c for k, c in out.items() if c}
+
+
+def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):
+    """(quotient, scale) with rem / divisor = quotient / scale for packed
+    polynomials, scale a positive int; raises ValueError when the division
+    is inexact.  rem is consumed, and with pairs its [re, im] lists are
+    updated in place.
+
+    The remainder is kept in one dict and its leading term found with a
+    lazy max-heap.  scale grows only when the lead of the divisor does not
+    divide the lead of the remainder over Z or Z[i], which a division by a
+    primitive divisor never meets.
+    """
+    (glk, lead), *terms = sorted(divisor.items(), reverse=True)
+    if pairs:
+        lr, li = lead
+        norm = lr * lr + li * li
     scale = 1
-    rem = {sum(map(mul, e, weights)): [re, im] for e, re, im in rem}
     heap = [-k for k in rem]
     heapify(heap)
     out: dict = {}
@@ -332,8 +386,33 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
         if (rk | guard) - glk & guard != guard:
             raise ValueError("inexact polynomial division")
         qk = rk - glk
-        cr, ci = rem.pop(rk)
+        c = rem.pop(rk)
+        if not pairs:
+            a, r = divmod(c, lead)
+            if r:
+                h = gcd(c, lead)
+                a, b = (c // h, lead // h) if lead > 0 else (-c // h, -lead // h)
+                scale *= b
+                for k in rem:
+                    rem[k] *= b
+                for k in out:
+                    out[k] *= b
+            out[qk] = a
+            for k, v in terms:
+                k += qk
+                s = rem.get(k)
+                if s is None:
+                    rem[k] = -a * v
+                    heappush(heap, -k)
+                else:
+                    s -= a * v
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+            continue
         # (cr + i ci) / (lr + i li) = (ar + i ai) / b in lowest terms
+        cr, ci = c
         xr, xi = cr * lr + ci * li, ci * lr - cr * li
         h = gcd(xr, xi, norm)
         ar, ai, b = xr // h, xi // h, norm // h
@@ -342,8 +421,11 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
             for v in rem.values():
                 v[0] *= b
                 v[1] *= b
-        out[qk] = _coefficient(ar * dg, ai * dg, df * scale)
-        for k, vr, vi in terms:
+            for v in out.values():
+                v[0] *= b
+                v[1] *= b
+        out[qk] = [ar, ai]
+        for k, (vr, vi) in terms:
             k += qk
             tr, ti = ar * vr - ai * vi, ar * vi + ai * vr
             s = rem.get(k)
@@ -356,8 +438,30 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
                     s[0], s[1] = tr, ti
                 else:
                     del rem[k]
-    mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
-    return Polynomial(n, {tuple([k >> s & mask for s in shifts]): c for k, c in out.items()})
+    return out, scale
+
+
+# -- exact division ---------------------------------------------------------
+
+
+def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g; raises ValueError when g does not divide f."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if f.is_zero():
+        return f
+    if g.is_one():
+        return f
+    n = f.nvars
+    a, b = _integral(f, False), _integral(g, False)
+    pairs = a is None or b is None
+    if pairs:  # some coefficient is a GaussianRational
+        a, b = _integral(f, True), _integral(g, True)
+    (df, a), (dg, b) = a, b
+    # every remainder term has total degree <= deg f
+    w, weights, guard = _packing(n, max(map(sum, (*f.terms, *g.terms))))
+    out, scale = _divide(_packed(a, weights, pairs), _packed(b, weights, pairs), guard, pairs)
+    return _unpacked(out, n, w, pairs, dg, df * scale)
 
 
 # -- univariate views --------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 def evaluations(monkeypatch):
     """Running counts of the point evaluations behind sampled decisions:
     "image" counts matrices evaluated mod P at a point, "matrix" the exact
-    fallbacks (eval_matrix_at_sample calls) and "scalar" the exact scalar
-    evaluations (ScalarExpr._eval, which ScalarExpr.eval also reaches)."""
+    evaluations of a whole matrix at a point, "scalar" the exact scalar
+    evaluations (ScalarExpr._eval, which ScalarExpr.eval also reaches) and
+    "denominator" the exact tests of a denominator whose image vanishes."""
     import dngeo.symbolic.linalg as linalg
     from dngeo.symbolic.modp import MatrixImage
     from dngeo.symbolic.scalar import ScalarExpr
 
-    count = {"image": 0, "matrix": 0, "scalar": 0}
+    count = {"image": 0, "matrix": 0, "scalar": 0, "denominator": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -23,6 +24,7 @@ def evaluations(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(MatrixImage, "at", counted("image", MatrixImage.at))
-    monkeypatch.setattr(linalg, "eval_matrix_at_sample", counted("matrix", linalg.eval_matrix_at_sample))
+    monkeypatch.setattr(linalg, "_exact_values", counted("matrix", linalg._exact_values))
+    monkeypatch.setattr(linalg, "_pole", counted("denominator", linalg._pole))
     monkeypatch.setattr(ScalarExpr, "_eval", counted("scalar", ScalarExpr._eval))
     return count

@@ -517,7 +517,7 @@ class TestInputContract:
         # each falls back to one exact evaluation of the 4x2 matrix
         path = str(Path(__file__).resolve().parent / "golden" / "samples_1.scene")
         assert run_cli(capsys, "check", path, "--samples", "1")[0] == 2
-        assert evaluations == {"image": 7, "matrix": 7, "scalar": 56}
+        assert evaluations == {"image": 7, "matrix": 7, "scalar": 56, "denominator": 0}
 
     # every retry of every sample point (1+s+7t, 2+s+7t) has y = x + 1
     POLE = "chart R2 x y\nbivector p = 1 2 1/(y - x - 1)\n"
@@ -525,16 +525,16 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "text, argv, counts",
         [
-            (POLE + "frame L = poisson p\ncheck lagrangian L\n", ["check"], (1, 1, 42)),
+            (POLE + "frame L = poisson p\ncheck lagrangian L\n", ["check"], (21, 0, 0, 21)),
             (
                 "chart R2 x y\nvector v = 1/(y - x - 1) ; 0\nframe S = split v\ncheck lagrangian S\n",
                 ["check"],
-                (2, 2, 42),
+                (42, 0, 0, 42),
             ),
             (
                 POLE + "oneone r = x, 0 ; 0, x\nframe L = poisson p\n",
                 ["hierarchy", "--side", "n0", "--n", "1"],
-                (2, 2, 84),
+                (42, 0, 0, 42),
             ),
         ],
         ids=["poisson", "split", "hierarchy"],
@@ -542,21 +542,23 @@ class TestInputContract:
     def test_pole_scenes_evaluate_each_sample_point_once(
         self, capsys, scene_file, evaluations, text, argv, counts
     ):
-        # (image, exact matrix, exact scalar) evaluations: the image of each
-        # matrix has a vanishing denominator at the first retry, so the
-        # matrix tries the 21 retries of its first sample point exactly
-        # once, then eliminates
+        # (image, exact matrix, exact scalar, exact denominator) evaluations:
+        # one sampled matrix in the poisson scene, two in the others.  At
+        # each of the 21 retries of its first sample point, the image of
+        # each matrix has a vanishing denominator, and one exact test of
+        # that denominator shows the retry a pole, with no numerator
+        # evaluated; then the matrix eliminates.
         code, out, err = run_cli(capsys, argv[0], scene_file(text), *argv[1:])
         assert code == 2 and err == ""
         assert "rank: no valid sample point" in out
-        assert (evaluations["image"], evaluations["matrix"], evaluations["scalar"]) == counts
+        assert tuple(evaluations[k] for k in ("image", "matrix", "scalar", "denominator")) == counts
 
     def test_split_frame_evaluates_each_sample_point_once(self, evaluations):
         # the image at one sample point proves the fields independent; the
         # frame's rank at the caller's sample points is left to
         # check_lagrangian
         parse_scene("chart R2 x y\nvector v = x ; 1\nframe S = split v\n")
-        assert evaluations == {"image": 1, "matrix": 0, "scalar": 0}
+        assert evaluations == {"image": 1, "matrix": 0, "scalar": 0, "denominator": 0}
 
     # the split field vanishes at the first three sample points, x = 1, 2, 3
     SPLIT_CUBIC = (

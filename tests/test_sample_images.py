@@ -303,7 +303,7 @@ def image_outcome(m, s):
     if image is None:
         return "no coefficient image"
     values = image.at(sample_point(m.chart, s))
-    if values is None:
+    if None in (v for row in values for v in row):
         return "vanishing denominator image"
     return "proved" if modp.rank(values) == min(m.rows, m.cols) else "deficient image"
 
@@ -363,7 +363,7 @@ def test_a_coefficient_without_image_falls_back(evaluations):
     m = FracMatrix(ch, [[ch.var("x") * ch.const(Fraction(1, modp.P))], [ch.one()]])
     assert modp.matrix_image(m) is None
     assert rank_at_samples(m, 2) == 1
-    assert evaluations == {"image": 0, "matrix": 2, "scalar": 4}
+    assert evaluations == {"image": 0, "matrix": 2, "scalar": 4, "denominator": 0}
     assert image_at_sample(m) is None
 
 
@@ -372,7 +372,7 @@ def test_a_rank_deficient_image_falls_back(evaluations):
     # P is 0 mod P but not 0, so only the exact path sees the full rank
     m = FracMatrix(ch, [[ch.const(modp.P) * ch.var("x")]])
     assert rank_at_samples(m, 1) == 1 and generic_rank(m) == 1
-    assert evaluations == {"image": 2, "matrix": 2, "scalar": 2}
+    assert evaluations == {"image": 2, "matrix": 2, "scalar": 2, "denominator": 0}
 
 
 def test_a_vanishing_denominator_image_is_not_a_pole(evaluations):
@@ -381,7 +381,7 @@ def test_a_vanishing_denominator_image_is_not_a_pole(evaluations):
     # at the first sample point x + P - 1 is P: its image vanishes, the value does not
     m = FracMatrix(ch, [[ch.one() / (x + ch.const(modp.P - 1))]])
     assert rank_at_samples(m, 1) == 1
-    assert evaluations == {"image": 1, "matrix": 1, "scalar": 1}
+    assert evaluations == {"image": 1, "matrix": 1, "scalar": 1, "denominator": 1}
     # span equality takes the image at the next retry instead
     assert image_at_sample(m) == [[pow(8 + modp.P - 1, -1, modp.P)]]
 
