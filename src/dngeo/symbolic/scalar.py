@@ -21,8 +21,9 @@ negation, a power of a nonzero scalar, a nonzero sum or product of two
 scalars over denominator 1 (over a field a product of nonzero polynomials
 is nonzero), the general product once its cross pairs are cancelled (the
 numerator of each factor is then coprime to the denominator of the other,
-and a monic denominator divided by a monic gcd stays monic), and the
-derivative of a scalar over denominator 1.
+and a monic denominator divided by a monic gcd stays monic), the
+derivative of a scalar over denominator 1, and a nonzero polynomial over
+denominator 1 (a solution entry y/D of linalg that D divides).
 """
 
 from __future__ import annotations

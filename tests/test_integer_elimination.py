@@ -239,10 +239,19 @@ def test_the_elimination_matches_the_old_path():
         seen.add(solution_kind(want))
         seen.add("square" if m.rows == m.cols else "tall" if m.rows > m.cols else "wide")
         seen.add("deficient" if len(pivot_columns(m)) < min(m.rows, m.cols) else "full")
-        seen.add(m.chart.mode)
+        seen.update({m.chart.mode, m.chart.dim})
+        if any(not e.den.is_one() for row in m.entries for e in row):
+            seen.add("polynomial denominator")
+        if any(all(e.is_zero() for e in row) for row in m.entries):
+            seen.add("zero row")
+        if any(all(row[c].is_zero() for row in m.entries) for c in range(m.cols)):
+            seen.add("zero column")
 
     check()
-    assert seen == {"inconsistent", "polynomial", "rational", "square", "tall", "wide", "deficient", "full", "real", "complex"}
+    assert seen == {
+        "inconsistent", "polynomial", "rational", "square", "tall", "wide", "deficient", "full",
+        "real", "complex", 1, 2, 3, 4, "polynomial denominator", "zero row", "zero column",
+    }
 
 
 # -- kernel edge cases -----------------------------------------------------------------
