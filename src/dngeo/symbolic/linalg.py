@@ -371,7 +371,13 @@ def _rank_at(m: FracMatrix, image, s: int):
         values = None if image is None else image.at(point)
         if values is not None:
             # a denominator with a nonzero image is nonzero
-            lost = [e for row, images in zip(m.entries, values) if None in images for e, v in zip(row, images) if v is None]
+            lost = [
+                e
+                for row, images in zip(m.entries, values)
+                if None in images
+                for e, v in zip(row, images)
+                if v is None
+            ]
             if any(_pole(e, point) for e in lost):
                 continue
             full = min(m.rows, m.cols)

@@ -324,7 +324,8 @@ def _unpacked(p: dict, n: int, w: int, pairs: bool, num: int = 1, den: int = 1) 
     mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
     if pairs:
         return Polynomial(n, {
-            tuple([k >> s & mask for s in shifts]): _coefficient(re * num, im * num, den) for k, (re, im) in p.items()
+            tuple([k >> s & mask for s in shifts]): _coefficient(re * num, im * num, den)
+            for k, (re, im) in p.items()
         })
     return Polynomial(n, {tuple([k >> s & mask for s in shifts]): Fraction(c * num, den) for k, c in p.items()})
 

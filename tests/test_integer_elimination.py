@@ -209,7 +209,10 @@ def parsed(chart, rows):
 R2 = Chart("R2", ("x", "y"))
 C2 = Chart("C2", ("x", "y"), "complex")
 # one solution is the polynomial (x, 1); the other, (1/x, 0), is not
-POLYNOMIAL_SOLUTION = (parsed(R2, [["x", "y"], ["1", "x"]]), [parse_scalar("x^2 + y", R2), parse_scalar("2*x", R2)])
+POLYNOMIAL_SOLUTION = (
+    parsed(R2, [["x", "y"], ["1", "x"]]),
+    [parse_scalar("x^2 + y", R2), parse_scalar("2*x", R2)],
+)
 RATIONAL_SOLUTION = (parsed(R2, [["x", "y"], ["1", "x"]]), [parse_scalar("1", R2), parse_scalar("1/x", R2)])
 
 
@@ -301,7 +304,9 @@ def test_minors_outgrow_a_width_taken_from_one_entry():
     # the same on three variables, where a carry would land in a neighbouring
     # field; the known polynomial solution stands in for the oracle
     R3 = Chart("R3", ("x", "y", "z"))
-    m3 = parsed(R3, [["x^6 + y", "z^6 - x", "2*y^5"], ["y^6", "x^6 + z^3", "1"], ["z^4 + 3", "y^6 + x", "x^6 - z"]])
+    m3 = parsed(
+        R3, [["x^6 + y", "z^6 - x", "2*y^5"], ["y^6", "x^6 + z^3", "1"], ["z^4 + 3", "y^6 + x", "x^6 - z"]]
+    )
     x3 = [parse_scalar(t, R3) for t in ("x*y - 1", "z^2", "3")]
     rhs3 = [sum((e * v for e, v in zip(row, x3)), R3.zero()) for row in m3.entries]
     assert pivot_columns(m3) == [0, 1, 2]
@@ -316,7 +321,8 @@ def test_zero_columns_and_the_zero_matrix():
     assert solve_linear(no_cols, [zero, R2.one()]) is None
     zeros = FracMatrix(R2, [[zero] * 3] * 2)
     assert pivot_columns(zeros) == []
-    assert [[str(v) for v in vec] for vec in kernel_basis(zeros)] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    basis = [[str(v) for v in vec] for vec in kernel_basis(zeros)]
+    assert basis == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     assert solve_linear(zeros, [zero, zero]) == [zero] * 3
     assert solve_linear(zeros, [R2.var("x"), zero]) is None
     for m, rhs in ((no_cols, [zero, R2.one()]), (zeros, [zero, zero]), (FracMatrix(R2, []), [])):
