@@ -69,25 +69,25 @@ class FracMatrix:
         return self.entries[r][c]
 
 
+def _cleared(vec) -> list:
+    """The numerators of the scalars of vec over the lcm of their distinct
+    denominators."""
+    dens = []
+    for v in vec:
+        if not v.den.is_one() and v.den not in dens:
+            dens.append(v.den)
+    if not dens:
+        return [v.num for v in vec]
+    common = dens[0]
+    for d in dens[1:]:
+        common = poly_lcm(common, d)
+    return [v.num * divexact(common, v.den) for v in vec]
+
+
 def _cleared_rows(m: FracMatrix, rhs=None):
     """Denominator-free copies of the rows as Polynomial lists, each with its
     rhs entry appended as a last column when rhs is given."""
-    one = poly_one(m.chart.dim)
-    rows = []
-    for i in range(m.rows):
-        entries = list(m.entries[i]) + ([rhs[i]] if rhs is not None else [])
-        common = one
-        for e in entries:
-            if not e.den.is_one():
-                common = poly_lcm(common, e.den)
-        cleared = []
-        for e in entries:
-            if common.is_one():
-                cleared.append(e.num)
-            else:
-                cleared.append(e.num * divexact(common, e.den))
-        rows.append(cleared)
-    return rows
+    return [_cleared(row + ((rhs[i],) if rhs is not None else ())) for i, row in enumerate(m.entries)]
 
 
 def _packed_rows(m: FracMatrix, rhs=None):
@@ -207,14 +207,7 @@ def normalize_vector(vec):
     chart = same_chart(*vec)
     if all(v.is_zero() for v in vec):
         return list(vec)
-    one = poly_one(chart.dim)
-    common = one
-    for v in vec:
-        if not v.den.is_one():
-            common = poly_lcm(common, v.den)
-    polys = [
-        v.num if common.is_one() else v.num * divexact(common, v.den) for v in vec
-    ]
+    polys = _cleared(vec)
     g = Polynomial.zero(chart.dim)
     for p in polys:
         if not p.is_zero():

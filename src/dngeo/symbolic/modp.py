@@ -9,6 +9,13 @@ An image proves only one-sided facts about the exact values it comes from:
 a nonzero image is the image of a nonzero value, and a matrix whose image
 has rank r has rank at least r.  Every other outcome is left to exact
 arithmetic, so a decision read from an image is the exact one.
+
+Images also bound gcd degrees (Brown's modular degree bound).  Map f and g
+to polynomials in one variable x_k mod P, the other variables at a fixed
+probe point where both x_k-leading coefficients keep their degree.  By
+Gauss's lemma over Z[x] or Z[i][x] the image of gcd(f, g) keeps its x_k
+degree there and divides both images, so the degree of their gcd mod P is
+an upper bound on deg_k gcd(f, g) over Q and over Q(i).
 """
 
 from __future__ import annotations
@@ -42,6 +49,64 @@ def poly_image(p):
             return None
         out.append((e, c))
     return out
+
+
+PROBES = 3  # fixed probe points tried per variable
+
+
+def probe(t: int, n: int) -> list:
+    """The t-th fixed probe point in n variables, spread over the field."""
+    return [(t * n + j + 1) * 0x9E3779B97F4A7C15 % P for j in range(n)]
+
+
+def univariate(terms, k: int, point, degree: int):
+    """The poly_image terms as coefficients in x_k, lowest first, with the
+    other variables at point; None when the x_k^degree coefficient
+    vanishes there."""
+    out = [0] * (degree + 1)
+    for e, c in terms:
+        for j, d in enumerate(e):
+            if d and j != k:
+                c = c * pow(point[j], d, P) % P
+        out[e[k]] += c
+    out = [c % P for c in out]
+    return out if out[-1] else None
+
+
+def gcd_degree(a, b) -> int:
+    """Degree of the gcd mod P of two coefficient lists (lowest first) with
+    nonzero leading coefficients."""
+    a, b = list(a), list(b)
+    while len(b) > 1:
+        if len(a) < len(b):
+            a, b = b, a
+        inv = pow(b[-1], -1, P)
+        shift = len(a) - len(b)
+        while shift >= 0:  # a <- a mod b
+            f = a.pop() * inv % P
+            for i in range(len(b) - 1):
+                a[shift + i] = (a[shift + i] - f * b[i]) % P
+            while a and not a[-1]:
+                a.pop()
+            shift = len(a) - len(b)
+        if not a:
+            return len(b) - 1
+        a, b = b, a
+    return 0
+
+
+def degree_bound(f, g, k: int, df: int, dg: int):
+    """An upper bound on deg_k gcd(f, g) for poly_images f, g of x_k-degrees
+    df, dg: the degree of the gcd of their images at the first probe point
+    where both keep those degrees; None when no probe point does."""
+    n = len(f[0][0])
+    for t in range(PROBES):
+        point = probe(t, n)
+        a = univariate(f, k, point, df)
+        b = a and univariate(g, k, point, dg)
+        if b:
+            return gcd_degree(a, b)
+    return None
 
 
 class MatrixImage:

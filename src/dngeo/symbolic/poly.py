@@ -20,9 +20,15 @@ operand, where packing costs more than it saves.
 `terms` holds rational coefficients, not integers plus a content, because
 code outside the package reads `terms` directly.
 
-The gcd is computed by recursive content / primitive-part extraction with a
-subresultant pseudo-remainder sequence on the main variable, so no external
-library is needed.  All divisions performed by the PRS are exact.
+The gcd starts from degree bounds read from images mod P (see modp.py): for
+each variable, an upper bound on the degree of the gcd in it.  Bounds that
+are all 0 prove gcd 1; bounds equal to the degrees of one argument, with a
+trial division that succeeds, make that argument the gcd; and a variable of
+bound 0 is absent from the gcd, which is then the gcd of the coefficients
+in such variables, each with fewer variables.  Every other pair goes to
+recursive content / primitive-part extraction with a subresultant
+pseudo-remainder sequence on the main variable, whose divisions are all
+exact.  No external library is needed.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, mul
 
+from . import modp
 from .gaussian import GaussianRational, gaussian
 
 _ONE = Fraction(1)
@@ -556,6 +563,57 @@ def _subresultant_last(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     return last
 
 
+def _degrees(p: Polynomial) -> list:
+    return [max(d) for d in zip(*p.terms)]
+
+
+def _certified_gcd(f: Polynomial, g: Polynomial):
+    """gcd(f, g) for nonconstant f, g when the degree bounds of modp settle
+    it, else None.
+
+    Every bound is proven, so each exit is exact: all bounds 0 prove gcd 1;
+    bounds equal to the degrees of one argument b, with b dividing the
+    other, make b the gcd; and a variable of bound 0 is absent from the
+    gcd, which is then the gcd of the coefficients of f and g in those
+    variables.  A coefficient without an image leaves the pair to the PRS.
+    """
+    a, b = modp.poly_image(f), modp.poly_image(g)
+    if a is None or b is None:
+        return None
+    n = f.nvars
+    df, dg = _degrees(f), _degrees(g)
+    bounds = [0] * n  # a variable only one of f, g depends on has bound 0
+    for k in range(n):
+        if df[k] and dg[k]:
+            d = modp.degree_bound(a, b, k, df[k], dg[k])
+            bounds[k] = min(df[k], dg[k]) if d is None else d
+    if not any(bounds):
+        return poly_one(n)
+    for p, dp, q in ((f, df, g), (g, dg, f)):
+        if dp == bounds:
+            try:
+                divexact(q, p)
+            except ValueError:
+                continue
+            return _monic(p)
+    free = [k for k in range(n) if not bounds[k] and (df[k] or dg[k])]
+    if not free:
+        return None
+    parts: dict = {}
+    for i, p in enumerate((f, g)):
+        for e, c in p.terms.items():
+            rest = list(e)
+            for k in free:
+                rest[k] = 0
+            parts.setdefault((i, *(e[k] for k in free)), {})[tuple(rest)] = c
+    out = Polynomial.zero(n)
+    for terms in sorted(parts.values(), key=len):
+        out = poly_gcd(out, Polynomial(n, terms))
+        if out.is_one():
+            break
+    return out
+
+
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd of two polynomials over Q or Q(i)."""
     if f.is_zero():
@@ -564,6 +622,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return _monic(f)
     if f.is_constant() or g.is_constant():
         return poly_one(f.nvars)
+    out = _certified_gcd(f, g)
+    if out is not None:
+        return out
     k = next(
         i
         for i in range(f.nvars)
