@@ -185,6 +185,8 @@ class ScalarExpr:
         if self.den.is_one() and o.den.is_one():
             num = self.num + o.num
             return ScalarExpr._make(self.chart, num, self.den) if num.terms else self.chart._zero
+        if self.den == o.den:  # only the sum of numerators can share a factor with den
+            return ScalarExpr(self.chart, self.num + o.num, self.den)
         return ScalarExpr(
             self.chart, self.num * o.den + o.num * self.den, self.den * o.den
         )

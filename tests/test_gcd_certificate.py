@@ -288,7 +288,7 @@ def test_deficient_ladder_kernels_need_no_multivariate_prs():
 
 def test_a_gaussian_pairing_sum_needs_no_prs():
     # X0 A0 + X1 A1 over Q(i) with degree-4 bivariate denominators: 11-20 s
-    # on the PRS alone
+    # on the PRS alone, and the sum of it with itself 15-50 s more
     rng = random.Random("pairing")
     chart = Chart("M", ("x", "y"), "complex")
 
@@ -303,7 +303,11 @@ def test_a_gaussian_pairing_sum_needs_no_prs():
     X0, A0, X1, A1 = (ScalarExpr(chart, part(3, 5), part(4, 6)) for _ in range(4))
     with prs_calls() as count:
         s = X0 * A0 + X1 * A1
+        # the pairing of (X, A) with itself: over one denominator only the
+        # numerators are summed (132 s before)
+        double = s + s
     assert count[0] == 0
+    assert double == s * 2
     assert max(sum(e) for e in s.den.terms) >= 8
     # the sum is exact: clearing its denominator leaves a polynomial identity
     lhs = s.num * X0.den * A0.den * X1.den * A1.den
