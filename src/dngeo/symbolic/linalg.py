@@ -87,7 +87,10 @@ def _cleared(vec) -> list:
 def _cleared_rows(m: FracMatrix, rhs=None):
     """Denominator-free copies of the rows as Polynomial lists, each with its
     rhs entry appended as a last column when rhs is given."""
-    return [_cleared(row + ((rhs[i],) if rhs is not None else ())) for i, row in enumerate(m.entries)]
+    return [
+        _cleared(row + ((rhs[i],) if rhs is not None else ()))
+        for i, row in enumerate(m.entries)
+    ]
 
 
 def _packed_rows(m: FracMatrix, rhs=None):

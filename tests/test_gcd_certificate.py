@@ -175,9 +175,19 @@ NO_IMAGE = (
 # h = (y - v) x + 1 with v the y of the first probe point, where h has the
 # image 1
 _h = (variable(2, 1) - const(2, Fraction(modp.probe(0, 2)[1]))) * x(2) + poly_one(2)
-FIRST_PROBE = ("vanishing lead", _h * (x(2) + const(2, Fraction(2))), _h * (x(2) + const(2, Fraction(3))))
+FIRST_PROBE = (
+    "vanishing lead",
+    _h * (x(2) + const(2, Fraction(2))),
+    _h * (x(2) + const(2, Fraction(3))),
+)
 # x + P + 1 and x + 1 have one image, of the degrees of both
 FAILED_TRIAL = ("failed trial", x() + const(1, Fraction(P + 1)), x() + const(1, Fraction(1)))
+
+
+def keeps_leads(images, pair, k, t):
+    """Whether both x_k-leading coefficients keep their degree at probe point t."""
+    point = modp.probe(t, pair[0].nvars)
+    return all(modp.univariate(im, k, point, p.degree_in(k)) for im, p in zip(images, pair))
 
 
 def test_the_certificate_matches_the_prs():
@@ -205,12 +215,10 @@ def test_the_certificate_matches_the_prs():
         else:
             for k in range(f.nvars):
                 if f.degree_in(k) and g.degree_in(k):
-                    kept = [
-                        all(modp.univariate(im, k, modp.probe(t, f.nvars), p.degree_in(k)) for im, p in zip(images, (f, g)))
-                        for t in range(modp.PROBES)
-                    ]
+                    kept = [keeps_leads(images, (f, g), k, t) for t in range(modp.PROBES)]
                     if not kept[0]:
-                        seen.add("vanishing lead at the first probe point" if any(kept) else "vanishing lead at every probe point")
+                        where = "the first" if any(kept) else "every"
+                        seen.add(f"vanishing lead at {where} probe point")
         if any(isinstance(c, GaussianRational) for p in (f, g) for c in p.terms.values()):
             seen.add("gaussian")
         if not want.is_one():
@@ -297,7 +305,8 @@ def test_a_gaussian_pairing_sum_needs_no_prs():
         for _ in range(count):
             a = rng.randint(0, degree)
             c = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
-            terms.append(((a, rng.randint(0, degree - a)), gaussian(c, Fraction(rng.randint(-4, 4)))))
+            e = (a, rng.randint(0, degree - a))
+            terms.append((e, gaussian(c, Fraction(rng.randint(-4, 4)))))
         return poly(2, terms)
 
     X0, A0, X1, A1 = (ScalarExpr(chart, part(3, 5), part(4, 6)) for _ in range(4))
