@@ -295,8 +295,9 @@ def test_deficient_ladder_kernels_need_no_multivariate_prs():
 
 
 def test_a_gaussian_pairing_sum_needs_no_prs():
-    # X0 A0 + X1 A1 over Q(i) with degree-4 bivariate denominators: 11-20 s
-    # on the PRS alone, and the sum of it with itself 15-50 s more
+    # X0 A0 + X1 A1 over Q(i) with degree-4 bivariate denominators, and its
+    # sum with itself as in a pairing <s, s>: each takes seconds to tens of
+    # seconds on the PRS alone
     rng = random.Random("pairing")
     chart = Chart("M", ("x", "y"), "complex")
 
@@ -312,8 +313,7 @@ def test_a_gaussian_pairing_sum_needs_no_prs():
     X0, A0, X1, A1 = (ScalarExpr(chart, part(3, 5), part(4, 6)) for _ in range(4))
     with prs_calls() as count:
         s = X0 * A0 + X1 * A1
-        # the pairing of (X, A) with itself: over one denominator only the
-        # numerators are summed (132 s before)
+        # over one denominator only the numerators are summed
         double = s + s
     assert count[0] == 0
     assert double == s * 2
