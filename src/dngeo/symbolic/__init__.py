@@ -8,7 +8,6 @@ from .linalg import (
     generic_rank,
     image_at_sample,
     kernel_basis,
-    normalize_vector,
     numeric_rank,
     pivot_columns,
     rank_at_samples,
@@ -31,7 +30,6 @@ __all__ = [
     "generic_rank",
     "image_at_sample",
     "kernel_basis",
-    "normalize_vector",
     "numeric_rank",
     "pivot_columns",
     "parse_scalar",

@@ -12,8 +12,9 @@ solutions are reproducible byte for byte.
 
 Solutions are read by Cramer's rule without fractions: with D the last
 pivot, an r x r minor, y = D x is polynomial and fills bottom-up with
-products and exact divisions.  Each x_i = y_i / D then becomes a scalar
-once, by one trial division before any gcd.
+products and exact divisions.  solve_linear takes each x_i = y_i / D as a
+scalar once, by one trial division before any gcd; a kernel vector is y
+over D, or over gcd(y) when D does not divide it.
 
 Every sampled rank is decided first modulo one prime (see modp.py), at the
 same sample points the exact evaluation would use.  An image of full rank
@@ -43,7 +44,7 @@ from .poly import (
     poly_lcm,
     poly_one,
 )
-from .scalar import Chart, ScalarExpr, same_chart
+from .scalar import Chart, ScalarExpr
 
 
 class FracMatrix:
@@ -69,28 +70,26 @@ class FracMatrix:
         return self.entries[r][c]
 
 
-def _cleared(vec) -> list:
-    """The numerators of the scalars of vec over the lcm of their distinct
-    denominators."""
-    dens = []
-    for v in vec:
-        if not v.den.is_one() and v.den not in dens:
-            dens.append(v.den)
-    if not dens:
-        return [v.num for v in vec]
-    common = dens[0]
-    for d in dens[1:]:
-        common = poly_lcm(common, d)
-    return [v.num * divexact(common, v.den) for v in vec]
-
-
 def _cleared_rows(m: FracMatrix, rhs=None):
     """Denominator-free copies of the rows as Polynomial lists, each with its
-    rhs entry appended as a last column when rhs is given."""
-    return [
-        _cleared(row + ((rhs[i],) if rhs is not None else ()))
-        for i, row in enumerate(m.entries)
-    ]
+    rhs entry appended as a last column when rhs is given: the numerators of
+    a row over the lcm of its distinct denominators."""
+    cleared = []
+    for i, row in enumerate(m.entries):
+        if rhs is not None:
+            row += (rhs[i],)
+        dens = []
+        for v in row:
+            if not v.den.is_one() and v.den not in dens:
+                dens.append(v.den)
+        if not dens:
+            cleared.append([v.num for v in row])
+            continue
+        common = dens[0]
+        for d in dens[1:]:
+            common = poly_lcm(common, d)
+        cleared.append([v.num * divexact(common, v.den) for v in row])
+    return cleared
 
 
 def _packed_rows(m: FracMatrix, rhs=None):
@@ -200,25 +199,26 @@ def generic_rank(m: FracMatrix) -> int:
     return len(pivot_columns(m))
 
 
-def normalize_vector(vec):
-    """Denominator-cleared, content-reduced copy of a ScalarExpr vector.
-
-    The first nonzero entry's leading coefficient is normalized positive,
-    every entry becomes a polynomial, and the integer content of all
-    coefficients (both parts of a Gaussian rational) is 1.
-    """
-    chart = same_chart(*vec)
-    if all(v.is_zero() for v in vec):
-        return list(vec)
-    polys = _cleared(vec)
-    g = Polynomial.zero(chart.dim)
-    for p in polys:
+def _primitive(y, d):
+    """y / d when d divides every entry, else y / gcd(y); d is itself an
+    entry of y, so the running gcd starts from it."""
+    try:
+        return [p if p.is_zero() else divexact(p, d) for p in y]
+    except ValueError:
+        pass
+    g = d
+    for p in y:
         if not p.is_zero():
             g = poly_gcd(g, p)
-        if g.is_one():
-            break
-    if not g.is_one():
-        polys = [p if p.is_zero() else divexact(p, g) for p in polys]
+            if g.is_one():
+                return y
+    return [p if p.is_zero() else divexact(p, g) for p in y]
+
+
+def _normal_form(chart: Chart, polys):
+    """Scalars over denominator 1: the nonzero vector scaled to a first
+    nonzero entry of leading coefficient 1, then to integer content 1 over
+    both parts of every coefficient."""
     lead = next(p for p in polys if not p.is_zero())
     _, lc = lead.leading()
     if lc != 1:
@@ -250,20 +250,21 @@ def _ratio(chart: Chart, y: Polynomial, d: Polynomial) -> ScalarExpr:
 
 
 def kernel_basis(m: FracMatrix):
-    """Basis of the right kernel over the function field (normalized vectors),
-    one vector per free column."""
-    chart = m.chart
+    """Basis of the right kernel over the function field, one vector per free
+    column f: y = D x with x_f = 1 and the other free entries 0, divided by D
+    when D divides every entry and by gcd(y) otherwise, then scaled so that
+    its first nonzero entry has leading coefficient 1 and the integer content
+    of all its coefficients is 1."""
     rows, pairs, guard, unpack = _packed_rows(m)
     pivots = _eliminate(rows, m.cols, pairs, guard)
     pivot_cols = {pc for _, pc in pivots}
-    basis, d = [], None
+    basis = []
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        y, D = _scaled_solution(rows, pivots, m.cols, free, pairs, guard)
-        if d is None:  # the same last pivot for every free column
-            d = unpack(D)
-        basis.append(normalize_vector([_ratio(chart, unpack(v), d) for v in y]))
+        y, _ = _scaled_solution(rows, pivots, m.cols, free, pairs, guard)
+        y = [unpack(v) for v in y]
+        basis.append(_normal_form(m.chart, _primitive(y, y[free])))
     return basis
 
 

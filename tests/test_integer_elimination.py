@@ -3,13 +3,16 @@ against the Polynomial / ScalarExpr elimination it replaced.
 
 The oracles below are the old path, kept only here: fraction-free Bareiss
 on the Polynomial rows of _cleared_rows, then back-substitution that divides
-ScalarExprs.  Pivots depend only on which entries are zero, a solve with its
-free variables set to 0 has one answer, and a kernel vector is fixed up to a
-scalar, so the two must agree exactly: same pivots, structurally equal
-scalars with the same coefficient types.
+ScalarExprs, and for kernels normalize_vector, which clears the entries'
+denominators over their lcm and divides out the content gcd.  Pivots depend
+only on which entries are zero, a solve with its free variables set to 0 has
+one answer, and a kernel vector is fixed up to a scalar, so the two must
+agree exactly: same pivots, structurally equal scalars with the same
+coefficient types.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,13 +25,13 @@ from dngeo.symbolic import (
     Polynomial,
     ScalarExpr,
     kernel_basis,
-    normalize_vector,
     parse_scalar,
     pivot_columns,
     solve_linear,
 )
+from dngeo.symbolic import linalg
 from dngeo.symbolic.linalg import _cleared_rows, _packed_rows, _quotient
-from dngeo.symbolic.poly import _divide, _packing, divexact, poly_one
+from dngeo.symbolic.poly import _divide, _packing, divexact, poly_gcd, poly_lcm, poly_one
 
 SETTINGS = settings(
     derandomize=True,
@@ -86,11 +89,54 @@ def back_substitute_oracle(chart, rows, pivots, values):
     return values
 
 
+def normalize_vector(vec):
+    """Denominator-cleared, content-reduced copy of a ScalarExpr vector: the
+    first nonzero entry's leading coefficient is 1, every entry is a
+    polynomial, and the integer content of all coefficients (both parts of a
+    Gaussian rational) is 1."""
+    chart = vec[0].chart
+    if all(v.is_zero() for v in vec):
+        return list(vec)
+    dens = []
+    for v in vec:
+        if not v.den.is_one() and v.den not in dens:
+            dens.append(v.den)
+    polys = [v.num for v in vec]
+    if dens:
+        common = dens[0]
+        for d in dens[1:]:
+            common = poly_lcm(common, d)
+        polys = [v.num * divexact(common, v.den) for v in vec]
+    g = Polynomial.zero(chart.dim)
+    for p in polys:
+        if not p.is_zero():
+            g = poly_gcd(g, p)
+        if g.is_one():
+            break
+    if not g.is_one():
+        polys = [p if p.is_zero() else divexact(p, g) for p in polys]
+    lead = next(p for p in polys if not p.is_zero())
+    _, lc = lead.leading()
+    if lc != 1:
+        inv = 1 / lc
+        polys = [p.scale(inv) for p in polys]
+    fracs = []
+    for p in polys:
+        for c in p.terms.values():
+            fracs.extend((c.re, c.im) if isinstance(c, GaussianRational) else (c,))
+    num_gcd = gcd(*[f.numerator for f in fracs])
+    scale = Fraction(lcm(*[f.denominator for f in fracs]), num_gcd if num_gcd else 1)
+    if scale != 1:
+        polys = [p.scale(scale) for p in polys]
+    return [ScalarExpr(chart, p, poly_one(chart.dim)) for p in polys]
+
+
 def pivot_columns_oracle(m):
     return [pc for _, pc in bareiss_oracle(_cleared_rows(m), m.cols)]
 
 
-def kernel_oracle(m):
+def kernel_values_oracle(m):
+    """The kernel vectors x before normalization, with x_free = 1."""
     chart = m.chart
     rows = _cleared_rows(m)
     pivots = bareiss_oracle(rows, m.cols)
@@ -101,8 +147,7 @@ def kernel_oracle(m):
             continue
         values = [chart.zero()] * m.cols
         values[free] = chart.one()
-        back_substitute_oracle(chart, rows, pivots, values)
-        basis.append(normalize_vector(values))
+        basis.append(back_substitute_oracle(chart, rows, pivots, values))
     return basis
 
 
@@ -135,8 +180,11 @@ def assert_same_vector(got, want):
 
 
 def check_against_oracle(m, rhs):
+    """Compares all three against the oracles; returns the oracle's kernel
+    vectors before normalization and its solution."""
     assert pivot_columns(m) == pivot_columns_oracle(m)
-    got, want = kernel_basis(m), kernel_oracle(m)
+    values = kernel_values_oracle(m)
+    got, want = kernel_basis(m), [normalize_vector(x) for x in values]
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert_same_vector(a, b)
@@ -144,7 +192,7 @@ def check_against_oracle(m, rhs):
     assert (got is None) is (want is None)
     if want is not None:
         assert_same_vector(got, want)
-    return want
+    return values, want
 
 
 # -- generated matrices --------------------------------------------------------------
@@ -215,6 +263,13 @@ POLYNOMIAL_SOLUTION = (
 )
 RATIONAL_SOLUTION = (parsed(R2, [["x", "y"], ["1", "x"]]), [parse_scalar("1", R2), parse_scalar("1/x", R2)])
 
+# rows over distinct polynomial denominators: the rows are cleared over an
+# lcm, and the oracle's kernel vector has entries over distinct denominators
+DISTINCT_DENOMINATORS = (
+    parsed(R2, [["1/x", "1/y", "1/(x + y)"], ["x/(y + 1)", "1", "y/x"]]),
+    [parse_scalar("1", R2), parse_scalar("x/(y + 1)", R2)],
+)
+
 
 def solution_kind(x):
     if x is None:
@@ -236,15 +291,21 @@ def test_the_elimination_matches_the_old_path():
     @given(systems())
     @example(POLYNOMIAL_SOLUTION)
     @example(RATIONAL_SOLUTION)
+    @example(DISTINCT_DENOMINATORS)
     def check(system):
         m, rhs = system
-        want = check_against_oracle(m, rhs)
+        kernel, want = check_against_oracle(m, rhs)
         seen.add(solution_kind(want))
+        # D divides y = D x exactly when every x_i is a polynomial
+        seen.update("D divides y" if solution_kind(x) == "polynomial" else "gcd below D" for x in kernel)
         seen.add("square" if m.rows == m.cols else "tall" if m.rows > m.cols else "wide")
         seen.add("deficient" if len(pivot_columns(m)) < min(m.rows, m.cols) else "full")
         seen.update({m.chart.mode, m.chart.dim})
         if any(not e.den.is_one() for row in m.entries for e in row):
             seen.add("polynomial denominator")
+        dens = [[e.den for e in row if not e.den.is_one()] for row in m.entries]
+        if any(a != b for row in dens for a in row for b in row):
+            seen.add("distinct denominators in a row")
         if any(all(e.is_zero() for e in row) for row in m.entries):
             seen.add("zero row")
         if any(all(row[c].is_zero() for row in m.entries) for c in range(m.cols)):
@@ -254,6 +315,7 @@ def test_the_elimination_matches_the_old_path():
     assert seen == {
         "inconsistent", "polynomial", "rational", "square", "tall", "wide", "deficient", "full",
         "real", "complex", 1, 2, 3, 4, "polynomial denominator", "zero row", "zero column",
+        "D divides y", "gcd below D", "distinct denominators in a row",
     }
 
 
@@ -272,6 +334,25 @@ def test_an_inexact_packed_division_raises(pairs):
     assert _divide({pack(1): c(2)}, {pack(1): c(4)}, guard, pairs) == ({0: c(1)}, 2)
     with pytest.raises(ValueError, match="inexact"):
         _quotient({pack(1): c(2)}, {pack(1): c(4)}, guard, pairs)
+
+
+def test_kernel_vectors_run_no_lcm_and_no_gcd_where_d_divides_y(monkeypatch):
+    calls = dict.fromkeys(("poly_gcd", "poly_lcm"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    # D = x^2 divides no entry of y but itself; gcd(x^2, y^2) = 1 ends the gcd
+    m = parsed(R2, [["x", "y", "0"], ["0", "x", "y"]])
+    assert [[str(v) for v in vec] for vec in kernel_basis(m)] == [["y^2", "-x*y", "x^2"]]
+    assert calls == {"poly_gcd": 1, "poly_lcm": 0}
+    # D = x divides y = (-x*y, x)
+    calls["poly_gcd"] = 0
+    assert [[str(v) for v in vec] for vec in kernel_basis(parsed(R2, [["x", "x*y"]]))] == [["y", "-1"]]
+    assert calls == {"poly_gcd": 0, "poly_lcm": 0}
 
 
 def test_a_gaussian_pivot_of_norm_five():

@@ -12,7 +12,6 @@ from dngeo.symbolic import (
     FracMatrix,
     generic_rank,
     kernel_basis,
-    normalize_vector,
     parse_scalar,
     pivot_columns,
     rank_at_samples,
@@ -59,8 +58,7 @@ class TestKernelBasis:
         assert generic_rank(m) + len(basis) == 3
 
     def test_normalization_is_polynomial_and_content_one(self, ch):
-        vec = [parse_scalar("x/(2*y)", ch), parse_scalar("1/2", ch)]
-        out = normalize_vector(vec)
+        (out,) = kernel_basis(M(ch, [["y", "-x"]]))
         assert all(v.den.is_one() for v in out)
         assert [str(v) for v in out] == ["x", "y"]
 
@@ -119,12 +117,7 @@ class TestComplexMode:
         assert rank_at_samples(m, 2) == 1
 
     def test_normalize_gaussian_vector(self, chc):
-        from dngeo.symbolic import GaussianRational
-
-        i_ = chc.imag_unit()
-        z, w = chc.var("z"), chc.var("w")
-        vec = [(i_ * z) / (chc.const(2) * w), chc.const(GaussianRational(1, 1)) / chc.const(2)]
-        out = normalize_vector(vec)
+        (out,) = kernel_basis(M(chc, [["(1-i)*w", "-z"]]))
         assert all(v.den.is_one() for v in out)
         assert [str(v) for v in out] == ["z", "(1-i)*w"]
 

@@ -2,8 +2,8 @@
 term-by-term Fraction / GaussianRational loops they replaced.
 
 The oracles below are the old loops, kept only here.  Coefficient types are
-compared as well as values: the printer and normalize_vector branch on
-isinstance.  The oracles run on the arithmetic of gaussian.py, which gives a
+compared as well as values: the printer and the kernel normal form of
+linalg branch on isinstance.  The oracles run on the arithmetic of gaussian.py, which gives a
 coefficient its type from its value (a Fraction unless its imaginary part is
 nonzero), so the kernels must do the same, also for inputs that hold a
 GaussianRational with a zero imaginary part.
