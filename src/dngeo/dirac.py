@@ -124,11 +124,6 @@ class GFrame:
         ]
         return FracMatrix(self.chart, rows)
 
-    def vector_matrix(self) -> FracMatrix:
-        n = self.chart.dim
-        rows = [[self.sections[a].vec.comps[i] for a in range(n)] for i in range(n)]
-        return FracMatrix(self.chart, rows)
-
 
 @dataclass(frozen=True)
 class NullDistribution:

@@ -950,11 +950,12 @@ def _(rng, k):
     r = OneOneTensor.scalar(ch, f)
     L = make_graph_presymplectic(w)
     Ln = hierarchy(L, r, rng.randrange(1, 3), "0n")
-    m1, m2 = L.vector_matrix(), Ln.vector_matrix()
+    m1, m2 = (
+        FracMatrix(ch, [[s.vec.comps[i] for s in F.sections] for i in range(ch.dim)])
+        for F in (L, Ln)
+    )
     return generic_rank(m1) == generic_rank(m2) and all(
-        solve_linear(m1, [Ln.sections[a].vec.comps[i] for i in range(ch.dim)])
-        is not None
-        for a in range(ch.dim)
+        solve_linear(m1, list(s.vec.comps)) is not None for s in Ln.sections
     )
 
 

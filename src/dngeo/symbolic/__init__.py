@@ -4,11 +4,9 @@ and fraction-free linear algebra over the function field."""
 from .gaussian import GaussianRational
 from .linalg import (
     FracMatrix,
-    eval_matrix_at_sample,
     generic_rank,
     image_at_sample,
     kernel_basis,
-    numeric_rank,
     pivot_columns,
     rank_at_samples,
     sample_point,
@@ -26,11 +24,9 @@ __all__ = [
     "ScalarExpr",
     "coeff_to_str",
     "divexact",
-    "eval_matrix_at_sample",
     "generic_rank",
     "image_at_sample",
     "kernel_basis",
-    "numeric_rank",
     "pivot_columns",
     "parse_scalar",
     "poly_gcd",

@@ -20,7 +20,9 @@ Every sampled rank is decided first modulo one prime (see modp.py), at the
 same sample points the exact evaluation would use.  An image of full rank
 proves that rank over Q or Q(i); only a denominator whose image vanishes is
 evaluated exactly, and only an image rank that falls short sends the point
-to exact evaluation, so a sampled rank is the exact one.
+to exact evaluation, so a sampled rank is the exact one.  The exact rank of a
+point is read from pivot_columns too, on its values as constants: the package
+has one exact elimination.
 """
 
 from __future__ import annotations
@@ -308,17 +310,6 @@ def _pole(s: ScalarExpr, point) -> bool:
     return not s.den.eval(point)
 
 
-def eval_matrix_at_sample(m: FracMatrix, s: int = 0):
-    """The entries' values at sample point s, retrying past denominator zeros;
-    None when every retry is a pole."""
-    for retry in range(MAX_POINT_RETRIES + 1):
-        try:
-            return _exact_values(m, sample_point(m.chart, s, retry))
-        except PointEvaluationError:
-            continue
-    return None
-
-
 def image_at_sample(m: FracMatrix, s: int = 0):
     """The entries mod P at the first retry of sample point s where no
     denominator image vanishes; None when there is none, or when a
@@ -331,33 +322,6 @@ def image_at_sample(m: FracMatrix, s: int = 0):
         if values is not None and None not in (v for row in values for v in row):
             return values
     return None
-
-
-def numeric_rank(values) -> int:
-    """Rank of a matrix of exact field elements by Gaussian elimination."""
-    rows = [list(r) for r in values]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if rows[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][pc]
-        for i in range(rank + 1, nrows):
-            if rows[i][pc]:
-                factor = rows[i][pc] / piv
-                for j in range(pc, ncols):
-                    rows[i][j] = rows[i][j] - factor * rows[rank][j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _rank_at(m: FracMatrix, image, s: int):
@@ -381,9 +345,13 @@ def _rank_at(m: FracMatrix, image, s: int):
             if not lost and modp.rank(values) == full:
                 return full
         try:
-            return numeric_rank(_exact_values(m, point))
+            values = _exact_values(m, point)
         except PointEvaluationError:  # only a matrix without image gets here
             continue
+        # the values as constants over denominator 1, canonical as made
+        n, one = m.chart.dim, poly_one(m.chart.dim)
+        consts = [[ScalarExpr._make(m.chart, Polynomial.const(n, v), one) for v in row] for row in values]
+        return len(pivot_columns(FracMatrix(m.chart, consts)))
     return None
 
 

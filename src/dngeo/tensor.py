@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import InternalIdentityError
-from .symbolic import Chart, FracMatrix, ScalarExpr, same_chart, solve_linear
+from .symbolic import Chart, ScalarExpr, same_chart
 from .symbolic.scalar import to_str
 
 
@@ -812,30 +811,19 @@ def tangent_lift(r: OneOneTensor):
     return OneOneTensor(big, grid), big
 
 
-def _canonical_symplectic_grid(big: Chart, n: int):
-    """Matrix of omega_can = sum dx^i ^ dp_i on (x, p): Omega[a][b] = omega(e_a, e_b)."""
-    one = big.one()
-    z = big.zero()
-    omega = [[z for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        omega[i][n + i] = one
-        omega[n + i][i] = -one
-    return omega
-
-
 def cotangent_lift(r: OneOneTensor):
-    """Lift to the cotangent chart (x, p), solved from the defining relation
+    """Lift to the cotangent chart (x, p), read from the defining relation
     against the canonical symplectic form (no transcribed formulas).
 
     With phi = r* on T*M and J its Jacobian, the relation
-    i_{lift(U)} omega = i_U (phi* omega) reads  Omega^T . lift = (J^T Omega J)^T,
-    which is solved column by column.  Returns (lift, doubled chart).
+    i_{lift(U)} omega = i_U (phi* omega) reads  Omega^T . lift = M^T  with
+    M = J^T Omega J.  For omega = sum dx^i ^ dp_i, (Omega^T)^-1 = Omega, so
+    lift = Omega . M^T.  Returns (lift, doubled chart).
     """
     chart = r.chart
     n = chart.dim
     big = cotangent_chart(chart)
     z = big.zero()
-    omega = _canonical_symplectic_grid(big, n)
     # Jacobian of phi(x, p) = (x, r*(x) p)
     jac = [[z for _ in range(2 * n)] for _ in range(2 * n)]
     for i in range(n):
@@ -852,30 +840,17 @@ def cotangent_lift(r: OneOneTensor):
         for i in range(n):  # against p_i
             jac[n + j][n + i] = r.grid[i][j].extend(big)
     m = 2 * n
-    # M = J^T Omega J
-    tmp = [
-        [
-            sum((omega[a][c] * jac[c][b] for c in range(m)), big.zero())
-            for b in range(m)
-        ]
-        for a in range(m)
-    ]
+    # M = J^T Omega J: M[a][b] = omega(J e_a, J e_b)
     mjj = [
         [
-            sum((jac[c][a] * tmp[c][b] for c in range(m)), big.zero())
+            sum((jac[i][a] * jac[n + i][b] - jac[n + i][a] * jac[i][b] for i in range(n)), z)
             for b in range(m)
         ]
         for a in range(m)
     ]
-    omega_t = FracMatrix(big, [[omega[b][a] for b in range(m)] for a in range(m)])
-    cols = []
-    for b in range(m):
-        rhs = [mjj[b][a] for a in range(m)]  # column b of M^T
-        col = solve_linear(omega_t, rhs)
-        if col is None:
-            raise InternalIdentityError("canonical symplectic solve failed")
-        cols.append(col)
-    grid = [[cols[b][a] for b in range(m)] for a in range(m)]
+    # row i of Omega picks row n + i of M^T, row n + i picks minus row i
+    grid = [[mjj[b][n + i] for b in range(m)] for i in range(n)]
+    grid += [[-mjj[b][i] for b in range(m)] for i in range(n)]
     return OneOneTensor(big, grid), big
 
 

@@ -1,10 +1,13 @@
 """Sampled decisions mod P against the exact path they replaced.
 
-The oracles below are that exact path, kept here: every sample point is
-evaluated to Fractions (or Gaussian rationals) by eval_matrix_at_sample and
-ranked by numeric_rank, and span equality reads its sampled ranks and
-pairings from those values.  Each property runs at the package's prime and
-with the prime forced to 5, where most images are rank deficient, have a
+The oracles below are that exact path, and they live only here: every sample
+point is evaluated to Fractions (or Gaussian rationals) by
+eval_matrix_at_sample and ranked by numeric_rank, a Gaussian elimination on
+field elements, and span equality reads its sampled ranks and pairings from
+those values.  The package ranks the points that its images cannot decide by
+its own fraction-free elimination instead, so the oracle is a second,
+independent algorithm.  Each property runs at the package's prime and with
+the prime forced to 5, where most images are rank deficient, have a
 vanishing denominator or a coefficient without image, and so fall back.
 """
 
@@ -13,7 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dngeo.courant import GSection, pairing
@@ -28,21 +31,20 @@ from dngeo.dirac import (
     make_graph_poisson,
     make_graph_presymplectic,
 )
+from dngeo.errors import PointEvaluationError
 from dngeo.symbolic import (
     Chart,
     FracMatrix,
     GaussianRational,
     Polynomial,
     ScalarExpr,
-    eval_matrix_at_sample,
     generic_rank,
     image_at_sample,
-    numeric_rank,
     pivot_columns,
     rank_at_samples,
     sample_point,
 )
-from dngeo.symbolic import modp
+from dngeo.symbolic import linalg, modp
 from dngeo.symbolic.poly import poly_one
 from dngeo.tensor import Bivector, PForm, VectorField
 
@@ -114,7 +116,42 @@ def test_coefficient_images():
     assert modp.coeff_image(GaussianRational(1, Fraction(2, 3 * P))) is None
 
 
-# -- the oracles: today's exact path -----------------------------------------------------
+# -- the oracles: the exact path by Gaussian elimination on field elements ---------------
+
+
+def eval_matrix_at_sample(m, s=0):
+    """The entries' values at sample point s, retrying past denominator zeros;
+    None when every retry is a pole."""
+    for retry in range(linalg.MAX_POINT_RETRIES + 1):
+        point = sample_point(m.chart, s, retry)
+        try:
+            return [[e.eval(point) for e in row] for row in m.entries]
+        except PointEvaluationError:
+            continue
+    return None
+
+
+def numeric_rank(values):
+    """Rank of a matrix of exact field elements by Gaussian elimination."""
+    rows = [list(r) for r in values]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    for pc in range(ncols):
+        pivot_row = next((i for i in range(rank, nrows) if rows[i][pc]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        piv = rows[rank][pc]
+        for i in range(rank + 1, nrows):
+            if rows[i][pc]:
+                factor = rows[i][pc] / piv
+                for j in range(pc, ncols):
+                    rows[i][j] = rows[i][j] - factor * rows[rank][j]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def exact_rank_at_samples(m, samples):
@@ -308,14 +345,46 @@ def image_outcome(m, s):
     return "proved" if modp.rank(values) == min(m.rows, m.cols) else "deficient image"
 
 
-# every way a sample point is decided, at each prime
+def record_exact_ranks(monkeypatch, seen):
+    """Record each point that the package evaluates exactly to rank it: the
+    field of its values, Q or Q(i) (only a complex chart has the latter), and
+    whether the oracle finds them of full rank or short of it."""
+    exact_values = linalg._exact_values
+
+    def recorded(m, point):
+        values = exact_values(m, point)
+        field = "Q(i)" if any(isinstance(v, GaussianRational) for row in values for v in row) else "Q"
+        full = numeric_rank(values) == min(m.rows, m.cols)
+        seen.add(("exact", field, "full" if full else "short"))
+        return values
+
+    monkeypatch.setattr(linalg, "_exact_values", recorded)
+
+
+# every way a sample point is decided, at each prime, and the exact fallback
+# on rational and on Gaussian values, of full rank and short of it
 OUTCOMES = {"proved", "deficient image", "vanishing denominator image", "no pole-free retry"}
-EXPECTED = {"default": OUTCOMES, "five": OUTCOMES | {"no coefficient image"}}
+EXACT = {("exact", field, rank) for field in ("Q", "Q(i)") for rank in ("full", "short")}
+EXPECTED = {"default": OUTCOMES | EXACT, "five": OUTCOMES | EXACT | {"no coefficient image"}}
+
+
+def exact_examples():
+    """Exact fallbacks that the generator need not reach at the package's
+    prime: [[P x]] and [[i P x]], of rank 1 with an image of rank 0, and
+    [[i x, i y], [x, y]], of rank 1 on Gaussian values."""
+    ch, cc = CHARTS[0], CHARTS[1]
+    i, x, y = cc.imag_unit(), cc.var("x"), cc.var("y")
+    return [
+        FracMatrix(ch, [[ch.const(modp.P) * ch.var("x")]]),
+        FracMatrix(cc, [[i * cc.const(modp.P) * x]]),
+        FracMatrix(cc, [[i * x, i * y], [x, y]]),
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(PRIMES))
-def test_sampled_ranks_match_the_exact_path(name):
+def test_sampled_ranks_match_the_exact_path(name, monkeypatch):
     seen = set()
+    record_exact_ranks(monkeypatch, seen)
 
     @SETTINGS
     @given(matrices())
@@ -328,6 +397,8 @@ def test_sampled_ranks_match_the_exact_path(name):
             if eval_matrix_at_sample(m) is None:
                 seen.add("no pole-free retry")
 
+    for m in exact_examples():
+        check = example(m)(check)
     check()
     assert seen == EXPECTED[name]
 

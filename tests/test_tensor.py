@@ -267,6 +267,38 @@ class TestLifts:
         assert tangent_chart(ch).variables == ("x", "y", "v_x", "v_y")
         assert cotangent_chart(ch).variables == ("x", "y", "p_x", "p_y")
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("chart", [chart2(), chart3(), chart2("complex")], ids=["R2", "R3", "C2"])
+    def test_cotangent_lift_solves_its_defining_relation(self, chart, seed):
+        # Omega^T . lift = (J^T Omega J)^T, with Omega the matrix of
+        # sum dx^i ^ dp_i and J the Jacobian of phi(x, p) = (x, r*(x) p)
+        rng = random.Random(seed)
+        r = random_oneone(chart, rng, 2)
+        if chart.mode == "complex":
+            grid = [list(row) for row in r.grid]
+            grid[0][1] = grid[0][1] * chart.imag_unit() + chart.imag_unit()
+            r = OneOneTensor(chart, grid)
+        lift, big = cotangent_lift(r)
+        n, m = chart.dim, 2 * chart.dim
+        z, one = big.zero(), big.one()
+        p = [big.var("p_" + v) for v in chart.variables]
+        phi = [big.var(v) for v in chart.variables] + [
+            sum((p[i] * r.grid[i][j].extend(big) for i in range(n)), z) for j in range(n)
+        ]
+        J = [[phi[a].diff(b) for b in range(m)] for a in range(m)]
+        omega = [[z] * m for _ in range(m)]
+        for i in range(n):
+            omega[i][n + i], omega[n + i][i] = one, -one
+
+        def product(A, B):
+            return [[sum((A[a][c] * B[c][b] for c in range(m)), z) for b in range(m)] for a in range(m)]
+
+        def transpose(A):
+            return [[A[b][a] for b in range(m)] for a in range(m)]
+
+        M = product(transpose(J), product(omega, J))
+        assert product(transpose(omega), lift.grid) == transpose(M)
+
     @pytest.mark.parametrize("name", ["lift_defining_relations", "lift_pairing_duality"])
     def test_lift_identities(self, name):
         assert run_identity(name, seed=3, instances=3) == 0
