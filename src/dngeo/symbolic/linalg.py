@@ -1,14 +1,15 @@
 """Linear algebra over the rational-function field.
 
 pivot_columns, solve_linear and kernel_basis share one integer elimination.
-Every row is cleared of denominators, then scaled by the lcm of its
-coefficient denominators, which changes no pivot and no solution, and its
-entries are packed once per matrix (see poly.py) into polynomials with
-integer coefficients over Q or Gaussian-integer ones over Q(i).  Bareiss
-elimination on them makes every row update a product, a difference and an
-exact division.  The pivot of each column is the first nonzero entry found
-scanning the remaining rows in order, so eliminations, kernels and
-solutions are reproducible byte for byte.
+Every row is cleared of polynomial denominators, then scaled by the lcm of
+the integer denominators of its entries (see poly.py), which changes no
+pivot and no solution, and the integer numerators of its entries are packed
+once per matrix, as they are stored, into polynomials with int coefficients
+over Q or Gaussian-integer ones over Q(i).  Bareiss elimination on them
+makes every row update a product, a difference and an exact division.  The
+pivot of each column is the first nonzero entry found scanning the
+remaining rows in order, so eliminations, kernels and solutions are
+reproducible byte for byte.
 
 Solutions are read by Cramer's rule without fractions: with D the last
 pivot, an r x r minor, y = D x is polynomial and fills bottom-up with
@@ -28,16 +29,14 @@ has one exact elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from ..errors import PointEvaluationError
 from . import modp
-from .gaussian import GaussianRational
 from .poly import (
     Polynomial,
     _divide,
     _dot,
-    _integral,
     _packed,
     _packing,
     _unpacked,
@@ -45,6 +44,7 @@ from .poly import (
     poly_gcd,
     poly_lcm,
     poly_one,
+    primitive_vector,
 )
 from .scalar import Chart, ScalarExpr
 
@@ -105,15 +105,14 @@ def _packed_rows(m: FracMatrix, rhs=None):
     at most twice that; the fields are sized for such a product.
     """
     cleared = _cleared_rows(m, rhs)
-    pairs = any(isinstance(c, GaussianRational) for row in cleared for p in row for c in p.terms.values())
-    degree = sum(max((sum(e) for p in row for e in p.terms), default=0) for row in cleared)
+    pairs = not all(p.is_real() for row in cleared for p in row)
+    degree = sum(max((sum(e) for p in row for e in p.nums), default=0) for row in cleared)
     n = m.chart.dim
     w, weights, guard = _packing(n, 2 * degree)
     rows = []
     for row in cleared:
-        entries = [_integral(p, pairs) for p in row]
-        common = lcm(*[d for d, _ in entries])
-        rows.append([_packed(terms, weights, pairs, common // d) for d, terms in entries])
+        common = lcm(*[p.denom for p in row])
+        rows.append([_packed(p, weights, pairs, common // p.denom) for p in row])
     return rows, pairs, guard, lambda p: _unpacked(p, n, w, pairs)
 
 
@@ -217,30 +216,6 @@ def _primitive(y, d):
     return [p if p.is_zero() else divexact(p, g) for p in y]
 
 
-def _normal_form(chart: Chart, polys):
-    """Scalars over denominator 1: the nonzero vector scaled to a first
-    nonzero entry of leading coefficient 1, then to integer content 1 over
-    both parts of every coefficient."""
-    lead = next(p for p in polys if not p.is_zero())
-    _, lc = lead.leading()
-    if lc != 1:
-        inv = 1 / lc
-        polys = [p.scale(inv) for p in polys]
-    # clear rational denominators and divide out the integer content
-    fracs = []
-    for p in polys:
-        for c in p.terms.values():
-            if isinstance(c, GaussianRational):
-                fracs.extend((c.re, c.im))
-            else:
-                fracs.append(c)
-    num_gcd = gcd(*[f.numerator for f in fracs])
-    scale = Fraction(lcm(*[f.denominator for f in fracs]), num_gcd if num_gcd else 1)
-    if scale != 1:
-        polys = [p.scale(scale) for p in polys]
-    return [ScalarExpr(chart, p, poly_one(chart.dim)) for p in polys]
-
-
 def _ratio(chart: Chart, y: Polynomial, d: Polynomial) -> ScalarExpr:
     """The scalar y/d, by one trial division before the gcd."""
     if y.is_zero():
@@ -254,9 +229,9 @@ def _ratio(chart: Chart, y: Polynomial, d: Polynomial) -> ScalarExpr:
 def kernel_basis(m: FracMatrix):
     """Basis of the right kernel over the function field, one vector per free
     column f: y = D x with x_f = 1 and the other free entries 0, divided by D
-    when D divides every entry and by gcd(y) otherwise, then scaled so that
-    its first nonzero entry has leading coefficient 1 and the integer content
-    of all its coefficients is 1."""
+    when D divides every entry and by gcd(y) otherwise, then scaled by the
+    constant of primitive_vector: integer coefficient parts with gcd 1 and a
+    positive leading coefficient in the first nonzero entry."""
     rows, pairs, guard, unpack = _packed_rows(m)
     pivots = _eliminate(rows, m.cols, pairs, guard)
     pivot_cols = {pc for _, pc in pivots}
@@ -266,7 +241,8 @@ def kernel_basis(m: FracMatrix):
             continue
         y, _ = _scaled_solution(rows, pivots, m.cols, free, pairs, guard)
         y = [unpack(v) for v in y]
-        basis.append(_normal_form(m.chart, _primitive(y, y[free])))
+        y = primitive_vector(_primitive(y, y[free]))
+        basis.append([ScalarExpr(m.chart, p, poly_one(m.chart.dim)) for p in y])
     return basis
 
 

@@ -41,14 +41,12 @@ def coeff_image(c):
 
 def poly_image(p):
     """[(exponent, coefficient mod P)] for the terms of p, or None when a
-    coefficient has no image."""
-    out = []
-    for e, c in p.terms.items():
-        c = coeff_image(c)
-        if c is None:
-            return None
-        out.append((e, c))
-    return out
+    coefficient has no image: P divides the common denominator of p exactly
+    when it divides the denominator of some coefficient."""
+    if not p.denom % P:
+        return None
+    inv = pow(p.denom, -1, P)
+    return [(e, (c[0] + I * c[1] if type(c) is tuple else c) * inv % P) for e, c in p.nums.items()]
 
 
 PROBES = 3  # fixed probe points tried per variable

@@ -1,24 +1,24 @@
 """Multivariate polynomials over Q or Q(i).
 
-A Polynomial is a sparse map from exponent tuples to nonzero coefficients.
-A coefficient is a Fraction, or a GaussianRational when its imaginary part
-is nonzero (see gaussian.py); both fields share every routine here.  The
-term order used for leading terms, printing and canonical forms is graded
-lexicographic over the chart's variable order.
+A Polynomial stores integer numerators over one positive integer
+denominator: `nums` maps exponent tuples to nonzero numerators, ints over Q
+and (re, im) pairs of ints over Q(i), and `denom` is common to all of them.
+The form is canonical: the gcd of `denom` and every numerator part is 1,
+pairs are used only while some imaginary part is nonzero, and zero is {}
+over 1.  Equal polynomials therefore have equal fields, and sums, products
+and quotients run on ints.  Fractions appear only at the edges: the
+constructor takes int, Fraction or GaussianRational coefficients (see
+gaussian.py), and `terms` is a read-only view, in the key order of `nums`,
+that builds a Fraction per coefficient, or a GaussianRational where the
+imaginary part is nonzero, for printing and for code outside the package.
+The term order used for leading terms, printing and canonical forms is
+graded lexicographic over the chart's variable order.
 
-Products and exact quotients run on integers.  Both bring each operand to
-integer numerators over one common denominator, the lcm of its coefficient
-denominators; over Q(i) a numerator is a (re, im) pair of integers.
-`Polynomial.__mul__` multiplies and sums plain ints and builds one
-coefficient per output term rather than per pair of terms.  `divexact` packs
-each exponent tuple into one int whose order is graded-lex (`_packing`) and
-divides in `_divide`, which linalg's elimination shares with it together
-with the product kernel `_dot`; the elimination packs once per matrix.
-Products keep exponent tuples: most products here have a one- or two-term
-operand, where packing costs more than it saves.
-
-`terms` holds rational coefficients, not integers plus a content, because
-code outside the package reads `terms` directly.
+`divexact` packs each exponent tuple into one int whose order is graded-lex
+(`_packing`) and divides in `_divide`, which linalg's elimination shares
+with it together with the product kernel `_dot`; the elimination packs once
+per matrix.  Products keep exponent tuples: most products here have a one-
+or two-term operand, where packing costs more than it saves.
 
 The gcd starts from degree bounds read from images mod P (see modp.py): for
 each variable, an upper bound on the degree of the gcd in it.  Bounds that
@@ -41,7 +41,7 @@ from operator import add, mul
 from . import modp
 from .gaussian import GaussianRational, gaussian
 
-_ONE = Fraction(1)
+_UNIT = (1, (1, 0))  # the numerator 1, as an int and as a pair
 
 
 def _grlex_key(expo):
@@ -49,56 +49,70 @@ def _grlex_key(expo):
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "denom")
 
-    def __init__(self, nvars: int, terms: dict):
-        # assumes terms already clean: no zero coefficients
-        self.nvars = nvars
-        self.terms = terms
+    def __new__(cls, nvars: int, terms: dict):
+        """The polynomial with these coefficients by exponent tuple: ints,
+        Fractions or GaussianRationals; zero ones are dropped."""
+        parts = {e: (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0) for e, c in terms.items() if c}
+        den = lcm(*[x.denominator for pair in parts.values() for x in pair])
+        nums = {
+            e: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+            for e, (re, im) in parts.items()
+        }
+        return _make(nvars, nums, den)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients by exponent tuple, built on each read."""
+        den = self.denom
+        return {e: _value(c, den) for e, c in self.nums.items()}
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {})
+        return _new(nvars, {}, 1)
 
     @staticmethod
     def const(nvars: int, c) -> "Polynomial":
-        if not c:
-            return Polynomial(nvars, {})
         return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, k: int) -> "Polynomial":
         expo = [0] * nvars
         expo[k] = 1
-        return Polynomial(nvars, {tuple(expo): _ONE})
+        return _new(nvars, {tuple(expo): 1}, 1)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
+        if self.denom != 1 or len(self.nums) != 1:
             return False
-        (e, c), = self.terms.items()
-        return sum(e) == 0 and c == 1
+        (e, c), = self.nums.items()
+        return c == 1 and sum(e) == 0
+
+    def is_real(self) -> bool:
+        """Whether every coefficient lies in Q."""
+        return not _is_pairs(self.nums)
 
     # -- structure --------------------------------------------------------
 
     def degree_in(self, k: int) -> int:
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(e[k] for e in self.terms)
+        return max(e[k] for e in self.nums)
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e, c = _lead(self)
+        return e, _value(c, self.denom)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical print order)."""
@@ -107,75 +121,37 @@ class Polynomial:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero():
+        a, b = self.nums, other.nums
+        if not a:
             return other
-        if other.is_zero():
+        if not b:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial(self.nvars, out)
+        if _is_pairs(a) != _is_pairs(b):
+            a, b = _as_pairs(a), _as_pairs(b)
+        den = lcm(self.denom, other.denom)
+        out = _summed(_times(a, den // self.denom), _times(b, den // other.denom).items())
+        return _make(self.nvars, out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(self.nvars, _times(self.nums, -1), self.denom)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
+        a, b = self.nums, other.nums
+        if not a or not b:
             return Polynomial.zero(self.nvars)
-        a, b = _integral(self, False), _integral(other, False)
-        pairs = a is None or b is None
-        if pairs:  # some coefficient is a GaussianRational
-            a, b = _integral(self, True), _integral(other, True)
-        (da, a), (db, b) = a, b
-        den = da * db
-        # the term-pair loop of Fraction arithmetic, on ints: a term is
-        # dropped when its sum cancels, as the coefficient would be
-        out: dict = {}
-        get = out.get
-        if not pairs:
-            for ea, na in a:
-                for eb, nb in b:
-                    e = tuple(map(add, ea, eb))
-                    s = get(e)
-                    if s is None:
-                        out[e] = na * nb
-                    else:
-                        s += na * nb
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-            return Polynomial(self.nvars, {e: Fraction(s, den) for e, s in out.items()})
-        for ea, ra, ia in a:
-            for eb, rb, ib in b:
-                e = tuple(map(add, ea, eb))
-                re = ra * rb - ia * ib
-                im = ra * ib + ia * rb
-                s = get(e)
-                if s is not None:
-                    re += s[0]
-                    im += s[1]
-                    if not (re or im):
-                        del out[e]
-                        continue
-                out[e] = re, im
-        return Polynomial(self.nvars, {e: _coefficient(re, im, den) for e, (re, im) in out.items()})
+        if _is_pairs(a) or _is_pairs(b):
+            a, b = _as_pairs(a), _as_pairs(b).items()
+            terms = ((tuple(map(add, ea, eb)), _pair_mul(ca, cb)) for ea, ca in a.items() for eb, cb in b)
+        else:
+            b = b.items()
+            terms = ((tuple(map(add, ea, eb)), na * nb) for ea, na in a.items() for eb, nb in b)
+        return _make(self.nvars, _summed({}, terms), self.denom * other.denom)
 
     def scale(self, c) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: k * c for e, k in self.terms.items()})
+        return self * Polynomial.const(self.nvars, c)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -196,7 +172,8 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.denom == other.denom
+            and self.nums == other.nums
         )
 
     __hash__ = None
@@ -207,96 +184,189 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def diff(self, k: int) -> "Polynomial":
+        pairs = _is_pairs(self.nums)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             d = e[k]
             if d == 0:
                 continue
             ne = list(e)
             ne[k] = d - 1
-            out[tuple(ne)] = c * d
-        return Polynomial(self.nvars, out)
+            out[tuple(ne)] = (c[0] * d, c[1] * d) if pairs else c * d
+        return _make(self.nvars, out, self.denom)
 
     def eval(self, point):
         """Evaluate at a full point (sequence of field elements)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for k, d in enumerate(e):
-                if d:
-                    v = v * point[k] ** d
-            total = total + v
-        return total
+        value = self.substitute(dict(enumerate(point)))
+        return _value(value.nums.get((0,) * self.nvars, 0), value.denom)
 
     def substitute(self, assign: dict) -> "Polynomial":
-        """Partially substitute constants for variables (indices -> values)."""
-        out = Polynomial.zero(self.nvars)
-        for e, c in self.terms.items():
-            v = c
+        """Partially substitute constants for variables (indices -> values).
+
+        With each value c/d and m the degree in its variable, a term's
+        power j becomes c^j d^(m - j), so every term lands over one
+        denominator, denom times each d^m, and sums into one dict.
+        """
+        if not self.nums:
+            return self
+        den = self.denom
+        powers = []
+        for k, value in assign.items():
+            v = Polynomial.const(0, value)
+            c, d, m = _as_pairs(v.nums).get((), (0, 0)), v.denom, self.degree_in(k)
+            col, cj = [], (1, 0)  # c^j d^(m - j) for j = 0..m
+            for j in range(m + 1):
+                col.append((cj[0] * d ** (m - j), cj[1] * d ** (m - j)))
+                cj = _pair_mul(cj, c)
+            powers.append((k, col))
+            den *= d ** m
+        terms = []
+        for e, c in _as_pairs(self.nums).items():
             ne = list(e)
-            for k, val in assign.items():
-                d = e[k]
-                if d:
-                    v = v * val ** d
+            for k, col in powers:
+                c = _pair_mul(c, col[e[k]])
                 ne[k] = 0
-            if v:
-                out = out + Polynomial(self.nvars, {tuple(ne): v})
-        return out
+            if c != (0, 0):
+                terms.append((tuple(ne), c))
+        return _make(self.nvars, _summed({}, terms), den)
 
     def project(self, keep) -> "Polynomial":
         """Reindex onto the variables listed in `keep` (others must not occur)."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             ne = tuple(e[k] for k in keep)
             if sum(ne) != sum(e):
                 raise ValueError("polynomial involves a projected-out variable")
             out[ne] = c
-        return Polynomial(len(keep), out)
+        return _new(len(keep), out, self.denom)
 
     def extend(self, new_nvars: int, index_map) -> "Polynomial":
         """Inject into a larger variable space; index_map[k] = new index of old var k."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             ne = [0] * new_nvars
             for k, d in enumerate(e):
                 ne[index_map[k]] = d
             out[tuple(ne)] = c
-        return Polynomial(new_nvars, out)
+        return _new(new_nvars, out, self.denom)
 
 
 def poly_one(nvars: int) -> Polynomial:
-    return Polynomial(nvars, {(0,) * nvars: _ONE})
+    return _new(nvars, {(0,) * nvars: 1}, 1)
 
 
-# -- integer kernels ---------------------------------------------------------
+# -- the integer form --------------------------------------------------------
 
 
-def _integral(p: Polynomial, pairs: bool):
-    """(den, terms): the coefficients of p as integer numerators over their
-    common denominator den, in terms (exponent, numerator).  With pairs the
-    numerator is re, im; otherwise None when p has a GaussianRational
-    coefficient."""
-    if not pairs:
-        try:
-            den = lcm(*[c.denominator for c in p.terms.values()])
-        except AttributeError:  # a GaussianRational
-            return None
-        return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-    parts = [
-        (e, c.re, c.im) if isinstance(c, GaussianRational) else (e, c, 0) for e, c in p.terms.items()
-    ]
-    den = lcm(*[x.denominator for _, re, im in parts for x in (re, im)])
-    return den, [
-        (e, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-        for e, re, im in parts
-    ]
+def _new(nvars: int, nums: dict, denom: int) -> Polynomial:
+    """Trusted constructor: nums over denom must already be canonical."""
+    p = object.__new__(Polynomial)
+    p.nvars, p.nums, p.denom = nvars, nums, denom
+    return p
 
 
-def _coefficient(re: int, im: int, den: int):
-    """(re + i im)/den: a Fraction when im is 0, else a GaussianRational."""
-    if im:
-        return gaussian(Fraction(re, den), Fraction(im, den))
-    return Fraction(re, den)
+def _make(nvars: int, nums: dict, denom: int) -> Polynomial:
+    """The polynomial nums/denom, for a positive int denom, in canonical
+    form: both divided by the gcd of denom and every numerator part, and
+    (re, im) pairs turned to ints when every im is 0."""
+    if _is_pairs(nums) and not any(im for _, im in nums.values()):
+        nums = {e: re for e, (re, _) in nums.items()}
+    g = gcd(denom, *_parts(nums)) if denom != 1 else 1
+    if g != 1:
+        nums = {e: (c[0] // g, c[1] // g) if type(c) is tuple else c // g for e, c in nums.items()}
+    return _new(nvars, nums, denom // g if nums else 1)
+
+
+def _is_pairs(nums: dict) -> bool:
+    """Whether the numerators are (re, im) pairs."""
+    return type(next(iter(nums.values()), 0)) is tuple
+
+
+def _as_pairs(nums: dict) -> dict:
+    """nums with each int numerator c as the pair (c, 0)."""
+    return nums if _is_pairs(nums) else {e: (c, 0) for e, c in nums.items()}
+
+
+def _parts(nums: dict) -> list:
+    """Every numerator part: the ints, or both ints of each pair."""
+    return [x for c in nums.values() for x in (c if type(c) is tuple else (c,))]
+
+
+def _summed(out: dict, terms) -> dict:
+    """out with each (exponent, numerator) of terms added in, numerators all
+    ints or all pairs; a term whose sum cancels is dropped, as a field
+    coefficient would be."""
+    get = out.get
+    for e, c in terms:
+        s = get(e)
+        if s is not None:
+            c = s + c if type(c) is int else (s[0] + c[0], s[1] + c[1])
+            if not c or c == (0, 0):
+                del out[e]
+                continue
+        out[e] = c
+    return out
+
+
+def _pair_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _times(nums: dict, k) -> dict:
+    """A new dict of nums times k, an int or an (re, im) pair; pairs when
+    either is."""
+    if type(k) is tuple:
+        return {e: _pair_mul(c, k) for e, c in _as_pairs(nums).items()}
+    if k == 1:
+        return dict(nums)
+    if _is_pairs(nums):
+        return {e: (re * k, im * k) for e, (re, im) in nums.items()}
+    return {e: c * k for e, c in nums.items()}
+
+
+def _inverse(c):
+    """(k, d) with 1/c = k/d, for c a nonzero int or (re, im) pair and d a
+    positive int."""
+    if type(c) is tuple:
+        return (c[0], -c[1]), c[0] * c[0] + c[1] * c[1]
+    return (1, c) if c > 0 else (-1, -c)
+
+
+def _lead(p: Polynomial):
+    """(exponent, numerator) of the graded-lex leading term."""
+    e = max(p.nums, key=_grlex_key)
+    return e, p.nums[e]
+
+
+def _value(c, den: int):
+    """The coefficient c/den: a Fraction, or a GaussianRational when c is a
+    pair with a nonzero imaginary part."""
+    if type(c) is tuple:
+        return gaussian(Fraction(c[0], den), Fraction(c[1], den))
+    return Fraction(c, den)
+
+
+def over_monic(num: Polynomial, den: Polynomial):
+    """(num / c, den / c) for c the leading coefficient of den."""
+    _, lc = _lead(den)
+    if den.denom == 1 and lc in _UNIT:
+        return num, den
+    # c = lc / den.denom, so num / c = num.nums * den.denom / (num.denom * lc)
+    k, d = _inverse(lc)
+    top = _times(_times(num.nums, k), den.denom)
+    return _make(num.nvars, top, num.denom * d), _make(den.nvars, _times(den.nums, k), d)
+
+
+def primitive_vector(polys) -> list:
+    """The polys times the one constant that leaves every coefficient part an
+    integer, all of these parts with gcd 1, and the leading coefficient of
+    the first nonzero poly a positive integer."""
+    _, lc = _lead(next(p for p in polys if p.nums))
+    k, _ = _inverse(lc)  # 1/lc up to a positive factor
+    common = lcm(*[p.denom for p in polys])
+    vec = [_times(_times(p.nums, common // p.denom), k) for p in polys]
+    g = gcd(*[x for nums in vec for x in _parts(nums)])
+    return [_make(p.nvars, nums, g) for p, nums in zip(polys, vec)]
 
 
 # -- packed integer polynomials ----------------------------------------------
@@ -318,23 +388,23 @@ def _packing(n: int, degree: int):
     return w, weights, guard
 
 
-def _packed(terms, weights, pairs: bool, k: int = 1) -> dict:
-    """The (exponent, numerator) terms of _integral as a packed polynomial,
-    each numerator times k."""
-    if pairs:
-        return {sum(map(mul, e, weights)): [re * k, im * k] for e, re, im in terms}
-    return {sum(map(mul, e, weights)): c * k for e, c in terms}
+def _packed(p: Polynomial, weights, pairs: bool, k: int = 1) -> dict:
+    """The numerators of p times k as a packed polynomial, with [re, im]
+    lists when pairs."""
+    if not pairs:
+        return {sum(map(mul, e, weights)): c * k for e, c in p.nums.items()}
+    return {sum(map(mul, e, weights)): [re * k, im * k] for e, (re, im) in _as_pairs(p.nums).items()}
 
 
 def _unpacked(p: dict, n: int, w: int, pairs: bool, num: int = 1, den: int = 1) -> Polynomial:
-    """The Polynomial num/den * p for a packed p of n variables and width w."""
+    """The Polynomial num/den * p for a packed p of n variables and width w,
+    num and den positive ints."""
     mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
     if pairs:
-        return Polynomial(n, {
-            tuple([k >> s & mask for s in shifts]): _coefficient(re * num, im * num, den)
-            for k, (re, im) in p.items()
-        })
-    return Polynomial(n, {tuple([k >> s & mask for s in shifts]): Fraction(c * num, den) for k, c in p.items()})
+        nums = {tuple([k >> s & mask for s in shifts]): (re * num, im * num) for k, (re, im) in p.items()}
+    else:
+        nums = {tuple([k >> s & mask for s in shifts]): c * num for k, c in p.items()}
+    return _make(n, nums, den)
 
 
 def _dot(plus, minus, pairs: bool) -> dict:
@@ -461,15 +531,11 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_one():
         return f
     n = f.nvars
-    a, b = _integral(f, False), _integral(g, False)
-    pairs = a is None or b is None
-    if pairs:  # some coefficient is a GaussianRational
-        a, b = _integral(f, True), _integral(g, True)
-    (df, a), (dg, b) = a, b
+    pairs = _is_pairs(f.nums) or _is_pairs(g.nums)
     # every remainder term has total degree <= deg f
-    w, weights, guard = _packing(n, max(map(sum, (*f.terms, *g.terms))))
-    out, scale = _divide(_packed(a, weights, pairs), _packed(b, weights, pairs), guard, pairs)
-    return _unpacked(out, n, w, pairs, dg, df * scale)
+    w, weights, guard = _packing(n, max(map(sum, (*f.nums, *g.nums))))
+    out, scale = _divide(_packed(f, weights, pairs), _packed(g, weights, pairs), guard, pairs)
+    return _unpacked(out, n, w, pairs, g.denom, f.denom * scale)
 
 
 # -- univariate views --------------------------------------------------------
@@ -478,12 +544,12 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 def uni_coeff(f: Polynomial, k: int, d: int) -> Polynomial:
     """Coefficient of x_k^d, as a polynomial with zero k-exponent."""
     out = {}
-    for e, c in f.terms.items():
+    for e, c in f.nums.items():
         if e[k] == d:
             ne = list(e)
             ne[k] = 0
             out[tuple(ne)] = c
-    return Polynomial(f.nvars, out)
+    return _make(f.nvars, out, f.denom)
 
 
 def uni_lead(f: Polynomial, k: int) -> Polynomial:
@@ -502,8 +568,8 @@ def prem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     while not r.is_zero() and r.degree_in(k) >= l:
         dr = r.degree_in(k)
         # the x_k^dr coefficient of r, times x_k^(dr - l)
-        lead = {x[:k] + (dr - l,) + x[k + 1:]: c for x, c in r.terms.items() if x[k] == dr}
-        r = lcg * r - Polynomial(f.nvars, lead) * g
+        lead = {x[:k] + (dr - l,) + x[k + 1:]: c for x, c in r.nums.items() if x[k] == dr}
+        r = lcg * r - _make(f.nvars, lead, r.denom) * g
         e -= 1
     for _ in range(e):
         r = lcg * r
@@ -516,10 +582,12 @@ def prem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    _, lc = p.leading()
-    if lc == 1:
+    _, lc = _lead(p)
+    if p.denom == 1 and lc in _UNIT:
         return p
-    return p.scale(1 / lc)
+    # p over its leading coefficient lc / denom is nums / lc
+    k, d = _inverse(lc)
+    return _make(p.nvars, _times(p.nums, k), d)
 
 
 def content_wrt(f: Polynomial, k: int) -> Polynomial:
@@ -564,7 +632,7 @@ def _subresultant_last(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
 
 
 def _degrees(p: Polynomial) -> list:
-    return [max(d) for d in zip(*p.terms)]
+    return [max(d) for d in zip(*p.nums)]
 
 
 def _certified_gcd(f: Polynomial, g: Polynomial):
@@ -601,14 +669,14 @@ def _certified_gcd(f: Polynomial, g: Polynomial):
         return None
     parts: dict = {}
     for i, p in enumerate((f, g)):
-        for e, c in p.terms.items():
+        for e, c in p.nums.items():
             rest = list(e)
             for k in free:
                 rest[k] = 0
-            parts.setdefault((i, *(e[k] for k in free)), {})[tuple(rest)] = c
+            parts.setdefault((i, *(e[k] for k in free)), ({}, p.denom))[0][tuple(rest)] = c
     out = Polynomial.zero(n)
-    for terms in sorted(parts.values(), key=len):
-        out = poly_gcd(out, Polynomial(n, terms))
+    for nums, den in sorted(parts.values(), key=lambda part: len(part[0])):
+        out = poly_gcd(out, _make(n, nums, den))
         if out.is_one():
             break
     return out

@@ -12,8 +12,9 @@ Two ScalarExpr built in any order from the same rational function therefore
 compare equal structurally.
 
 ScalarExpr, Polynomial and Chart are immutable: nothing assigns `num`,
-`den`, `terms` or a chart field after construction, so results may share
-them.  Each chart holds one zero scalar, which `Chart.zero()` and the zero
+`den`, a polynomial's integer numerators `nums` and denominator `denom` (see
+poly.py) or a chart field after construction, so results may share them.
+Each chart holds one zero scalar, which `Chart.zero()` and the zero
 short-circuits of the arithmetic return.  `ScalarExpr.__init__`
 canonicalises its input; the trusted constructor `ScalarExpr._make` skips
 that and may be used only where the result is canonical by construction: a
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from ..errors import ChartMismatchError, PointEvaluationError, ZeroDenominatorError
 from .gaussian import GaussianRational
-from .poly import Polynomial, divexact, poly_gcd, poly_one
+from .poly import Polynomial, divexact, over_monic, poly_gcd, poly_one
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class ScalarExpr:
     def __init__(self, chart: Chart, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
-        if num.is_zero():
+        if not num.nums:
             num, den = chart._zero.num, chart._zero.den
         elif not den.is_one():
             g = poly_gcd(num, den)
@@ -130,11 +131,7 @@ class ScalarExpr:
                 num = divexact(num, g)
                 den = divexact(den, g)
             if not den.is_one():
-                _, lc = den.leading()
-                if lc != 1:
-                    inv = 1 / lc
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+                num, den = over_monic(num, den)
         self.chart = chart
         self.num = num
         self.den = den
@@ -149,14 +146,17 @@ class ScalarExpr:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num.nums
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return bool(self.num.nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.chart.const(other)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            try:
+                other = self.chart.const(other)
+            except ValueError:  # a nonzero imaginary part on a real chart
+                return False
         if not isinstance(other, ScalarExpr):
             return NotImplemented
         return (
@@ -178,13 +178,13 @@ class ScalarExpr:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if not o.num.terms:
+        if not o.num.nums:
             return self
-        if not self.num.terms:
+        if not self.num.nums:
             return o
         if self.den.is_one() and o.den.is_one():
             num = self.num + o.num
-            return ScalarExpr._make(self.chart, num, self.den) if num.terms else self.chart._zero
+            return ScalarExpr._make(self.chart, num, self.den) if num.nums else self.chart._zero
         if self.den == o.den:  # only the sum of numerators can share a factor with den
             return ScalarExpr(self.chart, self.num + o.num, self.den)
         return ScalarExpr(
@@ -194,7 +194,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num.terms:
+        if not self.num.nums:
             return self
         return ScalarExpr._make(self.chart, -self.num, self.den)
 
@@ -206,7 +206,7 @@ class ScalarExpr:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if not self.num.terms or not o.num.terms:
+        if not self.num.nums or not o.num.nums:
             return self.chart._zero
         if self.den.is_one() and o.den.is_one():
             return ScalarExpr._make(self.chart, self.num * o.num, self.den)
@@ -239,7 +239,7 @@ class ScalarExpr:
             return self.inverse() ** (-k)
         if not k:
             return self.chart.one()
-        if not self.num.terms:
+        if not self.num.nums:
             return self
         # coprime num and den stay coprime, and a monic den stays monic
         return ScalarExpr._make(self.chart, self.num ** k, self.den if self.den.is_one() else self.den ** k)
@@ -250,7 +250,7 @@ class ScalarExpr:
         k = var if isinstance(var, int) else self.chart.index(var)
         if self.den.is_one():
             num = self.num.diff(k)
-            return ScalarExpr._make(self.chart, num, self.den) if num.terms else self.chart._zero
+            return ScalarExpr._make(self.chart, num, self.den) if num.nums else self.chart._zero
         n, d = self.num, self.den
         return ScalarExpr(self.chart, n.diff(k) * d - n * d.diff(k), d * d)
 
@@ -334,22 +334,16 @@ def poly_to_str(p: Polynomial, names) -> str:
     pieces = []
     for expo, c in p.sorted_terms():
         mono = _monomial_str(expo, names)
-        if isinstance(c, GaussianRational) and c.im != 0 and c.re != 0:
+        # a GaussianRational coefficient has im != 0 (the coefficient rule)
+        if isinstance(c, GaussianRational) and c.re != 0:
             coef = coeff_to_str(c)  # parenthesized mixed coefficient
             text = f"{coef}*{mono}" if mono else coef
             sign = "+"
         else:
             # real or purely imaginary: factor the sign out for readability
-            if isinstance(c, GaussianRational) and c.im != 0:
-                neg = c.im < 0
-                mag = abs(c.im)
-                core = "i" if mag == 1 else f"{mag}*i"
-            else:
-                cval = c.re if isinstance(c, GaussianRational) else c
-                neg = cval < 0
-                mag = abs(cval)
-                core = "" if mag == 1 else str(mag)
-            bits = [b for b in (core, mono) if b]
+            neg = (c.im if isinstance(c, GaussianRational) else c) < 0
+            core = coeff_to_str(-c if neg else c)
+            bits = [b for b in ("" if core == "1" else core, mono) if b]
             text = "*".join(bits) if bits else "1"
             sign = "-" if neg else "+"
         pieces.append((sign, text))

@@ -63,6 +63,34 @@ def test_real_gaussian_equals_and_hashes_like_its_fraction():
     assert str(REAL_G) == str(Fraction(3, 2))
 
 
+# -- scalars against constants -----------------------------------------------------
+
+REAL = Chart("R", ("x", "y"))
+COMPLEX = Chart("C", ("z", "w"), "complex")
+
+
+@pytest.mark.parametrize(
+    "scalar, other, want",
+    [
+        (COMPLEX.imag_unit(), I, True),
+        (COMPLEX.imag_unit(), GaussianRational(0, -1), False),
+        (COMPLEX.const(2) + COMPLEX.imag_unit(), GaussianRational(2, 1), True),
+        (COMPLEX.const(2), 2, True),
+        (COMPLEX.const(2), GaussianRational(2, 0), True),
+        (COMPLEX.var("z"), I, False),
+        (REAL.const(Fraction(3, 2)), REAL_G, True),
+        (REAL.const(Fraction(3, 2)), Fraction(3, 2), True),
+        # a nonzero imaginary part on a real chart compares unequal, not raising
+        (REAL.const(1), ONE_I, False),
+        (REAL.zero(), I, False),
+    ],
+)
+def test_scalars_compare_with_constants(scalar, other, want):
+    assert (scalar == other) is want
+    assert (other == scalar) is want
+    assert (scalar != other) is not want
+
+
 # -- scalars on complex charts -----------------------------------------------------
 
 small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
