@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .symbolic import ScalarExpr, solve_linear
-from .courant import apply_rr, big_D, courant_bracket
+from .courant import _coordinate_D, apply_rr, courant_bracket
 from .dirac import GFrame, Verdict, check_involutive, check_lagrangian
 from .tensor import (
     OneOneTensor,
@@ -470,8 +470,7 @@ def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
     theta = []
     for a in range(n):
         rows = []
-        for k in range(chart.dim):
-            d = big_D(VectorField.coordinate(chart, k), L.sections[a], r)
+        for d in _coordinate_D(L.sections[a], r):
             coeffs = solve_linear(fm, d.components())
             if coeffs is None:
                 raise PreconditionError("derivation does not preserve the frame span")

@@ -35,9 +35,8 @@ from .symbolic import modp
 from .symbolic.scalar import to_str
 from .courant import (
     GSection,
+    _coordinate_D,
     apply_rr,
-    big_D,
-    concomitant_CL,
     courant_bracket,
     double_bracket,
     pairing,
@@ -308,10 +307,10 @@ def check_D_stability(
     _require(check_invariance(L, r, Verdict.ok()) if invariance is None else invariance, "invariance")
     n = L.chart.dim
     for a in range(n):
+        row = _coordinate_D(L.sections[a], r)  # C_L(a, b)(d_k) = <row[k], s_b>
         for b in range(a, n):
-            form = concomitant_CL(L.sections[a], L.sections[b], r)
             for k in range(n):
-                val = form.get((k,))
+                val = pairing(row[k], L.sections[b])
                 if not val.is_zero():
                     return Verdict.fail((f"concomitant[{a},{b}]({L.chart.variables[k]})", val))
     return Verdict.ok()
@@ -789,10 +788,12 @@ def check_contraction_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verd
     if inv.status != PASS:
         return Verdict.fail(("invariance", "condition (i) fails"), *inv.witnesses)
     n = L.chart.dim
+    # bigD is C^infinity-linear in X, so D_Y(s_a) = sum_k Y^k D_{d_k}(s_a)
+    rows, zero = [_coordinate_D(s, r) for s in L.sections], GSection.zero(L.chart)
     for b in range(n):
         Y = L.sections[b].vec
         for a in range(n):
-            da = big_D(Y, L.sections[a], r)
+            da = combination(rows[a], Y.comps, zero)
             for c in range(n):
                 val = pairing(da, L.sections[c])
                 if not val.is_zero():

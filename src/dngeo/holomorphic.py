@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .symbolic import Chart, same_chart
-from .courant import GSection, big_D, courant_bracket, pairing
+from .courant import GSection, _coordinate_D, courant_bracket, pairing
 from .dirac import DNReport, GFrame, Verdict, dirac_nijenhuis_report
 from .tensor import (
     Bivector,
     OneOneTensor,
     PForm,
-    VectorField,
     ext_d,
     form_r,
     interior,
@@ -97,11 +96,7 @@ def phi_pairing(c1: ComplexGSection, c2: ComplexGSection):
 
 def is_holomorphic_section(s: GSection, J: ComplexStructure) -> bool:
     """Flatness for the combined derivation on every coordinate field."""
-    chart = s.chart
-    return all(
-        big_D(VectorField.coordinate(chart, k), s, J.r).is_zero()
-        for k in range(chart.dim)
-    )
+    return all(d.is_zero() for d in _coordinate_D(s, J.r))
 
 
 def check_holomorphic_dirac(L: GFrame, J: ComplexStructure, samples: int = 3) -> DNReport:

@@ -59,6 +59,7 @@ class Chart:
         dim = len(self.variables)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_zero", ScalarExpr._make(self, Polynomial.zero(dim), poly_one(dim)))
+        object.__setattr__(self, "_one", ScalarExpr._make(self, poly_one(dim), poly_one(dim)))
 
     def index(self, name: str) -> int:
         try:
@@ -77,16 +78,17 @@ class Chart:
             if self.mode != "complex":
                 raise ValueError("complex coefficient on a real chart")
             return value
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def zero(self) -> "ScalarExpr":
         return self._zero
 
     def one(self) -> "ScalarExpr":
-        return self.const(1)
+        return self._one
 
     def const(self, value) -> "ScalarExpr":
-        return ScalarExpr(self, Polynomial.const(self.dim, self.coeff(value)), poly_one(self.dim))
+        c = value if type(value) is int else self.coeff(value)  # an int is its own integer form
+        return ScalarExpr(self, Polynomial.const(self.dim, c), poly_one(self.dim))
 
     def imag_unit(self) -> "ScalarExpr":
         if self.mode != "complex":

@@ -18,7 +18,11 @@ The two connection-like operators are
 
 and both satisfy the degree-1 Leibniz rule; the test suite asserts the
 defining identities, their duality pairing and the torsion expressions they
-induce.
+induce.  The Nijenhuis torsion is read in closed form on coordinate fields,
+
+    N^i_jk = sum_l (r^l_j dl r^i_k - r^l_k dl r^i_j + r^i_l (dk r^l_j - dj r^l_k)),
+
+with each derivative of r taken once.
 """
 
 from __future__ import annotations
@@ -685,24 +689,24 @@ def D_r_star_pform(X: VectorField, w: PForm, r: OneOneTensor) -> CovFormValued:
     return form_as_covform(value)
 
 
+def _partials(r: OneOneTensor) -> list:
+    """dr[l][i][j] = d_l r^i_j, each derivative taken once."""
+    return [[[c.diff(l) for c in row] for row in r.grid] for l in range(r.chart.dim)]
+
+
 def nijenhuis_torsion(r: OneOneTensor) -> VectorValuedTwoForm:
-    """Torsion on coordinate fields; tensoriality makes this complete."""
+    """Torsion on coordinate fields, [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]),
+    in the closed form of the module docstring; tensoriality makes this complete."""
     chart = r.chart
     n = chart.dim
-    cols = [
-        VectorField(chart, [r.grid[i][j] for i in range(n)]) for j in range(n)
-    ]
+    g, dr, z = r.grid, _partials(r), chart.zero()
     out = {}
     for j, k in combinations(range(n), 2):
-        # [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]); [dj, dk] = 0
-        val = (
-            lie_bracket(cols[j], cols[k])
-            - r.apply(lie_bracket(cols[j], VectorField.coordinate(chart, k)))
-            - r.apply(lie_bracket(VectorField.coordinate(chart, j), cols[k]))
-        )
         for i in range(n):
-            if not val.comps[i].is_zero():
-                out[(i, j, k)] = val.comps[i]
+            terms = (
+                g[l][j] * dr[l][i][k] - g[l][k] * dr[l][i][j] + g[i][l] * (dr[k][l][j] - dr[j][l][k]) for l in range(n)
+            )
+            out[(i, j, k)] = sum(terms, z)
     return VectorValuedTwoForm(chart, out)
 
 

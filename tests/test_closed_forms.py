@@ -1,0 +1,124 @@
+"""The closed forms of the combined derivation along coordinate fields and of
+the Nijenhuis torsion, against their defining expressions: `big_D` on
+`VectorField.coordinate(chart, k)`, and the torsion through Lie brackets,
+[r dj, r dk] - r([r dj, dk]) - r([dj, r dk]).  Entries are drawn over Q on
+2-, 3- and 4-charts and over Q(i) on a complex 2-chart, with zeros,
+Gaussian coefficients and nonconstant denominators."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dngeo.courant import GSection, _coordinate_D, big_D
+from dngeo.symbolic import Chart, GaussianRational
+from dngeo.tensor import OneOneTensor, PForm, VectorField, lie_bracket, nijenhuis_torsion
+
+SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+
+CHARTS = [
+    Chart("R2", ("x", "y")),
+    Chart("R3", ("x", "y", "z")),
+    Chart("R4", ("x", "y", "z", "w")),
+    Chart("C2", ("z", "w"), "complex"),
+]
+
+
+@st.composite
+def scalars(draw, chart):
+    """Zero, or c * x_k^e * x_l + d, divided by x_m + q or x_m^2 + q in a
+    third of the draws."""
+    if draw(st.integers(0, 2)) == 0:
+        return chart.zero()
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    if chart.mode == "complex":
+        coeffs = st.one_of(coeffs, st.builds(GaussianRational, coeffs, coeffs))
+    var = st.sampled_from(chart.variables).map(chart.var)
+    out = chart.const(draw(coeffs)) * draw(var) ** draw(st.integers(0, 2)) * draw(var)
+    out = out + chart.const(draw(coeffs))
+    if draw(st.integers(0, 2)) == 0:
+        out = out / (draw(var) ** draw(st.integers(1, 2)) + draw(st.integers(1, 3)))
+    return out
+
+
+@st.composite
+def cases(draw, chart):
+    n = chart.dim
+    one = st.just(chart.one())
+    entry = scalars(chart)
+    r = OneOneTensor(chart, [[draw(st.one_of(entry, one) if i == j else entry) for j in range(n)] for i in range(n)])
+    vec = VectorField(chart, [draw(entry) for _ in range(n)])
+    cov = PForm(chart, 1, {(k,): draw(entry) for k in range(n)})
+    return r, GSection(vec, cov)
+
+
+def torsion_by_brackets(r):
+    """N^i_jk from Lie brackets of the columns r dj and the coordinate fields."""
+    chart = r.chart
+    n = chart.dim
+    cols = [VectorField(chart, [r.grid[i][j] for i in range(n)]) for j in range(n)]
+    out = {}
+    for j, k in combinations(range(n), 2):
+        val = (
+            lie_bracket(cols[j], cols[k])
+            - r.apply(lie_bracket(cols[j], VectorField.coordinate(chart, k)))
+            - r.apply(lie_bracket(VectorField.coordinate(chart, j), cols[k]))
+        )
+        for i in range(n):
+            if not val.comps[i].is_zero():
+                out[(i, j, k)] = val.comps[i]
+    return out
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
+@SETTINGS
+@given(data=st.data())
+def test_coordinate_table_equals_big_D_on_coordinate_fields(chart, data):
+    r, s = data.draw(cases(chart))
+    row = _coordinate_D(s, r)
+    assert len(row) == chart.dim
+    for k, d in enumerate(row):
+        assert d == big_D(VectorField.coordinate(chart, k), s, r), k
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
+@SETTINGS
+@given(data=st.data())
+def test_closed_torsion_equals_the_bracket_expression(chart, data):
+    r, _ = data.draw(cases(chart))
+    assert nijenhuis_torsion(r).comps == torsion_by_brackets(r)
+
+
+def test_the_draws_reach_every_chart_and_kind_of_entry():
+    seen = set()
+
+    @SETTINGS
+    @given(data=st.data())
+    def record(chart, data):
+        r, s = data.draw(cases(chart))
+        for c in [*(c for row in r.grid for c in row), *s.vec.comps]:
+            seen.add((chart.name, "zero" if c.is_zero() else "poly" if c.den.is_one() else "fraction"))
+            if not c.num.is_real():
+                seen.add((chart.name, "gaussian"))
+
+    for chart in CHARTS:
+        record(chart)
+    for name in ("R2", "R3", "R4", "C2"):
+        assert {(name, kind) for kind in ("zero", "poly", "fraction")} <= seen
+    assert ("C2", "gaussian") in seen
+
+
+def test_examples():
+    ch = CHARTS[0]
+    x = ch.var("x")
+    # diag(a, c) with a - c = 1 and c = x^2: N(dx, dy) = (a - c) c' dy = 2x dy
+    r = OneOneTensor.diagonal(ch, [x * x + 1, x * x])
+    assert nijenhuis_torsion(r).comps == {(1, 0, 1): 2 * x}
+    # D_{dx}(dy, dy) for r = x*id is (0, dy), as bigD's own test states
+    s = GSection(VectorField.coordinate(ch, 1), PForm.coordinate(ch, 1))
+    row = _coordinate_D(s, OneOneTensor.scalar(ch, x))
+    assert row[0] == GSection.from_form(PForm.coordinate(ch, 1))
+    assert row[1] == GSection(VectorField.zero(ch), PForm(ch, 1, {(0,): -ch.one()}))
+    assert row[1] == big_D(VectorField.coordinate(ch, 1), s, OneOneTensor.scalar(ch, x))

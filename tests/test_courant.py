@@ -7,6 +7,7 @@ import pytest
 
 from dngeo.courant import (
     GSection,
+    _coordinate_D,
     apply_rr,
     big_D,
     bracket_Dr,
@@ -19,8 +20,10 @@ from dngeo.courant import (
 )
 from dngeo.fixtures import (
     chart2,
+    chart3,
     pn_pair_2chart,
     random_gsection,
+    random_oneone,
     random_scalar,
     random_vf,
 )
@@ -90,6 +93,22 @@ class TestBigD:
 
     def test_leibniz(self):
         assert run_identity("combined_leibniz", seed=5, instances=4) == 0
+
+    @pytest.mark.parametrize("chart", [chart2(), chart3(), chart2("complex")], ids=lambda c: c.name + c.mode)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_over_functions_in_the_field(self, chart, seed):
+        # check_contraction_type reads D_Y as sum_k Y^k D_{d_k} from this
+        rng = random.Random(seed)
+        X, Y = random_vf(chart, rng), random_vf(chart, rng)
+        s, r = random_gsection(chart, rng), random_oneone(chart, rng)
+        f = random_scalar(chart, rng) / (random_scalar(chart, rng, 2) + chart.var("y") ** 3 + 1)
+        if chart.mode == "complex":
+            f = f + chart.imag_unit() * chart.var("x")
+        lhs = big_D(X.scale(f) + Y, s, r)
+        assert lhs == big_D(X, s, r).scale(f) + big_D(Y, s, r)
+        assert lhs == big_D(Y, s, r) + sum(
+            (d.scale(f * c) for c, d in zip(X.comps, _coordinate_D(s, r))), GSection.zero(chart)
+        )
 
 
 class TestDerivedBrackets:

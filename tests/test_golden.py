@@ -38,6 +38,10 @@ CASES = {
     "selftest_1": (["selftest", "--instances", "1"], 0),
     "check_samples_1": (["check", "tests/golden/samples_1.scene", "--samples", "1"], 2),
     "traces_precondition": (["traces", "tests/golden/traces_precondition.scene", "--jmax", "1"], 2),
+    # failing witnesses: which (a, b, k) a concomitant or a contraction-type
+    # test reports first, and the torsion terms
+    "check_unstable_graph": (["check", "tests/golden/unstable_graph.scene"], 1),
+    "check_contraction_fail": (["check", "tests/golden/contraction_fail.scene"], 1),
 }
 
 

@@ -183,6 +183,31 @@ class TestChartValue:
         assert z.num.terms == {} and z.den == poly_one(2)
         assert ScalarExpr(ch, Polynomial.zero(2), ch.var("x").num).den == poly_one(2)
 
+    def test_constants_and_the_shared_one_build_no_fraction(self, monkeypatch):
+        from dngeo.tensor import VectorField
+
+        ch = Chart("R3", ("x", "y", "z"))
+        half = Fraction(1, 2)
+        built = 0
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        three, one, zero, halved = ch.const(3), ch.one(), ch.const(0), ch.const(half)
+        fields = [VectorField.coordinate(ch, k) for k in range(3)]
+        assert built == 0
+        Fraction(3)
+        assert built == 1  # the counter sees the Fractions it should
+        monkeypatch.undo()
+        assert three == ch.const(Fraction(3)) and three.den == poly_one(3)
+        assert one is ch.one() and one == ch.const(Fraction(1)) and zero.is_zero()
+        assert fields[1].comps == (ch.zero(), one, ch.zero())
+        assert halved == ch.scalar("1/2") and ch.coeff(half) is half
+
     def test_distinct_incompatible_charts_with_one_name_still_mismatch(self):
         a, b = Chart("R2", ("x", "y")), Chart("R2", ("u", "v"))
         with pytest.raises(ChartMismatchError):
