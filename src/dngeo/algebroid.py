@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .symbolic import ScalarExpr, solve_linear
-from .courant import _coordinate_D, apply_rr, courant_bracket
-from .dirac import GFrame, Verdict, check_involutive, check_lagrangian
+from .courant import GSection, _coordinate_D, apply_rr, courant_bracket
+from .dirac import GFrame, Verdict, _require, check_involutive, check_lagrangian
 from .tensor import (
     OneOneTensor,
     PForm,
     VectorField,
-    D_r,
-    D_r_star,
     D_r_star_pform,
     combination,
     deformed_bracket,
@@ -36,9 +34,10 @@ from .tensor import (
 
 
 class AlgebroidData:
-    """Anchor columns and structure functions for a frame e_1..e_m."""
+    """Anchor columns and structure functions for a frame e_1..e_m, plus the
+    verdict on the algebroid axioms once `check_algebroid` decided it."""
 
-    __slots__ = ("chart", "rank", "anchors", "struct")
+    __slots__ = ("chart", "rank", "anchors", "struct", "_axioms")
 
     def __init__(self, chart, anchors, struct):
         self.chart = chart
@@ -54,6 +53,7 @@ class AlgebroidData:
             if not val.is_zero():
                 clean[(a, b, c)] = val
         self.struct = clean
+        self._axioms = None
 
     def c(self, a: int, b: int, cc: int) -> ScalarExpr:
         if a == b:
@@ -98,7 +98,13 @@ def abelian_algebroid(chart, rank: int) -> AlgebroidData:
 
 
 def check_algebroid(A: AlgebroidData) -> Verdict:
-    """Anchor morphism plus Jacobi identity on frame triples."""
+    """Anchor morphism plus Jacobi identity on frame triples, decided once per A."""
+    if A._axioms is None:
+        A._axioms = _decide_axioms(A)
+    return A._axioms
+
+
+def _decide_axioms(A: AlgebroidData) -> Verdict:
     m = A.rank
     for a in range(m):
         for b in range(a + 1, m):
@@ -142,15 +148,14 @@ class IMForm:
         return combination(self.nu, coeffs, PForm.zero(self.parent.chart, self.degree))
 
 
-def check_IM_form(imf: IMForm, algebroid_ok: Verdict | None = None) -> Verdict:
+def check_IM_form(imf: IMForm) -> Verdict:
     """The three structure equations on frame-section pairs.
 
     The pointwise (tensorial) equation is checked first; given it, the two
     differential equations on frame pairs settle the general case.
     """
     A = imf.parent
-    if (check_algebroid(A) if algebroid_ok is None else algebroid_ok).status != "pass":
-        raise PreconditionError("algebroid axioms fail")
+    _require(check_algebroid(A), "algebroid axioms")
     m = A.rank
     # third equation: i_{rho(a)} mu(b) = -i_{rho(b)} mu(a)
     for a in range(m):
@@ -230,11 +235,10 @@ class IMOneOne:
         return out
 
 
-def check_IM_oneone(T: IMOneOne, algebroid_ok: Verdict | None = None) -> Verdict:
+def check_IM_oneone(T: IMOneOne) -> Verdict:
     """The four structure equations for a derivation triple on an algebroid."""
     A = T.parent
-    if (check_algebroid(A) if algebroid_ok is None else algebroid_ok).status != "pass":
-        raise PreconditionError("algebroid axioms fail")
+    _require(check_algebroid(A), "algebroid axioms")
     chart = A.chart
     m = A.rank
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
@@ -244,11 +248,12 @@ def check_IM_oneone(T: IMOneOne, algebroid_ok: Verdict | None = None) -> Verdict
         for i in range(chart.dim):
             if not diff.comps[i].is_zero():
                 return Verdict.fail((f"anchor_l[{a}]_{i}", diff.comps[i]))
-    # (2) rho(D_X(a)) = D^r_X(rho(a)) on coordinate X
+    # (2) rho(D_X(a)) = D^r_X(rho(a)) on coordinate X: the vector part of bigD
     for a in range(m):
         ea = A.frame_section(a)
-        for X in coords:
-            diff = A.anchor_of(T.D_of(X, ea)) - D_r(X, A.anchors[a], T.r)
+        row = _coordinate_D(GSection.from_vector(A.anchors[a]), T.r)
+        for X, d in zip(coords, row):
+            diff = A.anchor_of(T.D_of(X, ea)) - d.vec
             for i in range(chart.dim):
                 if not diff.comps[i].is_zero():
                     return Verdict.fail((f"anchor_D[{a}]_{i}", diff.comps[i]))
@@ -307,11 +312,10 @@ def im_D_square(T: IMOneOne, X: VectorField, Y: VectorField, coeffs):
     return [a - b - c for a, b, c in zip(lhs, comm, dr)]
 
 
-def check_IM_nijenhuis(T: IMOneOne, algebroid_ok: Verdict | None = None) -> Verdict:
+def check_IM_nijenhuis(T: IMOneOne) -> Verdict:
     """Vanishing torsion, l-D commutation, and the squared-derivation equation."""
     A = T.parent
-    if (check_algebroid(A) if algebroid_ok is None else algebroid_ok).status != "pass":
-        raise PreconditionError("algebroid axioms fail")
+    _require(check_algebroid(A), "algebroid axioms")
     chart = A.chart
     m = A.rank
     N = nijenhuis_torsion(T.r)
@@ -341,16 +345,21 @@ def check_IM_nijenhuis(T: IMOneOne, algebroid_ok: Verdict | None = None) -> Verd
     return Verdict.ok()
 
 
-def check_IM_compat(imf: IMForm, T: IMOneOne, checked: bool = False) -> Verdict:
-    """mu . l = r-contraction of mu, and mu . D = derivation of mu (same for nu)."""
+def check_IM_compat(imf: IMForm, T: IMOneOne) -> Verdict:
+    """mu . l = r-contraction of mu, and mu . D = derivation of mu (same for
+    nu), for a form and a tensor datum that pass their own checks."""
+    if check_IM_form(imf).status != "pass":
+        raise PreconditionError("the form datum fails its structure equations")
+    if check_IM_oneone(T).status != "pass":
+        raise PreconditionError("the tensor datum fails its structure equations")
+    return _im_compat(imf, T)
+
+
+def _im_compat(imf: IMForm, T: IMOneOne) -> Verdict:
+    """`check_IM_compat` without the checks of the two data."""
     A = imf.parent
     if T.parent is not A and T.parent.anchors != A.anchors:
         raise PreconditionError("data live on different algebroids")
-    if not checked:
-        if check_IM_form(imf).status != "pass":
-            raise PreconditionError("the form datum fails its structure equations")
-        if check_IM_oneone(T).status != "pass":
-            raise PreconditionError("the tensor datum fails its structure equations")
     chart = A.chart
     m = A.rank
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
@@ -378,15 +387,12 @@ def check_IM_compat(imf: IMForm, T: IMOneOne, checked: bool = False) -> Verdict:
             diff = form_as_covform(lhs_nu) - form_r(nu_a, T.r)
             for key in sorted(diff.comps):
                 return Verdict.fail((f"nu_l[{a}]{key}", diff.comps[key]))
-        # mu(D_X(a)) = D^{r,*}_X(mu(a)) and the same for nu
-        for X in coords:
+        # mu(D_X(a)) = D^{r,*}_X(mu(a)), the covector part of bigD on a 1-form, and the same for nu
+        row = _coordinate_D(GSection.from_form(mu_a), T.r) if mu_a.degree == 1 else None
+        for k, X in enumerate(coords):
             da = T.D_of(X, ea)
             lhs_mu = imf.mu_of(da)
-            rhs_mu = (
-                D_r_star(X, mu_a, T.r)
-                if mu_a.degree == 1
-                else D_r_star_pform(X, mu_a, T.r).to_form()
-            )
+            rhs_mu = row[k].cov if row else D_r_star_pform(X, mu_a, T.r).to_form()
             diffm = lhs_mu - rhs_mu
             if not diffm.is_zero():
                 key = sorted(diffm.comps)[0]
@@ -423,10 +429,9 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
     Build the algebroid once per frame and hand it to `transport_oneone` and
     the checks.
     """
-    lag = check_lagrangian(L, samples)
-    if lag.status != "pass":
+    if check_lagrangian(L, samples).status != "pass":
         raise PreconditionError("frame is not lagrangian")
-    if check_involutive(L, lag).status != "pass":
+    if check_involutive(L, samples).status != "pass":
         raise PreconditionError("frame is not involutive")
     chart = L.chart
     n = chart.dim
@@ -489,22 +494,22 @@ def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None =
     steps: the axioms, then the form datum, then (given r) the tensor datum
     transported onto the same A.  `A, imf` come from one
     `dirac_to_algebroid(L, samples)` call, so the frame is checked once, at
-    the caller's sample count; the axiom verdict is handed to every later
+    the caller's sample count; A keeps its axiom verdict for every later
     check.  Each stage runs only if the one before it passed; a tensor that
     cannot be transported ends the chain with an inconclusive step."""
     axioms = check_algebroid(A)
     yield "algebroid_axioms", axioms
     if axioms.status != "pass":
         return
-    v = check_IM_form(imf, axioms)
+    v = check_IM_form(imf)
     yield "im_form", v
     if v.status != "pass" or r is None:
         return
     try:
         T = transport_oneone(A, L, r)
-        yield "im_oneone", check_IM_oneone(T, axioms)
-        yield "im_nijenhuis", check_IM_nijenhuis(T, axioms)
-        yield "im_compat", check_IM_compat(imf, T, checked=True)
+        yield "im_oneone", check_IM_oneone(T)
+        yield "im_nijenhuis", check_IM_nijenhuis(T)
+        yield "im_compat", _im_compat(imf, T)
     except PreconditionError as e:
         yield "transport", Verdict.inconclusive(("precondition", str(e)))
 
@@ -549,7 +554,7 @@ def real_part_IM(imf: IMForm, T: IMOneOne) -> Verdict:
     form_ok = check_IM_form(imf)
     if form_ok.status != "pass":
         return form_ok
-    return check_IM_compat(imf, T, checked=True)
+    return _im_compat(imf, T)
 
 
 def quasi_IM_check(imf: IMForm, r: OneOneTensor, phi: PForm) -> Verdict:

@@ -98,10 +98,10 @@ class Verdict:
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections.
 
-    The frame is its sections and nothing else: its sampled rank is decided
-    by `check_lagrangian` at the caller's sample count."""
+    The frame is its sections, plus the lagrangian verdict at each sample
+    count once decided: `check_lagrangian` fills it in on first use."""
 
-    __slots__ = ("chart", "sections")
+    __slots__ = ("chart", "sections", "_lagrangian")
 
     def __init__(self, sections):
         chart = same_chart(*sections)
@@ -109,6 +109,7 @@ class GFrame:
             raise ValueError("a frame needs exactly n sections")
         self.chart = chart
         self.sections = tuple(sections)
+        self._lagrangian = {}  # sample count -> Verdict
 
     def matrix(self) -> FracMatrix:
         """2n x n matrix whose columns are the stacked section components."""
@@ -256,6 +257,13 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     rank below n at every sample point, or a pole at every one, is
     inconclusive.  Frame constructors leave this sampled rank to the check.
     """
+    verdict = L._lagrangian.get(samples)
+    if verdict is None:
+        verdict = L._lagrangian[samples] = _decide_lagrangian(L, samples)
+    return verdict
+
+
+def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
     n = L.chart.dim
     for (a, b), val in _pairings(L, L):
         if not val.is_zero():
@@ -276,16 +284,16 @@ def _require(verdict: Verdict, what: str):
         raise PreconditionError(f"precondition failed: {what}")
 
 
-def check_involutive(L: GFrame, lagrangian: Verdict | None = None) -> Verdict:
+def check_involutive(L: GFrame, samples: int = 3) -> Verdict:
     """Vanishing of T(s_a, s_b, s_c) = <[[s_a, s_b]], s_c> on frame triples."""
-    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
+    _require(check_lagrangian(L, samples), "lagrangian")
     return _involutive_under(L, courant_bracket)
 
 
-def check_invariance(L: GFrame, r: OneOneTensor, lagrangian: Verdict | None = None) -> Verdict:
+def check_invariance(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
     """(r, r*)(L) inside L, tested by pairing against the frame (valid since L = L-perp)."""
     same_chart(L.sections[0], r)
-    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
+    _require(check_lagrangian(L, samples), "lagrangian")
     n = L.chart.dim
     for a in range(n):
         ra = apply_rr(L.sections[a], r)
@@ -296,15 +304,13 @@ def check_invariance(L: GFrame, r: OneOneTensor, lagrangian: Verdict | None = No
     return Verdict.ok()
 
 
-def check_D_stability(
-    L: GFrame,
-    r: OneOneTensor,
-    lagrangian: Verdict | None = None,
-    invariance: Verdict | None = None,
-) -> Verdict:
+def check_D_stability(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
     """Stability of the span under the combined derivation, via its concomitant."""
-    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
-    _require(check_invariance(L, r, Verdict.ok()) if invariance is None else invariance, "invariance")
+    _require(check_invariance(L, r, samples), "invariance")
+    return _D_stable(L, r)
+
+
+def _D_stable(L: GFrame, r: OneOneTensor) -> Verdict:
     n = L.chart.dim
     for a in range(n):
         row = _coordinate_D(L.sections[a], r)  # C_L(a, b)(d_k) = <row[k], s_b>
@@ -336,11 +342,11 @@ def _dn_steps(L: GFrame, r: OneOneTensor, samples: int = 3):
         for name in ("involutive", "invariance", "d_stability"):
             yield name, blocked
     else:
-        yield "involutive", check_involutive(L, lag)
-        rr = check_invariance(L, r, lag)
+        yield "involutive", _involutive_under(L, courant_bracket)
+        rr = check_invariance(L, r, samples)
         yield "invariance", rr
         if rr.status == PASS:
-            yield "d_stability", check_D_stability(L, r, lag, rr)
+            yield "d_stability", _D_stable(L, r)
         else:
             yield "d_stability", Verdict.inconclusive(("precondition", "invariance did not pass"))
     yield "nijenhuis", check_nijenhuis(r)
@@ -353,9 +359,9 @@ def dirac_nijenhuis_report(L: GFrame, r: OneOneTensor, samples: int = 3) -> DNRe
 # -- membership and span utilities ----------------------------------------------
 
 
-def section_in_span(s: GSection, L: GFrame, lagrangian: Verdict | None = None) -> bool:
+def section_in_span(s: GSection, L: GFrame, samples: int = 3) -> bool:
     """Membership via pairing with the frame; requires the lagrangian check."""
-    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
+    _require(check_lagrangian(L, samples), "lagrangian")
     return all(pairing(s, t).is_zero() for t in L.sections)
 
 
@@ -467,17 +473,15 @@ def check_form_compat(omega: PForm, r: OneOneTensor) -> Verdict:
 # -- null distribution -------------------------------------------------------------
 
 
-def null_distribution(L: GFrame, lagrangian: Verdict | None = None, samples: int = 3) -> NullDistribution:
-    """Basis of L intersect TM over the function field."""
-    _require(check_lagrangian(L) if lagrangian is None else lagrangian, "lagrangian")
+def null_distribution(L: GFrame, samples: int = 3) -> NullDistribution:
+    """Basis of L intersect TM over the function field.  The covector rows
+    have a sampled rank: the lagrangian pass found each sample point a
+    pole-free retry of the whole frame matrix."""
+    _require(check_lagrangian(L, samples), "lagrangian")
     chart = L.chart
     cov = L.covector_matrix()
     combos = kernel_basis(cov)
-    gen_rank = chart.dim - len(combos)
-    sample_rank = rank_at_samples(cov, samples)
-    if sample_rank is None:
-        raise PreconditionError("null distribution has no valid sample point")
-    if sample_rank != gen_rank:
+    if rank_at_samples(cov, samples) != chart.dim - len(combos):
         raise PreconditionError("null distribution rank drops at sample points")
     vecs = [s.vec for s in L.sections]
     return NullDistribution(chart, tuple(combination(vecs, c, VectorField.zero(chart)) for c in combos))
@@ -524,9 +528,8 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
     point are a precondition.
     """
     same_chart(L1.sections[0], L2.sections[0])
-    lag1, lag2 = check_lagrangian(L1, samples), check_lagrangian(L2, samples)
-    _require(lag1, "first frame lagrangian")
-    _require(lag2, "second frame lagrangian")
+    _require(check_lagrangian(L1, samples), "first frame lagrangian")
+    _require(check_lagrangian(L2, samples), "second frame lagrangian")
     if generic_rank(L1.covector_matrix()) != generic_rank(L2.covector_matrix()):
         raise PreconditionError("covector projections differ at the generic point")
     chart = L1.chart
@@ -544,7 +547,7 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
         return lag
     if lag.status == INCONCLUSIVE:
         return Verdict.inconclusive(("product", "sample-point rank drop"))
-    return check_involutive(product, lag)
+    return check_involutive(product, samples)
 
 
 # -- traces ---------------------------------------------------------------------------
@@ -583,10 +586,8 @@ def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int, samples: int 
     """
     if jmax < 1:
         raise ValueError("traces jmax must be at least 1")
-    lag = check_lagrangian(L, samples)
-    _require(lag, "lagrangian")
+    null = null_distribution(L, samples)
     phis = traces(r, jmax)
-    null = null_distribution(L, lag, samples)
     dphi1 = scalar_d(phis[0])
     for k in null.basis:
         val = interior(k, dphi1).as_scalar()
@@ -701,8 +702,7 @@ def backward_transfer(L: GFrame, slice_values: dict, r: OneOneTensor | None = No
     sample points is left to `check_lagrangian`.
     """
     chart = L.chart
-    lag = check_lagrangian(L, samples)
-    _require(lag, "lagrangian")
+    _require(check_lagrangian(L, samples), "lagrangian")
     sliced_idx = sorted(chart.index(v) for v in slice_values)
     kept = [i for i in range(chart.dim) if i not in sliced_idx]
     if not kept:
@@ -738,8 +738,7 @@ def forward_transfer(L: GFrame, retained, r: OneOneTensor | None = None, samples
     and the dropped coordinate directions span the null distribution.
     """
     chart = L.chart
-    lag = check_lagrangian(L, samples)
-    _require(lag, "lagrangian")
+    _require(check_lagrangian(L, samples), "lagrangian")
     kept = [chart.index(v) for v in retained]
     dropped = [i for i in range(chart.dim) if i not in kept]
     sub = Chart(chart.name + "_quot", tuple(chart.variables[i] for i in kept), chart.mode)
@@ -747,11 +746,11 @@ def forward_transfer(L: GFrame, retained, r: OneOneTensor | None = None, samples
         for e in s.components():
             if any(e.num.degree_in(i) > 0 or e.den.degree_in(i) > 0 for i in dropped):
                 raise PreconditionError("frame depends on a projected-out variable")
-    null = null_distribution(L, lag, samples)
+    null = null_distribution(L, samples)
     if len(null.basis) != len(dropped):
         raise PreconditionError("projected-out directions do not span the null distribution")
     for i in dropped:
-        if not section_in_span(GSection.from_vector(VectorField.coordinate(chart, i)), L, lag):
+        if not section_in_span(GSection.from_vector(VectorField.coordinate(chart, i)), L, samples):
             raise PreconditionError("projected-out directions do not span the null distribution")
     r_Q = None
     if r is not None:
@@ -782,9 +781,7 @@ def forward_transfer(L: GFrame, retained, r: OneOneTensor | None = None, samples
 def check_contraction_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
     """(i) invariance, (ii) derivation-stability along pr_T(L) only,
     (iii) torsion vanishing on pr_T(L)."""
-    lag = check_lagrangian(L, samples)
-    _require(lag, "lagrangian")
-    inv = check_invariance(L, r, lag)
+    inv = check_invariance(L, r, samples)
     if inv.status != PASS:
         return Verdict.fail(("invariance", "condition (i) fails"), *inv.witnesses)
     n = L.chart.dim
@@ -823,8 +820,7 @@ def _involutive_under(L: GFrame, bracket) -> Verdict:
 def check_double_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
     """Torsion-free r, and L as well as its (1,0) transform involutive for both
     the standard and the double bracket."""
-    lag = check_lagrangian(L, samples)
-    _require(lag, "lagrangian")
+    _require(check_lagrangian(L, samples), "lagrangian")
     nij = check_nijenhuis(r)
     if nij.status != PASS:
         return Verdict.fail(("nijenhuis", "torsion does not vanish"), *nij.witnesses)

@@ -36,6 +36,7 @@ from .courant import (
 )
 from .dirac import (
     check_concur,
+    check_involutive,
     check_lagrangian,
     concomitant_C,
     concomitant_R,
@@ -997,10 +998,7 @@ def _(rng, k):
     if not rep.compatible():
         return False
     L01 = hierarchy(L, r, 1, "0n")
-    from .dirac import check_involutive, check_lagrangian
-
-    lag = check_lagrangian(L01)
-    return lag.status == "pass" and check_involutive(L01, lag).status == "pass"
+    return check_lagrangian(L01).status == "pass" and check_involutive(L01).status == "pass"
 
 
 @identity("concurrence_of_poisson_sums")

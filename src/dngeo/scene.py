@@ -349,22 +349,22 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
             return check_lagrangian(frame(), samples)
         if kind == "involutive":
             arity(1)
-            return check_involutive(frame(), check_lagrangian(frame(), samples))
+            return check_involutive(frame(), samples)
         if kind == "dirac":
             arity(1)
             lag = check_lagrangian(frame(), samples)
             if lag.status != PASS:
                 return lag
-            return check_involutive(frame(), lag)
+            return check_involutive(frame(), samples)
         if kind == "nijenhuis":
             arity(1)
             return check_nijenhuis(oneone(0))
         if kind == "invariance":
             arity(2)
-            return check_invariance(frame(), oneone(1), check_lagrangian(frame(), samples))
+            return check_invariance(frame(), oneone(1), samples)
         if kind == "d_stability":
             arity(2)
-            return check_D_stability(frame(), oneone(1), check_lagrangian(frame(), samples))
+            return check_D_stability(frame(), oneone(1), samples)
         if kind == "dirac_nijenhuis":
             arity(2)
             return Verdict.merge(dirac_nijenhuis_report(frame(), oneone(1), samples).named())

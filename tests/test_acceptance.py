@@ -249,15 +249,14 @@ class TestAcceptance:
         ok = True
         for name, L, r in dirac_nijenhuis_fixtures():
             A, imf = dirac_to_algebroid(L)
-            v = check_algebroid(A)
-            ok = ok and v.status == PASS
-            ok = ok and check_IM_form(imf, v).status == PASS
+            ok = ok and check_algebroid(A).status == PASS
+            ok = ok and check_IM_form(imf).status == PASS
             rep = dirac_nijenhuis_report(L, r)
             if rep.all_pass():
                 T = transport_oneone(A, L, r)
-                ok = ok and check_IM_oneone(T, v).status == PASS
-                ok = ok and check_IM_nijenhuis(T, v).status == PASS
-                ok = ok and check_IM_compat(imf, T, checked=True).status == PASS
+                ok = ok and check_IM_oneone(T).status == PASS
+                ok = ok and check_IM_nijenhuis(T).status == PASS
+                ok = ok and check_IM_compat(imf, T).status == PASS
         # flat-map verdict coincides with closedness on >= 20 random 2-forms,
         # half of them exact (hence closed) so both verdict directions occur
         ch = chart3()

@@ -1,6 +1,7 @@
 """Scene parsing, check dispatch, report format, exit codes, determinism."""
 
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -494,9 +495,11 @@ class TestInputContract:
         assert "check.0.name: dirac_to_algebroid\ncheck.0.verdict: inconclusive\n" in out
 
     def test_algebroid_is_built_and_checked_once(self, capsys, monkeypatch):
+        # every IM check asks for the axiom verdict, and the algebroid
+        # decides it once: `_decide_axioms` runs only on a cache miss
         import dngeo.algebroid as alg
 
-        calls = {"dirac_to_algebroid": 0, "check_algebroid": 0}
+        calls = {"dirac_to_algebroid": 0, "_decide_axioms": 0}
         for name in calls:
             original = getattr(alg, name)
 
@@ -508,16 +511,40 @@ class TestInputContract:
         path = str(Path(__file__).resolve().parent.parent / "scenes" / "scalar_hierarchy.scene")
         code, out, _ = run_cli(capsys, "algebroid", path)
         assert code == 0 and "im_compat" in out
-        assert calls == {"dirac_to_algebroid": 1, "check_algebroid": 1}
+        assert calls == {"dirac_to_algebroid": 1, "_decide_axioms": 1}
+
+    def test_algebroid_reads_D_r_from_closed_forms(self, capsys, monkeypatch):
+        # D^r and the degree-1 D^{r,*} along coordinate fields are the two
+        # parts of the combined derivation's closed form, so no check of
+        # the algebroid command evaluates them through Lie derivatives
+        import dngeo.algebroid  # noqa: F401  (bound before patching)
+        import dngeo.tensor as tensor
+
+        calls = {"D_r": 0, "D_r_star": 0}
+        for attr in calls:
+            original = getattr(tensor, attr)
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "dngeo" and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted)
+        path = str(Path(__file__).resolve().parent.parent / "scenes" / "scalar_hierarchy.scene")
+        code, out, _ = run_cli(capsys, "algebroid", path)
+        assert code == 0 and out.count("verdict: pass") == 5
+        assert calls == {"D_r": 0, "D_r_star": 0}
 
     def test_lagrangian_rank_evaluates_each_sample_point_once(self, capsys, evaluations):
         # a sampled rank below n goes straight to elimination, without
-        # evaluating the first sample point again; the image of each of the 7
-        # rank reads is rank deficient at (1, 2), as the point itself is, so
-        # each falls back to one exact evaluation of the 4x2 matrix
+        # evaluating the first sample point again; the seven checks name one
+        # frame, whose lagrangian verdict is decided once: one rank read,
+        # whose image is rank deficient at (1, 2), as the point itself is, so
+        # it falls back to one exact evaluation of the 4x2 matrix
         path = str(Path(__file__).resolve().parent / "golden" / "samples_1.scene")
         assert run_cli(capsys, "check", path, "--samples", "1")[0] == 2
-        assert evaluations == {"image": 7, "matrix": 7, "scalar": 56, "denominator": 0}
+        assert evaluations == {"image": 1, "matrix": 1, "scalar": 8, "denominator": 0}
 
     # every retry of every sample point (1+s+7t, 2+s+7t) has y = x + 1
     POLE = "chart R2 x y\nbivector p = 1 2 1/(y - x - 1)\n"
@@ -573,6 +600,35 @@ class TestInputContract:
         code, out, err = run_cli(capsys, "check", path, "--samples", "3")
         assert (code, err) == (2, "")
         assert "check.0.verdict: inconclusive\ncheck.0.witness.rank: rank drop at sample points\n" in out
+
+    @pytest.mark.parametrize(
+        "samples, code, body",
+        [
+            (
+                "1",
+                2,
+                "check.0.name: dirac S\ncheck.0.verdict: inconclusive\n"
+                "check.0.witness.rank: rank drop at sample points\n"
+                "check.1.name: involutive S\ncheck.1.verdict: inconclusive\n"
+                "check.1.witness.precondition: precondition failed: lagrangian\n"
+                "checks: 2\nstatus: inconclusive\n",
+            ),
+            (
+                "4",
+                0,
+                "check.0.name: dirac S\ncheck.0.verdict: pass\n"
+                "check.1.name: involutive S\ncheck.1.verdict: pass\n"
+                "checks: 2\nstatus: pass\n",
+            ),
+        ],
+        ids=["samples-1", "samples-4"],
+    )
+    def test_checks_on_one_frame_share_its_verdict_at_the_sample_count(self, capsys, scene_file, samples, code, body):
+        # both checks read the one lagrangian verdict of S at the given count
+        text = self.SPLIT_CUBIC.replace("check lagrangian S\n", "check dirac S\ncheck involutive S\n")
+        got, out, err = run_cli(capsys, "check", scene_file(text), "--samples", samples)
+        assert (got, err) == (code, "")
+        assert out.endswith("mode: real\n" + body)
 
     SPANS = (
         "chart R2 x y\nvector u = 1 ; 0\nvector t = 0 ; 1\nvector v = x ; 0\nvector w = y ; 0\n"

@@ -36,7 +36,6 @@ from dngeo.dirac import (
     backward_transfer,
     forward_transfer,
     traces,
-    Verdict,
     )
 from dngeo.errors import AdmissibilityError, HierarchyKernelError, PreconditionError
 from dngeo.fixtures import (
@@ -108,6 +107,15 @@ class TestFrameConstructors:
         assert lag.status == INCONCLUSIVE
         assert lag.witnesses == (("rank", "rank drop at sample points"),)
         assert check_lagrangian(Ls, 4).status == PASS
+
+    def test_lagrangian_verdict_is_kept_per_sample_count(self, ch):
+        # the same frame object decided at four sample points first, then at
+        # three: the second count is decided on its own, not read from the
+        # first
+        f = parse_scalar("(x-1)*(x-2)*(x-3)", ch)
+        Ls = make_split([VectorField(ch, [f, ch.zero()])])
+        assert check_lagrangian(Ls, 4).status == PASS
+        assert check_lagrangian(Ls, 3).status == INCONCLUSIVE
 
     def test_high_degree_forms_collapse_to_zero(self, ch):
         w = PForm(ch, 3, {})
@@ -279,8 +287,10 @@ class TestNullDistribution:
         # every sample point (1+s+7t, 2+s+7t) has y = x + 1
         ch = Chart("R2", ("x", "y"))
         w = PForm(ch, 2, {(0, 1): parse_scalar("1/(y - x - 1)", ch)})
-        with pytest.raises(PreconditionError, match="no valid sample point"):
-            null_distribution(make_graph_presymplectic(w), Verdict.ok())
+        # the frame has no pole-free retry either, so the lagrangian
+        # precondition is what fails
+        with pytest.raises(PreconditionError, match="precondition failed: lagrangian"):
+            null_distribution(make_graph_presymplectic(w))
 
 
 class TestHierarchy:
