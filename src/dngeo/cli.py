@@ -14,7 +14,7 @@ import hashlib
 import sys
 
 from . import __version__
-from .errors import AdmissibilityError, DngeoError, HierarchyKernelError, PreconditionError
+from .errors import DngeoError, HierarchyKernelError, PreconditionError
 from .symbolic.scalar import to_str
 from .dirac import (
     FAIL,
@@ -23,11 +23,10 @@ from .dirac import (
     Verdict,
     _dn_steps,
     check_traces_involution,
-    dirac_nijenhuis_report,
     hierarchy,
     traces,
 )
-from .scene import CheckRecord, SceneError, parse_scene, run_scene, timed
+from .scene import CheckRecord, SceneError, decide, parse_scene, run_scene, timed
 
 REPORT_FORMAT = "report-v1"
 SCENE_FORMAT = "scene-v1"
@@ -115,7 +114,7 @@ def cmd_hierarchy(args) -> int:
             for a, s in enumerate(member.sections):
                 data.append((f"frame.{step}.section.{a}.vec", _components(s.vec.comps)))
                 data.append((f"frame.{step}.section.{a}.cov", _components(s.cov.get((i,)) for i in range(dim))))
-            verdict = Verdict.merge(dirac_nijenhuis_report(member, r, args.samples).named())
+            verdict = Verdict.merge(_dn_steps(member, r, args.samples))
             yield CheckRecord(f"dirac_nijenhuis hierarchy[{step}]", verdict, data=tuple(data))
 
     return _report(args, header + [("side", args.side), ("n", args.n)], timed(steps()))
@@ -128,12 +127,7 @@ def cmd_traces(args) -> int:
 
     def steps():
         data = tuple((f"trace.{j}", to_str(phi)) for j, phi in enumerate(traces(r, args.jmax), start=1))
-        try:
-            verdict = check_traces_involution(frame, r, args.jmax, args.samples)
-        except AdmissibilityError as e:
-            verdict = Verdict.fail(("error", str(e)))
-        except PreconditionError as e:
-            verdict = Verdict.inconclusive(("precondition", str(e)))
+        verdict = decide(check_traces_involution, frame, r, args.jmax, args.samples)
         yield CheckRecord(f"traces_involution jmax={args.jmax}", verdict, data=data)
 
     return _report(args, header + [("jmax", args.jmax)], timed(steps()))

@@ -198,21 +198,14 @@ def make_split(fields) -> GFrame:
     fmat = FracMatrix(chart, [[f.comps[i] for i in range(n)] for f in fields])
     if generic_rank(fmat) != k:
         raise PreconditionError("split fields are dependent over the function field")
-    # involutivity of the distribution
-    span_rows = FracMatrix(chart, [[f.comps[i] for f in fields] for i in range(n)])
+    ann = [PForm(chart, 1, {(i,): vec[i] for i in range(n)}) for vec in kernel_basis(fmat)]
+    # F = ker Ann(F), so F is involutive iff Ann(F) kills every [X_a, X_b]
     for a in range(k):
         for b in range(a + 1, k):
             br = lie_bracket(fields[a], fields[b])
-            if solve_linear(span_rows, list(br.comps)) is None:
+            if not all(interior(br, alpha).is_zero() for alpha in ann):
                 raise PreconditionError("split fields do not span an involutive distribution")
-    ann = kernel_basis(fmat)
-    if len(ann) != n - k:
-        raise PreconditionError("annihilator has unexpected generic rank")
-    secs = [GSection.from_vector(f) for f in fields] + [
-        GSection.from_form(PForm(chart, 1, {(i,): vec[i] for i in range(n)}))
-        for vec in ann
-    ]
-    return GFrame(secs)
+    return GFrame([GSection.from_vector(f) for f in fields] + [GSection.from_form(alpha) for alpha in ann])
 
 
 # -- elementary checks -----------------------------------------------------------
@@ -530,14 +523,15 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
     same_chart(L1.sections[0], L2.sections[0])
     _require(check_lagrangian(L1, samples), "first frame lagrangian")
     _require(check_lagrangian(L2, samples), "second frame lagrangian")
-    if generic_rank(L1.covector_matrix()) != generic_rank(L2.covector_matrix()):
+    cov2 = L2.covector_matrix()
+    if generic_rank(L1.covector_matrix()) != generic_rank(cov2):
         raise PreconditionError("covector projections differ at the generic point")
     chart = L1.chart
     vecs2 = [s.vec for s in L2.sections]
     secs = []
     for s in L1.sections:
         target = [s.cov.get((i,)) for i in range(chart.dim)]
-        c = solve_linear(L2.covector_matrix(), target)
+        c = solve_linear(cov2, target)
         if c is None:
             raise PreconditionError("covector projections differ at the generic point")
         secs.append(GSection(s.vec + combination(vecs2, c, VectorField.zero(chart)), s.cov))
@@ -564,18 +558,16 @@ def traces(r: OneOneTensor, jmax: int):
 
 
 def hamiltonian_representative(L: GFrame, f: ScalarExpr) -> VectorField | None:
-    """X with (X, df) in the span of the frame, or None."""
+    """X with (X, df) in the span of the frame, or None.
+
+    (X, df) is the combination of the frame's sections whose covector part
+    is df, so it lies in the span by construction."""
     chart = L.chart
     df = scalar_d(f)
     coeffs = solve_linear(L.covector_matrix(), [df.get((i,)) for i in range(chart.dim)])
     if coeffs is None:
         return None
-    X = combination([s.vec for s in L.sections], coeffs, VectorField.zero(chart))
-    # consistency: (X, df) must pair to zero with the frame
-    cand = GSection(X, df)
-    if not all(pairing(cand, s).is_zero() for s in L.sections):
-        return None
-    return X
+    return combination([s.vec for s in L.sections], coeffs, VectorField.zero(chart))
 
 
 def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int, samples: int = 3) -> Verdict:

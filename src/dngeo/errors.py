@@ -50,7 +50,3 @@ class HierarchyKernelError(DngeoError):
 
 class AdmissibilityError(DngeoError):
     """Raised with message 'trace not admissible' when the first trace is not admissible."""
-
-
-class InternalIdentityError(DngeoError):
-    """An internal cross-check of two equivalent formulas disagreed; indicates a bug."""

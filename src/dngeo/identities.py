@@ -701,9 +701,9 @@ def _(rng, k):
     ch = _chart_for(k)
     s1, s2 = random_gsection(ch, rng), random_gsection(ch, rng)
     r = random_oneone(ch, rng)
-    # contracted_bracket raises if the two disagree; the comparison is internal
-    contracted_bracket(s1, s2, r)
-    return True
+    derived = bracket_Dr(s1, s2, r)
+    defining = courant_bracket(apply_rr(s1, r), s2) + big_D(s2.vec, s1, r)
+    return derived == defining and contracted_bracket(s1, s2, r) == derived
 
 
 @identity("contracted_torsion_formula")

@@ -19,6 +19,10 @@ Check kinds: lagrangian F | involutive F | dirac F | nijenhuis R |
 invariance F R | d_stability F R | dirac_nijenhuis F R | form_compat W R |
 quasi F R PHI | concur F G | contraction_type F R | double_type F R |
 holomorphic_dirac F R | holo_form W W1 R | traces F R JMAX | algebroid F [R].
+These are the keys of `CHECKS`, which gives each kind its argument types.
+`run_scene` resolves every argument of every check line before the first
+check runs, so an unknown kind, a wrong arity or an unknown name is a
+SceneError and never a verdict.
 
 Errors carry the 1-based line and column of the offending token.
 """
@@ -37,11 +41,10 @@ from .errors import (
 from .symbolic import Chart, parse_scalar
 from .courant import GSection
 from .dirac import (
-    FAIL,
-    INCONCLUSIVE,
     PASS,
     GFrame,
     Verdict,
+    _dn_steps,
     check_concur,
     check_contraction_type,
     check_D_stability,
@@ -52,7 +55,6 @@ from .dirac import (
     check_lagrangian,
     check_nijenhuis,
     check_traces_involution,
-    dirac_nijenhuis_report,
     make_graph_poisson,
     make_graph_presymplectic,
     make_split,
@@ -232,17 +234,17 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
             words = body.strip().split()
             if not words:
                 raise SceneError("empty frame declaration", lineno)
-            kind = words[0]
+            constructor = words[0]
             try:
-                if kind == "poisson":
+                if constructor == "poisson":
                     if len(words) != 2 or words[1] not in scene.bivectors:
                         raise SceneError("frame = poisson <bivector>", lineno)
                     scene.frames[name] = make_graph_poisson(scene.bivectors[words[1]])
-                elif kind == "presymplectic":
+                elif constructor == "presymplectic":
                     if len(words) != 2 or words[1] not in scene.forms:
                         raise SceneError("frame = presymplectic <2-form>", lineno)
                     scene.frames[name] = make_graph_presymplectic(scene.forms[words[1]])
-                elif kind == "split":
+                elif constructor == "split":
                     fields_ = []
                     for w in words[1:]:
                         if w not in scene.vectors:
@@ -251,7 +253,7 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                     if not fields_:
                         raise SceneError("split frame needs at least one vector", lineno)
                     scene.frames[name] = make_split(fields_)
-                elif kind == "sections":
+                elif constructor == "sections":
                     pieces = " ".join(words[1:]).split(";")
                     secs = []
                     for piece in pieces:
@@ -278,7 +280,7 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                         secs.append(GSection(vec, cov))
                     scene.frames[name] = GFrame(secs)
                 else:
-                    raise SceneError(f"unknown frame constructor {kind!r}", lineno)
+                    raise SceneError(f"unknown frame constructor {constructor!r}", lineno)
             except SceneError:
                 raise
             except DngeoError as e:
@@ -322,108 +324,110 @@ def timed(records) -> list:
         out.append(replace(rec, elapsed=time.monotonic() - t0))
 
 
-def _get(scene, table, name, lineno, what):
-    obj = getattr(scene, table).get(name)
+def decide(check, *args) -> Verdict:
+    """check(*args), with an inadmissible trace as a failing verdict and an
+    unmet precondition as an inconclusive one."""
+    try:
+        return check(*args)
+    except AdmissibilityError as e:
+        return Verdict.fail(("error", str(e)))
+    except PreconditionError as e:
+        return Verdict.inconclusive(("precondition", str(e)))
+
+
+def _dirac(L, samples):
+    lag = check_lagrangian(L, samples)
+    return check_involutive(L, samples) if lag.status == PASS else lag
+
+
+def _holomorphic_dirac(L, r, samples):
+    from .holomorphic import ComplexStructure
+
+    return Verdict.merge(_dn_steps(L, ComplexStructure(r).r, samples))
+
+
+def _holo_form(omega, omega1, r, samples):
+    from .holomorphic import ComplexStructure, check_holo_form
+
+    return check_holo_form((omega, omega1), ComplexStructure(r))
+
+
+def _algebroid(L, r, samples):
+    from .algebroid import _im_steps, dirac_to_algebroid
+
+    A, imf = dirac_to_algebroid(L, samples=samples)
+    for _, v in _im_steps(A, imf, L, r):
+        if v.status != PASS:
+            break
+    return v
+
+
+# kind -> (argument types, check run on the resolved arguments and `samples`);
+# a type ending in "?" is an optional trailing argument, None when left out.
+# A public check is called through its module-level name, so that a wrapper
+# installed on that name sees the call.
+CHECKS = {
+    "lagrangian": (("frame",), lambda L, samples: check_lagrangian(L, samples)),
+    "involutive": (("frame",), lambda L, samples: check_involutive(L, samples)),
+    "dirac": (("frame",), _dirac),
+    "nijenhuis": (("oneone",), lambda r, samples: check_nijenhuis(r)),
+    "invariance": (("frame", "oneone"), lambda L, r, samples: check_invariance(L, r, samples)),
+    "d_stability": (("frame", "oneone"), lambda L, r, samples: check_D_stability(L, r, samples)),
+    "dirac_nijenhuis": (("frame", "oneone"), lambda L, r, samples: Verdict.merge(_dn_steps(L, r, samples))),
+    "form_compat": (("form", "oneone"), lambda w, r, samples: check_form_compat(w, r)),
+    "quasi": (("frame", "oneone", "form"), lambda L, r, phi, samples: quasi_nijenhuis_check(L, r, phi)),
+    "concur": (("frame", "frame"), lambda L1, L2, samples: check_concur(L1, L2, samples)),
+    "contraction_type": (("frame", "oneone"), lambda L, r, samples: check_contraction_type(L, r, samples)),
+    "double_type": (("frame", "oneone"), lambda L, r, samples: check_double_type(L, r, samples)),
+    "holomorphic_dirac": (("frame", "oneone"), _holomorphic_dirac),
+    "holo_form": (("form", "form", "oneone"), _holo_form),
+    "traces": (
+        ("frame", "oneone", "integer"),
+        lambda L, r, jmax, samples: check_traces_involution(L, r, jmax, samples),
+    ),
+    "algebroid": (("frame", "oneone?"), _algebroid),
+}
+
+
+def _argument(scene, lineno, kind, type_, word):
+    if type_ == "integer":
+        try:
+            return int(word)
+        except ValueError:
+            raise SceneError(f"check {kind} needs an integer, not {word!r}", lineno) from None
+    obj = getattr(scene, type_ + "s").get(word)
     if obj is None:
-        raise SceneError(f"unknown {what} {name!r}", lineno)
+        raise SceneError(f"unknown {type_} {word!r}", lineno)
     return obj
 
 
-def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> Verdict:
-    def frame(i=0):
-        return _get(scene, "frames", args[i], lineno, "frame")
-
-    def oneone(i):
-        return _get(scene, "oneones", args[i], lineno, "oneone")
-
-    def form(i):
-        return _get(scene, "forms", args[i], lineno, "form")
-
-    def arity(k):
-        if len(args) != k:
-            raise SceneError(f"check {kind} takes {k} arguments", lineno)
-
-    try:
-        if kind == "lagrangian":
-            arity(1)
-            return check_lagrangian(frame(), samples)
-        if kind == "involutive":
-            arity(1)
-            return check_involutive(frame(), samples)
-        if kind == "dirac":
-            arity(1)
-            lag = check_lagrangian(frame(), samples)
-            if lag.status != PASS:
-                return lag
-            return check_involutive(frame(), samples)
-        if kind == "nijenhuis":
-            arity(1)
-            return check_nijenhuis(oneone(0))
-        if kind == "invariance":
-            arity(2)
-            return check_invariance(frame(), oneone(1), samples)
-        if kind == "d_stability":
-            arity(2)
-            return check_D_stability(frame(), oneone(1), samples)
-        if kind == "dirac_nijenhuis":
-            arity(2)
-            return Verdict.merge(dirac_nijenhuis_report(frame(), oneone(1), samples).named())
-        if kind == "form_compat":
-            arity(2)
-            return check_form_compat(form(0), oneone(1))
-        if kind == "quasi":
-            arity(3)
-            return quasi_nijenhuis_check(frame(), oneone(1), form(2))
-        if kind == "concur":
-            arity(2)
-            return check_concur(frame(0), frame(1), samples)
-        if kind == "contraction_type":
-            arity(2)
-            return check_contraction_type(frame(), oneone(1), samples)
-        if kind == "double_type":
-            arity(2)
-            return check_double_type(frame(), oneone(1), samples)
-        if kind == "holomorphic_dirac":
-            arity(2)
-            from .holomorphic import ComplexStructure, check_holomorphic_dirac
-
-            J = ComplexStructure(oneone(1))
-            return Verdict.merge(check_holomorphic_dirac(frame(), J, samples).named())
-        if kind == "holo_form":
-            arity(3)
-            from .holomorphic import ComplexStructure, check_holo_form
-
-            J = ComplexStructure(oneone(2))
-            return check_holo_form((form(0), form(1)), J)
-        if kind == "traces":
-            arity(3)
-            try:
-                jmax = int(args[2])
-            except ValueError:
-                raise SceneError("traces jmax must be an integer", lineno) from None
-            return check_traces_involution(frame(), oneone(1), jmax, samples)
-        if kind == "algebroid":
-            if len(args) not in (1, 2):
-                raise SceneError("check algebroid takes 1 or 2 arguments", lineno)
-            from .algebroid import _im_steps, dirac_to_algebroid
-
-            r = oneone(1) if len(args) == 2 else None
-            L = frame()
-            A, imf = dirac_to_algebroid(L, samples=samples)
-            for _, v in _im_steps(A, imf, L, r):
-                if v.status != PASS:
-                    break
-            return v
+def _resolve(scene, lineno, kind, words):
+    """The check of `kind` and its arguments looked up in the scene, or a
+    SceneError naming the unknown kind, a wrong arity or the first bad
+    argument."""
+    if kind not in CHECKS:
         raise SceneError(f"unknown check kind {kind!r}", lineno)
-    except AdmissibilityError as e:
-        return Verdict(FAIL, (("error", str(e)),))
-    except PreconditionError as e:
-        return Verdict(INCONCLUSIVE, (("precondition", str(e)),))
+    types, check = CHECKS[kind]
+    least = sum(not t.endswith("?") for t in types)
+    if not least <= len(words) <= len(types):
+        counts = f"{least} or {len(types)}" if least < len(types) else least
+        raise SceneError(f"check {kind} takes {counts} arguments", lineno)
+    args = [_argument(scene, lineno, kind, t.rstrip("?"), w) for t, w in zip(types, words)]
+    return check, args + [None] * (len(types) - len(words))
+
+
+def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> Verdict:
+    check, resolved = _resolve(scene, lineno, kind, args)
+    try:
+        return decide(check, *resolved, samples)
     except ValueError as e:
         raise SceneError(str(e), lineno) from None
 
 
 def run_scene(scene: Scene, samples: int = 3) -> list:
+    """Resolve every check line, then run the checks one by one."""
+    for lineno, kind, args in scene.checks:
+        _resolve(scene, lineno, kind, args)
     return timed(
         CheckRecord(f"{kind} {' '.join(args)}".strip(), run_check(scene, lineno, kind, args, samples))
         for lineno, kind, args in scene.checks

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dngeo.cli import main
-from dngeo.scene import SceneError, parse_scene, run_scene
+from dngeo.scene import CHECKS, SceneError, parse_scene, run_scene
 from dngeo.symbolic import parse_scalar
 
 
@@ -76,6 +76,18 @@ class TestSceneParsing:
         scene = parse_scene("chart C x y\ncheck bogus L\n")
         with pytest.raises(SceneError):
             run_scene(scene)
+
+    def test_check_kinds_lists_follow_the_table(self):
+        # each documented kind with its argument count, "[R]" marking an
+        # optional argument, as the table declares them
+        import dngeo.scene
+
+        table = {kind: tuple(t.endswith("?") for t in types) for kind, (types, _) in CHECKS.items()}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for text, entries in ((dngeo.scene.__doc__, "|"), (readme, None)):
+            listed = text.split("Check kinds:")[1].split(".\n")[0]
+            words = [e.split() for e in (listed.split("|") if entries else re.findall(r"`([^`]*)`", listed))]
+            assert {w[0]: tuple(a.startswith("[") for a in w[1:]) for w in words} == table
 
     def test_complex_mode(self):
         scene = parse_scene("chart C z w complex\nscalar f = i*z\n")
@@ -458,6 +470,35 @@ class TestInputContract:
         code, _, err = run_cli(capsys, "check", scene_file(text))
         assert code == 3
         assert "unknown oneone 'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            ("holomorphic_dirac NOSUCH J", "unknown frame 'NOSUCH'"),
+            ("holo_form W1 W2 J", "unknown form 'W1'"),
+            ("algebroid NOSUCH bogus", "unknown frame 'NOSUCH'"),
+        ],
+        ids=["holomorphic_dirac", "holo_form", "algebroid"],
+    )
+    def test_first_unknown_argument_is_named_before_the_check_runs(self, capsys, scene_file, check, message):
+        # J is not a complex structure: building it first would make the
+        # usage error an inconclusive precondition
+        text = f"chart R2 x y\noneone J = x, 0 ; 0, x\ncheck {check}\n"
+        code, out, err = run_cli(capsys, "check", scene_file(text))
+        assert code == 3 and out == ""
+        assert err == f"error: {message} (line 3, col 1)\n"
+
+    def test_every_check_line_is_resolved_before_the_first_check_runs(self, capsys, scene_file, monkeypatch):
+        import dngeo.dirac as dirac
+
+        calls = []
+        decide = dirac._decide_lagrangian
+        monkeypatch.setattr(dirac, "_decide_lagrangian", lambda *a: calls.append(a) or decide(*a))
+        text = self.POISSON + "check lagrangian L\ncheck lagrangian NOSUCH\n"
+        code, out, err = run_cli(capsys, "check", scene_file(text))
+        assert code == 3 and out == ""
+        assert err == "error: unknown frame 'NOSUCH' (line 6, col 1)\n"
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [["traces", "--jmax", "1"], ["algebroid"]], ids=["traces", "algebroid"])
     def test_samples_flag_reaches_the_lagrangian_precondition(self, capsys, argv):

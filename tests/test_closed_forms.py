@@ -1,7 +1,9 @@
-"""The closed forms of the combined derivation along coordinate fields and of
-the Nijenhuis torsion, against their defining expressions: `big_D` on
-`VectorField.coordinate(chart, k)`, and the torsion through Lie brackets,
-[r dj, r dk] - r([r dj, dk]) - r([dj, r dk]).  Entries are drawn over Q on
+"""The closed forms of the combined derivation along coordinate fields, of
+the Nijenhuis torsion and of the derived bracket, against their defining
+expressions: `big_D` on `VectorField.coordinate(chart, k)`, the torsion
+through Lie brackets, [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]), and
+`bracket_Dr` through [[(rX, r*a), (Y, b)]] + bigD_Y(X, a) and the contracted
+bracket.  Entries are drawn over Q on
 2-, 3- and 4-charts and over Q(i) on a complex 2-chart, with zeros,
 Gaussian coefficients and nonconstant denominators."""
 
@@ -12,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dngeo.courant import GSection, _coordinate_D, big_D
+from dngeo.courant import (
+    GSection,
+    _coordinate_D,
+    apply_rr,
+    big_D,
+    bracket_Dr,
+    contracted_bracket,
+    courant_bracket,
+)
 from dngeo.symbolic import Chart, GaussianRational
 from dngeo.tensor import OneOneTensor, PForm, VectorField, lie_bracket, nijenhuis_torsion
 
@@ -27,9 +37,9 @@ CHARTS = [
 
 
 @st.composite
-def scalars(draw, chart):
+def scalars(draw, chart, poles=True):
     """Zero, or c * x_k^e * x_l + d, divided by x_m + q or x_m^2 + q in a
-    third of the draws."""
+    third of the draws when `poles`."""
     if draw(st.integers(0, 2)) == 0:
         return chart.zero()
     coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
@@ -38,7 +48,7 @@ def scalars(draw, chart):
     var = st.sampled_from(chart.variables).map(chart.var)
     out = chart.const(draw(coeffs)) * draw(var) ** draw(st.integers(0, 2)) * draw(var)
     out = out + chart.const(draw(coeffs))
-    if draw(st.integers(0, 2)) == 0:
+    if poles and draw(st.integers(0, 2)) == 0:
         out = out / (draw(var) ** draw(st.integers(1, 2)) + draw(st.integers(1, 3)))
     return out
 
@@ -52,6 +62,14 @@ def cases(draw, chart):
     vec = VectorField(chart, [draw(entry) for _ in range(n)])
     cov = PForm(chart, 1, {(k,): draw(entry) for k in range(n)})
     return r, GSection(vec, cov)
+
+
+@st.composite
+def sections(draw, chart):
+    entry = scalars(chart, poles=False)
+    n = chart.dim
+    vec = VectorField(chart, [draw(entry) for _ in range(n)])
+    return GSection(vec, PForm(chart, 1, {(k,): draw(entry) for k in range(n)}))
 
 
 def torsion_by_brackets(r):
@@ -89,6 +107,18 @@ def test_coordinate_table_equals_big_D_on_coordinate_fields(chart, data):
 def test_closed_torsion_equals_the_bracket_expression(chart, data):
     r, _ = data.draw(cases(chart))
     assert nijenhuis_torsion(r).comps == torsion_by_brackets(r)
+
+
+@pytest.mark.parametrize("chart", [CHARTS[0], CHARTS[1], CHARTS[3]], ids=lambda c: c.name)
+@SETTINGS
+@given(data=st.data())
+def test_derived_bracket_equals_its_defining_and_contracted_expressions(chart, data):
+    # polynomial sections: a bracket of sections with poles on R3 can take 30 s
+    r, _ = data.draw(cases(chart))
+    s1, s2 = (data.draw(sections(chart)) for _ in range(2))
+    derived = bracket_Dr(s1, s2, r)
+    assert derived == courant_bracket(apply_rr(s1, r), s2) + big_D(s2.vec, s1, r)
+    assert derived == contracted_bracket(s1, s2, r)
 
 
 def test_the_draws_reach_every_chart_and_kind_of_entry():

@@ -139,6 +139,21 @@ class TestDerivedBrackets:
     def test_identities(self, name):
         assert run_identity(name, seed=6, instances=4) == 0
 
+    def test_a_wrong_derived_bracket_fails_its_identity(self, monkeypatch):
+        # the comparison lives in the identity, so a mismatch is a failing
+        # instance rather than an exception out of the bracket
+        import dngeo.courant as courant
+        import dngeo.identities as identities
+
+        right = courant.bracket_Dr
+
+        def wrong(s1, s2, r):
+            return right(s1, s2, r) + GSection.from_vector(VectorField.coordinate(s1.chart, 0))
+
+        for module in (courant, identities):
+            monkeypatch.setattr(module, "bracket_Dr", wrong)
+        assert run_identity("contracted_equals_derived") == 3
+
     def test_nijenhuis_kills_contracted_torsion(self, ch):
         rng = random.Random(4)
         r = OneOneTensor.scalar(ch, random_scalar(ch, rng))

@@ -134,6 +134,25 @@ class TestFrameConstructors:
         with pytest.raises(PreconditionError):
             make_split([f1, f2])
 
+    def test_split_decides_involutivity_with_its_annihilator(self, monkeypatch):
+        # F = ker Ann(F), so the brackets are tested against the annihilator
+        # the frame needs anyway, and no bracket is solved into the span
+        import dngeo.dirac as dirac
+
+        calls = []
+        solve = dirac.solve_linear
+        monkeypatch.setattr(dirac, "solve_linear", lambda *a: calls.append(a) or solve(*a))
+        ch = chart3()
+        x = ch.var("x")
+        f1 = VectorField.coordinate(ch, 0)
+        f2 = VectorField(ch, [ch.zero(), x, x])  # [f1, f2] = f2 / x
+        Ls = make_split([f1, f2])
+        assert Ls.sections[2] == GSection.from_form(PForm(ch, 1, {(1,): ch.one(), (2,): -ch.one()}))
+        assert calls == []
+        f2 = VectorField(ch, [ch.zero(), x, ch.one()])
+        with pytest.raises(PreconditionError, match="^split fields do not span an involutive distribution$"):
+            make_split([f1, f2])
+
 
 class TestLagrangian:
     def test_graph_bivector_passes(self, L):
@@ -372,6 +391,16 @@ class TestConcur:
         with pytest.raises(PreconditionError):
             check_concur(L, Ls)
 
+    def test_second_covector_matrix_is_built_once(self, monkeypatch):
+        calls = []
+        build = GFrame.covector_matrix
+        monkeypatch.setattr(GFrame, "covector_matrix", lambda self: calls.append(self) or build(self))
+        ch = chart3()
+        L = make_graph_poisson(Bivector(ch, {(0, 1): ch.one()}))
+        M = make_graph_poisson(Bivector(ch, {(0, 1): ch.var("x")}))
+        assert check_concur(L, M).status == PASS
+        assert len(calls) == 2 and L in calls and M in calls
+
 
 class TestTraces:
     def test_scalar_fixture_values(self, L, ch):
@@ -384,6 +413,18 @@ class TestTraces:
         for i in range(2):
             assert (rx.dual(scalar_d(ts[i])) - scalar_d(ts[i + 1])).is_zero()
         assert check_traces_involution(L, rx, 4).status == PASS
+
+    def test_hamiltonian_representative_pairs_nothing(self, L, ch, monkeypatch):
+        # (X, df) is a combination of the sections, so it lies in the span
+        # without a pairing against the frame
+        import dngeo.dirac as dirac
+
+        calls = []
+        pair = dirac.pairing
+        monkeypatch.setattr(dirac, "pairing", lambda *a: calls.append(a) or pair(*a))
+        X = dirac.hamiltonian_representative(L, ch.var("x") * ch.var("y"))
+        assert X == VectorField(ch, [-ch.var("x"), ch.var("y")])
+        assert calls == []
 
     def test_admissibility_flips_with_constancy(self, ch):
         a = parse_scalar("x^2+1", ch)
