@@ -11,9 +11,10 @@ on frame sections and extended to scaled sections by its Leibniz rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import PreconditionError
-from .symbolic import ScalarExpr, solve_linear
+from .symbolic import ScalarExpr, dot, solve_linear
 from .courant import GSection, _coordinate_D, apply_rr, courant_bracket
 from .dirac import GFrame, Verdict, _require, check_involutive, check_lagrangian
 from .tensor import (
@@ -77,12 +78,9 @@ class AlgebroidData:
         rho_v = self.anchor_of(v)
         out = []
         for c in range(self.rank):
-            acc = self.chart.zero()
-            for a in range(self.rank):
-                for b in range(self.rank):
-                    acc = acc + self.c(a, b, c) * u[a] * v[b]
-            acc = acc + rho_u.deriv(v[c]) - rho_v.deriv(u[c])
-            out.append(acc)
+            # c(a, b, c) u^a v^b over a < b, with c(b, a, c) = -c(a, b, c)
+            terms = [(val, u[a] * v[b] - u[b] * v[a]) for (a, b, cc), val in self.struct.items() if cc == c]
+            out.append(dot(self.chart, terms) + rho_u.deriv(v[c]) - rho_v.deriv(u[c]))
         return out
 
 
@@ -206,32 +204,23 @@ class IMOneOne:
     r: OneOneTensor
 
     def l_of(self, coeffs):
-        m = self.parent.rank
-        return [
-            sum(
-                (self.l_grid[b][a] * coeffs[a] for a in range(m)),
-                self.parent.chart.zero(),
-            )
-            for b in range(m)
-        ]
+        return [dot(self.parent.chart, zip(row, coeffs)) for row in self.l_grid]
 
     def D_of(self, X: VectorField, coeffs):
         """D_X(sum f^a e_a), extended by the Leibniz rule."""
         A = self.parent
         m = A.rank
-        out = [A.chart.zero()] * m
+        live = [a for a in range(m) if coeffs[a]]
+        base = {a: [interior(X, self.theta[a][b]).as_scalar() for b in range(m)] for a in live}
+        xf = {a: X.deriv(coeffs[a]) for a in live}
+        # sum_a f^a theta[a](X) + X(f^a) l(e_a), with l(e_a)^b = l_grid[b][a]
+        out = [
+            dot(A.chart, [p for a in live for p in ((coeffs[a], base[a][b]), (xf[a], self.l_grid[b][a]))])
+            for b in range(m)
+        ]
         rX = self.r.apply(X)
-        for a in range(m):
-            f = coeffs[a]
-            if f.is_zero():
-                continue
-            base = [interior(X, self.theta[a][b]).as_scalar() for b in range(m)]
-            la = self.l_of(A.frame_section(a))
-            xf = X.deriv(f)
-            rxf = rX.deriv(f)
-            for b in range(m):
-                out[b] = out[b] + f * base[b] + xf * la[b]
-            out[a] = out[a] - rxf
+        for a in live:
+            out[a] = out[a] - rX.deriv(coeffs[a])
         return out
 
 
@@ -242,28 +231,49 @@ def check_IM_oneone(T: IMOneOne) -> Verdict:
     chart = A.chart
     m = A.rank
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
+    e = [A.frame_section(a) for a in range(m)]
+
+    # each derivation the equations share is built once, on first use
+    @cache
+    def D_coord(k, b):  # D_{d_k}(e_b)
+        return T.D_of(coords[k], e[b])
+
+    @cache
+    def bracket(a, b):  # [e_a, e_b]
+        return A.bracket_coeffs(e[a], e[b])
+
+    @cache
+    def bracket_D(a, b, k):  # [e_a, D_{d_k}(e_b)]
+        return A.bracket_coeffs(e[a], D_coord(k, b))
+
+    @cache
+    def D_rho(a, b, k):  # D_{[rho(b), d_k]}(e_a)
+        return T.D_of(rho_coord(b, k), e[a])
+
+    @cache
+    def rho_coord(b, k):  # [rho(b), d_k]
+        return lie_bracket(A.anchors[b], coords[k])
+
     # (1) r . rho = rho . l
     for a in range(m):
-        diff = T.r.apply(A.anchors[a]) - A.anchor_of(T.l_of(A.frame_section(a)))
+        diff = T.r.apply(A.anchors[a]) - A.anchor_of(T.l_of(e[a]))
         for i in range(chart.dim):
             if not diff.comps[i].is_zero():
                 return Verdict.fail((f"anchor_l[{a}]_{i}", diff.comps[i]))
     # (2) rho(D_X(a)) = D^r_X(rho(a)) on coordinate X: the vector part of bigD
     for a in range(m):
-        ea = A.frame_section(a)
         row = _coordinate_D(GSection.from_vector(A.anchors[a]), T.r)
-        for X, d in zip(coords, row):
-            diff = A.anchor_of(T.D_of(X, ea)) - d.vec
+        for k, d in enumerate(row):
+            diff = A.anchor_of(D_coord(k, a)) - d.vec
             for i in range(chart.dim):
                 if not diff.comps[i].is_zero():
                     return Verdict.fail((f"anchor_D[{a}]_{i}", diff.comps[i]))
     # (3) l([a,b]) = [a, l(b)] - D_{rho(b)}(a)
     for a in range(m):
         for b in range(m):
-            ea, eb = A.frame_section(a), A.frame_section(b)
-            lhs = T.l_of(A.bracket_coeffs(ea, eb))
-            rhs = A.bracket_coeffs(ea, T.l_of(eb))
-            dterm = T.D_of(A.anchors[b], ea)
+            lhs = T.l_of(bracket(a, b))
+            rhs = A.bracket_coeffs(e[a], T.l_of(e[b]))
+            dterm = T.D_of(A.anchors[b], e[a])
             for k in range(m):
                 val = lhs[k] - rhs[k] + dterm[k]
                 if not val.is_zero():
@@ -271,30 +281,13 @@ def check_IM_oneone(T: IMOneOne) -> Verdict:
     # (4) D_X([a,b]) = [a, D_X(b)] - [b, D_X(a)] + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b)
     for a in range(m):
         for b in range(m):
-            ea, eb = A.frame_section(a), A.frame_section(b)
-            br = A.bracket_coeffs(ea, eb)
-            for X in coords:
-                lhs = T.D_of(X, br)
-                rhs = A.bracket_coeffs(ea, T.D_of(X, eb))
-                rhs = [
-                    x - y for x, y in zip(rhs, A.bracket_coeffs(eb, T.D_of(X, ea)))
-                ]
-                rhs = [
-                    x + y
-                    for x, y in zip(
-                        rhs, T.D_of(lie_bracket(A.anchors[b], X), ea)
-                    )
-                ]
-                rhs = [
-                    x - y
-                    for x, y in zip(
-                        rhs, T.D_of(lie_bracket(A.anchors[a], X), eb)
-                    )
-                ]
-                for k in range(m):
-                    val = lhs[k] - rhs[k]
+            for k, X in enumerate(coords):
+                lhs = T.D_of(X, bracket(a, b))
+                terms = zip(bracket_D(a, b, k), bracket_D(b, a, k), D_rho(a, b, k), D_rho(b, a, k))
+                for c, (x1, x2, x3, x4) in enumerate(terms):
+                    val = lhs[c] - (x1 - x2 + x3 - x4)
                     if not val.is_zero():
-                        return Verdict.fail((f"D_bracket[{a},{b}]_{k}", val))
+                        return Verdict.fail((f"D_bracket[{a},{b}]_{c}", val))
     return Verdict.ok()
 
 

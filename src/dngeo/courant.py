@@ -15,7 +15,7 @@ closed form `_coordinate_D`, which every check reads:
 
 from __future__ import annotations
 
-from .symbolic import ScalarExpr, same_chart
+from .symbolic import ScalarExpr, dot, same_chart
 from .tensor import (
     OneOneTensor,
     PForm,
@@ -97,11 +97,8 @@ def apply_rr(s: GSection, r: OneOneTensor) -> GSection:
 
 def pairing(s1: GSection, s2: GSection) -> ScalarExpr:
     """<(X, a), (Y, b)> = b(X) + a(Y) = sum_i (X^i b_i + Y^i a_i)."""
-    out = same_chart(s1, s2).zero()
-    for s, t in ((s1, s2), (s2, s1)):
-        for (i,), c in t.cov.comps.items():
-            out = out + s.vec.comps[i] * c
-    return out
+    chart = same_chart(s1, s2)
+    return dot(chart, [(s.vec.comps[i], c) for s, t in ((s1, s2), (s2, s1)) for (i,), c in t.cov.comps.items()])
 
 
 def courant_bracket(s1: GSection, s2: GSection) -> GSection:
@@ -123,14 +120,22 @@ def _coordinate_D(s: GSection, r: OneOneTensor) -> list:
     """[bigD_{d_k}(s) for each k] for s = (Y, a), by the closed form of the
     module docstring, with each derivative of r, Y and a taken once."""
     chart = same_chart(s, r)
-    ix, g, dr, z = range(chart.dim), r.grid, _partials(r), chart.zero()
+    ix, g, dr = range(chart.dim), r.grid, _partials(r)
     Y, a = s.vec.comps, [s.cov.get((i,)) for i in ix]
     dY, da = [[c.diff(l) for l in ix] for c in Y], [[c.diff(l) for l in ix] for c in a]  # dY[i][l] = dl Y^i
+    ng, na = [[-c for c in row] for row in g], [-c for c in a]
     row = []
     for k in ix:
-        vec = [sum((Y[j] * dr[j][i][k] - g[j][k] * dY[i][j] + g[i][j] * dY[j][k] for j in ix), z) for i in ix]
+        vec = [
+            dot(chart, [p for j in ix for p in ((Y[j], dr[j][i][k]), (ng[j][k], dY[i][j]), (g[i][j], dY[j][k]))])
+            for i in ix
+        ]
         cov = [
-            sum((a[i] * (dr[k][i][j] - dr[j][i][k]) + g[i][j] * da[i][k] - g[i][k] * da[j][i] for i in ix), z)
+            dot(chart, [
+                p
+                for i in ix
+                for p in ((a[i], dr[k][i][j]), (na[i], dr[j][i][k]), (g[i][j], da[i][k]), (ng[i][k], da[j][i]))
+            ])
             for j in ix
         ]
         row.append(GSection(VectorField(chart, vec), PForm(chart, 1, {(j,): c for j, c in enumerate(cov)})))

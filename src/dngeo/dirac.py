@@ -98,10 +98,11 @@ class Verdict:
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections.
 
-    The frame is its sections, plus the lagrangian verdict at each sample
-    count once decided: `check_lagrangian` fills it in on first use."""
+    The frame is its sections, plus the sampled rank of its matrix and the
+    lagrangian verdict at each sample count once decided: `_sampled_rank` and
+    `check_lagrangian` fill them in on first use."""
 
-    __slots__ = ("chart", "sections", "_lagrangian")
+    __slots__ = ("chart", "sections", "_rank", "_lagrangian")
 
     def __init__(self, sections):
         chart = same_chart(*sections)
@@ -109,6 +110,7 @@ class GFrame:
             raise ValueError("a frame needs exactly n sections")
         self.chart = chart
         self.sections = tuple(sections)
+        self._rank = {}  # sample count -> rank_at_samples of the matrix
         self._lagrangian = {}  # sample count -> Verdict
 
     def matrix(self) -> FracMatrix:
@@ -261,15 +263,21 @@ def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
     for (a, b), val in _pairings(L, L):
         if not val.is_zero():
             return Verdict.fail((f"pairing[{a},{b}]", val))
-    m = L.matrix()
-    sampled = rank_at_samples(m, samples)
-    if sampled != n and len(pivot_columns(m)) != n:
+    sampled = _sampled_rank(L, samples)
+    if sampled != n and len(pivot_columns(L.matrix())) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled is None:
         return Verdict.inconclusive(("rank", "no valid sample point"))
     if sampled != n:
         return Verdict.inconclusive(("rank", "rank drop at sample points"))
     return Verdict.ok()
+
+
+def _sampled_rank(L: GFrame, samples: int):
+    """rank_at_samples of the frame's matrix, decided once per sample count."""
+    if samples not in L._rank:
+        L._rank[samples] = rank_at_samples(L.matrix(), samples)
+    return L._rank[samples]
 
 
 def _require(verdict: Verdict, what: str):
@@ -506,9 +514,9 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
         out = transform_frame(L, rn.apply, lambda a: a)
     else:
         out = transform_frame(L, lambda v: v, rn.dual)
-    m = out.matrix()
-    sampled = rank_at_samples(m, samples)
-    if sampled == m.cols or (sampled is None and len(pivot_columns(m)) == m.cols):
+    dim = out.chart.dim
+    sampled = _sampled_rank(out, samples)
+    if sampled == dim or (sampled is None and len(pivot_columns(out.matrix())) == dim):
         return out
     raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")
 

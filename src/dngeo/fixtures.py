@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .symbolic import Chart, GaussianRational, ScalarExpr
+from .symbolic import Chart, GaussianRational, Polynomial, ScalarExpr
 from .courant import GSection
 from .dirac import make_graph_poisson
 from .holomorphic import standard_complex_structure
@@ -39,15 +39,22 @@ def random_fraction(rng: random.Random, span: int = 3) -> Fraction:
 def random_scalar(
     chart: Chart, rng: random.Random, max_deg: int = 3, terms: int = 3
 ) -> ScalarExpr:
-    """A random polynomial scalar (denominator one) of bounded degree."""
-    out = chart.zero()
+    """A random polynomial scalar (denominator one) of bounded degree: up to
+    `terms` monomials c * x_k1 * ... * x_kd, summed in one dict."""
+    coeffs: dict = {}
     for _ in range(rng.randint(1, terms)):
         c = random_fraction(rng)
-        t = chart.const(c)
+        expo = [0] * chart.dim
         for _ in range(rng.randint(0, max_deg)):
-            t = t * chart.var(rng.choice(chart.variables))
-        out = out + t
-    return out
+            expo[chart.index(rng.choice(chart.variables))] += 1
+        e = tuple(expo)
+        s = coeffs.get(e, 0) + c
+        if s:
+            coeffs[e] = s
+        else:  # a term that cancels is dropped, as a sum of scalars drops it
+            coeffs.pop(e, None)
+    p = Polynomial(chart.dim, coeffs)
+    return ScalarExpr(chart, p, chart.one().den) if p.nums else chart.zero()
 
 
 def random_vf(chart: Chart, rng: random.Random, max_deg: int = 3) -> VectorField:

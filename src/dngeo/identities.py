@@ -16,6 +16,7 @@ from .errors import PointEvaluationError
 from .symbolic import (
     Chart,
     FracMatrix,
+    dot,
     generic_rank,
     kernel_basis,
     parse_scalar,
@@ -161,10 +162,7 @@ def _(rng, k):
     basis = kernel_basis(m)
     for vec in basis:
         for i in range(rows):
-            dot = sum(
-                (m.entries[i][j] * vec[j] for j in range(3)), ch.zero()
-            )
-            if not dot.is_zero():
+            if not dot(ch, zip(m.entries[i], vec)).is_zero():
                 return False
     return generic_rank(m) + len(basis) == 3
 
@@ -406,22 +404,12 @@ def lift_pairing_holds(r: OneOneTensor) -> bool:
         return e.extend(big)
 
     U = xd + vd
-    KU = [
-        sum((emb(tg.grid[i][j]) * U[j] for j in range(2 * n)), big.zero())
-        for i in range(2 * n)
-    ]
+    KU = [dot(big, zip(map(emb, row), U)) for row in tg.grid]
     V = xd + pd
-    KtV = [
-        sum((emb(cg.grid[i][j]) * V[j] for j in range(2 * n)), big.zero())
-        for i in range(2 * n)
-    ]
-    lhs = sum(
-        (KtV[n + i] * vv[i] + pp[i] * KU[n + i] for i in range(n)), big.zero()
-    )
+    KtV = [dot(big, zip(map(emb, row), V)) for row in cg.grid]
+    lhs = dot(big, [p for i in range(n) for p in ((KtV[n + i], vv[i]), (pp[i], KU[n + i]))])
     rbig = [[emb(r.grid[i][j]) for j in range(n)] for i in range(n)]
-    rv = [
-        sum((rbig[i][kk] * vv[kk] for kk in range(n)), big.zero()) for i in range(n)
-    ]
+    rv = [dot(big, zip(row, vv)) for row in rbig]
     fiber = []
     for i in range(n):
         acc = big.zero()
@@ -431,9 +419,7 @@ def lift_pairing_holds(r: OneOneTensor) -> bool:
         for kk in range(n):
             acc = acc + rbig[i][kk] * vd[kk]
         fiber.append(acc)
-    rhs = sum(
-        (pd[i] * rv[i] + pp[i] * fiber[i] for i in range(n)), big.zero()
-    )
+    rhs = dot(big, [p for i in range(n) for p in ((pd[i], rv[i]), (pp[i], fiber[i]))])
     return (lhs - rhs).is_zero()
 
 
@@ -468,10 +454,7 @@ def pn_intertwine_holds(pi: Bivector, r: OneOneTensor) -> bool:
     # r_tg entries with v substituted by pi# p, re-expressed on the cotangent chart
     subs = {}
     for kk, v in enumerate(ch.variables):
-        expr = sum(
-            (sharp.grid[kk][j].extend(cgch) * pvars[j] for j in range(n)), cgch.zero()
-        )
-        subs["v_" + v] = expr
+        subs["v_" + v] = dot(cgch, ((sharp.grid[kk][j].extend(cgch), pvars[j]) for j in range(n)))
 
     def pull(e):
         # entries of tg are polynomial in v; substitute each v variable
@@ -490,20 +473,8 @@ def pn_intertwine_holds(pi: Bivector, r: OneOneTensor) -> bool:
 
     tg_pulled = [[pull(tg.grid[i][j]) for j in range(2 * n)] for i in range(2 * n)]
     m = 2 * n
-    lhs = [
-        [
-            sum((jac[i][c] * cg.grid[c][j] for c in range(m)), cgch.zero())
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    rhs = [
-        [
-            sum((tg_pulled[i][c] * jac[c][j] for c in range(m)), cgch.zero())
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+    lhs = [[dot(cgch, zip(jac[i], col)) for col in zip(*cg.grid)] for i in range(m)]
+    rhs = [[dot(cgch, zip(tg_pulled[i], col)) for col in zip(*jac)] for i in range(m)]
     return all(
         (lhs[i][j] - rhs[i][j]).is_zero() for i in range(m) for j in range(m)
     )

@@ -14,7 +14,7 @@ from .linalg import (
 )
 from .parse import parse_scalar
 from .poly import Polynomial, divexact, poly_gcd, poly_lcm
-from .scalar import Chart, ScalarExpr, coeff_to_str, poly_to_str, same_chart, to_str
+from .scalar import Chart, ScalarExpr, coeff_to_str, dot, poly_to_str, same_chart, to_str
 
 __all__ = [
     "Chart",
@@ -24,6 +24,7 @@ __all__ = [
     "ScalarExpr",
     "coeff_to_str",
     "divexact",
+    "dot",
     "generic_rank",
     "image_at_sample",
     "kernel_basis",

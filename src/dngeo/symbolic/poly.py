@@ -18,7 +18,12 @@ graded lexicographic over the chart's variable order.
 (`_packing`) and divides in `_divide`, which linalg's elimination shares
 with it together with the product kernel `_dot`; the elimination packs once
 per matrix.  Products keep exponent tuples: most products here have a one-
-or two-term operand, where packing costs more than it saves.
+or two-term operand, where packing costs more than it saves.  A product
+with a one-term operand cannot cancel, so it maps the other operand's terms
+in one pass, in their key order, without summing.  `poly_dot` sums every
+term product of a list of pairs into one dict over the lcm of the products'
+denominators and canonicalises once; ScalarExpr's `dot` runs the
+contractions of the geometry on it.
 
 The gcd starts from degree bounds read from images mod P (see modp.py): for
 each variable, an upper bound on the degree of the gcd in it.  Bounds that
@@ -93,10 +98,7 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.nums)
 
     def is_one(self) -> bool:
-        if self.denom != 1 or len(self.nums) != 1:
-            return False
-        (e, c), = self.nums.items()
-        return c == 1 and sum(e) == 0
+        return self.denom == 1 and len(self.nums) == 1 and self.nums.get((0,) * self.nvars) == 1
 
     def is_real(self) -> bool:
         """Whether every coefficient lies in Q."""
@@ -126,7 +128,10 @@ class Polynomial:
             return other
         if not b:
             return self
-        if _is_pairs(a) != _is_pairs(b):
+        pairs = _is_pairs(a)
+        if self.denom == 1 == other.denom and not pairs and not _is_pairs(b):
+            return _new(self.nvars, _summed(dict(a), b.items()), 1)
+        if pairs != _is_pairs(b):
             a, b = _as_pairs(a), _as_pairs(b)
         den = lcm(self.denom, other.denom)
         out = _summed(_times(a, den // self.denom), _times(b, den // other.denom).items())
@@ -142,13 +147,26 @@ class Polynomial:
         a, b = self.nums, other.nums
         if not a or not b:
             return Polynomial.zero(self.nvars)
-        if _is_pairs(a) or _is_pairs(b):
-            a, b = _as_pairs(a), _as_pairs(b).items()
+        pairs = _is_pairs(a) or _is_pairs(b)
+        if pairs:
+            a, b = _as_pairs(a), _as_pairs(b)
+        den = self.denom * other.denom
+        if len(a) == 1 or len(b) == 1:
+            # distinct exponents plus one exponent stay distinct and nonzero
+            # numerators have a nonzero product, so nothing cancels; the keys
+            # keep the order of the other operand, as in the term-pair loop
+            if len(b) != 1:
+                a, b = b, a
+            (eb, cb), = b.items()
+            if pairs:
+                return _make(self.nvars, {tuple(map(add, ea, eb)): _pair_mul(ca, cb) for ea, ca in a.items()}, den)
+            return _make(self.nvars, {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}, den)
+        b = b.items()
+        if pairs:
             terms = ((tuple(map(add, ea, eb)), _pair_mul(ca, cb)) for ea, ca in a.items() for eb, cb in b)
         else:
-            b = b.items()
             terms = ((tuple(map(add, ea, eb)), na * nb) for ea, na in a.items() for eb, nb in b)
-        return _make(self.nvars, _summed({}, terms), self.denom * other.denom)
+        return _make(self.nvars, _summed({}, terms), den)
 
     def scale(self, c) -> "Polynomial":
         return self * Polynomial.const(self.nvars, c)
@@ -255,6 +273,33 @@ def poly_one(nvars: int) -> Polynomial:
     return _new(nvars, {(0,) * nvars: 1}, 1)
 
 
+def poly_dot(nvars: int, pairs) -> Polynomial:
+    """sum p*q over the (p, q) of pairs: every term product is summed into
+    one dict of numerators over the lcm of the products' denominators."""
+    pairs = [(p.nums, q.nums, p.denom * q.denom) for p, q in pairs if p.nums and q.nums]
+    den = lcm(*[d for _, _, d in pairs])
+    out: dict = {}
+    get = out.get
+    if not any(_is_pairs(a) or _is_pairs(b) for a, b, _ in pairs):
+        for a, b, d in pairs:
+            k, b = den // d, b.items()
+            for ea, ca in a.items():
+                ca *= k
+                for eb, cb in b:
+                    e = tuple(map(add, ea, eb))
+                    out[e] = get(e, 0) + ca * cb
+        return _make(nvars, {e: c for e, c in out.items() if c}, den)
+    for a, b, d in pairs:
+        k, b = den // d, _as_pairs(b).items()
+        for ea, (ar, ai) in _as_pairs(a).items():
+            ar, ai = ar * k, ai * k
+            for eb, (br, bi) in b:
+                e = tuple(map(add, ea, eb))
+                re, im = get(e, (0, 0))
+                out[e] = re + ar * br - ai * bi, im + ar * bi + ai * br
+    return _make(nvars, {e: c for e, c in out.items() if c[0] or c[1]}, den)
+
+
 # -- the integer form --------------------------------------------------------
 
 
@@ -269,11 +314,18 @@ def _make(nvars: int, nums: dict, denom: int) -> Polynomial:
     """The polynomial nums/denom, for a positive int denom, in canonical
     form: both divided by the gcd of denom and every numerator part, and
     (re, im) pairs turned to ints when every im is 0."""
-    if _is_pairs(nums) and not any(im for _, im in nums.values()):
-        nums = {e: re for e, (re, _) in nums.items()}
-    g = gcd(denom, *_parts(nums)) if denom != 1 else 1
-    if g != 1:
-        nums = {e: (c[0] // g, c[1] // g) if type(c) is tuple else c // g for e, c in nums.items()}
+    pairs = _is_pairs(nums)
+    if pairs and not any(im for _, im in nums.values()):
+        nums, pairs = {e: re for e, (re, _) in nums.items()}, False
+    g = denom
+    for c in nums.values():  # the content, down to the first gcd of 1
+        if g == 1:
+            break
+        g = gcd(g, *c) if pairs else gcd(g, c)
+    if g != 1 and pairs:
+        nums = {e: (re // g, im // g) for e, (re, im) in nums.items()}
+    elif g != 1:
+        nums = {e: c // g for e, c in nums.items()}
     return _new(nvars, nums, denom // g if nums else 1)
 
 

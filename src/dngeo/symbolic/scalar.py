@@ -14,17 +14,21 @@ compare equal structurally.
 ScalarExpr, Polynomial and Chart are immutable: nothing assigns `num`,
 `den`, a polynomial's integer numerators `nums` and denominator `denom` (see
 poly.py) or a chart field after construction, so results may share them.
-Each chart holds one zero scalar, which `Chart.zero()` and the zero
-short-circuits of the arithmetic return.  `ScalarExpr.__init__`
-canonicalises its input; the trusted constructor `ScalarExpr._make` skips
-that and may be used only where the result is canonical by construction: a
-negation, a power of a nonzero scalar, a nonzero sum or product of two
-scalars over denominator 1 (over a field a product of nonzero polynomials
-is nonzero), the general product once its cross pairs are cancelled (the
-numerator of each factor is then coprime to the denominator of the other,
-and a monic denominator divided by a monic gcd stays monic), the
-derivative of a scalar over denominator 1, and a nonzero polynomial over
-denominator 1 (a solution entry y/D of linalg that D divides).
+The one exception is a cache that does not change the value: a scalar's
+partial derivatives, each kept in the private `_partials` slot on its
+first `diff`, which both constructors set to None.  Each chart holds one
+zero scalar, which `Chart.zero()` and the zero short-circuits of the
+arithmetic return.  `ScalarExpr.__init__` canonicalises its input; the
+trusted constructor `ScalarExpr._make` skips that and may be used only
+where the result is canonical by construction: a negation, a power of a
+nonzero scalar, a nonzero sum or product of two scalars over denominator 1
+(over a field a product of nonzero polynomials is nonzero), a nonzero
+`dot` of pairs of such scalars, the general product once its cross pairs
+are cancelled (the numerator of each factor is then coprime to the
+denominator of the other, and a monic denominator divided by a monic gcd
+stays monic), the derivative of a scalar over denominator 1, and a nonzero
+polynomial over denominator 1 (a solution entry y/D of linalg that D
+divides).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 
 from ..errors import ChartMismatchError, PointEvaluationError, ZeroDenominatorError
 from .gaussian import GaussianRational
-from .poly import Polynomial, divexact, over_monic, poly_gcd, poly_one
+from .poly import Polynomial, divexact, over_monic, poly_dot, poly_gcd, poly_one
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def same_chart(*objs):
 
 
 class ScalarExpr:
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "num", "den", "_partials")
 
     def __init__(self, chart: Chart, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -137,12 +141,13 @@ class ScalarExpr:
         self.chart = chart
         self.num = num
         self.den = den
+        self._partials = None
 
     @classmethod
     def _make(cls, chart: Chart, num: Polynomial, den: Polynomial) -> "ScalarExpr":
         """Trusted constructor: num/den must already be canonical."""
         s = object.__new__(cls)
-        s.chart, s.num, s.den = chart, num, den
+        s.chart, s.num, s.den, s._partials = chart, num, den, None
         return s
 
     # -- predicates ---------------------------------------------------------
@@ -179,7 +184,7 @@ class ScalarExpr:
         return self.chart.const(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ScalarExpr and other.chart is self.chart else self._coerce(other)
         if not o.num.nums:
             return self
         if not self.num.nums:
@@ -201,13 +206,16 @@ class ScalarExpr:
         return ScalarExpr._make(self.chart, -self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = other if type(other) is ScalarExpr and other.chart is self.chart else self._coerce(other)
+        if not o.num.nums:
+            return self
+        return self + (-o)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ScalarExpr and other.chart is self.chart else self._coerce(other)
         if not self.num.nums or not o.num.nums:
             return self.chart._zero
         if self.den.is_one() and o.den.is_one():
@@ -249,7 +257,19 @@ class ScalarExpr:
     # -- calculus -------------------------------------------------------------
 
     def diff(self, var) -> "ScalarExpr":
+        """The partial derivative, memoized per variable."""
         k = var if isinstance(var, int) else self.chart.index(var)
+        memo = self._partials
+        if memo is None:
+            if not self.num.nums:
+                return self.chart._zero
+            memo = self._partials = [None] * self.chart.dim
+        out = memo[k]
+        if out is None:
+            out = memo[k] = self._diff(k)
+        return out
+
+    def _diff(self, k: int) -> "ScalarExpr":
         if self.den.is_one():
             num = self.num.diff(k)
             return ScalarExpr._make(self.chart, num, self.den) if num.nums else self.chart._zero
@@ -297,6 +317,30 @@ class ScalarExpr:
 
     def __str__(self):
         return to_str(self)
+
+
+def dot(chart: Chart, pairs) -> ScalarExpr:
+    """sum a*b over the (a, b) of pairs, on chart.
+
+    Pairs with a zero factor are dropped.  When every factor left is a
+    polynomial (denominator 1), the products are summed in one integer dict
+    by `poly_dot`; otherwise they are folded from the left, which gives the
+    same canonical scalar."""
+    live = []
+    for a, b in pairs:
+        if a.chart is not chart or b.chart is not chart:
+            same_chart(chart._zero, a, b)
+        if a.num.nums and b.num.nums:
+            live.append((a, b))
+    if len(live) < 2:
+        return live[0][0] * live[0][1] if live else chart._zero
+    if all(a.den.is_one() and b.den.is_one() for a, b in live):
+        num = poly_dot(chart.dim, [(a.num, b.num) for a, b in live])
+        return ScalarExpr._make(chart, num, chart._one.den) if num.nums else chart._zero
+    out = chart._zero
+    for a, b in live:
+        out = out + a * b
+    return out
 
 
 # -- canonical printing -------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .symbolic import Chart, ScalarExpr, same_chart
+from .symbolic import Chart, ScalarExpr, dot, same_chart
 from .symbolic.scalar import to_str
 
 
@@ -94,11 +94,7 @@ class VectorField:
 
     def deriv(self, f: ScalarExpr) -> ScalarExpr:
         """X(f) = sum X^i d_i f."""
-        out = self.chart.zero()
-        for i, c in enumerate(self.comps):
-            if not c.is_zero():
-                out = out + c * f.diff(i)
-        return out
+        return dot(self.chart, ((c, f.diff(i)) for i, c in enumerate(self.comps) if c))
 
     def __repr__(self):
         names = self.chart.variables
@@ -246,14 +242,7 @@ class OneOneTensor:
 
     def apply(self, X: VectorField) -> VectorField:
         same_chart(self, X)
-        n = self.chart.dim
-        return VectorField(
-            self.chart,
-            [
-                sum((self.grid[i][j] * X.comps[j] for j in range(n)), self.chart.zero())
-                for i in range(n)
-            ],
-        )
+        return VectorField(self.chart, [dot(self.chart, zip(row, X.comps)) for row in self.grid])
 
     def dual(self, a: PForm) -> PForm:
         """r* a, i.e. (r* a)_j = a_i r^i_j (degree-1 forms only)."""
@@ -261,30 +250,13 @@ class OneOneTensor:
         if a.degree != 1:
             raise ValueError("dual acts on 1-forms")
         n = self.chart.dim
-        out = {}
-        for j in range(n):
-            val = sum(
-                (a.get((i,)) * self.grid[i][j] for i in range(n)), self.chart.zero()
-            )
-            out[(j,)] = val
-        return PForm(self.chart, 1, out)
+        ai = [a.get((i,)) for i in range(n)]
+        return PForm(self.chart, 1, {(j,): dot(self.chart, zip(ai, col)) for j, col in enumerate(zip(*self.grid))})
 
     def compose(self, other: "OneOneTensor") -> "OneOneTensor":
         same_chart(self, other)
-        n = self.chart.dim
-        return OneOneTensor(
-            self.chart,
-            [
-                [
-                    sum(
-                        (self.grid[i][k] * other.grid[k][j] for k in range(n)),
-                        self.chart.zero(),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        cols = list(zip(*other.grid))
+        return OneOneTensor(self.chart, [[dot(self.chart, zip(row, col)) for col in cols] for row in self.grid])
 
     def power(self, k: int) -> "OneOneTensor":
         out = OneOneTensor.identity(self.chart)
@@ -361,13 +333,8 @@ class Bivector:
         if a.degree != 1:
             raise ValueError("sharp acts on 1-forms")
         n = self.chart.dim
-        return VectorField(
-            self.chart,
-            [
-                sum((a.get((i,)) * self.get(i, j) for i in range(n)), self.chart.zero())
-                for j in range(n)
-            ],
-        )
+        ai = [a.get((i,)) for i in range(n)]
+        return VectorField(self.chart, [dot(self.chart, ((ai[i], self.get(i, j)) for i in range(n))) for j in range(n)])
 
     def sharp_matrix(self) -> OneOneTensor:
         """Matrix P with (pi# a)^i = P^i_j a_j, as an endomorphism grid."""
@@ -540,12 +507,10 @@ class VectorValuedTwoForm:
         """The 2-form <a, N(., .)> for a 1-form a (the dual torsion on a)."""
         same_chart(self, a)
         n = self.chart.dim
+        ai = [a.get((i,)) for i in range(n)]
         out = {}
         for j, k in combinations(range(n), 2):
-            val = sum(
-                (a.get((i,)) * self.get(i, j, k) for i in range(n)), self.chart.zero()
-            )
-            out[(j, k)] = val
+            out[(j, k)] = dot(self.chart, ((ai[i], self.get(i, j, k)) for i in range(n)))
         return PForm(self.chart, 2, out)
 
 
@@ -580,16 +545,10 @@ def interior(X: VectorField, w: PForm) -> PForm:
     chart = same_chart(X, w)
     if w.degree == 0:
         raise ValueError("interior product needs degree >= 1")
-    n = chart.dim
-    out = {}
-    for rest in combinations(range(n), w.degree - 1):
-        val = chart.zero()
-        for v in range(n):
-            xv = X.comps[v]
-            if xv.is_zero():
-                continue
-            val = val + xv * w.get((v,) + rest)
-        out[rest] = val
+    out = {
+        rest: dot(chart, ((xv, w.get((v,) + rest)) for v, xv in enumerate(X.comps) if xv))
+        for rest in combinations(range(chart.dim), w.degree - 1)
+    }
     return PForm(chart, w.degree - 1, out)
 
 
@@ -699,14 +658,16 @@ def nijenhuis_torsion(r: OneOneTensor) -> VectorValuedTwoForm:
     in the closed form of the module docstring; tensoriality makes this complete."""
     chart = r.chart
     n = chart.dim
-    g, dr, z = r.grid, _partials(r), chart.zero()
+    g, dr = r.grid, _partials(r)
+    ng = [[-c for c in row] for row in g]
     out = {}
     for j, k in combinations(range(n), 2):
         for i in range(n):
             terms = (
-                g[l][j] * dr[l][i][k] - g[l][k] * dr[l][i][j] + g[i][l] * (dr[k][l][j] - dr[j][l][k]) for l in range(n)
+                ((g[l][j], dr[l][i][k]), (ng[l][k], dr[l][i][j]), (g[i][l], dr[k][l][j]), (ng[i][l], dr[j][l][k]))
+                for l in range(n)
             )
-            out[(i, j, k)] = sum(terms, z)
+            out[(i, j, k)] = dot(chart, [p for four in terms for p in four])
     return VectorValuedTwoForm(chart, out)
 
 
@@ -847,7 +808,7 @@ def cotangent_lift(r: OneOneTensor):
     # M = J^T Omega J: M[a][b] = omega(J e_a, J e_b)
     mjj = [
         [
-            sum((jac[i][a] * jac[n + i][b] - jac[n + i][a] * jac[i][b] for i in range(n)), z)
+            dot(big, [p for i in range(n) for p in ((jac[i][a], jac[n + i][b]), (-jac[n + i][a], jac[i][b]))])
             for b in range(m)
         ]
         for a in range(m)

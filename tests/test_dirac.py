@@ -4,6 +4,7 @@ notions."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -626,6 +627,21 @@ class TestComparisonNotions:
     def test_dn_with_injective_transform_is_double_type(self, L, ch):
         rx = OneOneTensor.scalar(ch, ch.var("x"))
         assert check_double_type(L, rx).status == PASS
+
+    def test_double_type_samples_each_frame_once(self, monkeypatch):
+        # the kernel condition of the (1,0) transform and its lagrangian check
+        # share one sampled rank: one call for L, one for (r, id)L
+        import dngeo.dirac as dirac
+        from dngeo.scene import parse_scene, run_scene
+
+        calls = []
+        sample = dirac.rank_at_samples
+        monkeypatch.setattr(dirac, "rank_at_samples", lambda m, s: calls.append(m) or sample(m, s))
+        path = Path(__file__).resolve().parent.parent / "scenes" / "scalar_hierarchy.scene"
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("check ")]
+        (record,) = run_scene(parse_scene("\n".join(lines + ["check double_type L r"])))
+        assert record.verdict.status == PASS
+        assert len(calls) == 2
 
     def test_contraction_strictly_more_general(self):
         # rank-deficient bivector on a 3-chart with r = z id: the contracted

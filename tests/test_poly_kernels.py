@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from dngeo.symbolic import Chart, FracMatrix, GaussianRational, ScalarExpr, kernel_basis, modp, to_str
 from dngeo.symbolic import poly as poly_module
 from dngeo.symbolic import scalar as scalar_module
-from dngeo.symbolic.poly import Polynomial, divexact, poly_gcd
+from dngeo.symbolic.poly import Polynomial, divexact, poly_dot, poly_gcd
 
 SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None)
 
@@ -442,11 +442,14 @@ def polys(draw, nvars, kind, max_terms=5, max_deg=2):
 
 @st.composite
 def poly_pairs(draw):
+    """Two polynomials in the same variables, either of them or both often a
+    single term (the product's one-term path)."""
     nvars = draw(st.integers(1, 4))
     kinds = draw(st.sampled_from(("real", "gaussian", "mixed"))), draw(
         st.sampled_from(("real", "gaussian", "mixed"))
     )
-    return tuple(draw(polys(nvars, k)) for k in kinds)
+    sizes = draw(st.sampled_from(((5, 5), (1, 5), (5, 1), (1, 1))))
+    return tuple(draw(polys(nvars, k, max_terms=t)) for k, t in zip(kinds, sizes))
 
 
 def integral(c):
@@ -585,6 +588,31 @@ def test_mul_matches_the_term_loop(pair):
     assert_same(a * b, mul_oracle(a, b))
     assert_same(b * a, mul_oracle(b, a))
     assert_canonical(a * b)
+
+
+def test_one_term_products_keep_the_key_order_of_the_other_operand():
+    # the term-pair loop runs over the left operand's terms, then the right
+    # one's; with a one-term operand on either side the keys come in the
+    # order of the other operand
+    i = GaussianRational(0, 1)
+    many = Polynomial(2, {(0, 2): Fraction(1, 2), (1, 0): Fraction(3), (0, 0): Fraction(-1)})
+    for one in (Polynomial(2, {(1, 1): Fraction(2, 3)}), Polynomial(2, {(0, 1): 1 + i}), Polynomial.const(2, i)):
+        for a, b in ((many, one), (one, many), (one, one)):
+            assert_same(a * b, mul_oracle(a, b))
+            assert list((a * b).nums) == [tuple(map(sum, zip(e, f))) for e in a.nums for f in b.nums]
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(operands(n), operands(n)), max_size=4)))
+def test_poly_dot_is_the_sum_of_the_products(pairs):
+    nvars = pairs[0][0].nvars if pairs else 2
+    want = FracPoly.zero(nvars)
+    for a, b in pairs:
+        want = want + FracPoly.of(a) * FracPoly.of(b)
+    got = poly_dot(nvars, pairs)
+    assert_integer_form(got)
+    assert got == want.poly()
+    assert_canonical(got)
 
 
 def test_mul_cancellation_resets_the_coefficient_type():
