@@ -42,6 +42,10 @@ CASES = {
     # test reports first, and the torsion terms
     "check_unstable_graph": (["check", "tests/golden/unstable_graph.scene"], 1),
     "check_contraction_fail": (["check", "tests/golden/contraction_fail.scene"], 1),
+    # first witnesses past the first index: T[0,1,3] and T[1,2,3] on a
+    # 4-chart, a double-bracket triple, a trace bracket [2,3], a pairing
+    # [2,3], and the form, quasi and holomorphic components
+    "check_first_witness": (["check", "tests/golden/first_witness.scene"], 1),
 }
 
 
