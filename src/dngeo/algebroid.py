@@ -12,16 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, combinations
 
 from .errors import PreconditionError
 from .symbolic import ScalarExpr, dot, solve_linear
 from .courant import GSection, _coordinate_D, apply_rr, courant_bracket
-from .dirac import GFrame, Verdict, _require, check_involutive, check_lagrangian
+from .dirac import (
+    GFrame,
+    Verdict,
+    _components,
+    _require,
+    check_involutive,
+    check_lagrangian,
+    check_nijenhuis,
+)
 from .tensor import (
     OneOneTensor,
     PForm,
     VectorField,
-    D_r_star_pform,
     combination,
     deformed_bracket,
     ext_d,
@@ -103,27 +111,18 @@ def check_algebroid(A: AlgebroidData) -> Verdict:
 
 
 def _decide_axioms(A: AlgebroidData) -> Verdict:
-    m = A.rank
-    for a in range(m):
-        for b in range(a + 1, m):
-            lhs = lie_bracket(A.anchors[a], A.anchors[b])
-            rhs = A.anchor_of(A.bracket_coeffs(A.frame_section(a), A.frame_section(b)))
-            diff = lhs - rhs
-            for i in range(A.chart.dim):
-                if not diff.comps[i].is_zero():
-                    return Verdict.fail((f"anchor[{a},{b}]_{i}", diff.comps[i]))
-    for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                ea, eb, ec = (A.frame_section(k) for k in (a, b, c))
-                jac = A.bracket_coeffs(A.bracket_coeffs(ea, eb), ec)
-                for u, v, w in ((eb, ec, ea), (ec, ea, eb)):
-                    term = A.bracket_coeffs(A.bracket_coeffs(u, v), w)
-                    jac = [x + y for x, y in zip(jac, term)]
-                for k in range(m):
-                    if not jac[k].is_zero():
-                        return Verdict.fail((f"jacobi[{a},{b},{c}]_{k}", jac[k]))
-    return Verdict.ok()
+    e = [A.frame_section(a) for a in range(A.rank)]
+    br = A.bracket_coeffs
+
+    def axioms():
+        for a, b in combinations(range(A.rank), 2):
+            diff = lie_bracket(A.anchors[a], A.anchors[b]) - A.anchor_of(br(e[a], e[b]))
+            yield from ((f"anchor[{a},{b}]_{i}", val) for i, val in enumerate(diff.comps))
+        for a, b, c in combinations(range(A.rank), 3):
+            terms = [br(br(e[u], e[v]), e[w]) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+            yield from ((f"jacobi[{a},{b},{c}]_{k}", x + y + z) for k, (x, y, z) in enumerate(zip(*terms)))
+
+    return Verdict.first(axioms())
 
 
 # -- IM forms -------------------------------------------------------------------------
@@ -155,36 +154,23 @@ def check_IM_form(imf: IMForm) -> Verdict:
     A = imf.parent
     _require(check_algebroid(A), "algebroid axioms")
     m = A.rank
-    # third equation: i_{rho(a)} mu(b) = -i_{rho(b)} mu(a)
-    for a in range(m):
-        for b in range(a, m):
-            lhs = interior(A.anchors[a], imf.mu[b])
-            rhs = interior(A.anchors[b], imf.mu[a])
-            diff = lhs + rhs
-            if not diff.is_zero():
-                key = sorted(diff.comps)[0]
-                return Verdict.fail((f"symmetry[{a},{b}]{key}", diff.comps[key]))
-    # first two equations on ordered frame pairs
-    for a in range(m):
-        for b in range(m):
-            br = A.bracket_coeffs(A.frame_section(a), A.frame_section(b))
-            lhs1 = imf.mu_of(br)
-            rhs1 = lie_deriv_form(A.anchors[a], imf.mu[b]) - interior(
-                A.anchors[b], ext_d(imf.mu[a]) + imf.nu[a]
-            )
-            diff1 = lhs1 - rhs1
-            if not diff1.is_zero():
-                key = sorted(diff1.comps)[0]
-                return Verdict.fail((f"mu_eq[{a},{b}]{key}", diff1.comps[key]))
-            lhs2 = imf.nu_of(br)
-            rhs2 = lie_deriv_form(A.anchors[a], imf.nu[b]) - interior(
-                A.anchors[b], ext_d(imf.nu[a])
-            )
-            diff2 = lhs2 - rhs2
-            if not diff2.is_zero():
-                key = sorted(diff2.comps)[0]
-                return Verdict.fail((f"nu_eq[{a},{b}]{key}", diff2.comps[key]))
-    return Verdict.ok()
+    rho, mu, nu = A.anchors, imf.mu, imf.nu
+
+    def equations():
+        # third equation: i_{rho(a)} mu(b) = -i_{rho(b)} mu(a)
+        for a in range(m):
+            for b in range(a, m):
+                yield from _components(f"symmetry[{a},{b}]", interior(rho[a], mu[b]) + interior(rho[b], mu[a]))
+        # first two equations on ordered frame pairs
+        for a in range(m):
+            for b in range(m):
+                br = A.bracket_coeffs(A.frame_section(a), A.frame_section(b))
+                rhs1 = lie_deriv_form(rho[a], mu[b]) - interior(rho[b], ext_d(mu[a]) + nu[a])
+                yield from _components(f"mu_eq[{a},{b}]", imf.mu_of(br) - rhs1)
+                rhs2 = lie_deriv_form(rho[a], nu[b]) - interior(rho[b], ext_d(nu[a]))
+                yield from _components(f"nu_eq[{a},{b}]", imf.nu_of(br) - rhs2)
+
+    return Verdict.first(equations())
 
 
 # -- IM (1,1)-tensors --------------------------------------------------------------------
@@ -243,52 +229,39 @@ def check_IM_oneone(T: IMOneOne) -> Verdict:
         return A.bracket_coeffs(e[a], e[b])
 
     @cache
-    def bracket_D(a, b, k):  # [e_a, D_{d_k}(e_b)]
-        return A.bracket_coeffs(e[a], D_coord(k, b))
-
-    @cache
-    def D_rho(a, b, k):  # D_{[rho(b), d_k]}(e_a)
-        return T.D_of(rho_coord(b, k), e[a])
-
-    @cache
     def rho_coord(b, k):  # [rho(b), d_k]
         return lie_bracket(A.anchors[b], coords[k])
 
-    # (1) r . rho = rho . l
-    for a in range(m):
-        diff = T.r.apply(A.anchors[a]) - A.anchor_of(T.l_of(e[a]))
-        for i in range(chart.dim):
-            if not diff.comps[i].is_zero():
-                return Verdict.fail((f"anchor_l[{a}]_{i}", diff.comps[i]))
-    # (2) rho(D_X(a)) = D^r_X(rho(a)) on coordinate X: the vector part of bigD
-    for a in range(m):
-        row = _coordinate_D(GSection.from_vector(A.anchors[a]), T.r)
-        for k, d in enumerate(row):
-            diff = A.anchor_of(D_coord(k, a)) - d.vec
-            for i in range(chart.dim):
-                if not diff.comps[i].is_zero():
-                    return Verdict.fail((f"anchor_D[{a}]_{i}", diff.comps[i]))
-    # (3) l([a,b]) = [a, l(b)] - D_{rho(b)}(a)
-    for a in range(m):
-        for b in range(m):
-            lhs = T.l_of(bracket(a, b))
-            rhs = A.bracket_coeffs(e[a], T.l_of(e[b]))
-            dterm = T.D_of(A.anchors[b], e[a])
-            for k in range(m):
-                val = lhs[k] - rhs[k] + dterm[k]
-                if not val.is_zero():
-                    return Verdict.fail((f"l_bracket[{a},{b}]_{k}", val))
-    # (4) D_X([a,b]) = [a, D_X(b)] - [b, D_X(a)] + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b)
-    for a in range(m):
-        for b in range(m):
+    def equations():
+        # (1) r . rho = rho . l
+        for a in range(m):
+            diff = T.r.apply(A.anchors[a]) - A.anchor_of(T.l_of(e[a]))
+            yield from ((f"anchor_l[{a}]_{i}", val) for i, val in enumerate(diff.comps))
+        # (2) rho(D_X(a)) = D^r_X(rho(a)) on coordinate X: the vector part of bigD
+        for a in range(m):
+            for k, d in enumerate(_coordinate_D(GSection.from_vector(A.anchors[a]), T.r)):
+                diff = A.anchor_of(D_coord(k, a)) - d.vec
+                yield from ((f"anchor_D[{a}]_{i}", val) for i, val in enumerate(diff.comps))
+        # (3) l([a,b]) = [a, l(b)] - D_{rho(b)}(a)
+        for a in range(m):
+            for b in range(m):
+                terms = zip(T.l_of(bracket(a, b)), A.bracket_coeffs(e[a], T.l_of(e[b])), T.D_of(A.anchors[b], e[a]))
+                yield from ((f"l_bracket[{a},{b}]_{k}", x - y + z) for k, (x, y, z) in enumerate(terms))
+        # (4) D_X([a,b]) = [a, D_X(b)] - [b, D_X(a)] + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b),
+        # whose two sides change sign with (a, b): read on a < b
+        for a, b in combinations(range(m), 2):
             for k, X in enumerate(coords):
-                lhs = T.D_of(X, bracket(a, b))
-                terms = zip(bracket_D(a, b, k), bracket_D(b, a, k), D_rho(a, b, k), D_rho(b, a, k))
-                for c, (x1, x2, x3, x4) in enumerate(terms):
-                    val = lhs[c] - (x1 - x2 + x3 - x4)
-                    if not val.is_zero():
-                        return Verdict.fail((f"D_bracket[{a},{b}]_{c}", val))
-    return Verdict.ok()
+                terms = zip(
+                    T.D_of(X, bracket(a, b)),
+                    A.bracket_coeffs(e[a], D_coord(k, b)),
+                    A.bracket_coeffs(e[b], D_coord(k, a)),
+                    T.D_of(rho_coord(b, k), e[a]),
+                    T.D_of(rho_coord(a, k), e[b]),
+                )
+                for c, (x, x1, x2, x3, x4) in enumerate(terms):
+                    yield f"D_bracket[{a},{b}]_{c}", x - (x1 - x2 + x3 - x4)
+
+    return Verdict.first(equations())
 
 
 def im_D_square(T: IMOneOne, X: VectorField, Y: VectorField, coeffs):
@@ -309,33 +282,26 @@ def check_IM_nijenhuis(T: IMOneOne) -> Verdict:
     """Vanishing torsion, l-D commutation, and the squared-derivation equation."""
     A = T.parent
     _require(check_algebroid(A), "algebroid axioms")
+    torsion = check_nijenhuis(T.r)
+    if torsion.status != "pass":
+        return torsion
     chart = A.chart
     m = A.rank
-    N = nijenhuis_torsion(T.r)
-    for (i, j, k), val in sorted(N.comps.items()):
-        return Verdict.fail((f"torsion[{i};{j},{k}]", val))
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    for a in range(m):
-        ea = A.frame_section(a)
-        for X in coords:
-            diff = [
-                x - y
-                for x, y in zip(
-                    T.l_of(T.D_of(X, ea)), T.D_of(X, T.l_of(ea))
-                )
-            ]
-            for k in range(m):
-                if not diff[k].is_zero():
-                    return Verdict.fail((f"l_D_comm[{a}]_{k}", diff[k]))
-    for a in range(m):
-        ea = A.frame_section(a)
-        for xi in range(chart.dim):
-            for yi in range(xi + 1, chart.dim):
-                val = im_D_square(T, coords[xi], coords[yi], ea)
-                for k in range(m):
-                    if not val[k].is_zero():
-                        return Verdict.fail((f"D_square[{a};{xi},{yi}]_{k}", val[k]))
-    return Verdict.ok()
+    e = [A.frame_section(a) for a in range(m)]
+    l_D_comm = (
+        (f"l_D_comm[{a}]_{k}", x - y)
+        for a in range(m)
+        for X in coords
+        for k, (x, y) in enumerate(zip(T.l_of(T.D_of(X, e[a])), T.D_of(X, T.l_of(e[a]))))
+    )
+    D_square = (
+        (f"D_square[{a};{xi},{yi}]_{k}", val)
+        for a in range(m)
+        for xi, yi in combinations(range(chart.dim), 2)
+        for k, val in enumerate(im_D_square(T, coords[xi], coords[yi], e[a]))
+    )
+    return Verdict.first(chain(l_D_comm, D_square))
 
 
 def check_IM_compat(imf: IMForm, T: IMOneOne) -> Verdict:
@@ -354,57 +320,32 @@ def _im_compat(imf: IMForm, T: IMOneOne) -> Verdict:
     if T.parent is not A and T.parent.anchors != A.anchors:
         raise PreconditionError("data live on different algebroids")
     chart = A.chart
-    m = A.rank
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    for a in range(m):
-        ea = A.frame_section(a)
-        la = T.l_of(ea)
-        # mu(l(a)) = mu(a)_r
-        mu_a = imf.mu[a]
-        lhs = imf.mu_of(la)
-        if mu_a.degree == 1:
-            rhs_cov = form_as_covform(T.r.dual(mu_a))
-        else:
-            rhs_cov = form_r(mu_a, T.r)
-        diff = form_as_covform(lhs) - rhs_cov
-        for key in sorted(diff.comps):
-            return Verdict.fail((f"mu_l[{a}]{key}", diff.comps[key]))
-        # nu(l(a)) = nu(a)_r
-        lhs_nu = imf.nu_of(la)
-        nu_a = imf.nu[a]
-        if nu_a.is_zero():
-            if not lhs_nu.is_zero():
-                key = sorted(lhs_nu.comps)[0]
-                return Verdict.fail((f"nu_l[{a}]{key}", lhs_nu.comps[key]))
-        else:
-            diff = form_as_covform(lhs_nu) - form_r(nu_a, T.r)
-            for key in sorted(diff.comps):
-                return Verdict.fail((f"nu_l[{a}]{key}", diff.comps[key]))
-        # mu(D_X(a)) = D^{r,*}_X(mu(a)), the covector part of bigD on a 1-form, and the same for nu
-        row = _coordinate_D(GSection.from_form(mu_a), T.r) if mu_a.degree == 1 else None
-        for k, X in enumerate(coords):
-            da = T.D_of(X, ea)
-            lhs_mu = imf.mu_of(da)
-            rhs_mu = row[k].cov if row else D_r_star_pform(X, mu_a, T.r).to_form()
-            diffm = lhs_mu - rhs_mu
-            if not diffm.is_zero():
-                key = sorted(diffm.comps)[0]
-                return Verdict.fail((f"mu_D[{a}]{key}", diffm.comps[key]))
-            lhs_nu = imf.nu_of(da)
-            if nu_a.is_zero():
-                diffn = lhs_nu
-            else:
-                wr = form_r(nu_a, T.r)
-                if not wr.is_skew():
-                    return Verdict.fail((f"nu_r[{a}]", "nu(a)_r not antisymmetric"))
-                diffn = lhs_nu - (
-                    interior(X, ext_d(wr.to_form()))
-                    - interior(T.r.apply(X), ext_d(nu_a))
-                )
-            if not diffn.is_zero():
-                key = sorted(diffn.comps)[0]
-                return Verdict.fail((f"nu_D[{a}]{key}", diffn.comps[key]))
-    return Verdict.ok()
+    r_coords = [T.r.apply(X) for X in coords]
+
+    def D_star(w, w_r):
+        """[D^{r,*}_X(w) = i_X d(w_r) - i_{rX} dw for each coordinate X], for
+        w_r = form_r(w, r) skew."""
+        dw_r, dw = ext_d(w_r.to_form()), ext_d(w)
+        return [interior(X, dw_r) - interior(rX, dw) for X, rX in zip(coords, r_coords)]
+
+    def equations():
+        for a, (mu_a, nu_a) in enumerate(zip(imf.mu, imf.nu)):
+            ea = A.frame_section(a)
+            la = T.l_of(ea)
+            # mu(l(a)) = mu(a)_r and nu(l(a)) = nu(a)_r
+            mu_r, nu_r = form_r(mu_a, T.r), form_r(nu_a, T.r)
+            yield from _components(f"mu_l[{a}]", form_as_covform(imf.mu_of(la)) - mu_r)
+            lhs_nu = imf.nu_of(la)
+            yield from _components(f"nu_l[{a}]", lhs_nu if nu_a.is_zero() else form_as_covform(lhs_nu) - nu_r)
+            # mu(D_X(a)) = D^{r,*}_X(mu(a)), and the same for nu: past the two
+            # lines above, mu(a)_r and nu(a)_r are the forms mu(l(a)) and nu(l(a))
+            for X, dmu, dnu in zip(coords, D_star(mu_a, mu_r), D_star(nu_a, nu_r)):
+                da = T.D_of(X, ea)
+                yield from _components(f"mu_D[{a}]", imf.mu_of(da) - dmu)
+                yield from _components(f"nu_D[{a}]", imf.nu_of(da) - dnu)
+
+    return Verdict.first(equations())
 
 
 # -- the subbundle-to-algebroid construction ------------------------------------------
@@ -562,15 +503,12 @@ def quasi_IM_check(imf: IMForm, r: OneOneTensor, phi: PForm) -> Verdict:
     if not ext_d(phi).is_zero():
         raise PreconditionError("phi is not closed")
     N = nijenhuis_torsion(r)
-    for a in range(A.rank):
-        mu_a = imf.mu[a]
-        lhs = N.pair_form(mu_a)  # <mu(a), N(., .)>
-        rhs = -interior(A.anchors[a], phi)
-        diff = lhs - rhs
-        if not diff.is_zero():
-            key = sorted(diff.comps)[0]
-            return Verdict.fail((f"quasi_mu[{a}]{key}", diff.comps[key]))
-    return Verdict.ok()
+    # <mu(a), N(., .)> + i_{rho(a)} phi, component by component
+    return Verdict.first(
+        item
+        for a, (rho, mu_a) in enumerate(zip(A.anchors, imf.mu))
+        for item in _components(f"quasi_mu[{a}]", N.pair_form(mu_a) + interior(rho, phi))
+    )
 
 
 def quasi_IM_nu_tilde(imf: IMForm, T: IMOneOne) -> Verdict:
@@ -581,24 +519,20 @@ def quasi_IM_nu_tilde(imf: IMForm, T: IMOneOne) -> Verdict:
     chart = A.chart
     N = nijenhuis_torsion(T.r)
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    for a in range(A.rank):
-        mu_a = imf.mu[a]
-        dmu = ext_d(mu_a)
-        dNstar = ext_d(N.pair_form(mu_a))
-        for yi in range(chart.dim):
-            for zi in range(yi + 1, chart.dim):
+
+    def values():
+        for a, mu_a in enumerate(imf.mu):
+            dmu = ext_d(mu_a)
+            dNstar = ext_d(N.pair_form(mu_a))
+            for yi, zi in combinations(range(chart.dim), 2):
                 Y, Z = coords[yi], coords[zi]
-                dsq = im_D_square(T, Y, Z, A.frame_section(a))
-                mu_dsq = imf.mu_of(dsq)
-                for xi in range(chart.dim):
-                    X = coords[xi]
+                mu_dsq = imf.mu_of(im_D_square(T, Y, Z, A.frame_section(a)))
+                for xi, X in enumerate(coords):
                     val = (
                         interior(N.apply(Y, Z), interior(X, dmu)).as_scalar()
                         - interior(X, mu_dsq).as_scalar()
-                        - interior(
-                            Z, interior(Y, interior(X, dNstar))
-                        ).as_scalar()
+                        - interior(Z, interior(Y, interior(X, dNstar))).as_scalar()
                     )
-                    if not val.is_zero():
-                        return Verdict.fail((f"nu_tilde[{a};{xi},{yi},{zi}]", val))
-    return Verdict.ok()
+                    yield f"nu_tilde[{a};{xi},{yi},{zi}]", val
+
+    return Verdict.first(values())

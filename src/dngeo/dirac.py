@@ -7,6 +7,24 @@ Verdict semantics: identities proved over the rational-function field count
 as `pass`/`fail`; facts that only sampling can support (pointwise rank,
 smooth intersections) degrade to `inconclusive` instead of `pass` when the
 samples disagree with the generic count.
+
+A failing check names the first nonzero quantity of its family in the
+order documented here (`Verdict.first`).  Where the paper's symmetries make
+a quantity zero or minus another one, the family is read only over the
+index set they leave, behind the precondition that makes the symmetry hold,
+so the first failure is the one the full family would report:
+    * T(a, b, c) = <[[s_a, s_b]], s_c> over a < b < c, for the Dorfman and
+      the double bracket: T is totally skew on an isotropic frame;
+    * the concomitant C_L(a, b) over b > a, and the contraction-type
+      stability <D_{Y_b} s_a, s_c> over c > a: on a lagrangian L with
+      R(L) in L, R = (r, r*), the identity
+      <D_X s1, s2> + <s1, D_X s2> = X<s1, R s2> - (rX)<s1, s2>
+      makes both skew;
+    * the torsion N(X_a, X_b) on pr_T(L) over a < b: N is skew;
+    * the trace brackets {phi_i, phi_j} over i < j: they are skew, and
+      {phi_i, phi_i} = d phi_i(X_i) = 0 on an isotropic L;
+    * the pairings of the lagrangian and invariance checks over b >= a:
+      both pairings are symmetric.
 """
 
 from __future__ import annotations
@@ -85,6 +103,16 @@ class Verdict:
         return Verdict(INCONCLUSIVE, tuple(witnesses))
 
     @staticmethod
+    def first(named) -> "Verdict":
+        """Fail on the first (label, value) of `named` whose value is nonzero,
+        and pass when there is none.  `named` is read one item at a time, so
+        a generator forms nothing past the first nonzero value."""
+        for label, value in named:
+            if not value.is_zero():
+                return Verdict.fail((label, value))
+        return Verdict.ok()
+
+    @staticmethod
     def merge(named) -> "Verdict":
         """One verdict for (name, verdict) parts: fail if any part fails, else
         inconclusive if any part is, else pass; witnesses are prefixed by the
@@ -159,6 +187,12 @@ class DNReport:
             v.status == PASS
             for v in (self.lagrangian, self.invariance, self.d_stability)
         )
+
+
+def _components(label: str, form):
+    """(label + key, value) for each nonzero component of a form, or of a
+    form-valued tensor, in key order."""
+    return ((f"{label}{key}", form.comps[key]) for key in sorted(form.comps))
 
 
 # -- frame constructors ---------------------------------------------------------
@@ -260,9 +294,9 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
 
 def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
     n = L.chart.dim
-    for (a, b), val in _pairings(L, L):
-        if not val.is_zero():
-            return Verdict.fail((f"pairing[{a},{b}]", val))
+    isotropic = Verdict.first((f"pairing[{a},{b}]", val) for (a, b), val in _pairings(L, L))
+    if isotropic.status != PASS:
+        return isotropic
     sampled = _sampled_rank(L, samples)
     if sampled != n and len(pivot_columns(L.matrix())) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
@@ -296,13 +330,12 @@ def check_invariance(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
     same_chart(L.sections[0], r)
     _require(check_lagrangian(L, samples), "lagrangian")
     n = L.chart.dim
-    for a in range(n):
-        ra = apply_rr(L.sections[a], r)
-        for b in range(a, n):
-            val = pairing(ra, L.sections[b])
-            if not val.is_zero():
-                return Verdict.fail((f"invariance[{a},{b}]", val))
-    return Verdict.ok()
+    return Verdict.first(
+        (f"invariance[{a},{b}]", pairing(ra, L.sections[b]))
+        for a in range(n)
+        for ra in [apply_rr(L.sections[a], r)]
+        for b in range(a, n)
+    )
 
 
 def check_D_stability(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
@@ -312,22 +345,20 @@ def check_D_stability(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
 
 
 def _D_stable(L: GFrame, r: OneOneTensor) -> Verdict:
+    """C_L(a, b)(d_k) = <row_a[k], s_b> over b > a: skew once R(L) is in L."""
     n = L.chart.dim
-    for a in range(n):
-        row = _coordinate_D(L.sections[a], r)  # C_L(a, b)(d_k) = <row[k], s_b>
-        for b in range(a, n):
-            for k in range(n):
-                val = pairing(row[k], L.sections[b])
-                if not val.is_zero():
-                    return Verdict.fail((f"concomitant[{a},{b}]({L.chart.variables[k]})", val))
-    return Verdict.ok()
+    return Verdict.first(
+        (f"concomitant[{a},{b}]({L.chart.variables[k]})", pairing(row[k], L.sections[b]))
+        for a in range(n - 1)
+        for row in [_coordinate_D(L.sections[a], r)]
+        for b in range(a + 1, n)
+        for k in range(n)
+    )
 
 
 def check_nijenhuis(r: OneOneTensor) -> Verdict:
     N = nijenhuis_torsion(r)
-    for (i, j, k), val in sorted(N.comps.items()):
-        return Verdict.fail((f"torsion[{i};{j},{k}]", val))
-    return Verdict.ok()
+    return Verdict.first((f"torsion[{i};{j},{k}]", val) for (i, j, k), val in sorted(N.comps.items()))
 
 
 def _dn_steps(L: GFrame, r: OneOneTensor, samples: int = 3):
@@ -465,10 +496,7 @@ def check_form_compat(omega: PForm, r: OneOneTensor) -> Verdict:
         return Verdict.fail(("omega_r", "not antisymmetric"))
     lhs = form_as_covform(ext_d(wr.to_form()))
     rhs = form_r(ext_d(omega), r)
-    diff = lhs - rhs
-    for key in sorted(diff.comps):
-        return Verdict.fail((f"d(omega_r)-(d omega)_r{key}", diff.comps[key]))
-    return Verdict.ok()
+    return Verdict.first(_components("d(omega_r)-(d omega)_r", lhs - rhs))
 
 
 # -- null distribution -------------------------------------------------------------
@@ -589,22 +617,15 @@ def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int, samples: int 
     null = null_distribution(L, samples)
     phis = traces(r, jmax)
     dphi1 = scalar_d(phis[0])
-    for k in null.basis:
-        val = interior(k, dphi1).as_scalar()
-        if not val.is_zero():
-            raise AdmissibilityError("trace not admissible")
-    reps = []
-    for j, phi in enumerate(phis):
-        X = hamiltonian_representative(L, phi)
-        if X is None:
-            raise AdmissibilityError("trace not admissible")
-        reps.append(X)
-    for i in range(jmax):
-        for j in range(i, jmax):
-            val = reps[i].deriv(phis[j])  # {phi_i, phi_j} = d phi_j (X_i)
-            if not val.is_zero():
-                return Verdict.fail((f"bracket[{i + 1},{j + 1}]", val))
-    return Verdict.ok()
+    if not all(interior(k, dphi1).as_scalar().is_zero() for k in null.basis):
+        raise AdmissibilityError("trace not admissible")
+    reps = [hamiltonian_representative(L, phi) for phi in phis]
+    if None in reps:
+        raise AdmissibilityError("trace not admissible")
+    # {phi_i, phi_j} = d phi_j (X_i), skew, and zero for i = j on an isotropic L
+    return Verdict.first(
+        (f"bracket[{i + 1},{j + 1}]", reps[i].deriv(phis[j])) for i, j in combinations(range(jmax), 2)
+    )
 
 
 # -- gauge transformation ----------------------------------------------------------
@@ -649,17 +670,13 @@ def quasi_nijenhuis_check(L: GFrame, r: OneOneTensor, phi: PForm) -> Verdict:
         raise PreconditionError("phi is not closed")
     chart = L.chart
     N = nijenhuis_torsion(r)
-    for a, s in enumerate(L.sections):
-        two = N.pair_form(s.cov)  # <a, N(., .)>
-        for j, k in combinations(range(chart.dim), 2):
-            lhs = two.get((j, k))
-            rhs = -interior(
-                VectorField.coordinate(chart, k),
-                interior(VectorField.coordinate(chart, j), interior(s.vec, phi)),
-            ).as_scalar()
-            if not (lhs - rhs).is_zero():
-                return Verdict.fail((f"quasi[{a};{j},{k}]", lhs - rhs))
-    return Verdict.ok()
+    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
+    return Verdict.first(
+        (f"quasi[{a};{j},{k}]", two.get((j, k)) + interior(coords[k], interior(coords[j], iphi)).as_scalar())
+        for a, s in enumerate(L.sections)
+        for two, iphi in [(N.pair_form(s.cov), interior(s.vec, phi))]  # <a, N(., .)> and i_X phi
+        for j, k in combinations(range(chart.dim), 2)
+    )
 
 
 # -- coordinate transfers -------------------------------------------------------------
@@ -785,36 +802,36 @@ def check_contraction_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verd
     if inv.status != PASS:
         return Verdict.fail(("invariance", "condition (i) fails"), *inv.witnesses)
     n = L.chart.dim
-    # bigD is C^infinity-linear in X, so D_Y(s_a) = sum_k Y^k D_{d_k}(s_a)
-    rows, zero = [_coordinate_D(s, r) for s in L.sections], GSection.zero(L.chart)
-    for b in range(n):
-        Y = L.sections[b].vec
-        for a in range(n):
-            da = combination(rows[a], Y.comps, zero)
-            for c in range(n):
-                val = pairing(da, L.sections[c])
-                if not val.is_zero():
-                    return Verdict.fail((f"stability[{a};{b};{c}]", val))
-    N = nijenhuis_torsion(r)
-    for a in range(n):
-        for b in range(n):
-            val = N.apply(L.sections[a].vec, L.sections[b].vec)
-            for i in range(n):
-                if not val.comps[i].is_zero():
-                    return Verdict.fail((f"torsion_on_range[{a},{b}]_{i}", val.comps[i]))
-    return Verdict.ok()
+    # bigD is C^infinity-linear in X, so D_Y(s_a) = sum_k Y^k D_{d_k}(s_a);
+    # <D_Y s_a, s_c> is skew in (a, c) once R(L) is in L
+    rows, zero = [_coordinate_D(s, r) for s in L.sections[:-1]], GSection.zero(L.chart)
+    stable = Verdict.first(
+        (f"stability[{a};{b};{c}]", pairing(da, L.sections[c]))
+        for b in range(n)
+        for a in range(n - 1)
+        for da in [combination(rows[a], L.sections[b].vec.comps, zero)]
+        for c in range(a + 1, n)
+    )
+    if stable.status != PASS:
+        return stable
+    N = nijenhuis_torsion(r)  # skew, so read on a < b
+    return Verdict.first(
+        (f"torsion_on_range[{a},{b}]_{i}", val)
+        for a, b in combinations(range(n), 2)
+        for i, val in enumerate(N.apply(L.sections[a].vec, L.sections[b].vec).comps)
+    )
 
 
 def _involutive_under(L: GFrame, bracket) -> Verdict:
+    """T(a, b, c) = <bracket(s_a, s_b), s_c> over a < b < c: totally skew on
+    an isotropic frame, so the brackets with b = n - 1 are never formed."""
     n = L.chart.dim
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = bracket(L.sections[a], L.sections[b])
-            for c in range(n):
-                val = pairing(br, L.sections[c])
-                if not val.is_zero():
-                    return Verdict.fail((f"T[{a},{b},{c}]", val))
-    return Verdict.ok()
+    return Verdict.first(
+        (f"T[{a},{b},{c}]", pairing(br, L.sections[c]))
+        for a, b in combinations(range(n - 1), 2)
+        for br in [bracket(L.sections[a], L.sections[b])]
+        for c in range(b + 1, n)
+    )
 
 
 def check_double_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:

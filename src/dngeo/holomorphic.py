@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .symbolic import Chart, same_chart
 from .courant import GSection, _coordinate_D, courant_bracket, pairing
-from .dirac import DNReport, GFrame, Verdict, dirac_nijenhuis_report
+from .dirac import PASS, DNReport, GFrame, Verdict, _components, dirac_nijenhuis_report
 from .tensor import (
     Bivector,
     OneOneTensor,
@@ -73,9 +73,6 @@ class ComplexGSection:
     def __sub__(self, other: "ComplexGSection") -> "ComplexGSection":
         return ComplexGSection(self.re - other.re, self.im - other.im)
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
 
 def phi_map(s: GSection, J: ComplexStructure) -> ComplexGSection:
     """The identification (X, a) -> ((X - i rX)/2, a - i r*(a))."""
@@ -124,11 +121,8 @@ def check_holo_form(pair, J: ComplexStructure) -> Verdict:
     wr = form_r(omega, J.r)
     if not wr.is_skew():
         return Verdict.fail(("omega_J", "not antisymmetric"))
-    diff = omega1 + wr.to_form()
-    if not diff.is_zero():
-        key = sorted(diff.comps)[0]
-        return Verdict.fail((f"imaginary part{key}", diff.comps[key]))
-    return check_form_compat(omega, J.r)
+    imaginary = Verdict.first(_components("imaginary part", omega1 + wr.to_form()))
+    return imaginary if imaginary.status != PASS else check_form_compat(omega, J.r)
 
 
 def phi_courant_check(s1: GSection, s2: GSection, J: ComplexStructure) -> Verdict:
@@ -165,15 +159,10 @@ def phi_courant_check(s1: GSection, s2: GSection, J: ComplexStructure) -> Verdic
         - interior(Y, drsa)
     ).scale(-half)
     rhs = ComplexGSection(GSection(vec_re, cov_re), GSection(vec_im, cov_im))
-    lhs = phi_map(courant_bracket(s1, s2), J)
-    diff = lhs - rhs
-    if diff.is_zero():
-        return Verdict.ok()
-    for part, sec in (("re", diff.re), ("im", diff.im)):
-        for i, c in enumerate(sec.components()):
-            if not c.is_zero():
-                return Verdict.fail((f"{part}[{i}]", c))
-    return Verdict.fail(("mismatch", "nonzero difference"))
+    diff = phi_map(courant_bracket(s1, s2), J) - rhs
+    return Verdict.first(
+        (f"{part}[{i}]", c) for part, sec in (("re", diff.re), ("im", diff.im)) for i, c in enumerate(sec.components())
+    )
 
 
 def bivector_from_sharp(op: OneOneTensor) -> Bivector:

@@ -410,15 +410,11 @@ def lift_pairing_holds(r: OneOneTensor) -> bool:
     lhs = dot(big, [p for i in range(n) for p in ((KtV[n + i], vv[i]), (pp[i], KU[n + i]))])
     rbig = [[emb(r.grid[i][j]) for j in range(n)] for i in range(n)]
     rv = [dot(big, zip(row, vv)) for row in rbig]
-    fiber = []
-    for i in range(n):
-        acc = big.zero()
-        for j in range(n):
-            for kk in range(n):
-                acc = acc + emb(r.grid[i][kk].diff(j)) * vv[kk] * xd[j]
-        for kk in range(n):
-            acc = acc + rbig[i][kk] * vd[kk]
-        fiber.append(acc)
+    ix = range(n)
+    fiber = [
+        dot(big, [(emb(r.grid[i][kk].diff(j)) * vv[kk], xd[j]) for j in ix for kk in ix] + list(zip(rbig[i], vd)))
+        for i in ix
+    ]
     rhs = dot(big, [p for i in range(n) for p in ((pd[i], rv[i]), (pp[i], fiber[i]))])
     return (lhs - rhs).is_zero()
 
@@ -443,12 +439,7 @@ def pn_intertwine_holds(pi: Bivector, r: OneOneTensor) -> bool:
     pvars = [cgch.var("p_" + v) for v in ch.variables]
     for i in range(n):
         for kk in range(n):
-            acc = cgch.zero()
-            for j in range(n):
-                d = sharp.grid[i][j].diff(kk)
-                if not d.is_zero():
-                    acc = acc + pvars[j] * d.extend(cgch)
-            jac[n + i][kk] = acc
+            jac[n + i][kk] = dot(cgch, ((pvars[j], sharp.grid[i][j].diff(kk).extend(cgch)) for j in range(n)))
         for j in range(n):
             jac[n + i][n + j] = sharp.grid[i][j].extend(cgch)
     # r_tg entries with v substituted by pi# p, re-expressed on the cotangent chart

@@ -492,16 +492,12 @@ class VectorValuedTwoForm:
 
     def apply(self, X: VectorField, Y: VectorField) -> VectorField:
         same_chart(self, X, Y)
-        n = self.chart.dim
-        comps = []
-        for i in range(n):
-            acc = self.chart.zero()
-            for j in range(n):
-                for k in range(n):
-                    if j != k:
-                        acc = acc + self.get(i, j, k) * X.comps[j] * Y.comps[k]
-            comps.append(acc)
-        return VectorField(self.chart, comps)
+        x, y = X.comps, Y.comps
+        # N^i_jk (X^j Y^k - X^k Y^j) over the stored j < k
+        return VectorField(self.chart, [
+            dot(self.chart, [(val, x[j] * y[k] - x[k] * y[j]) for (h, j, k), val in self.comps.items() if h == i])
+            for i in range(self.chart.dim)
+        ])
 
     def pair_form(self, a: PForm) -> PForm:
         """The 2-form <a, N(., .)> for a 1-form a (the dual torsion on a)."""
@@ -577,22 +573,15 @@ def lie_deriv_form(X: VectorField, w: PForm) -> PForm:
 
 def lie_deriv_tensor(X: VectorField, r: OneOneTensor) -> OneOneTensor:
     chart = same_chart(X, r)
-    n = chart.dim
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = chart.zero()
-            for k in range(n):
-                if not X.comps[k].is_zero():
-                    acc = acc + X.comps[k] * r.grid[i][j].diff(k)
-                if not r.grid[k][j].is_zero():
-                    acc = acc - r.grid[k][j] * X.comps[i].diff(k)
-                if not r.grid[i][k].is_zero():
-                    acc = acc + r.grid[i][k] * X.comps[k].diff(j)
-            row.append(acc)
-        grid.append(row)
-    return OneOneTensor(chart, grid)
+    ix, g, x = range(chart.dim), r.grid, X.comps
+    ng = [[-c for c in row] for row in g]
+
+    def entry(i, j):
+        return dot(chart, [
+            p for k in ix for p in ((x[k], g[i][j].diff(k)), (ng[k][j], x[i].diff(k)), (g[i][k], x[k].diff(j)))
+        ])
+
+    return OneOneTensor(chart, [[entry(i, j) for j in ix] for i in ix])
 
 
 def scalar_d(f: ScalarExpr) -> PForm:
@@ -623,17 +612,11 @@ def form_r(w: PForm, r: OneOneTensor) -> CovFormValued:
     if w.degree < 1:
         raise ValueError("need degree >= 1")
     n = chart.dim
-    out = {}
-    for first in range(n):
-        for rest in combinations(range(n), w.degree - 1):
-            val = chart.zero()
-            for k in range(n):
-                rk = r.grid[k][first]
-                if rk.is_zero():
-                    continue
-                val = val + rk * w.get((k,) + rest)
-            if not val.is_zero():
-                out[(first, rest)] = val
+    out = {
+        (first, rest): dot(chart, ((r.grid[k][first], w.get((k,) + rest)) for k in range(n)))
+        for first in range(n)
+        for rest in combinations(range(n), w.degree - 1)
+    }
     return CovFormValued(chart, w.degree, out)
 
 
@@ -704,13 +687,8 @@ def schouten_bivector(p: Bivector, q: Bivector) -> dict:
     n = chart.dim
 
     def half(a: Bivector, b: Bivector, i, j, k):
-        acc = chart.zero()
-        for l in range(n):
-            for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                term = a.get(l, u)
-                if not term.is_zero():
-                    acc = acc + term * b.get(v, w).diff(l)
-        return acc
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        return dot(chart, ((a.get(l, u), b.get(v, w).diff(l)) for l in range(n) for u, v, w in cyclic))
 
     out = {}
     for i, j, k in combinations(range(n), 3):
@@ -796,12 +774,7 @@ def cotangent_lift(r: OneOneTensor):
     pvars = [big.var("p_" + v) for v in chart.variables]
     for j in range(n):  # output component (r* p)_j
         for k in range(n):  # against x^k
-            acc = big.zero()
-            for i in range(n):
-                d = r.grid[i][j].diff(k)
-                if not d.is_zero():
-                    acc = acc + pvars[i] * d.extend(big)
-            jac[n + j][k] = acc
+            jac[n + j][k] = dot(big, ((pvars[i], r.grid[i][j].diff(k).extend(big)) for i in range(n)))
         for i in range(n):  # against p_i
             jac[n + j][n + i] = r.grid[i][j].extend(big)
     m = 2 * n
