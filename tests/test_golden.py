@@ -46,6 +46,9 @@ CASES = {
     # 4-chart, a double-bracket triple, a trace bracket [2,3], a pairing
     # [2,3], and the form, quasi and holomorphic components
     "check_first_witness": (["check", "tests/golden/first_witness.scene"], 1),
+    # a product of three Dirac-Nijenhuis blocks on a 6-chart: every check
+    # passes, and the double bracket is formed on more than two variables
+    "check_product_r6": (["check", "tests/golden/product_r6.scene"], 0),
 }
 
 
