@@ -229,8 +229,8 @@ def check_IM_oneone(T: IMOneOne) -> Verdict:
         return A.bracket_coeffs(e[a], e[b])
 
     @cache
-    def rho_coord(b, k):  # [rho(b), d_k]
-        return lie_bracket(A.anchors[b], coords[k])
+    def rho_coord(b, k):  # [rho(b), d_k] = -dk rho(b)
+        return VectorField(chart, [-c.diff(k) for c in A.anchors[b].comps])
 
     def equations():
         # (1) r . rho = rho . l

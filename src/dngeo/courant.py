@@ -11,6 +11,15 @@ closed form `_coordinate_D`, which every check reads:
     (D_{d_k} Y)^i  = sum_j (Y^j dj r^i_k - r^j_k dj Y^i + r^i_j dk Y^j),
     (D*_{d_k} a)_j = sum_i (a_i (dk r^i_j - dj r^i_k) + r^i_j dk a_i - r^i_k di a_j).
 `big_D` stays the defining expression, and the selftest compares the two.
+
+The bracket of the double of the Lie bialgebroid ((TM, [.,.]_r, r), T*M),
+    [[(X, a), (Y, b)]]_double = ([X, Y]_r, L^r_X b - i_Y d^r a),
+equals the derived bracket minus the concomitant,
+    [[s1, s2]]_r - (0, C_L(s1, s2)),
+and `double_bracket` is that difference.  The deformed differential d^r and
+Lie derivative L^r live only in identities.py, as the oracle of the
+selftest identities `double_bracket_relation` and
+`deformed_cartan_expressions`.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .tensor import (
     interior,
     lie_bracket,
     lie_deriv_form,
-    scalar_d,
 )
 
 
@@ -196,42 +204,7 @@ def contracted_torsion(s1: GSection, s2: GSection, r: OneOneTensor) -> GSection:
 # -- the double (Lie-bialgebroid) bracket --------------------------------------
 
 
-def _d_r_scalar(f: ScalarExpr, r: OneOneTensor) -> PForm:
-    """Differential of the deformed Lie algebroid (TM, [.,.]_r, r) on functions:
-    (d^r f)(X) = (rX) f = <r*(df), X>."""
-    return r.dual(scalar_d(f))
-
-
-def _d_r_oneform(a: PForm, r: OneOneTensor) -> PForm:
-    """(d^r a)(X, Y) = (rX) a(Y) - (rY) a(X) - a([X, Y]_r) on coordinate fields."""
-    chart = a.chart
-    n = chart.dim
-    out = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            ej = VectorField.coordinate(chart, j)
-            ek = VectorField.coordinate(chart, k)
-            val = (
-                r.apply(ej).deriv(a.get((k,)))
-                - r.apply(ek).deriv(a.get((j,)))
-                - interior(deformed_bracket(ej, ek, r), a).as_scalar()
-            )
-            out[(j, k)] = val
-    return PForm(chart, 2, out)
-
-
-def _lie_r_oneform(X: VectorField, b: PForm, r: OneOneTensor) -> PForm:
-    """Deformed Lie derivative L^r_X = i_X d^r + d^r i_X on 1-forms."""
-    return interior(X, _d_r_oneform(b, r)) + _d_r_scalar(
-        interior(X, b).as_scalar(), r
-    )
-
-
 def double_bracket(s1: GSection, s2: GSection, r: OneOneTensor) -> GSection:
-    """Bracket of the double of the Lie bialgebroid ((TM, [.,.]_r, r), T*M):
-    ([X, Y]_r, L^r_X b - i_Y d^r a)."""
-    same_chart(s1, s2, r)
-    return GSection(
-        deformed_bracket(s1.vec, s2.vec, r),
-        _lie_r_oneform(s1.vec, s2.cov, r) - interior(s2.vec, _d_r_oneform(s1.cov, r)),
-    )
+    """Bracket of the double of the Lie bialgebroid ((TM, [.,.]_r, r), T*M),
+    ([X, Y]_r, L^r_X b - i_Y d^r a), as [[s1, s2]]_r - (0, C_L(s1, s2))."""
+    return bracket_Dr(s1, s2, r) - GSection.from_form(concomitant_CL(s1, s2, r))

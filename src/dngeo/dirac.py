@@ -670,9 +670,8 @@ def quasi_nijenhuis_check(L: GFrame, r: OneOneTensor, phi: PForm) -> Verdict:
         raise PreconditionError("phi is not closed")
     chart = L.chart
     N = nijenhuis_torsion(r)
-    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
     return Verdict.first(
-        (f"quasi[{a};{j},{k}]", two.get((j, k)) + interior(coords[k], interior(coords[j], iphi)).as_scalar())
+        (f"quasi[{a};{j},{k}]", two.get((j, k)) + iphi.get((j, k)))
         for a, s in enumerate(L.sections)
         for two, iphi in [(N.pair_form(s.cov), interior(s.vec, phi))]  # <a, N(., .)> and i_X phi
         for j, k in combinations(range(chart.dim), 2)

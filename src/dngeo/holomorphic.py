@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .symbolic import Chart, same_chart
 from .courant import GSection, _coordinate_D, courant_bracket, pairing
-from .dirac import PASS, DNReport, GFrame, Verdict, _components, dirac_nijenhuis_report
+from .dirac import PASS, Verdict, _components
 from .tensor import (
     Bivector,
     OneOneTensor,
@@ -94,12 +94,6 @@ def phi_pairing(c1: ComplexGSection, c2: ComplexGSection):
 def is_holomorphic_section(s: GSection, J: ComplexStructure) -> bool:
     """Flatness for the combined derivation on every coordinate field."""
     return all(d.is_zero() for d in _coordinate_D(s, J.r))
-
-
-def check_holomorphic_dirac(L: GFrame, J: ComplexStructure, samples: int = 3) -> DNReport:
-    """The identified subbundle is holomorphic Dirac iff (L, J) passes the
-    full compatibility report with r = J; the report names any failing part."""
-    return dirac_nijenhuis_report(L, J.r, samples)
 
 
 def holo_form_from_real(omega: PForm, J: ComplexStructure):

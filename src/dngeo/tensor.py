@@ -730,27 +730,19 @@ def tangent_lift(r: OneOneTensor):
 
     The base block and the fiber block are forced to be r by linearity and by
     the vertical-lift relation; the mixed block is linear in v with
-    coefficients D^r on coordinate fields.  Returns (lift, doubled chart).
+    coefficients D^r_{d_j}(d_k) = dk r^i_j, so its (i, j) entry is
+    sum_k v^k dk r^i_j.  Returns (lift, doubled chart).
     """
     chart = r.chart
     n = chart.dim
     big = tangent_chart(chart)
     z = big.zero()
     grid = [[z for _ in range(2 * n)] for _ in range(2 * n)]
-    rbig = [[r.grid[i][j].extend(big) for j in range(n)] for i in range(n)]
+    v, dr = [big.var(name) for name in big.variables[n:]], _partials(r)
     for i in range(n):
         for j in range(n):
-            grid[i][j] = rbig[i][j]
-            grid[n + i][n + j] = rbig[i][j]
-    coord = [VectorField.coordinate(chart, j) for j in range(n)]
-    for j in range(n):
-        for k in range(n):
-            w = D_r(coord[j], coord[k], r)  # (L_{d_k} r)(d_j)
-            for i in range(n):
-                if not w.comps[i].is_zero():
-                    grid[n + i][j] = grid[n + i][j] + big.var(
-                        "v_" + chart.variables[k]
-                    ) * w.comps[i].extend(big)
+            grid[i][j] = grid[n + i][n + j] = r.grid[i][j].extend(big)
+            grid[n + i][j] = dot(big, [(v[k], dr[k][i][j].extend(big)) for k in range(n)])
     return OneOneTensor(big, grid), big
 
 

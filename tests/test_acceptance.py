@@ -61,7 +61,6 @@ from dngeo.fixtures import (
 )
 from dngeo.holomorphic import (
     check_holo_form,
-    check_holomorphic_dirac,
     phi_courant_check,
     standard_complex_structure,
 )
@@ -224,7 +223,7 @@ class TestAcceptance:
         ok = ok and check_holo_form((omega, omega_im), Jc).status == PASS
         for seed in range(3):
             ch4, J, pi4, L4 = holomorphic_poisson_real_part(random.Random(seed))
-            rep = check_holomorphic_dirac(L4, J)
+            rep = dirac_nijenhuis_report(L4, J.r)
             ok = ok and rep.all_pass()
             # the complex side of the equivalence: the identified frame is
             # lagrangian for the complex-bilinear pairing

@@ -1,9 +1,11 @@
 """The closed forms of the combined derivation along coordinate fields, of
-the Nijenhuis torsion and of the derived bracket, against their defining
-expressions: `big_D` on `VectorField.coordinate(chart, k)`, the torsion
-through Lie brackets, [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]), and
-`bracket_Dr` through [[(rX, r*a), (Y, b)]] + bigD_Y(X, a) and the contracted
-bracket.  Entries are drawn over Q on
+the Nijenhuis torsion, of the derived and the double bracket and of the
+tangent lift, against their defining expressions: `big_D` on
+`VectorField.coordinate(chart, k)`, the torsion through Lie brackets,
+[r dj, r dk] - r([r dj, dk]) - r([dj, r dk]), `bracket_Dr` through
+[[(rX, r*a), (Y, b)]] + bigD_Y(X, a) and the contracted bracket,
+`double_bracket` through ([X, Y]_r, L^r_X b - i_Y d^r a), and the mixed
+block of `tangent_lift` through D^r_{d_j}(d_k).  Entries are drawn over Q on
 2-, 3- and 4-charts and over Q(i) on a complex 2-chart, with zeros,
 Gaussian coefficients and nonconstant denominators."""
 
@@ -22,9 +24,11 @@ from dngeo.courant import (
     bracket_Dr,
     contracted_bracket,
     courant_bracket,
+    double_bracket,
 )
+from dngeo.identities import double_bracket_by_definition
 from dngeo.symbolic import Chart, GaussianRational
-from dngeo.tensor import OneOneTensor, PForm, VectorField, lie_bracket, nijenhuis_torsion
+from dngeo.tensor import D_r, OneOneTensor, PForm, VectorField, lie_bracket, nijenhuis_torsion, tangent_lift
 
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
 
@@ -109,16 +113,35 @@ def test_closed_torsion_equals_the_bracket_expression(chart, data):
     assert nijenhuis_torsion(r).comps == torsion_by_brackets(r)
 
 
-@pytest.mark.parametrize("chart", [CHARTS[0], CHARTS[1], CHARTS[3]], ids=lambda c: c.name)
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
 @SETTINGS
 @given(data=st.data())
 def test_derived_bracket_equals_its_defining_and_contracted_expressions(chart, data):
-    # polynomial sections: a bracket of sections with poles on R3 can take 30 s
+    # polynomial sections: a bracket of sections with poles on R3 can take 30 s.
+    # The double bracket is read from the derived one, so it is checked on the
+    # same draws against its definition.
     r, _ = data.draw(cases(chart))
     s1, s2 = (data.draw(sections(chart)) for _ in range(2))
     derived = bracket_Dr(s1, s2, r)
     assert derived == courant_bracket(apply_rr(s1, r), s2) + big_D(s2.vec, s1, r)
     assert derived == contracted_bracket(s1, s2, r)
+    assert double_bracket(s1, s2, r) == double_bracket_by_definition(s1, s2, r)
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
+@SETTINGS
+@given(data=st.data())
+def test_tangent_lift_mixed_block_is_D_r_on_coordinate_fields(chart, data):
+    r, _ = data.draw(cases(chart))
+    lift, big = tangent_lift(r)
+    n = chart.dim
+    coord = [VectorField.coordinate(chart, j) for j in range(n)]
+    for j in range(n):
+        entries = [big.zero()] * n
+        for k in range(n):
+            w = D_r(coord[j], coord[k], r)  # (L_{d_k} r)(d_j)
+            entries = [e + big.var("v_" + chart.variables[k]) * c.extend(big) for e, c in zip(entries, w.comps)]
+        assert [lift.grid[n + i][j] for i in range(n)] == entries, j
 
 
 def test_the_draws_reach_every_chart_and_kind_of_entry():

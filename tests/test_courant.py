@@ -28,7 +28,8 @@ from dngeo.fixtures import (
     random_vf,
 )
 from dngeo.identities import run_identity
-from dngeo.dirac import make_graph_poisson, concomitant_R
+from dngeo.dirac import PASS, check_double_type, make_graph_poisson, concomitant_R
+from dngeo.scene import parse_scene
 from dngeo.tensor import (
     OneOneTensor,
     PForm,
@@ -41,6 +42,18 @@ from dngeo.tensor import (
 @pytest.fixture
 def ch():
     return chart2()
+
+
+def product_scene(n):
+    """n/2 blocks like scenes/scalar_hierarchy.scene on the chart Rn: pi is
+    the sum of d(2b-1)^d(2b), and r is (x(2b-1) + b)*id on block b."""
+    rows = [", ".join(f"x{i - i % 2 + 1} + {i // 2 + 1}" if j == i else "0" for j in range(n)) for i in range(n)]
+    return (
+        f"chart R{n} " + " ".join(f"x{i}" for i in range(1, n + 1)) + "\n"
+        + "bivector pi = " + " ; ".join(f"{b} {b + 1} 1" for b in range(1, n, 2)) + "\n"
+        + "oneone r = " + " ; ".join(rows) + "\n"
+        + "frame L = poisson pi\n"
+    )
 
 
 class TestPairing:
@@ -153,6 +166,27 @@ class TestDerivedBrackets:
         for module in (courant, identities):
             monkeypatch.setattr(module, "bracket_Dr", wrong)
         assert run_identity("contracted_equals_derived") == 3
+
+    @pytest.mark.parametrize("n, brackets", [(4, 6), (6, 20)])
+    def test_double_type_forms_one_deformed_bracket_per_double_bracket(self, monkeypatch, n, brackets):
+        # on the product scene Rn: C(n - 1, 2) double brackets on L and on
+        # its (1,0) transform, and no coordinate field pushed through the calculus
+        import dngeo.courant as courant
+
+        counts = {"bracket": 0, "coordinate": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(courant, "deformed_bracket", counted("bracket", courant.deformed_bracket))
+        monkeypatch.setattr(VectorField, "coordinate", staticmethod(counted("coordinate", VectorField.coordinate)))
+        scene = parse_scene(product_scene(n))
+        assert check_double_type(scene.frames["L"], scene.oneones["r"]).status == PASS
+        assert counts == {"bracket": brackets, "coordinate": 0}
 
     def test_nijenhuis_kills_contracted_torsion(self, ch):
         rng = random.Random(4)

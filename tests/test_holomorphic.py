@@ -10,6 +10,7 @@ from dngeo.dirac import (
     FAIL,
     PASS,
     GFrame,
+    dirac_nijenhuis_report,
     )
 from dngeo.errors import PreconditionError
 from dngeo.fixtures import (
@@ -22,7 +23,6 @@ from dngeo.fixtures import (
 from dngeo.holomorphic import (
     ComplexStructure,
     check_holo_form,
-    check_holomorphic_dirac,
     holo_form_from_real,
     is_holomorphic_section,
     phi_courant_check,
@@ -147,22 +147,25 @@ class TestPhiCourant:
 
 
 class TestHolomorphicDirac:
+    """The identified subbundle is holomorphic Dirac iff (L, J) passes the
+    full compatibility report with r = J."""
+
     def test_tangent_frame(self, ch, J):
         L = GFrame(
             [GSection.from_vector(VectorField.coordinate(ch, k)) for k in range(2)]
         )
-        assert check_holomorphic_dirac(L, J).all_pass()
+        assert dirac_nijenhuis_report(L, J.r).all_pass()
 
     def test_holomorphic_poisson_graph(self):
         for seed in range(3):
             ch, J, pi4, L = holomorphic_poisson_real_part(random.Random(seed))
-            assert check_holomorphic_dirac(L, J).all_pass()
+            assert dirac_nijenhuis_report(L, J.r).all_pass()
 
     def test_presymplectic_graph_fails_on_2chart(self, ch, J):
         from dngeo.dirac import make_graph_presymplectic
 
         w = PForm(ch, 2, {(0, 1): ch.one()})
-        rep = check_holomorphic_dirac(make_graph_presymplectic(w), J)
+        rep = dirac_nijenhuis_report(make_graph_presymplectic(w), J.r)
         assert not rep.all_pass()
         assert rep.invariance.status == FAIL
 
