@@ -41,9 +41,11 @@ from .tensor import (
 
 
 class GSection:
-    """A section (X, a) of the generalized tangent bundle."""
+    """An immutable section (X, a) of the generalized tangent bundle.  The
+    private slot `_rows` keeps the rows of `_coordinate_D` formed on it, as
+    (r, rows) pairs matched by the identity of the tensor r they hold."""
 
-    __slots__ = ("chart", "vec", "cov")
+    __slots__ = ("chart", "vec", "cov", "_rows")
 
     def __init__(self, vec: VectorField, cov: PForm):
         same_chart(vec, cov)
@@ -52,6 +54,7 @@ class GSection:
         self.chart = vec.chart
         self.vec = vec
         self.cov = cov
+        self._rows = ()
 
     @staticmethod
     def zero(chart) -> "GSection":
@@ -124,9 +127,19 @@ def big_D(X: VectorField, s: GSection, r: OneOneTensor) -> GSection:
     return GSection(D_r(X, s.vec, r), D_r_star(X, s.cov, r))
 
 
-def _coordinate_D(s: GSection, r: OneOneTensor) -> list:
-    """[bigD_{d_k}(s) for each k] for s = (Y, a), by the closed form of the
-    module docstring, with each derivative of r, Y and a taken once."""
+def _coordinate_D(s: GSection, r: OneOneTensor) -> tuple:
+    """(bigD_{d_k}(s) for each k) for s = (Y, a), by the closed form of the
+    module docstring, with each derivative of r, Y and a taken once; formed
+    once per (s, r) and kept on s."""
+    for key, rows in s._rows:
+        if key is r:
+            return rows
+    rows = _coordinate_rows(s, r)
+    s._rows += ((r, rows),)
+    return rows
+
+
+def _coordinate_rows(s: GSection, r: OneOneTensor) -> tuple:
     chart = same_chart(s, r)
     ix, g, dr = range(chart.dim), r.grid, _partials(r)
     Y, a = s.vec.comps, [s.cov.get((i,)) for i in ix]
@@ -147,7 +160,7 @@ def _coordinate_D(s: GSection, r: OneOneTensor) -> list:
             for j in ix
         ]
         row.append(GSection(VectorField(chart, vec), PForm(chart, 1, {(j,): c for j, c in enumerate(cov)})))
-    return row
+    return tuple(row)
 
 
 def concomitant_CL(s1: GSection, s2: GSection, r: OneOneTensor) -> PForm:

@@ -332,8 +332,13 @@ def _rank_at(m: FracMatrix, image, s: int):
 
 
 def rank_at_samples(m: FracMatrix, samples: int = 3):
-    """Max rank observed over the deterministic sample points, or None as soon
-    as one of them has no valid retry.
+    """Max rank observed over the deterministic sample points, read in order
+    up to the first of rank min(rows, cols); None as soon as a point read
+    has no valid retry.
+
+    The max cannot rise above min(rows, cols), and a point of that rank
+    proves it the generic rank, so the points after it are not read: a later
+    point with no valid retry no longer turns a full rank into None.
 
     Each retry of a sample point is tried mod P first.  The denominators
     whose image vanishes there are evaluated exactly, and an exact zero makes
@@ -343,10 +348,13 @@ def rank_at_samples(m: FracMatrix, samples: int = 3):
     coefficient without image is evaluated exactly at every retry.
     """
     image = modp.matrix_image(m)
+    full = min(m.rows, m.cols)
     best = 0
     for s in range(samples):
         rank = _rank_at(m, image, s)
         if rank is None:
             return None
         best = max(best, rank)
+        if best == full:
+            break
     return best

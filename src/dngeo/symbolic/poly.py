@@ -81,6 +81,8 @@ class Polynomial:
 
     @staticmethod
     def const(nvars: int, c) -> "Polynomial":
+        if type(c) is int or type(c) is Fraction:  # already in lowest terms
+            return _new(nvars, {(0,) * nvars: c.numerator} if c else {}, c.denominator)
         return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod

@@ -194,9 +194,11 @@ class ScalarExpr:
             return ScalarExpr._make(self.chart, num, self.den) if num.nums else self.chart._zero
         if self.den == o.den:  # only the sum of numerators can share a factor with den
             return ScalarExpr(self.chart, self.num + o.num, self.den)
-        return ScalarExpr(
-            self.chart, self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        # Henrici's sum: with g = gcd(b, d), a/b + c/d = (a (d/g) + c (b/g)) / ((b/g) d),
+        # whose numerator can share a factor with g only
+        g = poly_gcd(self.den, o.den)
+        b, d = (self.den, o.den) if g.is_one() else (divexact(self.den, g), divexact(o.den, g))
+        return ScalarExpr(self.chart, self.num * d + o.num * b, b * o.den)
 
     __radd__ = __add__
 

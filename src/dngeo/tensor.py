@@ -195,7 +195,12 @@ def combination(items, coeffs, zero):
 
 
 class OneOneTensor:
-    __slots__ = ("chart", "grid")
+    """An immutable (1,1)-tensor.  Its partial derivatives and its Nijenhuis
+    torsion are kept in the private slots `_partials` and `_torsion` once
+    formed, so every check on the same tensor reads them; callers must not
+    change what these hold."""
+
+    __slots__ = ("chart", "grid", "_partials", "_torsion")
 
     def __init__(self, chart: Chart, grid):
         grid = tuple(tuple(row) for row in grid)
@@ -203,6 +208,7 @@ class OneOneTensor:
             raise ValueError("grid must be n x n")
         self.chart = chart
         self.grid = grid
+        self._partials = self._torsion = None
 
     @staticmethod
     def identity(chart: Chart) -> "OneOneTensor":
@@ -632,13 +638,22 @@ def D_r_star_pform(X: VectorField, w: PForm, r: OneOneTensor) -> CovFormValued:
 
 
 def _partials(r: OneOneTensor) -> list:
-    """dr[l][i][j] = d_l r^i_j, each derivative taken once."""
-    return [[[c.diff(l) for c in row] for row in r.grid] for l in range(r.chart.dim)]
+    """dr[l][i][j] = d_l r^i_j, each derivative taken once and kept on r."""
+    if r._partials is None:
+        r._partials = [[[c.diff(l) for c in row] for row in r.grid] for l in range(r.chart.dim)]
+    return r._partials
 
 
 def nijenhuis_torsion(r: OneOneTensor) -> VectorValuedTwoForm:
     """Torsion on coordinate fields, [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]),
-    in the closed form of the module docstring; tensoriality makes this complete."""
+    in the closed form of the module docstring; tensoriality makes this complete.
+    Formed once per tensor and kept on it."""
+    if r._torsion is None:
+        r._torsion = _torsion(r)
+    return r._torsion
+
+
+def _torsion(r: OneOneTensor) -> VectorValuedTwoForm:
     chart = r.chart
     n = chart.dim
     g, dr = r.grid, _partials(r)

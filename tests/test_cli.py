@@ -118,6 +118,17 @@ class TestCheckCommand:
         assert code == 3
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "line, char",
+        [("bivector pi = 1 2 x^\u00b2", "\u00b2"), ("scalar f = x^\u0663", "\u0663")],
+        ids=["superscript-two", "arabic-indic-three"],
+    )
+    def test_a_digit_outside_ascii_exit_three(self, capsys, scene_file, line, char):
+        # str.isdigit accepts both, and int() reads the second as 3
+        code, out, err = run_cli(capsys, "check", scene_file(f"chart C x y\n{line}\n"))
+        assert (code, out) == (3, "")
+        assert re.fullmatch(rf"error: unexpected character '{char}' \(line 2, col \d+\)\n", err), err
+
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/path.scene")
         assert code == 3

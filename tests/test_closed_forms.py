@@ -70,7 +70,7 @@ def cases(draw, chart):
 
 @st.composite
 def sections(draw, chart):
-    entry = scalars(chart, poles=False)
+    entry = scalars(chart)
     n = chart.dim
     vec = VectorField(chart, [draw(entry) for _ in range(n)])
     return GSection(vec, PForm(chart, 1, {(k,): draw(entry) for k in range(n)}))
@@ -117,7 +117,6 @@ def test_closed_torsion_equals_the_bracket_expression(chart, data):
 @SETTINGS
 @given(data=st.data())
 def test_derived_bracket_equals_its_defining_and_contracted_expressions(chart, data):
-    # polynomial sections: a bracket of sections with poles on R3 can take 30 s.
     # The double bracket is read from the derived one, so it is checked on the
     # same draws against its definition.
     r, _ = data.draw(cases(chart))

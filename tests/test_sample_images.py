@@ -155,12 +155,16 @@ def numeric_rank(values):
 
 
 def exact_rank_at_samples(m, samples):
+    """Max rank over the sample points up to the first of full rank, or None
+    at a point read with no pole-free retry."""
     best = 0
     for s in range(samples):
         values = eval_matrix_at_sample(m, s)
         if values is None:
             return None
         best = max(best, numeric_rank(values))
+        if best == min(m.rows, m.cols):
+            break
     return best
 
 
@@ -434,8 +438,33 @@ def test_a_coefficient_without_image_falls_back(evaluations):
     m = FracMatrix(ch, [[ch.var("x") * ch.const(Fraction(1, modp.P))], [ch.one()]])
     assert modp.matrix_image(m) is None
     assert rank_at_samples(m, 2) == 1
-    assert evaluations == {"image": 0, "matrix": 2, "scalar": 4, "denominator": 0}
+    # the first sample point has full rank, so the second is not read
+    assert evaluations == {"image": 0, "matrix": 1, "scalar": 2, "denominator": 0}
     assert image_at_sample(m) is None
+
+
+def test_a_rank_deficient_first_sample_reads_the_second(evaluations):
+    ch = CHARTS[0]
+    # x - 1 vanishes at the first sample point (1, 2) only
+    m = FracMatrix(ch, [[ch.var("x") - ch.one(), ch.zero()]])
+    assert rank_at_samples(m, 3) == 1
+    assert evaluations == {"image": 2, "matrix": 1, "scalar": 2, "denominator": 0}
+
+
+def test_a_full_rank_is_not_lost_to_a_later_sample_without_valid_retry():
+    ch = CHARTS[0]
+    x = ch.var("x")
+    # every retry of sample point 1 has x = 2 + 7t, t = 0..20, a root of den
+    den = ch.one()
+    for t in range(linalg.MAX_POINT_RETRIES + 1):
+        den = den * (x - ch.const(2 + 7 * t))
+    m = FracMatrix(ch, [[ch.one() / den]])
+    assert eval_matrix_at_sample(m, 1) is None
+    # sample point 0 proves the full rank, so point 1 is never read
+    assert rank_at_samples(m, 2) == 1 == exact_rank_at_samples(m, 2)
+    # a point short of full rank is followed, and the pole still shows
+    short = FracMatrix(ch, [[x - ch.one(), ch.zero()], [ch.zero(), ch.one() / den]])
+    assert rank_at_samples(short, 2) is None
 
 
 def test_a_rank_deficient_image_falls_back(evaluations):

@@ -17,7 +17,7 @@ TEXTS = tuple(
 )
 TOKEN = re.compile(r"\s+|\w+|[^\w\s]")
 # every token of the corpus, plus a few the grammar never expects
-ALPHABET = sorted({t for text in TEXTS for t in TOKEN.findall(text) if not t.isspace()} | {"\n", "0/0", "é", "@"})
+ALPHABET = sorted({t for text in TEXTS for t in TOKEN.findall(text) if not t.isspace()} | {"\n", "0/0", "é", "@", "²", "٣"})
 COMMANDS = (
     ("check",),
     ("hierarchy", "--side", "n0", "--n", "2"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dngeo.errors import ChartMismatchError
 from dngeo.symbolic import Chart, GaussianRational, Polynomial, ScalarExpr, same_chart, to_str
-from dngeo.symbolic.poly import poly_one
+from dngeo.symbolic.poly import poly_gcd, poly_one
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -105,11 +105,29 @@ def _proper_products():
 PROPER = _proper_products()
 
 
+def _shared_denominators():
+    """Sums whose denominators share the factor g: y, z + i, and y again
+    with a numerator that g divides, which the canonical form cancels."""
+    r2, c1 = CHARTS[0], CHARTS[1]
+    x, y, z, i = r2.var("x"), r2.var("y"), c1.var("z"), c1.imag_unit()
+    return [
+        (r2, x / (x * y + y), r2.one() / (y * (x + 2))),
+        (c1, c1.one() / (z * (z + i)), z / ((z + i) * (z - 1))),
+        (r2, r2.one() / (y * (x + 1)), (y - 1) / (y * (x + y + 1))),
+    ]
+
+
+HENRICI = _shared_denominators()
+
+
 @SETTINGS
 @given(cases(), st.sampled_from(sorted(BINARY)), st.integers(0, 4))
 @example(PROPER[0], "*", 2)
 @example(PROPER[1], "*", 1)
 @example(PROPER[2], "/", 0)
+@example(HENRICI[0], "+", 0)
+@example(HENRICI[1], "-", 0)
+@example(HENRICI[2], "+", 0)
 def test_results_are_canonical_and_match_evaluation(case, op, k):
     chart, a, b = case
     results = [(-a, lambda p: -value(a, p)), (a + (-a), lambda p: 0)]
@@ -129,6 +147,14 @@ def test_results_are_canonical_and_match_evaluation(case, op, k):
 def test_the_examples_multiply_two_proper_fractions():
     for _, a, b in PROPER:
         assert not a.den.is_one() and not b.den.is_one() and not b.inverse().den.is_one()
+
+
+def test_a_sum_over_a_shared_factor_cancels_it():
+    for _, a, b in HENRICI:
+        assert not poly_gcd(a.den, b.den).is_constant() and a.den != b.den
+    r2, (_, a, b) = CHARTS[0], HENRICI[2]
+    x, y = r2.var("x"), r2.var("y")
+    assert a + b == (x + 2) / ((x + 1) * (x + y + 1))
 
 
 def test_trusted_paths_on_fixed_inputs():
