@@ -26,7 +26,7 @@ from .dirac import (
     hierarchy,
     traces,
 )
-from .scene import CheckRecord, SceneError, decide, parse_scene, run_scene, timed
+from .scene import CheckRecord, SceneError, _integer, decide, parse_scene, run_scene, timed
 
 REPORT_FORMAT = "report-v1"
 SCENE_FORMAT = "scene-v1"
@@ -198,7 +198,7 @@ def cmd_selftest(args) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _integer(text)
     except ValueError:
         value = 0
     if value < 1:

@@ -1,7 +1,8 @@
 """Scene files: a small line-oriented declaration language for charts,
 tensors, subbundle frames and check requests.
 
-Grammar (one declaration per line; '#' starts a comment; 1-based indices):
+Grammar (one declaration per line; '#' starts a comment; 1-based indices;
+integers are ASCII -?[0-9]+):
 
     chart <name> <var> ... [complex]
     scalar <name> = <expr>
@@ -24,11 +25,14 @@ These are the keys of `CHECKS`, which gives each kind its argument types.
 check runs, so an unknown kind, a wrong arity or an unknown name is a
 SceneError and never a verdict.
 
-Errors carry the 1-based line and column of the offending token.
+Errors carry the 1-based line and column of the offending token; an
+expression is parsed as a slice of its line, so its errors name their
+column in the line.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field, replace
 
@@ -95,11 +99,58 @@ class Scene:
         return out
 
 
-def _parse_expr(text, chart, lineno):
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(word: str) -> int:
+    """The int of an ASCII integer -?[0-9]+; ValueError for any other word
+    (int() alone also reads other Unicode digits, '+', '_' and spaces)."""
+    if not _INTEGER.fullmatch(word):
+        raise ValueError(f"not an integer: {word!r}")
+    return int(word)
+
+
+# A span is (text, offset): a stripped slice of a scene line and the 0-based
+# index of its first character in that line, so that an error inside it can
+# name its column in the line.
+
+
+def _span(line, start, end=None):
+    """line[start:end] stripped, as a span."""
+    text = line[start:end]
+    return text.strip(), start + len(text) - len(text.lstrip())
+
+
+def _split(span, sep):
+    """The pieces of a span between the separators sep, as spans."""
+    text, offset = span
+    pieces = []
+    start = 0
+    for piece in text.split(sep):
+        stripped, at = _span(text, start, start + len(piece))
+        pieces.append((stripped, offset + at))
+        start += len(piece) + len(sep)
+    return pieces
+
+
+def _words(span):
+    """The whitespace-separated words of a span, as spans."""
+    text, offset = span
+    return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", text)]
+
+
+def _tail(span, word):
+    """The part of a span from one of its words to its end, as a span."""
+    text, offset = span
+    return text[word[1] - offset:], word[1]
+
+
+def _parse_expr(span, chart, lineno):
+    text, offset = span
     try:
         return parse_scalar(text, chart)
     except ExprSyntaxError as e:
-        raise SceneError(e.bare_message, lineno, e.col) from None
+        raise SceneError(e.bare_message, lineno, offset + e.col) from None
 
 
 def _need_chart(scene, lineno):
@@ -118,7 +169,8 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
     default_mode (settable from the command line)."""
     scene = Scene()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -139,19 +191,22 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                 raise SceneError(str(e), lineno) from None
         elif head in ("scalar", "vector", "oneone", "bivector", "form"):
             chart = _need_chart(scene, lineno)
-            name, eq, body = rest.partition("=")
+            name, eq, _ = rest.partition("=")
             nameparts = name.split()
             if not eq:
                 raise SceneError(f"{head} declaration needs '='", lineno)
-            body = body.strip()
+            # the head holds no '=', so the first one of the line is this one
+            body = _span(code, code.index("=") + 1)
             if head == "form":
                 if len(nameparts) != 2:
                     raise SceneError("form needs: form <name> <degree> = ...", lineno)
                 name, degree_text = nameparts
                 try:
-                    degree = int(degree_text)
+                    degree = _integer(degree_text)
                 except ValueError:
                     raise SceneError("form degree must be an integer", lineno) from None
+                if degree < 0:
+                    raise SceneError("negative form degree", lineno)
             else:
                 if len(nameparts) != 1:
                     raise SceneError(f"bad {head} declaration", lineno)
@@ -161,53 +216,53 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
             if head == "scalar":
                 scene.scalars[name] = _parse_expr(body, chart, lineno)
             elif head == "vector":
-                comps = [c.strip() for c in body.split(";")]
+                comps = _split(body, ";")
                 if len(comps) != n:
                     raise SceneError(f"vector needs {n} components", lineno)
                 scene.vectors[name] = VectorField(
                     chart, [_parse_expr(c, chart, lineno) for c in comps]
                 )
             elif head == "oneone":
-                rows = [r.strip() for r in body.split(";")]
+                rows = _split(body, ";")
                 if len(rows) != n:
                     raise SceneError(f"oneone needs {n} rows", lineno)
                 grid = []
                 for r in rows:
-                    cols = [c.strip() for c in r.split(",")]
+                    cols = _split(r, ",")
                     if len(cols) != n:
                         raise SceneError(f"oneone rows need {n} entries", lineno)
                     grid.append([_parse_expr(c, chart, lineno) for c in cols])
                 scene.oneones[name] = OneOneTensor(chart, grid)
             elif head == "bivector":
                 comps = {}
-                if body:
-                    for piece in body.split(";"):
-                        words = piece.strip().split(None, 2)
-                        if len(words) != 3:
+                if body[0]:
+                    for piece in _split(body, ";"):
+                        words = _words(piece)
+                        if len(words) < 3:
                             raise SceneError(
                                 "bivector entries look like: <i> <j> <expr>", lineno
                             )
                         try:
-                            i, j = int(words[0]) - 1, int(words[1]) - 1
+                            i, j = _integer(words[0][0]) - 1, _integer(words[1][0]) - 1
                         except ValueError:
                             raise SceneError(
                                 "bivector indices must be integers", lineno
                             ) from None
                         if not (0 <= i < j < n):
                             raise SceneError("bivector indices must satisfy 1 <= i < j <= n", lineno)
-                        comps[(i, j)] = _parse_expr(words[2], chart, lineno)
+                        comps[(i, j)] = _parse_expr(_tail(piece, words[2]), chart, lineno)
                 scene.bivectors[name] = Bivector(chart, comps)
             else:  # form
                 comps = {}
-                if body:
-                    for piece in body.split(";"):
-                        words = piece.strip().split()
+                if body[0]:
+                    for piece in _split(body, ";"):
+                        words = _words(piece)
                         if len(words) < degree + 1:
                             raise SceneError(
                                 f"form entries look like: {'<i> ' * degree}<expr>", lineno
                             )
                         try:
-                            idx = tuple(int(w) - 1 for w in words[:degree])
+                            idx = tuple(_integer(w) - 1 for w, _ in words[:degree])
                         except ValueError:
                             raise SceneError(
                                 "form indices must be integers", lineno
@@ -219,7 +274,7 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                                 "form indices must be strictly increasing and in range",
                                 lineno,
                             )
-                        comps[idx] = _parse_expr(" ".join(words[degree:]), chart, lineno)
+                        comps[idx] = _parse_expr(_tail(piece, words[degree]), chart, lineno)
                 try:
                     scene.forms[name] = PForm(chart, degree, comps)
                 except ValueError as e:
@@ -392,7 +447,7 @@ CHECKS = {
 def _argument(scene, lineno, kind, type_, word):
     if type_ == "integer":
         try:
-            return int(word)
+            return _integer(word)
         except ValueError:
             raise SceneError(f"check {kind} needs an integer, not {word!r}", lineno) from None
     obj = getattr(scene, type_ + "s").get(word)

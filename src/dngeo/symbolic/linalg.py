@@ -7,9 +7,18 @@ pivot and no solution, and the integer numerators of its entries are packed
 once per matrix, as they are stored, into polynomials with int coefficients
 over Q or Gaussian-integer ones over Q(i).  Bareiss elimination on them
 makes every row update a product, a difference and an exact division.  The
-pivot of each column is the first nonzero entry found scanning the
-remaining rows in order, so eliminations, kernels and solutions are
-reproducible byte for byte.
+pivot of each column is the first of the remaining rows whose entry is a
+nonzero constant, else the first whose entry is nonzero.  A frame with an
+identity block, as every graph and hierarchy frame has, thus takes constant
+pivots, and its minors do not grow in degree.  No answer depends on the
+choice: Bareiss on a row chosen per column is Bareiss on a row-permuted
+matrix, so every division stays exact; the pivot columns are the columns
+that are not combinations of earlier ones, whatever the row order; a solve
+with its free entries 0 has one solution, a canonical scalar vector; and a
+kernel vector with x_free = 1 is unique, and made the one primitive
+polynomial multiple with fixed constants whatever minor D ends the
+elimination.  So eliminations, kernels and solutions are reproducible byte
+for byte.
 
 Solutions are read by Cramer's rule without fractions: with D the last
 pivot, an r x r minor, y = D x is polynomial and fills bottom-up with
@@ -128,15 +137,20 @@ def _quotient(rem, divisor, guard, pairs):
 def _eliminate(rows, ncols, pairs, guard):
     """In-place fraction-free elimination of packed rows with pivots in the
     first ncols columns (later columns are updated with their rows); returns
-    the pivot list [(row, col)]."""
+    the pivot list [(row, col)].
+
+    The pivot of a column is its first nonzero constant among the remaining
+    rows, else its first nonzero entry."""
     nrows = len(rows)
     pivots = []
     prev = None
     pr = 0
     for pc in range(ncols):
-        pivot_row = next((i for i in range(pr, nrows) if rows[i][pc]), None)
-        if pivot_row is None:
+        nonzero = [i for i in range(pr, nrows) if rows[i][pc]]
+        if not nonzero:
             continue
+        # a packed constant is one term at key 0
+        pivot_row = next((i for i in nonzero if len(rows[i][pc]) == 1 and 0 in rows[i][pc]), nonzero[0])
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         top = rows[pr]
         piv = top[pc]

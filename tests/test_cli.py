@@ -119,15 +119,31 @@ class TestCheckCommand:
         assert "line 2" in err
 
     @pytest.mark.parametrize(
-        "line, char",
-        [("bivector pi = 1 2 x^\u00b2", "\u00b2"), ("scalar f = x^\u0663", "\u0663")],
+        "line, char, col",
+        [("bivector pi = 1 2 x^\u00b2", "\u00b2", 21), ("scalar f = x^\u0663", "\u0663", 14)],
         ids=["superscript-two", "arabic-indic-three"],
     )
-    def test_a_digit_outside_ascii_exit_three(self, capsys, scene_file, line, char):
-        # str.isdigit accepts both, and int() reads the second as 3
+    def test_a_digit_outside_ascii_exit_three(self, capsys, scene_file, line, char, col):
+        # str.isdigit accepts both, and int() reads the second as 3; the
+        # column is the character's in the scene line
         code, out, err = run_cli(capsys, "check", scene_file(f"chart C x y\n{line}\n"))
         assert (code, out) == (3, "")
-        assert re.fullmatch(rf"error: unexpected character '{char}' \(line 2, col \d+\)\n", err), err
+        assert err == f"error: unexpected character '{char}' (line 2, col {col})\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("form w 2 = 1 2    x  +* y", "unexpected '*' (line 2, col 23)"),
+            ("oneone r = x, 0 ;   0,   x +", "unexpected 'end of input' (line 2, col 29)"),
+            ("vector v = x ;  y y", "unexpected 'y' (line 2, col 19)"),
+            ("bivector pi = 1 2 x ; 1  2   (x", "expected ')', found 'end of input' (line 2, col 32)"),
+            ("  scalar f =   ", "unexpected 'end of input' (line 2, col 16)"),
+        ],
+        ids=["form-spacing", "oneone-end-of-input", "vector", "second-bivector-entry", "empty-expression"],
+    )
+    def test_an_expression_error_names_its_column_in_the_line(self, capsys, scene_file, line, message):
+        code, out, err = run_cli(capsys, "check", scene_file(f"chart R2 x y\n{line}\n"))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/path.scene")
@@ -421,8 +437,13 @@ class TestInputContract:
             ["check", "{scene}", "--seed", "1"],
             ["selftest", "--samples", "2"],
             ["selftest", "--mode", "real"],
+            ["check", "{scene}", "--samples", "\u0663"],
+            ["traces", "{scene}", "--jmax", "1_0"],
         ],
-        ids=["samples", "n", "jmax", "instances", "seed-on-scene-command", "samples-on-selftest", "mode-on-selftest"],
+        ids=[
+            "samples", "n", "jmax", "instances", "seed-on-scene-command", "samples-on-selftest", "mode-on-selftest",
+            "samples-arabic-indic", "jmax-underscore",
+        ],
     )
     def test_rejected_flag_values(self, capsys, scene_file, argv):
         path = scene_file(self.POISSON + "check lagrangian L\n")
@@ -439,6 +460,31 @@ class TestInputContract:
         code, _, err = run_cli(capsys, "check", scene_file(self.POISSON + "check traces L r 0\n"))
         assert code == 3
         assert "error:" in err and "line 5" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("chart R2 x y\nbivector pi = \u0661 \u0662 1\n", "bivector indices must be integers (line 2, col 1)"),
+            ("chart R2 x y\nbivector pi = +1 2 1\n", "bivector indices must be integers (line 2, col 1)"),
+            ("chart R2 x y\nbivector pi = -1 2 1\n", "bivector indices must satisfy 1 <= i < j <= n (line 2, col 1)"),
+            ("chart R2 x y\nform w \uff12 = 1 2 x\n", "form degree must be an integer (line 2, col 1)"),
+            ("chart R2 x y\nform w 2 = 1 \u0662 x\n", "form indices must be integers (line 2, col 1)"),
+            ("chart R2 x y\nform w 1 = -1 x\n", "form indices must be strictly increasing and in range (line 2, col 1)"),
+            ("chart R2 x y\nform w -1 = 1 ; \n", "negative form degree (line 2, col 1)"),
+            (POISSON + "check traces L r 1_0\n", "check traces needs an integer, not '1_0' (line 5, col 1)"),
+            (POISSON + "check traces L r \u0663\n", "check traces needs an integer, not '\u0663' (line 5, col 1)"),
+            (POISSON + "check traces L r -1\n", "traces jmax must be at least 1 (line 5, col 1)"),
+        ],
+        ids=[
+            "bivector-arabic-indic", "bivector-plus", "bivector-negative", "form-degree-fullwidth",
+            "form-index-arabic-indic", "form-negative", "form-degree-negative", "jmax-underscore", "jmax-arabic-indic", "jmax-negative",
+        ],
+    )
+    def test_scene_integers_are_ascii(self, capsys, scene_file, text, message):
+        # int() alone reads the Unicode digits, '+1' and '1_0' as integers;
+        # a negative index or jmax keeps its range error
+        code, out, err = run_cli(capsys, "check", scene_file(text))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_scene_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.scene"

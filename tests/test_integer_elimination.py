@@ -8,7 +8,9 @@ denominators over their lcm and divides out the content gcd.  Pivots depend
 only on which entries are zero, a solve with its free variables set to 0 has
 one answer, and a kernel vector is fixed up to a scalar, so the two must
 agree exactly: same pivots, structurally equal scalars with the same
-coefficient types.
+coefficient types.  The oracle keeps the first-nonzero pivot rule, while the
+elimination takes a nonzero constant first, so it is a second algorithm on
+a row-permuted matrix as well.
 """
 
 from fractions import Fraction
@@ -30,7 +32,9 @@ from dngeo.symbolic import (
     solve_linear,
 )
 from dngeo.symbolic import linalg
-from dngeo.symbolic.linalg import _cleared_rows, _packed_rows, _quotient
+from dngeo.tensor import Bivector, PForm
+from dngeo.dirac import make_graph_poisson, make_graph_presymplectic
+from dngeo.symbolic.linalg import _cleared_rows, _eliminate, _packed_rows, _quotient
 from dngeo.symbolic.poly import _divide, _packing, divexact, poly_gcd, poly_lcm, poly_one
 
 SETTINGS = settings(
@@ -271,6 +275,39 @@ DISTINCT_DENOMINATORS = (
 )
 
 
+# a constant below a nonconstant first entry of a column: the graph of a
+# Poisson bivector (pi# dx_i over dx_i) over Q and over Q(i), a tall matrix
+# with one constant in its middle row, and a rank-deficient square one
+POISSON_GRAPH = (
+    parsed(R2, [["0", "x*y + 1"], ["-x*y - 1", "0"], ["1", "0"], ["0", "1"]]),
+    [parse_scalar("x^2*y + x", R2), parse_scalar("-x*y^2 - y", R2), parse_scalar("y", R2), parse_scalar("x", R2)],
+)
+GAUSSIAN_GRAPH = (
+    parsed(C2, [["0", "i*x + y^2"], ["-i*x - y^2", "0"], ["1", "0"], ["0", "1"]]),
+    [parse_scalar("1", C2), parse_scalar("x", C2), parse_scalar("i", C2), parse_scalar("y", C2)],
+)
+TALL_CONSTANT = (
+    parsed(R2, [["x^2 + y", "x"], ["3", "y - 1"], ["x*y", "1/(x + 1)"]]),
+    [parse_scalar("x", R2), parse_scalar("1", R2), parse_scalar("y", R2)],
+)
+DEFICIENT_CONSTANT = (parsed(R2, [["x", "x*y"], ["2", "2*y"]]), [parse_scalar("x", R2), parse_scalar("2", R2)])
+
+
+def pivot_rows(eliminate, rows, ncols, *args):
+    """The original index of each pivot row: an elimination swaps the row
+    lists and leaves a pivot row in place once it is one."""
+    order = list(rows)
+    return [next(k for k, row in enumerate(order) if row is rows[pr]) for pr, _ in eliminate(rows, ncols, *args)]
+
+
+def takes_a_constant_below(m):
+    """Whether the constant-first rule picks a pivot row other than the
+    first-nonzero rule of the oracle; the two agree up to the first column
+    with a constant below its first nonzero entry, and differ there."""
+    rows, pairs, guard, _ = _packed_rows(m)
+    return pivot_rows(_eliminate, rows, m.cols, pairs, guard) != pivot_rows(bareiss_oracle, _cleared_rows(m), m.cols)
+
+
 def solution_kind(x):
     if x is None:
         return "inconsistent"
@@ -292,6 +329,10 @@ def test_the_elimination_matches_the_old_path():
     @example(POLYNOMIAL_SOLUTION)
     @example(RATIONAL_SOLUTION)
     @example(DISTINCT_DENOMINATORS)
+    @example(POISSON_GRAPH)
+    @example(GAUSSIAN_GRAPH)
+    @example(TALL_CONSTANT)
+    @example(DEFICIENT_CONSTANT)
     def check(system):
         m, rhs = system
         kernel, want = check_against_oracle(m, rhs)
@@ -310,12 +351,14 @@ def test_the_elimination_matches_the_old_path():
             seen.add("zero row")
         if any(all(row[c].is_zero() for row in m.entries) for c in range(m.cols)):
             seen.add("zero column")
+        if takes_a_constant_below(m):
+            seen.add("constant pivot below the first row")
 
     check()
     assert seen == {
         "inconsistent", "polynomial", "rational", "square", "tall", "wide", "deficient", "full",
         "real", "complex", 1, 2, 3, 4, "polynomial denominator", "zero row", "zero column",
-        "D divides y", "gcd below D", "distinct denominators in a row",
+        "D divides y", "gcd below D", "distinct denominators in a row", "constant pivot below the first row",
     }
 
 
@@ -408,3 +451,63 @@ def test_zero_columns_and_the_zero_matrix():
     assert solve_linear(zeros, [R2.var("x"), zero]) is None
     for m, rhs in ((no_cols, [zero, R2.one()]), (zeros, [zero, zero]), (FracMatrix(R2, []), [])):
         check_against_oracle(m, rhs)
+
+
+# -- the pivot rule ----------------------------------------------------------------------
+
+R4 = Chart("R4", ("x", "y", "z", "w"))
+C4 = Chart("C4", ("x", "y", "z", "w"), "complex")
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+ENTRIES = ("x*y + z", "y^2 - w", "x + z*w", "1 + x*w", "y*z - x", "w^2 + y")
+
+
+def graph_frames(chart):
+    """The 8 x 4 matrices of the graphs of a bivector and of a 2-form with
+    quadratic entries; over Q(i) the entries carry a Gaussian coefficient."""
+    shift = " + i*x" if chart.mode == "complex" else ""
+    comps = {ij: parse_scalar(e + shift, chart) for ij, e in zip(PAIRS, ENTRIES)}
+    return make_graph_poisson(Bivector(chart, comps)).matrix(), make_graph_presymplectic(PForm(chart, 2, comps)).matrix()
+
+
+@pytest.mark.parametrize("chart", [R4, C4], ids=["real", "complex"])
+def test_graph_frames_take_only_constant_pivots(chart):
+    for m in graph_frames(chart):
+        rows, pairs, guard, _ = _packed_rows(m)
+        pivots = _eliminate(rows, m.cols, pairs, guard)
+        assert [pc for _, pc in pivots] == [0, 1, 2, 3]
+        # a pivot row is not updated once it is one
+        assert all(len(rows[pr][pc]) == 1 and 0 in rows[pr][pc] for pr, pc in pivots)
+    # the identity block of the graph of a bivector lies below its pi# rows,
+    # where the first-nonzero rule takes polynomial pivots
+    assert takes_a_constant_below(graph_frames(chart)[0])
+
+
+def test_without_a_constant_the_pivot_rows_are_the_first_nonzero_ones():
+    # homogeneous entries of degree 1 or 2: every minor is homogeneous of
+    # positive degree, so no entry of the elimination is ever a constant;
+    # the zeros make the first nonzero entry of a column lie below its top
+    m = parsed(
+        R2,
+        [["0", "x", "y^2"], ["0", "x*y", "x"], ["x + y", "y", "0"], ["2*x", "x^2", "x - y"], ["y", "0", "x*y"]],
+    )
+    rows, pairs, guard, _ = _packed_rows(m)
+    got = pivot_rows(_eliminate, rows, m.cols, pairs, guard)
+    assert got == pivot_rows(bareiss_oracle, _cleared_rows(m), m.cols) == [2, 1, 0]
+    check_against_oracle(m, [parse_scalar(e, R2) for e in ("x", "y", "1", "0", "x*y")])
+
+
+def test_a_graph_solve_forms_few_term_products(monkeypatch):
+    # the term products of the packed kernel; the first-nonzero rule takes
+    # the pi# rows as pivots, whose minors grow in degree, and forms 20,991
+    products = [0]
+
+    def counted(plus, minus, pairs, _real=linalg._dot):
+        products[0] += sum(len(p) * len(q) for p, q in (*plus, *minus))
+        return _real(plus, minus, pairs)
+
+    monkeypatch.setattr(linalg, "_dot", counted)
+    m = graph_frames(R4)[0]
+    c = [parse_scalar(e, R4) for e in ("x", "y - 1", "z*w", "2")]
+    rhs = [sum((a * b for a, b in zip(row, c)), R4.zero()) for row in m.entries]
+    assert solve_linear(m, rhs) == c
+    assert products[0] == 201
