@@ -7,10 +7,13 @@ The stored bracket is the (non-skew) Dorfman one,
 its skew-symmetrization is derivable and not separately exposed.
 
 Along a coordinate field the combined derivation of s = (Y, a) has the
-closed form `_coordinate_D`, which every check reads:
+closed form `_coordinate_D`, the column k of L_Y r beside the row k of
+D^{r,*} on a from tensor.py:
     (D_{d_k} Y)^i  = sum_j (Y^j dj r^i_k - r^j_k dj Y^i + r^i_j dk Y^j),
     (D*_{d_k} a)_j = sum_i (a_i (dk r^i_j - dj r^i_k) + r^i_j dk a_i - r^i_k di a_j).
-`big_D` stays the defining expression, and the selftest compares the two.
+The derivation is C-infinity-linear in X, so `big_D` along any X is
+sum_k X^k D_{d_k}(s), read from these rows as kept on s; the test suite
+compares it with (D_r, D_r_star) as defined by brackets and Cartan's formula.
 
 The bracket of the double of the Lie bialgebroid ((TM, [.,.]_r, r), T*M),
     [[(X, a), (Y, b)]]_double = ([X, Y]_r, L^r_X b - i_Y d^r a),
@@ -29,14 +32,13 @@ from .tensor import (
     OneOneTensor,
     PForm,
     VectorField,
-    D_r,
-    D_r_star,
-    _partials,
+    _D_r_star_rows,
     deformed_bracket,
     ext_d,
     interior,
     lie_bracket,
     lie_deriv_form,
+    lie_deriv_tensor,
 )
 
 
@@ -122,9 +124,13 @@ def courant_bracket(s1: GSection, s2: GSection) -> GSection:
 
 
 def big_D(X: VectorField, s: GSection, r: OneOneTensor) -> GSection:
-    """Componentwise derivation (D^r_X on the vector part, D^{r,*}_X on the rest)."""
-    same_chart(X, s, r)
-    return GSection(D_r(X, s.vec, r), D_r_star(X, s.cov, r))
+    """Componentwise derivation (D^r_X on the vector part, D^{r,*}_X on the
+    rest), as sum_k X^k bigD_{d_k}(s) over the rows of `_coordinate_D`."""
+    chart = same_chart(X, s, r)
+    n = chart.dim
+    cols = zip(*(d.components() for d in _coordinate_D(s, r)))
+    flat = [dot(chart, zip(X.comps, col)) for col in cols]
+    return GSection(VectorField(chart, flat[:n]), PForm(chart, 1, {(j,): c for j, c in enumerate(flat[n:])}))
 
 
 def _coordinate_D(s: GSection, r: OneOneTensor) -> tuple:
@@ -141,26 +147,11 @@ def _coordinate_D(s: GSection, r: OneOneTensor) -> tuple:
 
 def _coordinate_rows(s: GSection, r: OneOneTensor) -> tuple:
     chart = same_chart(s, r)
-    ix, g, dr = range(chart.dim), r.grid, _partials(r)
-    Y, a = s.vec.comps, [s.cov.get((i,)) for i in ix]
-    dY, da = [[c.diff(l) for l in ix] for c in Y], [[c.diff(l) for l in ix] for c in a]  # dY[i][l] = dl Y^i
-    ng, na = [[-c for c in row] for row in g], [-c for c in a]
-    row = []
-    for k in ix:
-        vec = [
-            dot(chart, [p for j in ix for p in ((Y[j], dr[j][i][k]), (ng[j][k], dY[i][j]), (g[i][j], dY[j][k]))])
-            for i in ix
-        ]
-        cov = [
-            dot(chart, [
-                p
-                for i in ix
-                for p in ((a[i], dr[k][i][j]), (na[i], dr[j][i][k]), (g[i][j], da[i][k]), (ng[i][k], da[j][i]))
-            ])
-            for j in ix
-        ]
-        row.append(GSection(VectorField(chart, vec), PForm(chart, 1, {(j,): c for j, c in enumerate(cov)})))
-    return tuple(row)
+    lie, cov = lie_deriv_tensor(s.vec, r).grid, _D_r_star_rows(s.cov, r)
+    return tuple(
+        GSection(VectorField(chart, [row[k] for row in lie]), PForm(chart, 1, {(j,): c for j, c in enumerate(cov[k])}))
+        for k in range(chart.dim)
+    )
 
 
 def concomitant_CL(s1: GSection, s2: GSection, r: OneOneTensor) -> PForm:

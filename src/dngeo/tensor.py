@@ -11,14 +11,26 @@ Conventions (fixed once, used everywhere):
     * lie_deriv_tensor follows (L_X r)^i_j = X^k dk r^i_j - r^k_j dk X^i
       + r^i_k dj X^k.
 
-The two connection-like operators are
+The two connection-like operators are defined by
 
     D_r(X, Y)      = (L_Y r)(X) = [Y, rX] - r([Y, X]),
-    D_r_star(X, a) = L_X(r* a) - L_{rX} a = i_X d(r* a) - i_{rX} da,
+    D_r_star(X, a) = L_X(r* a) - L_{rX} a = i_X d(r* a) - i_{rX} da.
 
-and both satisfy the degree-1 Leibniz rule; the test suite asserts the
-defining identities, their duality pairing and the torsion expressions they
-induce.  The Nijenhuis torsion is read in closed form on coordinate fields,
+Both are C-infinity-linear in X, so each is read from one closed form:
+D_r(X, Y) applies the closed form of L_Y r above to X, and D_r_star(X, a)
+is sum_k X^k D^{r,*}_{d_k} a with
+
+    (D^{r,*}_{d_k} a)_j = sum_i (a_i (dk r^i_j - dj r^i_k) + r^i_j dk a_i - r^i_k di a_j).
+
+The Lie derivative of a p-form (p >= 1) is read from
+
+    (L_X w)_I = sum_k (X^k dk w_I + sum_s (d_{i_s} X^k) w_{I with k in slot s}),
+
+and never from Cartan's formula L_X = i_X d + d i_X.  The bracket and Cartan
+definitions live only in identities.py and the test suite, which compare
+them with these closed forms, the degree-1 Leibniz rules, the duality
+pairing and the torsion expressions the operators induce.  The Nijenhuis
+torsion is read in closed form on coordinate fields,
 
     N^i_jk = sum_l (r^l_j dl r^i_k - r^l_k dl r^i_j + r^i_l (dk r^l_j - dj r^l_k)),
 
@@ -571,21 +583,37 @@ def wedge(a: PForm, b: PForm) -> PForm:
 
 
 def lie_deriv_form(X: VectorField, w: PForm) -> PForm:
-    """Cartan's magic formula L_X = i_X d + d i_X."""
+    """L_X w in the closed form of the module docstring, one `dot` per
+    component; no partial is taken for a k with X^k = 0."""
+    chart = same_chart(X, w)
     if w.degree == 0:
         return PForm.from_scalar(X.deriv(w.as_scalar()))
-    return interior(X, ext_d(w)) + ext_d(interior(X, w))
+    x = X.comps
+    live = [k for k in range(chart.dim) if x[k]]
+    out = {}
+    for idx in combinations(range(chart.dim), w.degree):
+        val = w.comps.get(idx)
+        pairs = [(x[k], val.diff(k)) for k in live] if val is not None else []
+        for s, l in enumerate(idx):
+            for k in live:
+                other = w.get(idx[:s] + (k,) + idx[s + 1 :])
+                if other:
+                    pairs.append((x[k].diff(l), other))
+        out[idx] = dot(chart, pairs)
+    return PForm(chart, w.degree, out)
 
 
 def lie_deriv_tensor(X: VectorField, r: OneOneTensor) -> OneOneTensor:
     chart = same_chart(X, r)
     ix, g, x = range(chart.dim), r.grid, X.comps
+    live = [k for k in ix if x[k]]
     ng = [[-c for c in row] for row in g]
 
     def entry(i, j):
-        return dot(chart, [
-            p for k in ix for p in ((x[k], g[i][j].diff(k)), (ng[k][j], x[i].diff(k)), (g[i][k], x[k].diff(j)))
-        ])
+        pairs = [p for k in live for p in ((x[k], g[i][j].diff(k)), (g[i][k], x[k].diff(j)))]
+        if x[i]:
+            pairs += [(ng[k][j], x[i].diff(k)) for k in ix]
+        return dot(chart, pairs)
 
     return OneOneTensor(chart, [[entry(i, j) for j in ix] for i in ix])
 
@@ -599,17 +627,39 @@ def scalar_d(f: ScalarExpr) -> PForm:
 
 
 def D_r(X: VectorField, Y: VectorField, r: OneOneTensor) -> VectorField:
-    """D^r_X(Y) = (L_Y r)(X) = [Y, rX] - r([Y, X])."""
+    """D^r_X(Y) = (L_Y r)(X)."""
     same_chart(X, Y, r)
-    return lie_bracket(Y, r.apply(X)) - r.apply(lie_bracket(Y, X))
+    return lie_deriv_tensor(Y, r).apply(X)
 
 
 def D_r_star(X: VectorField, a: PForm, r: OneOneTensor) -> PForm:
-    """D^{r,*}_X(a) = L_X(r* a) - L_{rX} a for a 1-form a."""
-    same_chart(X, a, r)
+    """D^{r,*}_X(a) = sum_k X^k D^{r,*}_{d_k}(a) for a 1-form a."""
+    chart = same_chart(X, a, r)
     if a.degree != 1:
         raise ValueError("D_r_star acts on 1-forms")
-    return lie_deriv_form(X, r.dual(a)) - lie_deriv_form(r.apply(X), a)
+    cols = zip(*_D_r_star_rows(a, r))
+    return PForm(chart, 1, {(j,): dot(chart, zip(X.comps, col)) for j, col in enumerate(cols)})
+
+
+def _D_r_star_rows(a: PForm, r: OneOneTensor) -> list:
+    """rows[k][j] = (D^{r,*}_{d_k} a)_j by the closed form of the module
+    docstring, with each derivative of r and a taken once."""
+    chart = r.chart
+    ix, g, dr = range(chart.dim), r.grid, _partials(r)
+    av = [a.get((i,)) for i in ix]
+    da = [[c.diff(l) for l in ix] for c in av]  # da[i][l] = dl a_i
+    ng, na = [[-c for c in row] for row in g], [-c for c in av]
+    return [
+        [
+            dot(chart, [
+                p
+                for i in ix
+                for p in ((av[i], dr[k][i][j]), (na[i], dr[j][i][k]), (g[i][j], da[i][k]), (ng[i][k], da[j][i]))
+            ])
+            for j in ix
+        ]
+        for k in ix
+    ]
 
 
 def form_r(w: PForm, r: OneOneTensor) -> CovFormValued:
@@ -624,17 +674,6 @@ def form_r(w: PForm, r: OneOneTensor) -> CovFormValued:
         for rest in combinations(range(n), w.degree - 1)
     }
     return CovFormValued(chart, w.degree, out)
-
-
-def D_r_star_pform(X: VectorField, w: PForm, r: OneOneTensor) -> CovFormValued:
-    """Extension of D^{r,*} to p-forms with skew omega_r:
-    i_X d(omega_r) - i_{rX} d(omega)."""
-    same_chart(X, w, r)
-    wr = form_r(w, r)
-    if not wr.is_skew():
-        raise ValueError("omega_r is not skew: omega is outside the admissible forms")
-    value = interior(X, ext_d(wr.to_form())) - interior(r.apply(X), ext_d(w))
-    return form_as_covform(value)
 
 
 def _partials(r: OneOneTensor) -> list:
@@ -667,19 +706,6 @@ def _torsion(r: OneOneTensor) -> VectorValuedTwoForm:
             )
             out[(i, j, k)] = dot(chart, [p for four in terms for p in four])
     return VectorValuedTwoForm(chart, out)
-
-
-def torsion_via_D(r: OneOneTensor, X: VectorField, Y: VectorField) -> VectorField:
-    """r(D^r_X Y) - D^r_X(r Y); equals the torsion on (X, Y)."""
-    return r.apply(D_r(X, Y, r)) - D_r(X, r.apply(Y), r)
-
-
-def torsion_via_Dstar(
-    r: OneOneTensor, X: VectorField, Y: VectorField, a: PForm
-) -> ScalarExpr:
-    """<r*(D^{r,*}_X a) - D^{r,*}_X(r* a), Y>; equals <a, torsion(X, Y)>."""
-    diff = r.dual(D_r_star(X, a, r)) - D_r_star(X, r.dual(a), r)
-    return interior(Y, diff).as_scalar()
 
 
 def deformed_bracket(X: VectorField, Y: VectorField, r: OneOneTensor) -> VectorField:

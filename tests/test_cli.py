@@ -783,3 +783,13 @@ class TestTimings:
         assert total_ms <= wall_ms
         if argv[0] == "selftest":
             assert total_ms > wall_ms / 2
+
+
+def test_the_package_runs_as_a_module():
+    import subprocess
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "dngeo", "--version"], env={"PYTHONPATH": str(src)}, capture_output=True, text=True
+    )
+    assert out.returncode == 0 and out.stdout.startswith("dngeo ")

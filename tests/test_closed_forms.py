@@ -1,7 +1,10 @@
-"""The closed forms of the combined derivation along coordinate fields, of
-the Nijenhuis torsion, of the derived and the double bracket and of the
-tangent lift, against their defining expressions: `big_D` on
-`VectorField.coordinate(chart, k)`, the torsion through Lie brackets,
+"""The closed forms of the derivations D^r, D^{r,*} and the combined
+derivation along any field, of the Lie derivative of p-forms, of the
+Nijenhuis torsion, of the derived and the double bracket and of the tangent
+lift, against their defining expressions: D^r through Lie brackets,
+[Y, rX] - r([Y, X]), D^{r,*} as L_X(r*a) - L_{rX} a and L through Cartan's
+formula i_X d + d i_X, the combined derivation as (D^r, D^{r,*}) by those
+definitions, the torsion through Lie brackets,
 [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]), `bracket_Dr` through
 [[(rX, r*a), (Y, b)]] + bigD_Y(X, a) and the contracted bracket,
 `double_bracket` through ([X, Y]_r, L^r_X b - i_Y d^r a), and the mixed
@@ -28,7 +31,19 @@ from dngeo.courant import (
 )
 from dngeo.identities import double_bracket_by_definition
 from dngeo.symbolic import Chart, GaussianRational
-from dngeo.tensor import D_r, OneOneTensor, PForm, VectorField, lie_bracket, nijenhuis_torsion, tangent_lift
+from dngeo.tensor import (
+    D_r,
+    D_r_star,
+    OneOneTensor,
+    PForm,
+    VectorField,
+    ext_d,
+    interior,
+    lie_bracket,
+    lie_deriv_form,
+    nijenhuis_torsion,
+    tangent_lift,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
 
@@ -76,6 +91,31 @@ def sections(draw, chart):
     return GSection(vec, PForm(chart, 1, {(k,): draw(entry) for k in range(n)}))
 
 
+@st.composite
+def forms(draw, chart, degree):
+    return PForm(chart, degree, {idx: draw(scalars(chart)) for idx in combinations(range(chart.dim), degree)})
+
+
+def D_r_by_brackets(X, Y, r):
+    """D^r_X Y = [Y, rX] - r([Y, X])."""
+    return lie_bracket(Y, r.apply(X)) - r.apply(lie_bracket(Y, X))
+
+
+def lie_deriv_by_cartan(X, w):
+    """L_X w = i_X dw + d(i_X w) for a form of degree >= 1."""
+    return interior(X, ext_d(w)) + ext_d(interior(X, w))
+
+
+def D_r_star_by_definition(X, a, r):
+    """D^{r,*}_X a = L_X(r* a) - L_{rX} a, with L by Cartan's formula."""
+    return lie_deriv_by_cartan(X, r.dual(a)) - lie_deriv_by_cartan(r.apply(X), a)
+
+
+def big_D_by_definition(X, s, r):
+    """bigD_X(Y, a) = (D^r_X Y, D^{r,*}_X a), both by their definitions."""
+    return GSection(D_r_by_brackets(X, s.vec, r), D_r_star_by_definition(X, s.cov, r))
+
+
 def torsion_by_brackets(r):
     """N^i_jk from Lie brackets of the columns r dj and the coordinate fields."""
     chart = r.chart
@@ -102,7 +142,29 @@ def test_coordinate_table_equals_big_D_on_coordinate_fields(chart, data):
     row = _coordinate_D(s, r)
     assert len(row) == chart.dim
     for k, d in enumerate(row):
-        assert d == big_D(VectorField.coordinate(chart, k), s, r), k
+        coord = VectorField.coordinate(chart, k)
+        assert d == big_D(coord, s, r) == big_D_by_definition(coord, s, r), k
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
+@SETTINGS
+@given(data=st.data())
+def test_derivations_along_any_field_equal_their_definitions(chart, data):
+    r, s = data.draw(cases(chart))
+    X = data.draw(sections(chart)).vec
+    assert D_r(X, s.vec, r) == D_r_by_brackets(X, s.vec, r)
+    assert D_r_star(X, s.cov, r) == D_r_star_by_definition(X, s.cov, r)
+    assert big_D(X, s, r) == big_D_by_definition(X, s, r)
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
+@SETTINGS
+@given(data=st.data())
+def test_lie_derivative_equals_cartans_formula_in_every_degree(chart, data):
+    X = data.draw(sections(chart)).vec
+    for degree in range(1, chart.dim + 1):
+        w = data.draw(forms(chart, degree))
+        assert lie_deriv_form(X, w) == lie_deriv_by_cartan(X, w), degree
 
 
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda c: c.name)
@@ -122,7 +184,7 @@ def test_derived_bracket_equals_its_defining_and_contracted_expressions(chart, d
     r, _ = data.draw(cases(chart))
     s1, s2 = (data.draw(sections(chart)) for _ in range(2))
     derived = bracket_Dr(s1, s2, r)
-    assert derived == courant_bracket(apply_rr(s1, r), s2) + big_D(s2.vec, s1, r)
+    assert derived == courant_bracket(apply_rr(s1, r), s2) + big_D_by_definition(s2.vec, s1, r)
     assert derived == contracted_bracket(s1, s2, r)
     assert double_bracket(s1, s2, r) == double_bracket_by_definition(s1, s2, r)
 
@@ -138,7 +200,7 @@ def test_tangent_lift_mixed_block_is_D_r_on_coordinate_fields(chart, data):
     for j in range(n):
         entries = [big.zero()] * n
         for k in range(n):
-            w = D_r(coord[j], coord[k], r)  # (L_{d_k} r)(d_j)
+            w = D_r_by_brackets(coord[j], coord[k], r)  # (L_{d_k} r)(d_j)
             entries = [e + big.var("v_" + chart.variables[k]) * c.extend(big) for e, c in zip(entries, w.comps)]
         assert [lift.grid[n + i][j] for i in range(n)] == entries, j
 
@@ -173,4 +235,4 @@ def test_examples():
     row = _coordinate_D(s, OneOneTensor.scalar(ch, x))
     assert row[0] == GSection.from_form(PForm.coordinate(ch, 1))
     assert row[1] == GSection(VectorField.zero(ch), PForm(ch, 1, {(0,): -ch.one()}))
-    assert row[1] == big_D(VectorField.coordinate(ch, 1), s, OneOneTensor.scalar(ch, x))
+    assert row[1] == big_D_by_definition(VectorField.coordinate(ch, 1), s, OneOneTensor.scalar(ch, x))

@@ -123,6 +123,53 @@ class TestBigD:
             (d.scale(f * c) for c, d in zip(X.comps, _coordinate_D(s, r))), GSection.zero(chart)
         )
 
+    def test_derivations_form_no_bracket_differential_or_contraction(self, monkeypatch):
+        # each derivation is read from one closed form, so neither a Lie
+        # bracket nor Cartan's formula is formed, through any binding
+        import sys
+
+        import dngeo.tensor as tensor
+
+        calls = []
+        for name in ("lie_bracket", "ext_d", "interior"):
+            original = getattr(tensor, name)
+
+            def counted(*args, _name=name, _fn=original):
+                calls.append(_name)
+                return _fn(*args)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("dngeo")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        rng = random.Random(7)
+        ch = chart3()
+        X, s, r = random_vf(ch, rng), random_gsection(ch, rng), random_oneone(ch, rng)
+        w = PForm(ch, 2, {(0, 1): random_scalar(ch, rng), (1, 2): random_scalar(ch, rng)})
+        big_D(X, s, r), tensor.D_r(X, s.vec, r), tensor.D_r_star(X, s.cov, r)
+        tensor.lie_deriv_form(X, s.cov), tensor.lie_deriv_form(X, w)
+        assert calls == []
+        tensor.lie_bracket(X, s.vec)
+        assert calls == ["lie_bracket"]
+
+    def test_one_section_along_several_fields_forms_its_rows_once(self, monkeypatch):
+        import dngeo.courant as courant
+        from dngeo.tensor import lie_bracket
+
+        formed = []
+        rows = courant._coordinate_rows
+
+        def counted(s, r):
+            formed.append(s)
+            return rows(s, r)
+
+        monkeypatch.setattr(courant, "_coordinate_rows", counted)
+        rng = random.Random(8)
+        ch = chart2()
+        X, Y, s, r = random_vf(ch, rng), random_vf(ch, rng), random_gsection(ch, rng), random_oneone(ch, rng)
+        for Z in (X, Y, lie_bracket(X, Y)):
+            big_D(Z, s, r)
+        assert formed == [s]
+
 
 class TestDerivedBrackets:
     def test_identity_reduces_to_courant(self, ch):

@@ -1,7 +1,7 @@
 """The combined derivation along coordinate fields is read from its closed
 form, `courant._coordinate_D`: no module under src/dngeo evaluates
-`big_D(VectorField.coordinate(...), ...)` apart from identities.py, where
-the selftest compares the closed forms with their defining expressions."""
+`big_D(VectorField.coordinate(...), ...)`, which sums every row of that
+form to read one, apart from identities.py."""
 
 import ast
 from pathlib import Path

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_closed_forms import scalars
+from test_tensor import D_r_star_pform
 
 from dngeo.algebroid import (
     AlgebroidData,
@@ -64,7 +65,6 @@ from dngeo.tensor import (
     OneOneTensor,
     PForm,
     VectorField,
-    D_r_star_pform,
     combination,
     ext_d,
     form_as_covform,

@@ -15,7 +15,7 @@ from dngeo.fixtures import (
     random_scalar,
     random_vf,
 )
-from dngeo.identities import run_identity
+from dngeo.identities import run_identity, torsion_via_D, torsion_via_Dstar
 from dngeo.symbolic import parse_scalar
 from dngeo.tensor import (
     Bivector,
@@ -24,11 +24,13 @@ from dngeo.tensor import (
     VectorField,
     D_r,
     D_r_star,
-    D_r_star_pform,
     cotangent_chart,
+    CovFormValued,
     cotangent_lift,
     deformed_bracket,
     ext_d,
+    form_as_covform,
+    form_r,
     interior,
     is_poisson,
     lie_bracket,
@@ -39,8 +41,6 @@ from dngeo.tensor import (
     schouten_is_zero,
     tangent_chart,
     tangent_lift,
-    torsion_via_D,
-    torsion_via_Dstar,
     wedge,
 )
 
@@ -48,6 +48,16 @@ from dngeo.tensor import (
 @pytest.fixture
 def ch():
     return chart2()
+
+
+def D_r_star_pform(X: VectorField, w: PForm, r: OneOneTensor) -> CovFormValued:
+    """Extension of D^{r,*} to p-forms with skew omega_r:
+    i_X d(omega_r) - i_{rX} d(omega)."""
+    wr = form_r(w, r)
+    if not wr.is_skew():
+        raise ValueError("omega_r is not skew: omega is outside the admissible forms")
+    value = interior(X, ext_d(wr.to_form())) - interior(r.apply(X), ext_d(w))
+    return form_as_covform(value)
 
 
 class TestCartan:
