@@ -71,6 +71,7 @@ from .tensor import (
     VectorField,
     D_r,
     D_r_star,
+    _D_r_star_rows,
     deformed_bracket,
     ext_d,
     form_r,
@@ -361,10 +362,10 @@ def lift_relations_hold(r: OneOneTensor, u: VectorField, a: PForm) -> bool:
     ok = tg.apply(vertical_lift_vf(u, tgch)) == vertical_lift_vf(r.apply(u), tgch)
     lhs = lie_deriv_tensor(vertical_lift_vf(u, tgch), tg)
     grid = [[tgch.zero() for _ in range(2 * n)] for _ in range(2 * n)]
+    lie = lie_deriv_tensor(u, r).grid  # column j is D^r_{d_j} u
     for j in range(n):
-        w = D_r(VectorField.coordinate(ch, j), u, r)
         for i in range(n):
-            grid[n + i][j] = w.comps[i].extend(tgch)
+            grid[n + i][j] = lie[i][j].extend(tgch)
     ok = ok and lhs == OneOneTensor(tgch, grid)
     cg, cgch = cotangent_lift(r)
     ok = ok and cg.apply(vertical_lift_form(a, cgch)) == vertical_lift_form(
@@ -372,10 +373,10 @@ def lift_relations_hold(r: OneOneTensor, u: VectorField, a: PForm) -> bool:
     )
     lhs2 = lie_deriv_tensor(vertical_lift_form(a, cgch), cg)
     grid2 = [[cgch.zero() for _ in range(2 * n)] for _ in range(2 * n)]
+    rows = _D_r_star_rows(a, r)  # row j is D^{r,*}_{d_j} a
     for j in range(n):
-        w = D_r_star(VectorField.coordinate(ch, j), a, r)
         for i in range(n):
-            grid2[n + i][j] = w.get((i,)).extend(cgch)
+            grid2[n + i][j] = rows[j][i].extend(cgch)
     return ok and lhs2 == OneOneTensor(cgch, grid2)
 
 
@@ -493,8 +494,9 @@ def _(rng, k):
     X = random_vf(ch, rng, 2)
     lhs = X.deriv(r.trace())
     rhs = ch.zero()
+    lie = lie_deriv_tensor(X, r).grid  # column j is D^r_{d_j} X
     for j in range(ch.dim):
-        rhs = rhs + D_r(VectorField.coordinate(ch, j), X, r).comps[j]
+        rhs = rhs + lie[j][j]
     return (lhs - rhs).is_zero()
 
 
@@ -744,20 +746,22 @@ def _(rng, k):
     a, b = random_oneform(ch, rng), random_oneform(ch, rng)
     X, Y = random_vf(ch, rng), random_vf(ch, rng)
     r = random_oneone(ch, rng)
-    coords = [VectorField.coordinate(ch, i) for i in range(ch.dim)]
+    ix = range(ch.dim)
+    rows = _D_r_star_rows(a, r)  # row i is D^{r,*}_{d_i} a
     lhs = interior(Y, d_r_oneform(a, r))
     rhs = interior(r.apply(Y), ext_d(a)) + PForm(
         ch,
         1,
-        {(i,): interior(Y, D_r_star(coords[i], a, r)).as_scalar() for i in range(ch.dim)},
+        {(i,): interior(Y, PForm(ch, 1, {(j,): rows[i][j] for j in ix})).as_scalar() for i in ix},
     )
     if not (lhs - rhs).is_zero():
         return False
     lhs2 = lie_r_oneform(X, b, r)
+    lie = lie_deriv_tensor(X, r).grid  # column i is D^r_{d_i} X
     rhs2 = lie_deriv_form(r.apply(X), b) - PForm(
         ch,
         1,
-        {(i,): interior(D_r(coords[i], X, r), b).as_scalar() for i in range(ch.dim)},
+        {(i,): interior(VectorField(ch, [row[i] for row in lie]), b).as_scalar() for i in ix},
     )
     return (lhs2 - rhs2).is_zero()
 

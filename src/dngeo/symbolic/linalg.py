@@ -3,20 +3,20 @@
 pivot_columns, solve_linear and kernel_basis share one integer elimination.
 Every row is cleared of polynomial denominators, then scaled by the lcm of
 the integer denominators of its entries (see poly.py), which changes no
-pivot and no solution, and the integer numerators of its entries are packed
-once per matrix, as they are stored, into polynomials with int coefficients
-over Q or Gaussian-integer ones over Q(i).  Bareiss elimination on them
-makes every row update a product, a difference and an exact division.  The
-pivot of each column is the first of the remaining rows whose entry is a
-nonzero constant, else the first whose entry is nonzero.  A frame with an
-identity block, as every graph and hierarchy frame has, thus takes constant
-pivots, and its minors do not grow in degree.  No answer depends on the
-choice: Bareiss on a row chosen per column is Bareiss on a row-permuted
-matrix, so every division stays exact; the pivot columns are the columns
-that are not combinations of earlier ones, whatever the row order; a solve
-with its free entries 0 has one solution, a canonical scalar vector; and a
-kernel vector with x_free = 1 is unique, and made the one primitive
-polynomial multiple with fixed constants whatever minor D ends the
+pivot and no solution; its integer numerators, on their packed exponent keys
+(widened once per matrix when the degree bound needs it), are polynomials
+with int coefficients over Q or Gaussian ones over Q(i).  Bareiss
+elimination on them makes every row update a product, a difference and an
+exact division.  The pivot of each column is the first of the remaining rows
+whose entry is a nonzero constant, else the first whose entry is nonzero.  A
+frame with an identity block, as every graph and hierarchy frame has, thus
+takes constant pivots, and its minors do not grow in degree.  No answer
+depends on the choice: Bareiss on a row chosen per column is Bareiss on a
+row-permuted matrix, so every division stays exact; the pivot columns are
+the columns that are not combinations of earlier ones, whatever the row
+order; a solve with its free entries 0 has one solution, a canonical scalar
+vector; and a kernel vector with x_free = 1 is unique, and made the one
+primitive polynomial multiple with fixed constants whatever minor D ends the
 elimination.  So eliminations, kernels and solutions are reproducible byte
 for byte.
 
@@ -43,12 +43,14 @@ from math import lcm
 from ..errors import PointEvaluationError
 from . import modp
 from .poly import (
+    _FLOOR,
     Polynomial,
     _divide,
     _dot,
-    _packed,
+    _kernel_form,
+    _make,
     _packing,
-    _unpacked,
+    _shape,
     divexact,
     poly_gcd,
     poly_lcm,
@@ -106,7 +108,7 @@ def _cleared_rows(m: FracMatrix, rhs=None):
 def _packed_rows(m: FracMatrix, rhs=None):
     """(rows, pairs, guard, unpack): the cleared rows, each scaled by the lcm
     of its coefficient denominators, as packed polynomials (see poly.py)
-    with int coefficients, or [re, im] ones with pairs over Q(i), and the
+    with int coefficients, or (re, im) ones with pairs over Q(i), and the
     map from a packed polynomial back to a Polynomial.
 
     Every entry of the elimination and of y is a minor of these rows, so its
@@ -115,14 +117,14 @@ def _packed_rows(m: FracMatrix, rhs=None):
     """
     cleared = _cleared_rows(m, rhs)
     pairs = not all(p.is_real() for row in cleared for p in row)
-    degree = sum(max((sum(e) for p in row for e in p.nums), default=0) for row in cleared)
     n = m.chart.dim
-    w, weights, guard = _packing(n, 2 * degree)
+    degree = sum(max((_shape(p.nums, n)[0] for p in row), default=0) for row in cleared)
+    w, _, guard = _packing(n, max(2 * degree, _FLOOR))
     rows = []
     for row in cleared:
         common = lcm(*[p.denom for p in row])
-        rows.append([_packed(p, weights, pairs, common // p.denom) for p in row])
-    return rows, pairs, guard, lambda p: _unpacked(p, n, w, pairs)
+        rows.append([_kernel_form(p, w, pairs, common // p.denom) for p in row])
+    return rows, pairs, guard, lambda p: _make(n, p, 1, w)
 
 
 def _quotient(rem, divisor, guard, pairs):
@@ -159,7 +161,7 @@ def _eliminate(rows, ncols, pairs, guard):
             row = rows[i]
             head = row[pc]
             for j in range(pc, len(row)):
-                val = _dot([(piv, row[j])], [(head, top[j])], pairs)
+                val = _dot([(piv, row[j], 1), (head, top[j], -1)], pairs)
                 row[j] = _quotient(val, prev, guard, pairs) if prev and val else val
         pivots.append((pr, pc))
         prev = piv
@@ -178,17 +180,14 @@ def _scaled_solution(rows, pivots, ncols, free, pairs, guard):
     By Cramer's rule every y_c is a minor, so y fills bottom-up with
     products and exact divisions only: y_pc = (D rhs - sum_c row[c] y_c) / row[pc].
     """
-    D = rows[pivots[-1][0]][pivots[-1][1]] if pivots else {0: [1, 0] if pairs else 1}
+    D = rows[pivots[-1][0]][pivots[-1][1]] if pivots else {0: (1, 0) if pairs else 1}
     y = [{}] * ncols
     if free is not None:
         y[free] = D
     for pr, pc in reversed(pivots):
         row = rows[pr]
-        acc = _dot(
-            [(D, row[-1])] if free is None else [],
-            [(row[c], y[c]) for c in range(pc + 1, ncols) if y[c] and row[c]],
-            pairs,
-        )
+        products = [(D, row[-1], 1)] if free is None else []
+        acc = _dot(products + [(row[c], y[c], -1) for c in range(pc + 1, ncols) if y[c] and row[c]], pairs)
         y[pc] = _quotient(acc, row[pc], guard, pairs) if acc else {}
     return y, D
 

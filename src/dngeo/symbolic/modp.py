@@ -46,7 +46,7 @@ def poly_image(p):
     if not p.denom % P:
         return None
     inv = pow(p.denom, -1, P)
-    return [(e, (c[0] + I * c[1] if type(c) is tuple else c) * inv % P) for e, c in p.nums.items()]
+    return [(e, (c[0] + I * c[1] if type(c) is tuple else c) * inv % P) for e, c in p._unpack(p.nums.items())]
 
 
 PROBES = 3  # fixed probe points tried per variable

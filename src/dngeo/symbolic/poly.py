@@ -1,29 +1,30 @@
 """Multivariate polynomials over Q or Q(i).
 
 A Polynomial stores integer numerators over one positive integer
-denominator: `nums` maps exponent tuples to nonzero numerators, ints over Q
-and (re, im) pairs of ints over Q(i), and `denom` is common to all of them.
-The form is canonical: the gcd of `denom` and every numerator part is 1,
-pairs are used only while some imaginary part is nonzero, and zero is {}
-over 1.  Equal polynomials therefore have equal fields, and sums, products
-and quotients run on ints.  Fractions appear only at the edges: the
-constructor takes int, Fraction or GaussianRational coefficients (see
-gaussian.py), and `terms` is a read-only view, in the key order of `nums`,
-that builds a Fraction per coefficient, or a GaussianRational where the
-imaginary part is nonzero, for printing and for code outside the package.
-The term order used for leading terms, printing and canonical forms is
-graded lexicographic over the chart's variable order.
+denominator: `nums` maps packed exponent keys to nonzero numerators, ints
+over Q and (re, im) pairs of ints over Q(i), and `denom` is common to all of
+them.  A key holds the total degree, then each exponent in variable order,
+in fields of w bits whose top bit stays clear (`_packing`; Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007), so keys compare in graded-lex order, the
+term order of leading terms and printing, key 0 is the constant term, and
+a product of terms has the sum of their keys.  w is a function of the total
+degree, the floor _W0 up to degree 127, and can be read back from the top
+key (`_shape`).  The form is canonical: keys of that width, the gcd of
+`denom` and every numerator part 1, pairs used only while some imaginary
+part is nonzero, and zero {} over 1, so equal polynomials have equal
+fields.  The constructor takes exponent tuples with int, Fraction or
+GaussianRational coefficients (see gaussian.py), and `terms` is a read-only
+view in the key order of `nums`, by exponent tuple.
 
-`divexact` packs each exponent tuple into one int whose order is graded-lex
-(`_packing`) and divides in `_divide`, which linalg's elimination shares
-with it together with the product kernel `_dot`; the elimination packs once
-per matrix.  Products keep exponent tuples: most products here have a one-
-or two-term operand, where packing costs more than it saves.  A product
-with a one-term operand cannot cancel, so it maps the other operand's terms
-in one pass, in their key order, without summing.  `poly_dot` sums every
-term product of a list of pairs into one dict over the lcm of the products'
-denominators and canonicalises once; ScalarExpr's `dot` runs the
-contractions of the geometry on it.
+A sum, a product or `poly_dot` checks with its top keys that the result's
+degree fits the floor, or else repacks its operands once, at the width of
+the highest degree.  A product with a one-term operand cannot cancel, so
+it maps the other operand's terms in one pass, in their key order.
+`poly_dot` sums every term product of a list of pairs in the kernel `_dot`,
+over the lcm of the products' denominators; ScalarExpr's `dot` runs the
+contractions of the geometry on it.  `divexact` divides in `_divide`;
+linalg's elimination shares both kernels.
 
 The gcd starts from degree bounds read from images mod P (see modp.py): for
 each variable, an upper bound on the degree of the gcd in it.  Bounds that
@@ -39,18 +40,17 @@ exact.  No external library is needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from . import modp
 from .gaussian import GaussianRational, gaussian
 
 _UNIT = (1, (1, 0))  # the numerator 1, as an int and as a pair
-
-
-def _grlex_key(expo):
-    return (sum(expo), expo)
+_W0 = 8  # the floor of the key width
+_FLOOR = (1 << _W0 - 1) - 1  # the highest total degree at the floor width
 
 
 class Polynomial:
@@ -65,13 +65,22 @@ class Polynomial:
             e: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
             for e, (re, im) in parts.items()
         }
-        return _make(nvars, nums, den)
+        return _make(nvars, _pack(nvars, nums), den)
 
     @property
     def terms(self) -> dict:
         """The coefficients by exponent tuple, built on each read."""
         den = self.denom
-        return {e: _value(c, den) for e, c in self.nums.items()}
+        return {e: _value(c, den) for e, c in self._unpack(self.nums.items())}
+
+    def _unpack(self, items) -> list:
+        """[(exponent tuple, c)] for the (key, c) of items, keys of this polynomial."""
+        n, w = self.nvars, _shape(self.nums, self.nvars)[1]
+        if w == 8:  # a byte a field
+            low = (1 << 8 * n) - 1
+            return [(tuple((k & low).to_bytes(n, "big")), c) for k, c in items]
+        mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
+        return [(tuple([k >> s & mask for s in shifts]), c) for k, c in items]
 
     # -- constructors -----------------------------------------------------
 
@@ -82,14 +91,12 @@ class Polynomial:
     @staticmethod
     def const(nvars: int, c) -> "Polynomial":
         if type(c) is int or type(c) is Fraction:  # already in lowest terms
-            return _new(nvars, {(0,) * nvars: c.numerator} if c else {}, c.denominator)
+            return _new(nvars, {0: c.numerator} if c else {}, c.denominator)
         return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, k: int) -> "Polynomial":
-        expo = [0] * nvars
-        expo[k] = 1
-        return _new(nvars, {tuple(expo): 1}, 1)
+        return _new(nvars, {(1 << _W0 * nvars) + (1 << _W0 * (nvars - 1 - k)): 1}, 1)
 
     # -- predicates -------------------------------------------------------
 
@@ -97,10 +104,10 @@ class Polynomial:
         return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.nums)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.denom == 1 and len(self.nums) == 1 and self.nums.get((0,) * self.nvars) == 1
+        return self.denom == 1 and len(self.nums) == 1 and self.nums.get(0) == 1
 
     def is_real(self) -> bool:
         """Whether every coefficient lies in Q."""
@@ -109,18 +116,19 @@ class Polynomial:
     # -- structure --------------------------------------------------------
 
     def degree_in(self, k: int) -> int:
-        if not self.nums:
-            return -1
-        return max(e[k] for e in self.nums)
+        n, w = self.nvars, _shape(self.nums, self.nvars)[1]
+        s, mask = w * (n - 1 - k), (1 << w) - 1
+        return max((e >> s & mask for e in self.nums), default=-1)
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        e, c = _lead(self)
+        (e, c), = self._unpack([_lead(self)])
         return e, _value(c, self.denom)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical print order)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        den = self.denom
+        return [(e, _value(c, den)) for e, c in self._unpack(sorted(self.nums.items(), reverse=True))]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -130,14 +138,18 @@ class Polynomial:
             return other
         if not b:
             return self
+        n, w = self.nvars, _W0
+        if (max(a) | max(b)) >> _W0 * n + _W0 - 1:  # an operand past the floor
+            w = _fit(max(_shape(a, n)[0], _shape(b, n)[0]))
+            a, b = _repacked(a, n, w), _repacked(b, n, w)
         pairs = _is_pairs(a)
         if self.denom == 1 == other.denom and not pairs and not _is_pairs(b):
-            return _new(self.nvars, _summed(dict(a), b.items()), 1)
+            return _make(n, _summed(dict(a), b.items()), 1, w)
         if pairs != _is_pairs(b):
             a, b = _as_pairs(a), _as_pairs(b)
         den = lcm(self.denom, other.denom)
         out = _summed(_times(a, den // self.denom), _times(b, den // other.denom).items())
-        return _make(self.nvars, out, den)
+        return _make(n, out, den, w)
 
     def __neg__(self) -> "Polynomial":
         return _new(self.nvars, _times(self.nums, -1), self.denom)
@@ -147,28 +159,31 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.nums, other.nums
+        n, w = self.nvars, _W0
         if not a or not b:
-            return Polynomial.zero(self.nvars)
+            return Polynomial.zero(n)
+        if max(a) + max(b) >> _W0 * n + _W0 - 1:  # the product's degree is past the floor
+            w = _fit(_shape(a, n)[0] + _shape(b, n)[0])
+            a, b = _repacked(a, n, w), _repacked(b, n, w)
         pairs = _is_pairs(a) or _is_pairs(b)
         if pairs:
             a, b = _as_pairs(a), _as_pairs(b)
         den = self.denom * other.denom
         if len(a) == 1 or len(b) == 1:
-            # distinct exponents plus one exponent stay distinct and nonzero
-            # numerators have a nonzero product, so nothing cancels; the keys
-            # keep the order of the other operand, as in the term-pair loop
+            # distinct keys plus one key stay distinct and nonzero numerators have a
+            # nonzero product, so nothing cancels; the keys keep the other operand's order
             if len(b) != 1:
                 a, b = b, a
             (eb, cb), = b.items()
             if pairs:
-                return _make(self.nvars, {tuple(map(add, ea, eb)): _pair_mul(ca, cb) for ea, ca in a.items()}, den)
-            return _make(self.nvars, {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}, den)
+                return _make(n, {ea + eb: _pair_mul(ca, cb) for ea, ca in a.items()}, den, w)
+            return _make(n, {ea + eb: ca * cb for ea, ca in a.items()}, den, w)
         b = b.items()
         if pairs:
-            terms = ((tuple(map(add, ea, eb)), _pair_mul(ca, cb)) for ea, ca in a.items() for eb, cb in b)
+            terms = ((ea + eb, _pair_mul(ca, cb)) for ea, ca in a.items() for eb, cb in b)
         else:
-            terms = ((tuple(map(add, ea, eb)), na * nb) for ea, na in a.items() for eb, nb in b)
-        return _make(self.nvars, _summed({}, terms), den)
+            terms = ((ea + eb, na * nb) for ea, na in a.items() for eb, nb in b)
+        return _make(n, _summed({}, terms), den, w)
 
     def scale(self, c) -> "Polynomial":
         return self * Polynomial.const(self.nvars, c)
@@ -189,12 +204,8 @@ class Polynomial:
             base = base * base
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.denom == other.denom
-            and self.nums == other.nums
-        )
+        same = isinstance(other, Polynomial) and self.nvars == other.nvars
+        return same and self.denom == other.denom and self.nums == other.nums
 
     __hash__ = None
 
@@ -204,21 +215,21 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def diff(self, k: int) -> "Polynomial":
-        pairs = _is_pairs(self.nums)
+        n, nums = self.nvars, self.nums
+        pairs, w = _is_pairs(nums), _shape(nums, n)[1]
+        s, mask = w * (n - 1 - k), (1 << w) - 1
+        unit = (1 << w * n) + (1 << s)  # the key of x_k
         out = {}
-        for e, c in self.nums.items():
-            d = e[k]
-            if d == 0:
-                continue
-            ne = list(e)
-            ne[k] = d - 1
-            out[tuple(ne)] = (c[0] * d, c[1] * d) if pairs else c * d
-        return _make(self.nvars, out, self.denom)
+        for e, c in nums.items():
+            d = e >> s & mask
+            if d:
+                out[e - unit] = (c[0] * d, c[1] * d) if pairs else c * d
+        return _make(n, out, self.denom, w)
 
     def eval(self, point):
         """Evaluate at a full point (sequence of field elements)."""
         value = self.substitute(dict(enumerate(point)))
-        return _value(value.nums.get((0,) * self.nvars, 0), value.denom)
+        return _value(value.nums.get(0, 0), value.denom)
 
     def substitute(self, assign: dict) -> "Polynomial":
         """Partially substitute constants for variables (indices -> values).
@@ -227,79 +238,56 @@ class Polynomial:
         power j becomes c^j d^(m - j), so every term lands over one
         denominator, denom times each d^m, and sums into one dict.
         """
-        if not self.nums:
-            return self
+        w, split = _split(self, list(assign))
         den = self.denom
         powers = []
-        for k, value in assign.items():
+        for m, value in zip(map(max, zip(*[ds for ds, _, _ in split])), assign.values()):
             v = Polynomial.const(0, value)
-            c, d, m = _as_pairs(v.nums).get((), (0, 0)), v.denom, self.degree_in(k)
+            c, d = _as_pairs(v.nums).get(0, (0, 0)), v.denom
             col, cj = [], (1, 0)  # c^j d^(m - j) for j = 0..m
             for j in range(m + 1):
                 col.append((cj[0] * d ** (m - j), cj[1] * d ** (m - j)))
                 cj = _pair_mul(cj, c)
-            powers.append((k, col))
+            powers.append(col)
             den *= d ** m
         terms = []
-        for e, c in _as_pairs(self.nums).items():
-            ne = list(e)
-            for k, col in powers:
-                c = _pair_mul(c, col[e[k]])
-                ne[k] = 0
+        for ds, e, c in split:
+            c = (c, 0) if type(c) is int else c
+            for d, col in zip(ds, powers):
+                c = _pair_mul(c, col[d])
             if c != (0, 0):
-                terms.append((tuple(ne), c))
-        return _make(self.nvars, _summed({}, terms), den)
+                terms.append((e, c))
+        return _make(self.nvars, _summed({}, terms), den, w)
 
     def project(self, keep) -> "Polynomial":
         """Reindex onto the variables listed in `keep` (others must not occur)."""
-        out = {}
-        for e, c in self.nums.items():
-            ne = tuple(e[k] for k in keep)
-            if sum(ne) != sum(e):
-                raise ValueError("polynomial involves a projected-out variable")
-            out[ne] = c
-        return _new(len(keep), out, self.denom)
+        return _moved(self, len(keep), [(k, j) for j, k in enumerate(keep)])
 
     def extend(self, new_nvars: int, index_map) -> "Polynomial":
         """Inject into a larger variable space; index_map[k] = new index of old var k."""
-        out = {}
-        for e, c in self.nums.items():
-            ne = [0] * new_nvars
-            for k, d in enumerate(e):
-                ne[index_map[k]] = d
-            out[tuple(ne)] = c
-        return _new(new_nvars, out, self.denom)
+        return _moved(self, new_nvars, enumerate(index_map))
 
 
 def poly_one(nvars: int) -> Polynomial:
-    return _new(nvars, {(0,) * nvars: 1}, 1)
+    return _new(nvars, {0: 1}, 1)
 
 
 def poly_dot(nvars: int, pairs) -> Polynomial:
     """sum p*q over the (p, q) of pairs: every term product is summed into
     one dict of numerators over the lcm of the products' denominators."""
-    pairs = [(p.nums, q.nums, p.denom * q.denom) for p, q in pairs if p.nums and q.nums]
-    den = lcm(*[d for _, _, d in pairs])
-    out: dict = {}
-    get = out.get
-    if not any(_is_pairs(a) or _is_pairs(b) for a, b, _ in pairs):
-        for a, b, d in pairs:
-            k, b = den // d, b.items()
-            for ea, ca in a.items():
-                ca *= k
-                for eb, cb in b:
-                    e = tuple(map(add, ea, eb))
-                    out[e] = get(e, 0) + ca * cb
-        return _make(nvars, {e: c for e, c in out.items() if c}, den)
-    for a, b, d in pairs:
-        k, b = den // d, _as_pairs(b).items()
-        for ea, (ar, ai) in _as_pairs(a).items():
-            ar, ai = ar * k, ai * k
-            for eb, (br, bi) in b:
-                e = tuple(map(add, ea, eb))
-                re, im = get(e, (0, 0))
-                out[e] = re + ar * br - ai * bi, im + ar * bi + ai * br
-    return _make(nvars, {e: c for e, c in out.items() if c[0] or c[1]}, den)
+    live, top, gauss = [], 0, False
+    for p, q in pairs:
+        a, b = p.nums, q.nums
+        if a and b:
+            live.append((a, b, p.denom * q.denom))
+            top |= max(a) + max(b)  # any high bit of a sum stays in the or
+            gauss = gauss or _is_pairs(a) or _is_pairs(b)
+    den, w = lcm(*[d for _, _, d in live]), _W0
+    if top >> _W0 * nvars + _W0 - 1:  # a product's degree is past the floor
+        w = _fit(max(_shape(a, nvars)[0] + _shape(b, nvars)[0] for a, b, _ in live))
+        live = [(_repacked(a, nvars, w), _repacked(b, nvars, w), d) for a, b, d in live]
+    products = ((_as_pairs(a), _as_pairs(b), den // d) if gauss else (a, b, den // d) for a, b, d in live)
+    return _make(nvars, _dot(products, gauss), den, w)
 
 
 # -- the integer form --------------------------------------------------------
@@ -312,10 +300,10 @@ def _new(nvars: int, nums: dict, denom: int) -> Polynomial:
     return p
 
 
-def _make(nvars: int, nums: dict, denom: int) -> Polynomial:
-    """The polynomial nums/denom, for a positive int denom, in canonical
-    form: both divided by the gcd of denom and every numerator part, and
-    (re, im) pairs turned to ints when every im is 0."""
+def _make(nvars: int, nums: dict, denom: int, w: int = _W0) -> Polynomial:
+    """The polynomial nums/denom, for keys of width w and a positive int denom,
+    in canonical form: both divided by the gcd of denom and every numerator
+    part, pairs turned to ints when every im is 0, keys at the width of the degree."""
     pairs = _is_pairs(nums)
     if pairs and not any(im for _, im in nums.values()):
         nums, pairs = {e: re for e, (re, _) in nums.items()}, False
@@ -328,7 +316,65 @@ def _make(nvars: int, nums: dict, denom: int) -> Polynomial:
         nums = {e: (re // g, im // g) for e, (re, im) in nums.items()}
     elif g != 1:
         nums = {e: c // g for e, c in nums.items()}
+    if w != _W0 and nums:  # a cancellation, a derivative or a quotient can narrow the keys
+        nums = _repacked(nums, nvars, _fit(max(nums) >> w * nvars), w)
     return _new(nvars, nums, denom // g if nums else 1)
+
+
+def _fit(degree: int) -> int:
+    """The key width of a total degree."""
+    return max(degree, _FLOOR).bit_length() + 1
+
+
+def _shape(nums: dict, n: int):
+    """(total degree, width) of the keys nums of n variables: past the floor
+    a top key has d.bit_length() + w * n = w * (n + 1) - 1 bits."""
+    top = max(nums) if nums else 0
+    w = _W0 if top < 1 << _W0 * n + _W0 - 1 else (top.bit_length() + 1) // (n + 1)
+    return top >> w * n, w
+
+
+def _pack(n: int, nums: dict) -> dict:
+    """nums with its exponent tuples packed at the width of their total degree."""
+    _, weights, _ = _packing(n, max(max(map(sum, nums), default=0), _FLOOR))
+    return {sum(map(mul, e, weights)): c for e, c in nums.items()}
+
+
+def _repacked(nums: dict, n: int, w2: int, w: int = 0) -> dict:
+    """nums repacked at width w2 from width w, by default the width of its keys."""
+    w = w or _shape(nums, n)[1]
+    if w == w2:
+        return nums
+    mask = (1 << w) - 1
+    return {sum((e >> w * j & mask) << w2 * j for j in range(n + 1)): c for e, c in nums.items()}
+
+
+def _split(p: Polynomial, ks):
+    """(w, [(exponents in the x_k of ks, key without them, numerator)]) for p of width w."""
+    n, w = p.nvars, _shape(p.nums, p.nvars)[1]
+    if list(ks) == list(range(n)):  # every variable, as an evaluation takes them
+        return w, [(e, 0, c) for e, c in p._unpack(p.nums.items())]
+    mask, shifts = (1 << w) - 1, [w * (n - 1 - k) for k in ks]
+    keep = ~sum(mask << s for s in shifts)  # the fields of the other variables, and the total
+    out = []
+    for e, c in p.nums.items():
+        ds = [e >> s & mask for s in shifts]
+        out.append((ds, (e & keep) - (sum(ds) << w * n), c))
+    return w, out
+
+
+def _moved(p: Polynomial, m: int, moves) -> Polynomial:
+    """p on m variables, the exponent of its x_k that of x_j for the (k, j)
+    of moves; raises ValueError when p involves a variable not moved."""
+    if not any(p.nums):  # a constant, at key 0 in any number of variables
+        return _new(m, p.nums, p.denom)
+    w, weights = _shape(p.nums, p.nvars)[1], [0] * p.nvars
+    for k, j in moves:
+        weights[k] = (1 << w * m) + (1 << w * (m - 1 - j))
+    out = {sum(map(mul, e, weights)): c for e, c in p._unpack(p.nums.items())}
+    if sum(e >> w * m for e in out) != sum(e >> w * p.nvars for e in p.nums):  # a degree was dropped
+        raise ValueError("polynomial involves a projected-out variable")
+    return _new(m, out, p.denom)
 
 
 def _is_pairs(nums: dict) -> bool:
@@ -387,8 +433,8 @@ def _inverse(c):
 
 
 def _lead(p: Polynomial):
-    """(exponent, numerator) of the graded-lex leading term."""
-    e = max(p.nums, key=_grlex_key)
+    """(key, numerator) of the graded-lex leading term."""
+    e = max(p.nums)
     return e, p.nums[e]
 
 
@@ -407,8 +453,8 @@ def over_monic(num: Polynomial, den: Polynomial):
         return num, den
     # c = lc / den.denom, so num / c = num.nums * den.denom / (num.denom * lc)
     k, d = _inverse(lc)
-    top = _times(_times(num.nums, k), den.denom)
-    return _make(num.nvars, top, num.denom * d), _make(den.nvars, _times(den.nums, k), d)
+    top = _make(num.nvars, _times(_times(num.nums, k), den.denom), num.denom * d)
+    return top, _make(den.nvars, _times(den.nums, k), d)
 
 
 def primitive_vector(polys) -> list:
@@ -426,77 +472,58 @@ def primitive_vector(polys) -> list:
 # -- packed integer polynomials ----------------------------------------------
 
 
+@cache  # few (n, degree) pairs occur: the floor, and the degrees of wide keys and minors
 def _packing(n: int, degree: int):
     """(width, weights, guard) for packing exponent tuples of n variables
-    whose total degree is at most degree.
+    whose total degree is at most degree, in the least width.
 
     A packed exponent sum(map(mul, e, weights)) holds the total degree, then
     the exponents in variable order, in fields of width bits, so packed ints
-    compare as _grlex_key does and add as exponents do.  The top bit of each
-    field (guard) stays clear, so one subtraction tests that a packed
+    compare in graded-lex order and add as exponents do.  The top bit of
+    each field (guard) stays clear, so one subtraction tests that a packed
     exponent divides another.
     """
     w = degree.bit_length() + 1
-    weights = [(1 << w * n) + (1 << w * j) for j in range(n - 1, -1, -1)]
+    weights = tuple((1 << w * n) + (1 << w * j) for j in range(n - 1, -1, -1))
     guard = sum(1 << w * j + w - 1 for j in range(n + 1))
     return w, weights, guard
 
 
-def _packed(p: Polynomial, weights, pairs: bool, k: int = 1) -> dict:
-    """The numerators of p times k as a packed polynomial, with [re, im]
-    lists when pairs."""
-    if not pairs:
-        return {sum(map(mul, e, weights)): c * k for e, c in p.nums.items()}
-    return {sum(map(mul, e, weights)): [re * k, im * k] for e, (re, im) in _as_pairs(p.nums).items()}
+def _kernel_form(p: Polynomial, w: int, pairs: bool, k: int = 1) -> dict:
+    """A new dict of the numerators of p times k at width w, pairs when pairs."""
+    nums = p.nums if w == _W0 else _repacked(p.nums, p.nvars, w)  # every width is at least the floor
+    return _times(_as_pairs(nums) if pairs else nums, k)
 
 
-def _unpacked(p: dict, n: int, w: int, pairs: bool, num: int = 1, den: int = 1) -> Polynomial:
-    """The Polynomial num/den * p for a packed p of n variables and width w,
-    num and den positive ints."""
-    mask, shifts = (1 << w) - 1, range(w * (n - 1), -1, -w)
-    if pairs:
-        nums = {tuple([k >> s & mask for s in shifts]): (re * num, im * num) for k, (re, im) in p.items()}
-    else:
-        nums = {tuple([k >> s & mask for s in shifts]): c * num for k, c in p.items()}
-    return _make(n, nums, den)
-
-
-def _dot(plus, minus, pairs: bool) -> dict:
-    """sum p*q over the pairs (p, q) of plus, minus that over minus, for
-    packed polynomials with int coefficients, or [re, im] ones with pairs."""
+def _dot(products, pairs: bool) -> dict:
+    """sum k*p*q over the (p, q, k) of products, for packed polynomials p and
+    q with int coefficients, or (re, im) ones with pairs, and ints k."""
     out: dict = {}
     get = out.get
-    for sign, products in ((1, plus), (-1, minus)):
-        for p, q in products:
+    if not pairs:
+        for p, q, k in products:
             q = q.items()
-            if not pairs:
-                for kp, cp in p.items():
-                    cp *= sign
-                    for kq, cq in q:
-                        k = kp + kq
-                        out[k] = get(k, 0) + cp * cq
-                continue
-            for kp, (pr, pi) in p.items():
-                pr, pi = sign * pr, sign * pi
-                for kq, (qr, qi) in q:
-                    k = kp + kq
-                    re, im = pr * qr - pi * qi, pr * qi + pi * qr
-                    s = get(k)
-                    if s is None:
-                        out[k] = [re, im]
-                    else:
-                        s[0] += re
-                        s[1] += im
-    if pairs:
-        return {k: v for k, v in out.items() if v[0] or v[1]}
-    return {k: c for k, c in out.items() if c}
+            for kp, cp in p.items():
+                cp *= k
+                for kq, cq in q:
+                    e = kp + kq
+                    out[e] = get(e, 0) + cp * cq
+        return {e: c for e, c in out.items() if c}
+    for p, q, k in products:
+        q = q.items()
+        for kp, (pr, pi) in p.items():
+            pr, pi = pr * k, pi * k
+            for kq, (qr, qi) in q:
+                e = kp + kq
+                re, im = get(e, (0, 0))
+                out[e] = re + pr * qr - pi * qi, im + pr * qi + pi * qr
+    return {e: c for e, c in out.items() if c[0] or c[1]}
 
 
 def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):
     """(quotient, scale) with rem / divisor = quotient / scale for packed
     polynomials, scale a positive int; raises ValueError when the division
-    is inexact.  rem is consumed, and with pairs its [re, im] lists are
-    updated in place.
+    is inexact.  rem is consumed.
 
     The remainder is kept in one dict and its leading term found with a
     lazy max-heap.  scale grows only when the lead of the divisor does not
@@ -525,10 +552,7 @@ def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):
                 h = gcd(c, lead)
                 a, b = (c // h, lead // h) if lead > 0 else (-c // h, -lead // h)
                 scale *= b
-                for k in rem:
-                    rem[k] *= b
-                for k in out:
-                    out[k] *= b
+                rem, out = _times(rem, b), _times(out, b)
             out[qk] = a
             for k, v in terms:
                 k += qk
@@ -550,24 +574,19 @@ def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):
         ar, ai, b = xr // h, xi // h, norm // h
         if b != 1:
             scale *= b
-            for v in rem.values():
-                v[0] *= b
-                v[1] *= b
-            for v in out.values():
-                v[0] *= b
-                v[1] *= b
-        out[qk] = [ar, ai]
+            rem, out = _times(rem, b), _times(out, b)
+        out[qk] = ar, ai
         for k, (vr, vi) in terms:
             k += qk
             tr, ti = ar * vr - ai * vi, ar * vi + ai * vr
             s = rem.get(k)
             if s is None:
-                rem[k] = [-tr, -ti]
+                rem[k] = -tr, -ti
                 heappush(heap, -k)
             else:
                 tr, ti = s[0] - tr, s[1] - ti
                 if tr or ti:
-                    s[0], s[1] = tr, ti
+                    rem[k] = tr, ti
                 else:
                     del rem[k]
     return out, scale
@@ -580,16 +599,14 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g; raises ValueError when g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return f
-    if g.is_one():
+    if f.is_zero() or g.is_one():
         return f
     n = f.nvars
     pairs = _is_pairs(f.nums) or _is_pairs(g.nums)
     # every remainder term has total degree <= deg f
-    w, weights, guard = _packing(n, max(map(sum, (*f.nums, *g.nums))))
-    out, scale = _divide(_packed(f, weights, pairs), _packed(g, weights, pairs), guard, pairs)
-    return _unpacked(out, n, w, pairs, g.denom, f.denom * scale)
+    w, _, guard = _packing(n, max(_shape(f.nums, n)[0], _shape(g.nums, n)[0], _FLOOR))
+    out, scale = _divide(_kernel_form(f, w, pairs), _kernel_form(g, w, pairs), guard, pairs)
+    return _make(n, _times(out, g.denom), f.denom * scale, w)
 
 
 # -- univariate views --------------------------------------------------------
@@ -597,17 +614,8 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def uni_coeff(f: Polynomial, k: int, d: int) -> Polynomial:
     """Coefficient of x_k^d, as a polynomial with zero k-exponent."""
-    out = {}
-    for e, c in f.nums.items():
-        if e[k] == d:
-            ne = list(e)
-            ne[k] = 0
-            out[tuple(ne)] = c
-    return _make(f.nvars, out, f.denom)
-
-
-def uni_lead(f: Polynomial, k: int) -> Polynomial:
-    return uni_coeff(f, k, f.degree_in(k))
+    w, split = _split(f, [k])
+    return _make(f.nvars, {e: c for (dk,), e, c in split if dk == d}, f.denom, w)
 
 
 def prem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
@@ -616,14 +624,13 @@ def prem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     Satisfies lc_k(g)^(deg_k f - deg_k g + 1) * f = q*g + prem(f, g, k).
     """
     l = g.degree_in(k)
-    lcg = uni_lead(g, k)
+    lcg = uni_coeff(g, k, l)
     r = f
     e = f.degree_in(k) - l + 1
     while not r.is_zero() and r.degree_in(k) >= l:
         dr = r.degree_in(k)
         # the x_k^dr coefficient of r, times x_k^(dr - l)
-        lead = {x[:k] + (dr - l,) + x[k + 1:]: c for x, c in r.nums.items() if x[k] == dr}
-        r = lcg * r - _make(f.nvars, lead, r.denom) * g
+        r = lcg * r - uni_coeff(r, k, dr) * Polynomial.variable(f.nvars, k) ** (dr - l) * g
         e -= 1
     for _ in range(e):
         r = lcg * r
@@ -667,7 +674,7 @@ def _subresultant_last(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     h = prem(f, g, k)
     if d % 2 == 0:
         h = -h  # divide by beta = (-1)^(d+1)
-    lc = uni_lead(g, k)
+    lc = uni_coeff(g, k, m)
     c = -(lc ** d)
     last = g
     while not h.is_zero():
@@ -677,7 +684,7 @@ def _subresultant_last(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
         b = -(lc * c ** d)
         h = prem(f, g, k)
         h = divexact(h, b)
-        lc = uni_lead(g, k)
+        lc = uni_coeff(g, k, kdeg)
         if d > 1:
             c = divexact((-lc) ** d, c ** (d - 1))
         else:
@@ -686,7 +693,7 @@ def _subresultant_last(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
 
 
 def _degrees(p: Polynomial) -> list:
-    return [max(d) for d in zip(*p.nums)]
+    return [max(d) for d in zip(*[e for e, _ in p._unpack(p.nums.items())])]
 
 
 def _certified_gcd(f: Polynomial, g: Polynomial):
@@ -723,14 +730,12 @@ def _certified_gcd(f: Polynomial, g: Polynomial):
         return None
     parts: dict = {}
     for i, p in enumerate((f, g)):
-        for e, c in p.nums.items():
-            rest = list(e)
-            for k in free:
-                rest[k] = 0
-            parts.setdefault((i, *(e[k] for k in free)), ({}, p.denom))[0][tuple(rest)] = c
+        w, split = _split(p, free)
+        for ds, rest, c in split:
+            parts.setdefault((i, *ds), ({}, p.denom, w))[0][rest] = c
     out = Polynomial.zero(n)
-    for nums, den in sorted(parts.values(), key=lambda part: len(part[0])):
-        out = poly_gcd(out, _make(n, nums, den))
+    for nums, den, w in sorted(parts.values(), key=lambda part: len(part[0])):
+        out = poly_gcd(out, _make(n, nums, den, w))
         if out.is_one():
             break
     return out
@@ -747,11 +752,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     out = _certified_gcd(f, g)
     if out is not None:
         return out
-    k = next(
-        i
-        for i in range(f.nvars)
-        if f.degree_in(i) > 0 or g.degree_in(i) > 0
-    )
+    k = next(i for i in range(f.nvars) if f.degree_in(i) > 0 or g.degree_in(i) > 0)
     if f.degree_in(k) == 0:
         return poly_gcd(content_wrt(g, k), f)
     if g.degree_in(k) == 0:

@@ -146,5 +146,5 @@ def test_random_scalar_matches_the_fold(chart, max_deg, terms):
         got = random_scalar(chart, rng, max_deg, terms)
         want = folded_random_scalar(chart, oracle, max_deg, terms)
         assert_same_fields(got, want)
-        assert list(got.num.nums) == list(want.num.nums)
+        assert list(got.num.terms) == list(want.num.terms)
         assert rng.getstate() == oracle.getstate()

@@ -49,6 +49,11 @@ CASES = {
     # a product of three Dirac-Nijenhuis blocks on a 6-chart: every check
     # passes, and the double bracket is formed on more than two variables
     "check_product_r6": (["check", "tests/golden/product_r6.scene"], 0),
+    # exponents past any fixed field width, and operands of very different
+    # degrees in one product, a sum and a dot
+    "check_large_exponent": (["check", "tests/golden/large_exponent.scene"], 1),
+    "check_wide_form": (["check", "tests/golden/wide_form.scene"], 0),
+    "check_mixed_width_r3": (["check", "tests/golden/mixed_width_r3.scene"], 1),
 }
 
 

@@ -368,7 +368,7 @@ def test_the_elimination_matches_the_old_path():
 @pytest.mark.parametrize("pairs", [False, True], ids=["int", "pair"])
 def test_an_inexact_packed_division_raises(pairs):
     w, weights, guard = _packing(1, 2)
-    c = (lambda v: [v, 0]) if pairs else (lambda v: v)
+    c = (lambda v: (v, 0)) if pairs else (lambda v: v)
     pack = lambda d: d * weights[0]
     # x^2 + 1 over x: the guard test fails on the constant term
     with pytest.raises(ValueError, match="inexact"):
@@ -501,9 +501,9 @@ def test_a_graph_solve_forms_few_term_products(monkeypatch):
     # the pi# rows as pivots, whose minors grow in degree, and forms 20,991
     products = [0]
 
-    def counted(plus, minus, pairs, _real=linalg._dot):
-        products[0] += sum(len(p) * len(q) for p, q in (*plus, *minus))
-        return _real(plus, minus, pairs)
+    def counted(terms, pairs, _real=linalg._dot):
+        products[0] += sum(len(p) * len(q) for p, q, _ in terms)
+        return _real(terms, pairs)
 
     monkeypatch.setattr(linalg, "_dot", counted)
     m = graph_frames(R4)[0]

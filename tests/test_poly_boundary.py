@@ -1,13 +1,14 @@
 """Only symbolic/poly.py knows the integer form of a Polynomial: no other
 module under src/dngeo imports a private name from it, apart from the packed
-kernels that linalg's elimination shares with divexact."""
+kernels, the key width and the canonical form that linalg's elimination
+shares with divexact."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dngeo"
 POLY = "dngeo.symbolic.poly"
-SHARED = {"_packing", "_packed", "_unpacked", "_dot", "_divide"}
+SHARED = {"_FLOOR", "_packing", "_shape", "_kernel_form", "_make", "_dot", "_divide"}
 
 
 def private_poly_imports(path):
@@ -35,6 +36,6 @@ def test_no_module_imports_the_integer_form():
         for line, name in private_poly_imports(path)
     }
     # the shared kernels are seen, so relative imports resolve
-    assert {"_packed", "_dot"} <= set(found.values())
+    assert {"_kernel_form", "_dot"} <= set(found.values())
     leaks = [where for where, name in found.items() if name not in SHARED]
     assert not leaks, leaks

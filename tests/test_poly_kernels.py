@@ -599,7 +599,7 @@ def test_one_term_products_keep_the_key_order_of_the_other_operand():
     for one in (Polynomial(2, {(1, 1): Fraction(2, 3)}), Polynomial(2, {(0, 1): 1 + i}), Polynomial.const(2, i)):
         for a, b in ((many, one), (one, many), (one, one)):
             assert_same(a * b, mul_oracle(a, b))
-            assert list((a * b).nums) == [tuple(map(sum, zip(e, f))) for e in a.nums for f in b.nums]
+            assert list((a * b).terms) == [tuple(map(sum, zip(e, f))) for e in a.terms for f in b.terms]
 
 
 @SETTINGS
