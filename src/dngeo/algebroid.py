@@ -3,20 +3,32 @@ forms and (1,1)-tensors, compatibility between them, and the construction
 turning a checked subbundle frame into algebroid data plus a closed 2-form
 datum.
 
-Sections are handled as coefficient vectors with respect to the defining
-frame; the degree-1 derivation datum of an IMOneOne is stored by its values
-on frame sections and extended to scaled sections by its Leibniz rule.
+Sections are coefficient vectors on the frame e_1..e_m, and every equation
+is read on frame sections and coordinate fields from data formed once per
+datum: the structure functions by pair, c(a, b, .), the grids
+Theta_k[a][b] = theta[a][b]_k and the columns l(e_a) and r d_k.  For
+g = sum_a g^a e_a,
+
+    [e_a, g]^c   = sum_d g^d c(a, d, c) + rho(e_a)(g^c),
+    D_X(e_a)     = sum_k X^k Theta_k[a]            (D is C-infinity-linear in X),
+    D_{d_k}(g)^b = sum_a (g^a Theta_k[a][b] + dk g^a l(e_a)^b) - (r d_k)(g^b),
+    [d_i, d_j] = 0  and  [d_i, d_j]_r = sum_m (di r^m_j - dj r^m_i) d_m.
+
+Each equation sums, by output index, the products of nonzero entries only.
+The definitional forms (D along any field and section by the Leibniz rule,
+the bracket of any two sections, the squared derivation along any two
+fields) are oracles in the test suite.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import PreconditionError
-from .symbolic import ScalarExpr, dot, solve_linear
-from .courant import GSection, _coordinate_D, apply_rr, courant_bracket
+from .symbolic import dot, solve_linear
+from .courant import _coordinate_D, apply_rr, courant_bracket
 from .dirac import (
     GFrame,
     Verdict,
@@ -30,23 +42,20 @@ from .tensor import (
     OneOneTensor,
     PForm,
     VectorField,
-    combination,
-    deformed_bracket,
+    _partials,
     ext_d,
-    form_as_covform,
-    form_r,
     interior,
-    lie_bracket,
     lie_deriv_form,
     nijenhuis_torsion,
 )
 
 
 class AlgebroidData:
-    """Anchor columns and structure functions for a frame e_1..e_m, plus the
-    verdict on the algebroid axioms once `check_algebroid` decided it."""
+    """Anchor columns and structure functions for a frame e_1..e_m.  The
+    private slots `_rows` (see `bracket`) and `_axioms` (the verdict of
+    `check_algebroid`) are filled on first read."""
 
-    __slots__ = ("chart", "rank", "anchors", "struct", "_axioms")
+    __slots__ = ("chart", "rank", "anchors", "struct", "_rows", "_axioms")
 
     def __init__(self, chart, anchors, struct):
         self.chart = chart
@@ -62,45 +71,97 @@ class AlgebroidData:
             if not val.is_zero():
                 clean[(a, b, c)] = val
         self.struct = clean
-        self._axioms = None
+        self._rows = self._axioms = None
 
-    def c(self, a: int, b: int, cc: int) -> ScalarExpr:
-        if a == b:
-            return self.chart.zero()
-        if a < b:
-            return self.struct.get((a, b, cc), self.chart.zero())
-        val = self.struct.get((b, a, cc))
-        return self.chart.zero() if val is None else -val
-
-    def anchor_of(self, coeffs) -> VectorField:
-        return combination(self.anchors, coeffs, VectorField.zero(self.chart))
-
-    def frame_section(self, a: int):
-        return [
-            self.chart.one() if b == a else self.chart.zero() for b in range(self.rank)
-        ]
-
-    def bracket_coeffs(self, u, v):
-        """[u, v] for coefficient-vector sections, with derivative terms."""
-        rho_u = self.anchor_of(u)
-        rho_v = self.anchor_of(v)
-        out = []
-        for c in range(self.rank):
-            # c(a, b, c) u^a v^b over a < b, with c(b, a, c) = -c(a, b, c)
-            terms = [(val, u[a] * v[b] - u[b] * v[a]) for (a, b, cc), val in self.struct.items() if cc == c]
-            out.append(dot(self.chart, terms) + rho_u.deriv(v[c]) - rho_v.deriv(u[c]))
-        return out
+    def bracket(self, a: int, b: int) -> dict:
+        """[e_a, e_b] as {c: c(a, b, c)} over its nonzero structure functions,
+        a dict kept on A and shared by every caller, who must not change it."""
+        if self._rows is None:
+            m = self.rank
+            rows = {(p, q): {} for p in range(m) for q in range(m)}
+            for (p, q, c), val in self.struct.items():
+                rows[p, q][c] = val
+                rows[q, p][c] = -val
+            self._rows = rows
+        return self._rows[a, b]
 
 
-def tangent_algebroid(chart) -> AlgebroidData:
-    """The tangent bundle with coordinate frame, identity anchor, zero bracket."""
-    anchors = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    return AlgebroidData(chart, anchors, {})
+# -- sums over nonzero entries ------------------------------------------------------------
+# `out` maps an output index (a frame index, or a form's component key) to the
+# (factor, factor) pairs of its sum; the sparse operands are {index: nonzero entry}.
 
 
-def abelian_algebroid(chart, rank: int) -> AlgebroidData:
-    anchors = [VectorField.zero(chart) for _ in range(rank)]
-    return AlgebroidData(chart, anchors, {})
+def _sparse(values) -> dict:
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def _add(out, f, v: dict, s=1):
+    """out += s * f * v."""
+    if f:
+        f = f if s > 0 else -f
+        for c, vc in v.items():
+            out[c].append((f, vc))
+
+
+def _add_deriv(out, X: dict, g: dict, s=1):
+    """out += s * X(g), the derivative of each entry of g along X."""
+    if X:
+        X = X if s > 0 else {j: -x for j, x in X.items()}
+        for c, gc in g.items():
+            out[c] += [(x, gc.diff(j)) for j, x in X.items()]
+
+
+def _add_interior(out, V: dict, w: PForm, s=1):
+    """out += s * i_V w, with (i_V w)_I = sum_v V^v w_{(v,) + I}."""
+    for key, wk in w.comps.items():
+        for p, v in enumerate(key):
+            x = V.get(v)
+            if x:
+                out[key[:p] + key[p + 1 :]].append((x if (-1) ** p == s else -x, wk))
+
+
+def _add_split(out, M, w: PForm, s=1):
+    """out[(i, I)] += s * sum_v M[v][i] w_{(v,) + I}: the first slot of w
+    split off (M the identity) or moved by r (M[v] the row v of r)."""
+    for key, wk in w.comps.items():
+        for p, v in enumerate(key):
+            rest = key[:p] + key[p + 1 :]
+            for i, x in M[v].items():
+                out[i, rest].append((x if (-1) ** p == s else -x, wk))
+
+
+def _add_bracket(out, A: AlgebroidData, rho, a: int, g: dict, s=1):
+    """out += s * [e_a, g]."""
+    for d, gd in g.items():
+        _add(out, gd, A.bracket(a, d), s)
+    _add_deriv(out, rho[a], g, s)
+
+
+def _add_D(out, T: "IMOneOne", k: int, g: dict, s=1):
+    """out += s * D_{d_k}(g)."""
+    theta, lcol, rd = _grids(T)
+    for a, ga in g.items():
+        _add(out, ga, theta[k][a], s)
+        _add(out, ga.diff(k), lcol[a], s)
+    _add_deriv(out, rd[k], g, -s)
+
+
+def _add_D_along(out, theta, X: dict, a: int, s=1):
+    """out += s * D_X(e_a) = s * sum_k X^k Theta_k[a]."""
+    for k, x in X.items():
+        _add(out, x, theta[k][a], s)
+
+
+def _named(label: str, out, chart):
+    """(label + index, its sum) for each index of out, in order."""
+    return ((f"{label}{c}", dot(chart, out[c])) for c in sorted(out))
+
+
+def _combine(forms, coeffs: dict, zero: PForm) -> PForm:
+    return sum((forms[c].scale(v) for c, v in coeffs.items()), zero)
+
+
+# -- the algebroid axioms ------------------------------------------------------------------
 
 
 def check_algebroid(A: AlgebroidData) -> Verdict:
@@ -111,18 +172,25 @@ def check_algebroid(A: AlgebroidData) -> Verdict:
 
 
 def _decide_axioms(A: AlgebroidData) -> Verdict:
-    e = [A.frame_section(a) for a in range(A.rank)]
-    br = A.bracket_coeffs
+    return Verdict.first(_axiom_equations(A))
 
-    def axioms():
-        for a, b in combinations(range(A.rank), 2):
-            diff = lie_bracket(A.anchors[a], A.anchors[b]) - A.anchor_of(br(e[a], e[b]))
-            yield from ((f"anchor[{a},{b}]_{i}", val) for i, val in enumerate(diff.comps))
-        for a, b, c in combinations(range(A.rank), 3):
-            terms = [br(br(e[u], e[v]), e[w]) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
-            yield from ((f"jacobi[{a},{b},{c}]_{k}", x + y + z) for k, (x, y, z) in enumerate(zip(*terms)))
 
-    return Verdict.first(axioms())
+def _axiom_equations(A: AlgebroidData):
+    """[rho(a), rho(b)] - rho([a, b]), then the Jacobi sums, with
+    [[a, b], c] + [[b, c], a] + [[c, a], b] = -([c, [a, b]] + [a, [b, c]] + [b, [c, a]])."""
+    rho = [_sparse(X.comps) for X in A.anchors]
+    for a, b in combinations(range(A.rank), 2):
+        out = defaultdict(list)
+        _add_deriv(out, rho[a], rho[b])
+        _add_deriv(out, rho[b], rho[a], -1)
+        for c, v in A.bracket(a, b).items():
+            _add(out, v, rho[c], -1)
+        yield from _named(f"anchor[{a},{b}]_", out, A.chart)
+    for a, b, c in combinations(range(A.rank), 3):
+        out = defaultdict(list)
+        for u, v, w in ((c, a, b), (a, b, c), (b, c, a)):
+            _add_bracket(out, A, rho, u, A.bracket(v, w), -1)
+        yield from _named(f"jacobi[{a},{b},{c}]_", out, A.chart)
 
 
 # -- IM forms -------------------------------------------------------------------------
@@ -138,12 +206,6 @@ class IMForm:
     mu: tuple
     nu: tuple
 
-    def mu_of(self, coeffs) -> PForm:
-        return combination(self.mu, coeffs, PForm.zero(self.parent.chart, self.degree - 1))
-
-    def nu_of(self, coeffs) -> PForm:
-        return combination(self.nu, coeffs, PForm.zero(self.parent.chart, self.degree))
-
 
 def check_IM_form(imf: IMForm) -> Verdict:
     """The three structure equations on frame-section pairs.
@@ -151,157 +213,153 @@ def check_IM_form(imf: IMForm) -> Verdict:
     The pointwise (tensorial) equation is checked first; given it, the two
     differential equations on frame pairs settle the general case.
     """
-    A = imf.parent
-    _require(check_algebroid(A), "algebroid axioms")
-    m = A.rank
-    rho, mu, nu = A.anchors, imf.mu, imf.nu
+    _require(check_algebroid(imf.parent), "algebroid axioms")
+    return Verdict.first(_form_equations(imf))
 
-    def equations():
-        # third equation: i_{rho(a)} mu(b) = -i_{rho(b)} mu(a)
-        for a in range(m):
-            for b in range(a, m):
-                yield from _components(f"symmetry[{a},{b}]", interior(rho[a], mu[b]) + interior(rho[b], mu[a]))
-        # first two equations on ordered frame pairs
-        for a in range(m):
-            for b in range(m):
-                br = A.bracket_coeffs(A.frame_section(a), A.frame_section(b))
-                rhs1 = lie_deriv_form(rho[a], mu[b]) - interior(rho[b], ext_d(mu[a]) + nu[a])
-                yield from _components(f"mu_eq[{a},{b}]", imf.mu_of(br) - rhs1)
-                rhs2 = lie_deriv_form(rho[a], nu[b]) - interior(rho[b], ext_d(nu[a]))
-                yield from _components(f"nu_eq[{a},{b}]", imf.nu_of(br) - rhs2)
 
-    return Verdict.first(equations())
+def _form_equations(imf: IMForm):
+    A, mu, nu = imf.parent, imf.mu, imf.nu
+    chart, m, rho = A.chart, A.rank, [_sparse(X.comps) for X in A.anchors]
+    # third equation: i_{rho(a)} mu(b) = -i_{rho(b)} mu(a)
+    for a in range(m):
+        for b in range(a, m):
+            out = defaultdict(list)
+            _add_interior(out, rho[a], mu[b])
+            _add_interior(out, rho[b], mu[a])
+            yield from _named(f"symmetry[{a},{b}]", out, chart)
+    # mu([a, b]) = L_{rho(a)} mu(b) - i_{rho(b)}(d mu(a) + nu(a)) and
+    # nu([a, b]) = L_{rho(a)} nu(b) - i_{rho(b)} d nu(a) on ordered frame pairs
+    one, d_mu, d_nu = chart.one(), [ext_d(w) + v for w, v in zip(mu, nu)], [ext_d(v) for v in nu]
+    for a in range(m):
+        for b in range(m):
+            for label, forms, dw in (("mu_eq", mu, d_mu), ("nu_eq", nu, d_nu)):
+                out = defaultdict(list)
+                for c, v in A.bracket(a, b).items():
+                    _add(out, v, forms[c].comps)
+                _add(out, one, lie_deriv_form(A.anchors[a], forms[b]).comps, -1)
+                _add_interior(out, rho[b], dw[a])
+                yield from _named(f"{label}[{a},{b}]", out, chart)
 
 
 # -- IM (1,1)-tensors --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IMOneOne:
     """A degree-1 derivation datum (D, l, r) on the algebroid frame.
 
     theta[a][b] is the 1-form coefficient of e_b in D(e_a), so that
-    D_X(e_a) = sum_b theta[a][b](X) e_b; l is an m x m grid; r acts on the base.
-    """
+    D_X(e_a) = sum_b theta[a][b](X) e_b; l is an m x m grid with
+    l(e_a) = sum_b l_grid[b][a] e_b; r acts on the base.  The private slot
+    `_grids` keeps what the equations read (see `_grids`)."""
 
-    parent: AlgebroidData
-    theta: tuple
-    l_grid: tuple
-    r: OneOneTensor
+    __slots__ = ("parent", "theta", "l_grid", "r", "_grids")
 
-    def l_of(self, coeffs):
-        return [dot(self.parent.chart, zip(row, coeffs)) for row in self.l_grid]
+    def __init__(self, parent: AlgebroidData, theta, l_grid, r: OneOneTensor):
+        self.parent, self.theta, self.l_grid, self.r = parent, tuple(theta), tuple(l_grid), r
+        self._grids = None
 
-    def D_of(self, X: VectorField, coeffs):
-        """D_X(sum f^a e_a), extended by the Leibniz rule."""
-        A = self.parent
-        m = A.rank
-        live = [a for a in range(m) if coeffs[a]]
-        base = {a: [interior(X, self.theta[a][b]).as_scalar() for b in range(m)] for a in live}
-        xf = {a: X.deriv(coeffs[a]) for a in live}
-        # sum_a f^a theta[a](X) + X(f^a) l(e_a), with l(e_a)^b = l_grid[b][a]
-        out = [
-            dot(A.chart, [p for a in live for p in ((coeffs[a], base[a][b]), (xf[a], self.l_grid[b][a]))])
-            for b in range(m)
-        ]
-        rX = self.r.apply(X)
-        for a in live:
-            out[a] = out[a] - rX.deriv(coeffs[a])
-        return out
+
+def _grids(T: IMOneOne, theta=None):
+    """(Theta, l, rd) with Theta[k][a] = D_{d_k}(e_a), l[a] = l(e_a) and rd[k] = r d_k,
+    each {index: nonzero entry}; formed once per T, from T.theta or from the
+    grids theta[k][a][b] that `transport_oneone` solved for."""
+    if T._grids is None:
+        if theta is None:
+            theta = [[[w.comps.get((k,)) for w in row] for row in T.theta] for k in range(T.r.chart.dim)]
+        T._grids = (
+            [[_sparse(row) for row in grid] for grid in theta],
+            [_sparse(col) for col in zip(*T.l_grid)],
+            [_sparse(col) for col in zip(*T.r.grid)],
+        )
+    return T._grids
 
 
 def check_IM_oneone(T: IMOneOne) -> Verdict:
     """The four structure equations for a derivation triple on an algebroid."""
+    _require(check_algebroid(T.parent), "algebroid axioms")
+    return Verdict.first(_oneone_equations(T))
+
+
+def _oneone_equations(T: IMOneOne):
     A = T.parent
-    _require(check_algebroid(A), "algebroid axioms")
-    chart = A.chart
-    m = A.rank
-    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    e = [A.frame_section(a) for a in range(m)]
-
-    # each derivation the equations share is built once, on first use
-    @cache
-    def D_coord(k, b):  # D_{d_k}(e_b)
-        return T.D_of(coords[k], e[b])
-
-    @cache
-    def bracket(a, b):  # [e_a, e_b]
-        return A.bracket_coeffs(e[a], e[b])
-
-    @cache
-    def rho_coord(b, k):  # [rho(b), d_k] = -dk rho(b)
-        return VectorField(chart, [-c.diff(k) for c in A.anchors[b].comps])
-
-    def equations():
-        # (1) r . rho = rho . l
-        for a in range(m):
-            diff = T.r.apply(A.anchors[a]) - A.anchor_of(T.l_of(e[a]))
-            yield from ((f"anchor_l[{a}]_{i}", val) for i, val in enumerate(diff.comps))
-        # (2) rho(D_X(a)) = D^r_X(rho(a)) on coordinate X: the vector part of bigD
-        for a in range(m):
-            for k, d in enumerate(_coordinate_D(GSection.from_vector(A.anchors[a]), T.r)):
-                diff = A.anchor_of(D_coord(k, a)) - d.vec
-                yield from ((f"anchor_D[{a}]_{i}", val) for i, val in enumerate(diff.comps))
-        # (3) l([a,b]) = [a, l(b)] - D_{rho(b)}(a)
-        for a in range(m):
-            for b in range(m):
-                terms = zip(T.l_of(bracket(a, b)), A.bracket_coeffs(e[a], T.l_of(e[b])), T.D_of(A.anchors[b], e[a]))
-                yield from ((f"l_bracket[{a},{b}]_{k}", x - y + z) for k, (x, y, z) in enumerate(terms))
-        # (4) D_X([a,b]) = [a, D_X(b)] - [b, D_X(a)] + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b),
-        # whose two sides change sign with (a, b): read on a < b
-        for a, b in combinations(range(m), 2):
-            for k, X in enumerate(coords):
-                terms = zip(
-                    T.D_of(X, bracket(a, b)),
-                    A.bracket_coeffs(e[a], D_coord(k, b)),
-                    A.bracket_coeffs(e[b], D_coord(k, a)),
-                    T.D_of(rho_coord(b, k), e[a]),
-                    T.D_of(rho_coord(a, k), e[b]),
-                )
-                for c, (x, x1, x2, x3, x4) in enumerate(terms):
-                    yield f"D_bracket[{a},{b}]_{c}", x - (x1 - x2 + x3 - x4)
-
-    return Verdict.first(equations())
-
-
-def im_D_square(T: IMOneOne, X: VectorField, Y: VectorField, coeffs):
-    """l(D_{[X,Y]}(a)) - [D_X, D_Y](a) - D_{[X,Y]_r}(a) as coefficients."""
-    A = T.parent
-    lhs = T.l_of(T.D_of(lie_bracket(X, Y), coeffs))
-    comm = [
-        x - y
-        for x, y in zip(
-            T.D_of(X, T.D_of(Y, coeffs)), T.D_of(Y, T.D_of(X, coeffs))
-        )
-    ]
-    dr = T.D_of(deformed_bracket(X, Y, T.r), coeffs)
-    return [a - b - c for a, b, c in zip(lhs, comm, dr)]
+    chart, n, m = A.chart, A.chart.dim, A.rank
+    rho, (theta, lcol, rd) = [_sparse(X.comps) for X in A.anchors], _grids(T)
+    # (1) r . rho = rho . l
+    for a in range(m):
+        out = defaultdict(list)
+        for j, x in rho[a].items():
+            _add(out, x, rd[j])
+        for b, v in lcol[a].items():
+            _add(out, v, rho[b], -1)
+        yield from _named(f"anchor_l[{a}]_", out, chart)
+    # (2) rho(D_{d_k}(a)) = D^r_{d_k}(rho(a)), the column k of L_Y r for Y = rho(a):
+    # (L_Y r)^i_k = sum_j (Y^j dj r^i_k - r^j_k dj Y^i + r^i_j dk Y^j)
+    dr = _partials(T.r)
+    for a in range(m):
+        for k in range(n):
+            out = defaultdict(list)
+            for b, v in theta[k][a].items():
+                _add(out, v, rho[b])
+            for j, y in rho[a].items():
+                _add(out, y, _sparse(row[k] for row in dr[j]), -1)
+                _add(out, y.diff(k), rd[j], -1)
+            _add_deriv(out, rd[k], rho[a])
+            yield from _named(f"anchor_D[{a}]_", out, chart)
+    # (3) l([a,b]) = [a, l(b)] - D_{rho(b)}(a)
+    for a in range(m):
+        for b in range(m):
+            out = defaultdict(list)
+            for c, v in A.bracket(a, b).items():
+                _add(out, v, lcol[c])
+            _add_bracket(out, A, rho, a, lcol[b], -1)
+            _add_D_along(out, theta, rho[b], a)
+            yield from _named(f"l_bracket[{a},{b}]_", out, chart)
+    # (4) D_X([a,b]) = [a, D_X(b)] - [b, D_X(a)] + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b),
+    # whose two sides change sign with (a, b): read on a < b, with [rho(b), d_k] = -dk rho(b)
+    for a, b in combinations(range(m), 2):
+        for k in range(n):
+            out = defaultdict(list)
+            _add_D(out, T, k, A.bracket(a, b))
+            _add_bracket(out, A, rho, a, theta[k][b], -1)
+            _add_bracket(out, A, rho, b, theta[k][a])
+            _add_D_along(out, theta, {j: x.diff(k) for j, x in rho[b].items()}, a)
+            _add_D_along(out, theta, {j: x.diff(k) for j, x in rho[a].items()}, b, -1)
+            yield from _named(f"D_bracket[{a},{b}]_", out, chart)
 
 
 def check_IM_nijenhuis(T: IMOneOne) -> Verdict:
     """Vanishing torsion, l-D commutation, and the squared-derivation equation."""
-    A = T.parent
-    _require(check_algebroid(A), "algebroid axioms")
+    _require(check_algebroid(T.parent), "algebroid axioms")
     torsion = check_nijenhuis(T.r)
     if torsion.status != "pass":
         return torsion
-    chart = A.chart
-    m = A.rank
-    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    e = [A.frame_section(a) for a in range(m)]
-    l_D_comm = (
-        (f"l_D_comm[{a}]_{k}", x - y)
-        for a in range(m)
-        for X in coords
-        for k, (x, y) in enumerate(zip(T.l_of(T.D_of(X, e[a])), T.D_of(X, T.l_of(e[a]))))
-    )
-    D_square = (
-        (f"D_square[{a};{xi},{yi}]_{k}", val)
-        for a in range(m)
-        for xi, yi in combinations(range(chart.dim), 2)
-        for k, val in enumerate(im_D_square(T, coords[xi], coords[yi], e[a]))
-    )
-    return Verdict.first(chain(l_D_comm, D_square))
+    return Verdict.first(_nijenhuis_equations(T))
+
+
+def _nijenhuis_equations(T: IMOneOne):
+    """l(D_X(a)) - D_X(l(a)), then the squared-derivation equation
+    l(D_{[X,Y]}(a)) - [D_X, D_Y](a) - D_{[X,Y]_r}(a) on coordinate fields."""
+    chart, m = T.parent.chart, T.parent.rank
+    n = chart.dim
+    theta, lcol, _ = _grids(T)
+    for a in range(m):
+        for x in range(n):
+            out = defaultdict(list)
+            for b, v in theta[x][a].items():
+                _add(out, v, lcol[b])
+            _add_D(out, T, x, lcol[a], -1)
+            yield from _named(f"l_D_comm[{a}]_", out, chart)
+    dr = _partials(T.r)
+    deformed = {
+        (i, j): _sparse(dr[i][h][j] - dr[j][h][i] for h in range(n)) for i, j in combinations(range(n), 2)
+    }
+    for a in range(m):
+        for i, j in combinations(range(n), 2):
+            out = defaultdict(list)
+            _add_D(out, T, i, theta[j][a], -1)
+            _add_D(out, T, j, theta[i][a])
+            _add_D_along(out, theta, deformed[i, j], a, -1)
+            yield from _named(f"D_square[{a};{i},{j}]_", out, chart)
 
 
 def check_IM_compat(imf: IMForm, T: IMOneOne) -> Verdict:
@@ -316,36 +374,43 @@ def check_IM_compat(imf: IMForm, T: IMOneOne) -> Verdict:
 
 def _im_compat(imf: IMForm, T: IMOneOne) -> Verdict:
     """`check_IM_compat` without the checks of the two data."""
-    A = imf.parent
-    if T.parent is not A and T.parent.anchors != A.anchors:
+    A, B = imf.parent, T.parent
+    if B is not A and (B.anchors != A.anchors or B.struct != A.struct):
         raise PreconditionError("data live on different algebroids")
-    chart = A.chart
-    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    r_coords = [T.r.apply(X) for X in coords]
+    return Verdict.first(_compat_equations(imf, T))
 
-    def D_star(w, w_r):
-        """[D^{r,*}_X(w) = i_X d(w_r) - i_{rX} dw for each coordinate X], for
-        w_r = form_r(w, r) skew."""
-        dw_r, dw = ext_d(w_r.to_form()), ext_d(w)
-        return [interior(X, dw_r) - interior(rX, dw) for X, rX in zip(coords, r_coords)]
 
-    def equations():
-        for a, (mu_a, nu_a) in enumerate(zip(imf.mu, imf.nu)):
-            ea = A.frame_section(a)
-            la = T.l_of(ea)
-            # mu(l(a)) = mu(a)_r and nu(l(a)) = nu(a)_r
-            mu_r, nu_r = form_r(mu_a, T.r), form_r(nu_a, T.r)
-            yield from _components(f"mu_l[{a}]", form_as_covform(imf.mu_of(la)) - mu_r)
-            lhs_nu = imf.nu_of(la)
-            yield from _components(f"nu_l[{a}]", lhs_nu if nu_a.is_zero() else form_as_covform(lhs_nu) - nu_r)
-            # mu(D_X(a)) = D^{r,*}_X(mu(a)), and the same for nu: past the two
-            # lines above, mu(a)_r and nu(a)_r are the forms mu(l(a)) and nu(l(a))
-            for X, dmu, dnu in zip(coords, D_star(mu_a, mu_r), D_star(nu_a, nu_r)):
-                da = T.D_of(X, ea)
-                yield from _components(f"mu_D[{a}]", imf.mu_of(da) - dmu)
-                yield from _components(f"nu_D[{a}]", imf.nu_of(da) - dnu)
+def _compat_equations(imf: IMForm, T: IMOneOne):
+    chart = imf.parent.chart
+    theta, lcol, rd = _grids(T)
+    ident, rows = [{k: chart.one()} for k in range(chart.dim)], [_sparse(row) for row in T.r.grid]
 
-    return Verdict.first(equations())
+    def l_line(label, w_l, w):
+        """w(l(a)) - w(a)_r by (first slot, rest), with w_r(X1; X2..) = w(r X1, X2..)."""
+        out = defaultdict(list)
+        _add_split(out, ident, w_l)
+        _add_split(out, rows, w, -1)
+        return _named(label, out, chart)
+
+    for a, (mu_a, nu_a) in enumerate(zip(imf.mu, imf.nu)):
+        if mu_a.degree < 1:
+            raise ValueError("need degree >= 1")
+        # mu(l(a)) = mu(a)_r and nu(l(a)) = nu(a)_r; a zero nu(a) names nu(l(a)) by its form keys
+        mu_l = _combine(imf.mu, lcol[a], PForm.zero(chart, mu_a.degree))
+        nu_l = _combine(imf.nu, lcol[a], PForm.zero(chart, nu_a.degree))
+        yield from l_line(f"mu_l[{a}]", mu_l, mu_a)
+        yield from _components(f"nu_l[{a}]", nu_l) if nu_a.is_zero() else l_line(f"nu_l[{a}]", nu_l, nu_a)
+        # mu(D_X(a)) = D^{r,*}_X(mu(a)) = i_X d(mu(a)_r) - i_{rX} d mu(a), and the same
+        # for nu: past the two lines above, mu(a)_r and nu(a)_r are the forms mu_l and nu_l
+        pieces = (("mu_D", imf.mu, ext_d(mu_l), ext_d(mu_a)), ("nu_D", imf.nu, ext_d(nu_l), ext_d(nu_a)))
+        for k in range(chart.dim):
+            for label, forms, dw_r, dw in pieces:
+                out = defaultdict(list)
+                for b, v in theta[k][a].items():
+                    _add(out, v, forms[b].comps)
+                _add_interior(out, ident[k], dw_r, -1)
+                _add_interior(out, rd[k], dw)
+                yield from _named(f"{label}[{a}]", out, chart)
 
 
 # -- the subbundle-to-algebroid construction ------------------------------------------
@@ -406,7 +471,7 @@ def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
             raise PreconditionError("(r, r*) does not preserve the frame span")
         lg.append(coeffs)
     l_grid = tuple(tuple(lg[a][b] for a in range(n)) for b in range(n))
-    theta = []
+    solved = []  # solved[a][k] = D_{d_k}(e_a)
     for a in range(n):
         rows = []
         for d in _coordinate_D(L.sections[a], r):
@@ -414,13 +479,11 @@ def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
             if coeffs is None:
                 raise PreconditionError("derivation does not preserve the frame span")
             rows.append(coeffs)
-        theta.append(
-            tuple(
-                PForm(chart, 1, {(k,): rows[k][b] for k in range(chart.dim)})
-                for b in range(n)
-            )
-        )
-    return IMOneOne(A, tuple(theta), l_grid, r)
+        solved.append(rows)
+    theta = [tuple(PForm(chart, 1, {(k,): rows[k][b] for k in range(n)}) for b in range(n)) for rows in solved]
+    T = IMOneOne(A, theta, l_grid, r)
+    _grids(T, [[rows[k] for rows in solved] for k in range(n)])
+    return T
 
 
 def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None = None):
@@ -448,47 +511,7 @@ def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None =
         yield "transport", Verdict.inconclusive(("precondition", str(e)))
 
 
-# -- holomorphic (real-part) and quasi variants -----------------------------------------
-
-
-def real_part_IM(imf: IMForm, T: IMOneOne) -> Verdict:
-    """Certify a holomorphic IM form through its real part.
-
-    Preconditions: l and r square to -id and the derivation satisfies the
-    flatness relation l(D_X(u)) + D_{r(X)}(u) = 0.  Given those, the pair
-    (mu, nu) encodes a holomorphic datum iff it passes the structure and
-    compatibility checks against (D, l, r).
-    """
-    A = imf.parent
-    chart = A.chart
-    m = A.rank
-    rsq = T.r.compose(T.r) + OneOneTensor.identity(chart)
-    if not rsq.is_zero():
-        raise PreconditionError("base tensor does not square to -id")
-    for a in range(m):
-        ea = A.frame_section(a)
-        ll = T.l_of(T.l_of(ea))
-        for k in range(m):
-            expect = -chart.one() if k == a else chart.zero()
-            if not (ll[k] - expect).is_zero():
-                raise PreconditionError("fiber map does not square to -id")
-    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    for a in range(m):
-        ea = A.frame_section(a)
-        for X in coords:
-            val = [
-                x + y
-                for x, y in zip(
-                    T.l_of(T.D_of(X, ea)), T.D_of(T.r.apply(X), ea)
-                )
-            ]
-            for k in range(m):
-                if not val[k].is_zero():
-                    raise PreconditionError("flatness relation fails")
-    form_ok = check_IM_form(imf)
-    if form_ok.status != "pass":
-        return form_ok
-    return _im_compat(imf, T)
+# -- the quasi variant ------------------------------------------------------------------
 
 
 def quasi_IM_check(imf: IMForm, r: OneOneTensor, phi: PForm) -> Verdict:
@@ -497,7 +520,6 @@ def quasi_IM_check(imf: IMForm, r: OneOneTensor, phi: PForm) -> Verdict:
     companion 3-form datum vanishes identically, asserted via the squared
     derivation of the transported tensor when available."""
     A = imf.parent
-    chart = A.chart
     if phi.degree != 3:
         raise ValueError("need a 3-form")
     if not ext_d(phi).is_zero():
@@ -509,30 +531,3 @@ def quasi_IM_check(imf: IMForm, r: OneOneTensor, phi: PForm) -> Verdict:
         for a, (rho, mu_a) in enumerate(zip(A.anchors, imf.mu))
         for item in _components(f"quasi_mu[{a}]", N.pair_form(mu_a) + interior(rho, phi))
     )
-
-
-def quasi_IM_nu_tilde(imf: IMForm, T: IMOneOne) -> Verdict:
-    """The induced 3-form datum
-    nu~(a)(X,Y,Z) = d mu(a)(X, N(Y,Z)) - <mu(D^2_{(Y,Z)} a), X> - d(N* mu(a))(X,Y,Z)
-    vanishes for compatible data; asserted on frame sections and coordinates."""
-    A = imf.parent
-    chart = A.chart
-    N = nijenhuis_torsion(T.r)
-    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-
-    def values():
-        for a, mu_a in enumerate(imf.mu):
-            dmu = ext_d(mu_a)
-            dNstar = ext_d(N.pair_form(mu_a))
-            for yi, zi in combinations(range(chart.dim), 2):
-                Y, Z = coords[yi], coords[zi]
-                mu_dsq = imf.mu_of(im_D_square(T, Y, Z, A.frame_section(a)))
-                for xi, X in enumerate(coords):
-                    val = (
-                        interior(N.apply(Y, Z), interior(X, dmu)).as_scalar()
-                        - interior(X, mu_dsq).as_scalar()
-                        - interior(Z, interior(Y, interior(X, dNstar))).as_scalar()
-                    )
-                    yield f"nu_tilde[{a};{xi},{yi},{zi}]", val
-
-    return Verdict.first(values())

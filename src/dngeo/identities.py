@@ -1089,8 +1089,7 @@ def _(rng, k):
     A, _ = dirac_to_algebroid(L)
     for a in range(ch.dim):
         for b in range(ch.dim):
-            br = A.bracket_coeffs(A.frame_section(a), A.frame_section(b))
-            got = PForm(ch, 1, {(i,): br[i] for i in range(ch.dim)})
+            got = PForm(ch, 1, {(c,): v for c, v in A.bracket(a, b).items()})
             kz = koszul_bracket(
                 pi.sharp, PForm.coordinate(ch, a), PForm.coordinate(ch, b)
             )

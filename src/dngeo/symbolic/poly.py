@@ -527,14 +527,15 @@ def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):
 
     The remainder is kept in one dict and its leading term found with a
     lazy max-heap.  scale grows only when the lead of the divisor does not
-    divide the lead of the remainder over Z or Z[i], which a division by a
-    primitive divisor never meets.
+    divide the lead of the remainder over Z or Z[i].  Over Z that proves the
+    division inexact when the divisor's content is 1: by Gauss's lemma an
+    exact quotient by a primitive divisor has integer coefficients.
     """
     (glk, lead), *terms = sorted(divisor.items(), reverse=True)
     if pairs:
         lr, li = lead
         norm = lr * lr + li * li
-    scale = 1
+    scale, content = 1, None
     heap = [-k for k in rem]
     heapify(heap)
     out: dict = {}
@@ -549,6 +550,9 @@ def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):
         if not pairs:
             a, r = divmod(c, lead)
             if r:
+                content = content or gcd(*divisor.values())
+                if content == 1:
+                    raise ValueError("inexact polynomial division")
                 h = gcd(c, lead)
                 a, b = (c // h, lead // h) if lead > 0 else (-c // h, -lead // h)
                 scale *= b

@@ -584,10 +584,12 @@ def wedge(a: PForm, b: PForm) -> PForm:
 
 def lie_deriv_form(X: VectorField, w: PForm) -> PForm:
     """L_X w in the closed form of the module docstring, one `dot` per
-    component; no partial is taken for a k with X^k = 0."""
+    component; no partial is taken for a k with X^k = 0, and L_X 0 = 0."""
     chart = same_chart(X, w)
     if w.degree == 0:
         return PForm.from_scalar(X.deriv(w.as_scalar()))
+    if not w.comps:
+        return w
     x = X.comps
     live = [k for k in range(chart.dim) if x[k]]
     out = {}

@@ -2,15 +2,26 @@
 construction from checked subbundle frames."""
 
 import random
+from itertools import combinations
 
 import pytest
+
+from test_algebroid_closed_forms import (
+    D_of,
+    anchor_of,
+    bracket_coeffs,
+    frame_section,
+    im_D_square,
+    l_of,
+    mu_of,
+    nu_of,
+)
 
 from dngeo.algebroid import (
     AlgebroidData,
     IMForm,
     IMOneOne,
     _im_compat,
-    abelian_algebroid,
     check_algebroid,
     check_IM_compat,
     check_IM_form,
@@ -18,14 +29,12 @@ from dngeo.algebroid import (
     check_IM_oneone,
     dirac_to_algebroid,
     quasi_IM_check,
-    quasi_IM_nu_tilde,
-    real_part_IM,
-    tangent_algebroid,
     transport_oneone,
 )
 from dngeo.dirac import (
     FAIL,
     PASS,
+    Verdict,
     make_graph_poisson,
     make_split,
 )
@@ -56,6 +65,79 @@ from dngeo.tensor import (
 @pytest.fixture
 def ch():
     return chart2()
+
+
+def tangent_algebroid(chart) -> AlgebroidData:
+    """The tangent bundle with coordinate frame, identity anchor, zero bracket."""
+    anchors = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
+    return AlgebroidData(chart, anchors, {})
+
+
+def abelian_algebroid(chart, rank: int) -> AlgebroidData:
+    anchors = [VectorField.zero(chart) for _ in range(rank)]
+    return AlgebroidData(chart, anchors, {})
+
+
+def real_part_IM(imf: IMForm, T: IMOneOne) -> Verdict:
+    """Certify a holomorphic IM form through its real part.
+
+    Preconditions: l and r square to -id and the derivation satisfies the
+    flatness relation l(D_X(u)) + D_{r(X)}(u) = 0.  Given those, the pair
+    (mu, nu) encodes a holomorphic datum iff it passes the structure and
+    compatibility checks against (D, l, r).
+    """
+    A = imf.parent
+    chart = A.chart
+    m = A.rank
+    rsq = T.r.compose(T.r) + OneOneTensor.identity(chart)
+    if not rsq.is_zero():
+        raise PreconditionError("base tensor does not square to -id")
+    for a in range(m):
+        ea = frame_section(A, a)
+        ll = l_of(T, l_of(T, ea))
+        for k in range(m):
+            expect = -chart.one() if k == a else chart.zero()
+            if not (ll[k] - expect).is_zero():
+                raise PreconditionError("fiber map does not square to -id")
+    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
+    for a in range(m):
+        ea = frame_section(A, a)
+        for X in coords:
+            val = [x + y for x, y in zip(l_of(T, D_of(T, X, ea)), D_of(T, T.r.apply(X), ea))]
+            for k in range(m):
+                if not val[k].is_zero():
+                    raise PreconditionError("flatness relation fails")
+    form_ok = check_IM_form(imf)
+    if form_ok.status != "pass":
+        return form_ok
+    return _im_compat(imf, T)
+
+
+def quasi_IM_nu_tilde(imf: IMForm, T: IMOneOne) -> Verdict:
+    """The induced 3-form datum
+    nu~(a)(X,Y,Z) = d mu(a)(X, N(Y,Z)) - <mu(D^2_{(Y,Z)} a), X> - d(N* mu(a))(X,Y,Z)
+    vanishes for compatible data; asserted on frame sections and coordinates."""
+    A = imf.parent
+    chart = A.chart
+    N = nijenhuis_torsion(T.r)
+    coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
+
+    def values():
+        for a, mu_a in enumerate(imf.mu):
+            dmu = ext_d(mu_a)
+            dNstar = ext_d(N.pair_form(mu_a))
+            for yi, zi in combinations(range(chart.dim), 2):
+                Y, Z = coords[yi], coords[zi]
+                mu_dsq = mu_of(imf, im_D_square(T, Y, Z, frame_section(A, a)))
+                for xi, X in enumerate(coords):
+                    val = (
+                        interior(N.apply(Y, Z), interior(X, dmu)).as_scalar()
+                        - interior(X, mu_dsq).as_scalar()
+                        - interior(Z, interior(Y, interior(X, dNstar))).as_scalar()
+                    )
+                    yield f"nu_tilde[{a};{xi},{yi},{zi}]", val
+
+    return Verdict.first(values())
 
 
 def tangent_im_oneone(ch, r):
@@ -183,12 +265,12 @@ class TestIMForm:
         g = random_scalar(ch, rng)
         u = [f, ch.zero()]
         v = [ch.zero(), g]
-        br = A.bracket_coeffs(u, v)
-        lhs = imf.mu_of(br)
+        br = bracket_coeffs(A, u, v)
+        lhs = mu_of(imf, br)
         from dngeo.tensor import lie_deriv_form
 
-        rhs = lie_deriv_form(A.anchor_of(u), imf.mu_of(v)) - interior(
-            A.anchor_of(v), ext_d(imf.mu_of(u)) + imf.nu_of(u)
+        rhs = lie_deriv_form(anchor_of(A, u), mu_of(imf, v)) - interior(
+            anchor_of(A, v), ext_d(mu_of(imf, u)) + nu_of(imf, u)
         )
         assert (lhs - rhs).is_zero()
 
@@ -249,11 +331,11 @@ class TestLeibnizExtension:
         f = random_scalar(ch, rng)
         X = VectorField(ch, [random_scalar(ch, rng, 2, 2) for _ in range(2)])
         a = rng.randrange(2)
-        ea = A.frame_section(a)
+        ea = frame_section(A, a)
         scaled = [f * c for c in ea]
-        lhs = T.D_of(X, scaled)
-        base = T.D_of(X, ea)
-        la = T.l_of(ea)
+        lhs = D_of(T, X, scaled)
+        base = D_of(T, X, ea)
+        la = l_of(T, ea)
         xf = X.deriv(f)
         rxf = rx.apply(X).deriv(f)
         rhs = [f * base[b] + xf * la[b] for b in range(2)]
@@ -275,16 +357,16 @@ class TestLeibnizExtension:
         X = VectorField.coordinate(ch, seed % 2)
         from dngeo.tensor import lie_bracket
 
-        lhs = T.D_of(X, A.bracket_coeffs(u, v))
-        rhs = A.bracket_coeffs(u, T.D_of(X, v))
-        rhs = [x - y for x, y in zip(rhs, A.bracket_coeffs(v, T.D_of(X, u)))]
+        lhs = D_of(T, X, bracket_coeffs(A, u, v))
+        rhs = bracket_coeffs(A, u, D_of(T, X, v))
+        rhs = [x - y for x, y in zip(rhs, bracket_coeffs(A, v, D_of(T, X, u)))]
         rhs = [
             x + y
-            for x, y in zip(rhs, T.D_of(lie_bracket(A.anchor_of(v), X), u))
+            for x, y in zip(rhs, D_of(T, lie_bracket(anchor_of(A, v), X), u))
         ]
         rhs = [
             x - y
-            for x, y in zip(rhs, T.D_of(lie_bracket(A.anchor_of(u), X), v))
+            for x, y in zip(rhs, D_of(T, lie_bracket(anchor_of(A, u), X), v))
         ]
         assert all((l - r).is_zero() for l, r in zip(lhs, rhs))
 
@@ -311,6 +393,16 @@ class TestIMCompat:
         )
         # the compatibility equations alone, without the data's own checks
         assert _im_compat(imf, bad).status == FAIL
+
+    def test_data_on_algebroids_with_other_structure_functions_are_refused(self, ch):
+        # equal (zero) anchors, so only the structure functions tell the two apart
+        zero, z = [VectorField.zero(ch)] * 2, ch.zero()
+        A, B = AlgebroidData(ch, zero, {}), AlgebroidData(ch, zero, {(0, 1, 0): ch.one()})
+        imf = IMForm(A, 2, (PForm.zero(ch, 1),) * 2, (PForm.zero(ch, 2),) * 2)
+        theta = [[PForm.zero(ch, 1)] * 2] * 2
+        assert _im_compat(imf, IMOneOne(A, theta, [[z, z], [z, z]], OneOneTensor.zero(ch))).status == PASS
+        with pytest.raises(PreconditionError, match="different algebroids"):
+            _im_compat(imf, IMOneOne(B, theta, [[z, z], [z, z]], OneOneTensor.zero(ch)))
 
 
 class TestRealPartIM:

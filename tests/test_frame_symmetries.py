@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_algebroid_closed_forms import D_of, anchor_of, bracket_coeffs, frame_section, l_of, mu_of, nu_of
 from test_closed_forms import scalars
 from test_tensor import D_r_star_pform
 
@@ -178,7 +179,7 @@ def old_decide_axioms(A) -> Verdict:
     for a in range(m):
         for b in range(a + 1, m):
             lhs = lie_bracket(A.anchors[a], A.anchors[b])
-            rhs = A.anchor_of(A.bracket_coeffs(A.frame_section(a), A.frame_section(b)))
+            rhs = anchor_of(A, bracket_coeffs(A, frame_section(A, a), frame_section(A, b)))
             diff = lhs - rhs
             for i in range(A.chart.dim):
                 if not diff.comps[i].is_zero():
@@ -186,10 +187,10 @@ def old_decide_axioms(A) -> Verdict:
     for a in range(m):
         for b in range(a + 1, m):
             for c in range(b + 1, m):
-                ea, eb, ec = (A.frame_section(k) for k in (a, b, c))
-                jac = A.bracket_coeffs(A.bracket_coeffs(ea, eb), ec)
+                ea, eb, ec = (frame_section(A, k) for k in (a, b, c))
+                jac = bracket_coeffs(A, bracket_coeffs(A, ea, eb), ec)
                 for u, v, w in ((eb, ec, ea), (ec, ea, eb)):
-                    term = A.bracket_coeffs(A.bracket_coeffs(u, v), w)
+                    term = bracket_coeffs(A, bracket_coeffs(A, u, v), w)
                     jac = [x + y for x, y in zip(jac, term)]
                 for k in range(m):
                     if not jac[k].is_zero():
@@ -218,8 +219,8 @@ def old_check_IM_form(imf) -> Verdict:
     # first two equations on ordered frame pairs
     for a in range(m):
         for b in range(m):
-            br = A.bracket_coeffs(A.frame_section(a), A.frame_section(b))
-            lhs1 = imf.mu_of(br)
+            br = bracket_coeffs(A, frame_section(A, a), frame_section(A, b))
+            lhs1 = mu_of(imf, br)
             rhs1 = lie_deriv_form(A.anchors[a], imf.mu[b]) - interior(
                 A.anchors[b], ext_d(imf.mu[a]) + imf.nu[a]
             )
@@ -227,7 +228,7 @@ def old_check_IM_form(imf) -> Verdict:
             if not diff1.is_zero():
                 key = sorted(diff1.comps)[0]
                 return Verdict.fail((f"mu_eq[{a},{b}]{key}", diff1.comps[key]))
-            lhs2 = imf.nu_of(br)
+            lhs2 = nu_of(imf, br)
             rhs2 = lie_deriv_form(A.anchors[a], imf.nu[b]) - interior(
                 A.anchors[b], ext_d(imf.nu[a])
             )
@@ -245,24 +246,24 @@ def old_check_IM_oneone(T) -> Verdict:
     chart = A.chart
     m = A.rank
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    e = [A.frame_section(a) for a in range(m)]
+    e = [frame_section(A, a) for a in range(m)]
 
     # each derivation the equations share is built once, on first use
     @cache
     def D_coord(k, b):  # D_{d_k}(e_b)
-        return T.D_of(coords[k], e[b])
+        return D_of(T, coords[k], e[b])
 
     @cache
     def bracket(a, b):  # [e_a, e_b]
-        return A.bracket_coeffs(e[a], e[b])
+        return bracket_coeffs(A, e[a], e[b])
 
     @cache
     def bracket_D(a, b, k):  # [e_a, D_{d_k}(e_b)]
-        return A.bracket_coeffs(e[a], D_coord(k, b))
+        return bracket_coeffs(A, e[a], D_coord(k, b))
 
     @cache
     def D_rho(a, b, k):  # D_{[rho(b), d_k]}(e_a)
-        return T.D_of(rho_coord(b, k), e[a])
+        return D_of(T, rho_coord(b, k), e[a])
 
     @cache
     def rho_coord(b, k):  # [rho(b), d_k]
@@ -270,7 +271,7 @@ def old_check_IM_oneone(T) -> Verdict:
 
     # (1) r . rho = rho . l
     for a in range(m):
-        diff = T.r.apply(A.anchors[a]) - A.anchor_of(T.l_of(e[a]))
+        diff = T.r.apply(A.anchors[a]) - anchor_of(A, l_of(T, e[a]))
         for i in range(chart.dim):
             if not diff.comps[i].is_zero():
                 return Verdict.fail((f"anchor_l[{a}]_{i}", diff.comps[i]))
@@ -278,16 +279,16 @@ def old_check_IM_oneone(T) -> Verdict:
     for a in range(m):
         row = _coordinate_D(GSection.from_vector(A.anchors[a]), T.r)
         for k, d in enumerate(row):
-            diff = A.anchor_of(D_coord(k, a)) - d.vec
+            diff = anchor_of(A, D_coord(k, a)) - d.vec
             for i in range(chart.dim):
                 if not diff.comps[i].is_zero():
                     return Verdict.fail((f"anchor_D[{a}]_{i}", diff.comps[i]))
     # (3) l([a,b]) = [a, l(b)] - D_{rho(b)}(a)
     for a in range(m):
         for b in range(m):
-            lhs = T.l_of(bracket(a, b))
-            rhs = A.bracket_coeffs(e[a], T.l_of(e[b]))
-            dterm = T.D_of(A.anchors[b], e[a])
+            lhs = l_of(T, bracket(a, b))
+            rhs = bracket_coeffs(A, e[a], l_of(T, e[b]))
+            dterm = D_of(T, A.anchors[b], e[a])
             for k in range(m):
                 val = lhs[k] - rhs[k] + dterm[k]
                 if not val.is_zero():
@@ -296,7 +297,7 @@ def old_check_IM_oneone(T) -> Verdict:
     for a in range(m):
         for b in range(m):
             for k, X in enumerate(coords):
-                lhs = T.D_of(X, bracket(a, b))
+                lhs = D_of(T, X, bracket(a, b))
                 terms = zip(bracket_D(a, b, k), bracket_D(b, a, k), D_rho(a, b, k), D_rho(b, a, k))
                 for c, (x1, x2, x3, x4) in enumerate(terms):
                     val = lhs[c] - (x1 - x2 + x3 - x4)
@@ -314,11 +315,11 @@ def old_im_compat(imf, T) -> Verdict:
     m = A.rank
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
     for a in range(m):
-        ea = A.frame_section(a)
-        la = T.l_of(ea)
+        ea = frame_section(A, a)
+        la = l_of(T, ea)
         # mu(l(a)) = mu(a)_r
         mu_a = imf.mu[a]
-        lhs = imf.mu_of(la)
+        lhs = mu_of(imf, la)
         if mu_a.degree == 1:
             rhs_cov = form_as_covform(T.r.dual(mu_a))
         else:
@@ -327,7 +328,7 @@ def old_im_compat(imf, T) -> Verdict:
         for key in sorted(diff.comps):
             return Verdict.fail((f"mu_l[{a}]{key}", diff.comps[key]))
         # nu(l(a)) = nu(a)_r
-        lhs_nu = imf.nu_of(la)
+        lhs_nu = nu_of(imf, la)
         nu_a = imf.nu[a]
         if nu_a.is_zero():
             if not lhs_nu.is_zero():
@@ -340,14 +341,14 @@ def old_im_compat(imf, T) -> Verdict:
         # mu(D_X(a)) = D^{r,*}_X(mu(a)), the covector part of bigD on a 1-form, and the same for nu
         row = _coordinate_D(GSection.from_form(mu_a), T.r) if mu_a.degree == 1 else None
         for k, X in enumerate(coords):
-            da = T.D_of(X, ea)
-            lhs_mu = imf.mu_of(da)
+            da = D_of(T, X, ea)
+            lhs_mu = mu_of(imf, da)
             rhs_mu = row[k].cov if row else D_r_star_pform(X, mu_a, T.r).to_form()
             diffm = lhs_mu - rhs_mu
             if not diffm.is_zero():
                 key = sorted(diffm.comps)[0]
                 return Verdict.fail((f"mu_D[{a}]{key}", diffm.comps[key]))
-            lhs_nu = imf.nu_of(da)
+            lhs_nu = nu_of(imf, da)
             if nu_a.is_zero():
                 diffn = lhs_nu
             else:
@@ -456,14 +457,14 @@ def test_the_courant_tensor_is_totally_skew_on_an_isotropic_frame(chart, data):
 def im_four(T, a, b, X):
     """D_X([a,b]) - ([a, D_X(b)] - [b, D_X(a)] + D_{[rho(b),X]}(a) - D_{[rho(a),X]}(b))."""
     A = T.parent
-    ea, eb = A.frame_section(a), A.frame_section(b)
+    ea, eb = frame_section(A, a), frame_section(A, b)
     rhs = zip(
-        A.bracket_coeffs(ea, T.D_of(X, eb)),
-        A.bracket_coeffs(eb, T.D_of(X, ea)),
-        T.D_of(lie_bracket(A.anchors[b], X), ea),
-        T.D_of(lie_bracket(A.anchors[a], X), eb),
+        bracket_coeffs(A, ea, D_of(T, X, eb)),
+        bracket_coeffs(A, eb, D_of(T, X, ea)),
+        D_of(T, lie_bracket(A.anchors[b], X), ea),
+        D_of(T, lie_bracket(A.anchors[a], X), eb),
     )
-    return [x - (x1 - x2 + x3 - x4) for x, (x1, x2, x3, x4) in zip(T.D_of(X, A.bracket_coeffs(ea, eb)), rhs)]
+    return [x - (x1 - x2 + x3 - x4) for x, (x1, x2, x3, x4) in zip(D_of(T, X, bracket_coeffs(A, ea, eb)), rhs)]
 
 
 @st.composite

@@ -46,10 +46,11 @@ def test_a_scene_forms_one_torsion_per_tensor_and_one_row_set_per_pair(monkeypat
     scene = parse_scene(SCENE)
     assert [rec.verdict.status for rec in run_scene(scene)] == ["pass"] * 5
     r, L = scene.oneones["r"], scene.frames["L"]
-    # the checks read the torsion of r five times and rows six times, on four
-    # (section, r) pairs: the two sections of L and the two anchors of the algebroid
+    # the checks read the torsion of r five times, and rows on the two
+    # (section, r) pairs of the sections of L only: the algebroid reads the
+    # derivation of its anchors in closed form, and forms no rows for them
     assert torsions == [r]
-    assert len(rows) == 4
+    assert len(rows) == 2
     assert sum(s is t for s, _ in rows for t in L.sections) == 2
     assert all(key is r for _, key in rows)
     assert len({id(s) for s, _ in rows}) == len(rows)

@@ -273,6 +273,31 @@ def test_divexact_matches_the_oracle(case):
         assert_same(divexact(f + c, b), want)
 
 
+def test_an_inexact_division_by_a_primitive_divisor_stops_at_its_first_step(monkeypatch):
+    # by Gauss's lemma an exact quotient by a divisor of content 1 has integer
+    # coefficients, so the first lead division with a remainder decides; the
+    # 12 terms of f once took the whole long division, scaled 3-fold per step
+    terms = {(70000,): 1, (327,): 3, (300,): -1, (255,): 2, (201,): 5, (150,): -4}
+    terms.update({(128,): 1, (99,): 7, (64,): -2, (30,): 1, (2,): 3, (0,): -6})
+    f, b = Polynomial(1, terms), Polynomial(1, {(127,): 3, (100,): 1, (1,): 2})
+    scaled, times = [], poly_module._times
+
+    def counted(p, k):
+        if k != 1:
+            scaled.append(k)
+        return times(p, k)
+
+    monkeypatch.setattr(poly_module, "_times", counted)
+    with pytest.raises(ValueError, match="inexact"):
+        divexact(f, b)
+    assert scaled == []
+    # a divisor of content 3 still scales, to an exact quotient with denominator 3
+    three = Polynomial(1, {(1,): 3, (0,): 6})
+    assert divexact(x(1, 0) + Polynomial.const(1, 2), three) == Polynomial.const(1, Fraction(1, 3))
+    with pytest.raises(ValueError, match="inexact"):
+        divexact(x(1, 0, 2) + Polynomial.const(1, 1), three)
+
+
 @settings(SETTINGS, max_examples=30)
 @given(st.data())
 def test_gcd_of_disjoint_cofactors_is_the_common_factor(data):
