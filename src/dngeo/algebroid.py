@@ -23,7 +23,7 @@ fields) are oracles in the test suite.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import PreconditionError
@@ -43,6 +43,7 @@ from .tensor import (
     PForm,
     VectorField,
     _partials,
+    combination,
     ext_d,
     interior,
     lie_deriv_form,
@@ -84,6 +85,17 @@ class AlgebroidData:
                 rows[q, p][c] = -val
             self._rows = rows
         return self._rows[a, b]
+
+
+def tangent_algebroid(chart) -> AlgebroidData:
+    """The tangent bundle with coordinate frame, identity anchor, zero bracket."""
+    anchors = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
+    return AlgebroidData(chart, anchors, {})
+
+
+def abelian_algebroid(chart, rank: int) -> AlgebroidData:
+    anchors = [VectorField.zero(chart) for _ in range(rank)]
+    return AlgebroidData(chart, anchors, {})
 
 
 # -- sums over nonzero entries ------------------------------------------------------------
@@ -155,10 +167,6 @@ def _add_D_along(out, theta, X: dict, a: int, s=1):
 def _named(label: str, out, chart):
     """(label + index, its sum) for each index of out, in order."""
     return ((f"{label}{c}", dot(chart, out[c])) for c in sorted(out))
-
-
-def _combine(forms, coeffs: dict, zero: PForm) -> PForm:
-    return sum((forms[c].scale(v) for c, v in coeffs.items()), zero)
 
 
 # -- the algebroid axioms ------------------------------------------------------------------
@@ -244,33 +252,32 @@ def _form_equations(imf: IMForm):
 # -- IM (1,1)-tensors --------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class IMOneOne:
     """A degree-1 derivation datum (D, l, r) on the algebroid frame.
 
     theta[a][b] is the 1-form coefficient of e_b in D(e_a), so that
     D_X(e_a) = sum_b theta[a][b](X) e_b; l is an m x m grid with
-    l(e_a) = sum_b l_grid[b][a] e_b; r acts on the base.  The private slot
+    l(e_a) = sum_b l_grid[b][a] e_b; r acts on the base.  The private field
     `_grids` keeps what the equations read (see `_grids`)."""
 
-    __slots__ = ("parent", "theta", "l_grid", "r", "_grids")
+    parent: AlgebroidData
+    theta: tuple
+    l_grid: tuple
+    r: OneOneTensor
+    _grids: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, parent: AlgebroidData, theta, l_grid, r: OneOneTensor):
-        self.parent, self.theta, self.l_grid, self.r = parent, tuple(theta), tuple(l_grid), r
-        self._grids = None
 
-
-def _grids(T: IMOneOne, theta=None):
+def _grids(T: IMOneOne):
     """(Theta, l, rd) with Theta[k][a] = D_{d_k}(e_a), l[a] = l(e_a) and rd[k] = r d_k,
-    each {index: nonzero entry}; formed once per T, from T.theta or from the
-    grids theta[k][a][b] that `transport_oneone` solved for."""
+    each {index: nonzero entry}; formed once per T, on first read."""
     if T._grids is None:
-        if theta is None:
-            theta = [[[w.comps.get((k,)) for w in row] for row in T.theta] for k in range(T.r.chart.dim)]
-        T._grids = (
-            [[_sparse(row) for row in grid] for grid in theta],
+        grids = (
+            [[_sparse(w.comps.get((k,)) for w in row) for row in T.theta] for k in range(T.r.chart.dim)],
             [_sparse(col) for col in zip(*T.l_grid)],
             [_sparse(col) for col in zip(*T.r.grid)],
         )
+        object.__setattr__(T, "_grids", grids)
     return T._grids
 
 
@@ -382,7 +389,7 @@ def _im_compat(imf: IMForm, T: IMOneOne) -> Verdict:
 
 def _compat_equations(imf: IMForm, T: IMOneOne):
     chart = imf.parent.chart
-    theta, lcol, rd = _grids(T)
+    theta, _, rd = _grids(T)
     ident, rows = [{k: chart.one()} for k in range(chart.dim)], [_sparse(row) for row in T.r.grid]
 
     def l_line(label, w_l, w):
@@ -396,8 +403,9 @@ def _compat_equations(imf: IMForm, T: IMOneOne):
         if mu_a.degree < 1:
             raise ValueError("need degree >= 1")
         # mu(l(a)) = mu(a)_r and nu(l(a)) = nu(a)_r; a zero nu(a) names nu(l(a)) by its form keys
-        mu_l = _combine(imf.mu, lcol[a], PForm.zero(chart, mu_a.degree))
-        nu_l = _combine(imf.nu, lcol[a], PForm.zero(chart, nu_a.degree))
+        l_a = [row[a] for row in T.l_grid]
+        mu_l = combination(imf.mu, l_a, PForm.zero(chart, mu_a.degree))
+        nu_l = combination(imf.nu, l_a, PForm.zero(chart, nu_a.degree))
         yield from l_line(f"mu_l[{a}]", mu_l, mu_a)
         yield from _components(f"nu_l[{a}]", nu_l) if nu_a.is_zero() else l_line(f"nu_l[{a}]", nu_l, nu_a)
         # mu(D_X(a)) = D^{r,*}_X(mu(a)) = i_X d(mu(a)_r) - i_{rX} d mu(a), and the same
@@ -480,10 +488,8 @@ def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
                 raise PreconditionError("derivation does not preserve the frame span")
             rows.append(coeffs)
         solved.append(rows)
-    theta = [tuple(PForm(chart, 1, {(k,): rows[k][b] for k in range(n)}) for b in range(n)) for rows in solved]
-    T = IMOneOne(A, theta, l_grid, r)
-    _grids(T, [[rows[k] for rows in solved] for k in range(n)])
-    return T
+    theta = tuple(tuple(PForm(chart, 1, {(k,): rows[k][b] for k in range(n)}) for b in range(n)) for rows in solved)
+    return IMOneOne(A, theta, l_grid, r)
 
 
 def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None = None):

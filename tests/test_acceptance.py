@@ -16,7 +16,6 @@ Criteria (all primary):
 import random
 from fractions import Fraction
 
-from test_algebroid import tangent_algebroid
 
 from dngeo.algebroid import (
     IMForm,
@@ -26,6 +25,7 @@ from dngeo.algebroid import (
     check_IM_nijenhuis,
     check_IM_oneone,
     dirac_to_algebroid,
+    tangent_algebroid,
     transport_oneone,
 )
 from dngeo.dirac import (

@@ -22,6 +22,7 @@ from dngeo.algebroid import (
     IMForm,
     IMOneOne,
     _im_compat,
+    abelian_algebroid,
     check_algebroid,
     check_IM_compat,
     check_IM_form,
@@ -29,6 +30,7 @@ from dngeo.algebroid import (
     check_IM_oneone,
     dirac_to_algebroid,
     quasi_IM_check,
+    tangent_algebroid,
     transport_oneone,
 )
 from dngeo.dirac import (
@@ -65,17 +67,6 @@ from dngeo.tensor import (
 @pytest.fixture
 def ch():
     return chart2()
-
-
-def tangent_algebroid(chart) -> AlgebroidData:
-    """The tangent bundle with coordinate frame, identity anchor, zero bracket."""
-    anchors = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
-    return AlgebroidData(chart, anchors, {})
-
-
-def abelian_algebroid(chart, rank: int) -> AlgebroidData:
-    anchors = [VectorField.zero(chart) for _ in range(rank)]
-    return AlgebroidData(chart, anchors, {})
 
 
 def real_part_IM(imf: IMForm, T: IMOneOne) -> Verdict:

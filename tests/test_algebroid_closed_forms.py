@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from test_closed_forms import scalars
 
-from dngeo import algebroid
 from dngeo.algebroid import (
     AlgebroidData,
     IMForm,
@@ -495,13 +494,3 @@ def test_the_chain_forms_no_interior_or_bracket_on_a_product_scene(monkeypatch):
     assert calls == Counter()
     sys.modules["dngeo.tensor"].interior(VectorField.coordinate(A.chart, 0), imf.mu[0])
     assert calls == Counter({"interior": 1})
-
-
-def test_transport_keeps_the_grids_it_solved_for():
-    x, y, z = (R3.var(v) for v in R3.variables)
-    L = make_graph_poisson(Bivector(R3, {(0, 1): x * y + 1}))
-    r = OneOneTensor.diagonal(R3, [x, x, z])
-    A, _ = dirac_to_algebroid(L)
-    T = transport_oneone(A, L, r)
-    fresh = IMOneOne(A, T.theta, T.l_grid, r)
-    assert algebroid._grids(T) == algebroid._grids(fresh)
