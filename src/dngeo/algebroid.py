@@ -28,6 +28,7 @@ from itertools import combinations
 
 from .errors import PreconditionError
 from .symbolic import dot, solve_linear
+from .symbolic.scalar import _kept
 from .courant import _coordinate_D, apply_rr, courant_bracket
 from .dirac import (
     GFrame,
@@ -53,10 +54,10 @@ from .tensor import (
 
 class AlgebroidData:
     """Anchor columns and structure functions for a frame e_1..e_m.  The
-    private slots `_rows` (see `bracket`) and `_axioms` (the verdict of
-    `check_algebroid`) are filled on first read."""
+    structure functions by pair (see `bracket`) and the verdict of
+    `check_algebroid` are kept by the memo rule (see `_kept`)."""
 
-    __slots__ = ("chart", "rank", "anchors", "struct", "_rows", "_axioms")
+    __slots__ = ("chart", "rank", "anchors", "struct", "_memo")
 
     def __init__(self, chart, anchors, struct):
         self.chart = chart
@@ -72,19 +73,20 @@ class AlgebroidData:
             if not val.is_zero():
                 clean[(a, b, c)] = val
         self.struct = clean
-        self._rows = self._axioms = None
+        self._memo = None
 
     def bracket(self, a: int, b: int) -> dict:
         """[e_a, e_b] as {c: c(a, b, c)} over its nonzero structure functions,
         a dict kept on A and shared by every caller, who must not change it."""
-        if self._rows is None:
-            m = self.rank
-            rows = {(p, q): {} for p in range(m) for q in range(m)}
-            for (p, q, c), val in self.struct.items():
-                rows[p, q][c] = val
-                rows[q, p][c] = -val
-            self._rows = rows
-        return self._rows[a, b]
+        return _kept(self, "rows", _pair_rows, self.rank, self.struct)[a, b]
+
+
+def _pair_rows(m: int, struct: dict) -> dict:
+    rows = {(p, q): {} for p in range(m) for q in range(m)}
+    for (p, q, c), val in struct.items():
+        rows[p, q][c] = val
+        rows[q, p][c] = -val
+    return rows
 
 
 def tangent_algebroid(chart) -> AlgebroidData:
@@ -151,7 +153,7 @@ def _add_bracket(out, A: AlgebroidData, rho, a: int, g: dict, s=1):
 
 def _add_D(out, T: "IMOneOne", k: int, g: dict, s=1):
     """out += s * D_{d_k}(g)."""
-    theta, lcol, rd = _grids(T)
+    theta, lcol, rd = _kept(T, "grids", _grids, T)
     for a, ga in g.items():
         _add(out, ga, theta[k][a], s)
         _add(out, ga.diff(k), lcol[a], s)
@@ -174,9 +176,7 @@ def _named(label: str, out, chart):
 
 def check_algebroid(A: AlgebroidData) -> Verdict:
     """Anchor morphism plus Jacobi identity on frame triples, decided once per A."""
-    if A._axioms is None:
-        A._axioms = _decide_axioms(A)
-    return A._axioms
+    return _kept(A, "axioms", _decide_axioms, A)
 
 
 def _decide_axioms(A: AlgebroidData) -> Verdict:
@@ -258,27 +258,24 @@ class IMOneOne:
 
     theta[a][b] is the 1-form coefficient of e_b in D(e_a), so that
     D_X(e_a) = sum_b theta[a][b](X) e_b; l is an m x m grid with
-    l(e_a) = sum_b l_grid[b][a] e_b; r acts on the base.  The private field
-    `_grids` keeps what the equations read (see `_grids`)."""
+    l(e_a) = sum_b l_grid[b][a] e_b; r acts on the base.  What the equations
+    read (`_grids`) is kept by the memo rule (see `_kept`)."""
 
     parent: AlgebroidData
     theta: tuple
     l_grid: tuple
     r: OneOneTensor
-    _grids: tuple = field(default=None, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def _grids(T: IMOneOne):
+def _grids(T: IMOneOne) -> tuple:
     """(Theta, l, rd) with Theta[k][a] = D_{d_k}(e_a), l[a] = l(e_a) and rd[k] = r d_k,
-    each {index: nonzero entry}; formed once per T, on first read."""
-    if T._grids is None:
-        grids = (
-            [[_sparse(w.comps.get((k,)) for w in row) for row in T.theta] for k in range(T.r.chart.dim)],
-            [_sparse(col) for col in zip(*T.l_grid)],
-            [_sparse(col) for col in zip(*T.r.grid)],
-        )
-        object.__setattr__(T, "_grids", grids)
-    return T._grids
+    each {index: nonzero entry}; kept on T under "grids"."""
+    return (
+        [[_sparse(w.comps.get((k,)) for w in row) for row in T.theta] for k in range(T.r.chart.dim)],
+        [_sparse(col) for col in zip(*T.l_grid)],
+        [_sparse(col) for col in zip(*T.r.grid)],
+    )
 
 
 def check_IM_oneone(T: IMOneOne) -> Verdict:
@@ -290,7 +287,7 @@ def check_IM_oneone(T: IMOneOne) -> Verdict:
 def _oneone_equations(T: IMOneOne):
     A = T.parent
     chart, n, m = A.chart, A.chart.dim, A.rank
-    rho, (theta, lcol, rd) = [_sparse(X.comps) for X in A.anchors], _grids(T)
+    rho, (theta, lcol, rd) = [_sparse(X.comps) for X in A.anchors], _kept(T, "grids", _grids, T)
     # (1) r . rho = rho . l
     for a in range(m):
         out = defaultdict(list)
@@ -348,7 +345,7 @@ def _nijenhuis_equations(T: IMOneOne):
     l(D_{[X,Y]}(a)) - [D_X, D_Y](a) - D_{[X,Y]_r}(a) on coordinate fields."""
     chart, m = T.parent.chart, T.parent.rank
     n = chart.dim
-    theta, lcol, _ = _grids(T)
+    theta, lcol, _ = _kept(T, "grids", _grids, T)
     for a in range(m):
         for x in range(n):
             out = defaultdict(list)
@@ -389,7 +386,7 @@ def _im_compat(imf: IMForm, T: IMOneOne) -> Verdict:
 
 def _compat_equations(imf: IMForm, T: IMOneOne):
     chart = imf.parent.chart
-    theta, _, rd = _grids(T)
+    theta, _, rd = _kept(T, "grids", _grids, T)
     ident, rows = [{k: chart.one()} for k in range(chart.dim)], [_sparse(row) for row in T.r.grid]
 
     def l_line(label, w_l, w):

@@ -28,6 +28,7 @@ selftest identities `double_bracket_relation` and
 from __future__ import annotations
 
 from .symbolic import ScalarExpr, dot, same_chart
+from .symbolic.scalar import _kept
 from .tensor import (
     OneOneTensor,
     PForm,
@@ -43,11 +44,11 @@ from .tensor import (
 
 
 class GSection:
-    """An immutable section (X, a) of the generalized tangent bundle.  The
-    private slot `_rows` keeps the rows of `_coordinate_D` formed on it, as
-    (r, rows) pairs matched by the identity of the tensor r they hold."""
+    """An immutable section (X, a) of the generalized tangent bundle.  It
+    keeps the rows of `_coordinate_D` along each tensor by the memo rule
+    (see `_kept`)."""
 
-    __slots__ = ("chart", "vec", "cov", "_rows")
+    __slots__ = ("chart", "vec", "cov", "_memo")
 
     def __init__(self, vec: VectorField, cov: PForm):
         same_chart(vec, cov)
@@ -56,7 +57,7 @@ class GSection:
         self.chart = vec.chart
         self.vec = vec
         self.cov = cov
-        self._rows = ()
+        self._memo = None
 
     @staticmethod
     def zero(chart) -> "GSection":
@@ -136,13 +137,13 @@ def big_D(X: VectorField, s: GSection, r: OneOneTensor) -> GSection:
 def _coordinate_D(s: GSection, r: OneOneTensor) -> tuple:
     """(bigD_{d_k}(s) for each k) for s = (Y, a), by the closed form of the
     module docstring, with each derivative of r, Y and a taken once; formed
-    once per (s, r) and kept on s."""
-    for key, rows in s._rows:
-        if key is r:
-            return rows
-    rows = _coordinate_rows(s, r)
-    s._rows += ((r, rows),)
-    return rows
+    once per (s, r) and kept on s under id(r).  The kept pair holds r, so
+    while it is kept no other tensor can have that id."""
+    return _kept(s, id(r), _held_rows, s, r)[1]
+
+
+def _held_rows(s: GSection, r: OneOneTensor) -> tuple:
+    return r, _coordinate_rows(s, r)
 
 
 def _coordinate_rows(s: GSection, r: OneOneTensor) -> tuple:

@@ -50,7 +50,7 @@ from .symbolic import (
     solve_linear,
 )
 from .symbolic import modp
-from .symbolic.scalar import to_str
+from .symbolic.scalar import _kept, to_str
 from .courant import (
     GSection,
     _coordinate_D,
@@ -126,11 +126,11 @@ class Verdict:
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections.
 
-    The frame is its sections, plus the sampled rank of its matrix and the
-    lagrangian verdict at each sample count once decided: `_sampled_rank` and
-    `check_lagrangian` fill them in on first use."""
+    The frame is its sections.  It keeps the sampled rank of its matrix and
+    its lagrangian verdict at each sample count by the memo rule (see
+    `_kept`), formed by `_sampled_rank` and `_decide_lagrangian`."""
 
-    __slots__ = ("chart", "sections", "_rank", "_lagrangian")
+    __slots__ = ("chart", "sections", "_memo")
 
     def __init__(self, sections):
         chart = same_chart(*sections)
@@ -138,8 +138,7 @@ class GFrame:
             raise ValueError("a frame needs exactly n sections")
         self.chart = chart
         self.sections = tuple(sections)
-        self._rank = {}  # sample count -> rank_at_samples of the matrix
-        self._lagrangian = {}  # sample count -> Verdict
+        self._memo = None
 
     def matrix(self) -> FracMatrix:
         """2n x n matrix whose columns are the stacked section components."""
@@ -286,10 +285,7 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     rank below n at every sample point, or a pole at every one, is
     inconclusive.  Frame constructors leave this sampled rank to the check.
     """
-    verdict = L._lagrangian.get(samples)
-    if verdict is None:
-        verdict = L._lagrangian[samples] = _decide_lagrangian(L, samples)
-    return verdict
+    return _kept(L, ("lagrangian", samples), _decide_lagrangian, L, samples)
 
 
 def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
@@ -297,7 +293,7 @@ def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
     isotropic = Verdict.first((f"pairing[{a},{b}]", val) for (a, b), val in _pairings(L, L))
     if isotropic.status != PASS:
         return isotropic
-    sampled = _sampled_rank(L, samples)
+    sampled = _kept(L, ("rank", samples), _sampled_rank, L, samples)
     if sampled != n and len(pivot_columns(L.matrix())) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled is None:
@@ -308,10 +304,8 @@ def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
 
 
 def _sampled_rank(L: GFrame, samples: int):
-    """rank_at_samples of the frame's matrix, decided once per sample count."""
-    if samples not in L._rank:
-        L._rank[samples] = rank_at_samples(L.matrix(), samples)
-    return L._rank[samples]
+    """rank_at_samples of the frame's matrix, kept per sample count."""
+    return rank_at_samples(L.matrix(), samples)
 
 
 def _require(verdict: Verdict, what: str):
@@ -543,7 +537,7 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
     else:
         out = transform_frame(L, lambda v: v, rn.dual)
     dim = out.chart.dim
-    sampled = _sampled_rank(out, samples)
+    sampled = _kept(out, ("rank", samples), _sampled_rank, out, samples)
     if sampled == dim or (sampled is None and len(pivot_columns(out.matrix())) == dim):
         return out
     raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")

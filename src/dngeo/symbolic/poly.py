@@ -20,11 +20,11 @@ view in the key order of `nums`, by exponent tuple.
 A sum, a product or `poly_dot` checks with its top keys that the result's
 degree fits the floor, or else repacks its operands once, at the width of
 the highest degree.  A product with a one-term operand cannot cancel, so
-it maps the other operand's terms in one pass, in their key order.
-`poly_dot` sums every term product of a list of pairs in the kernel `_dot`,
-over the lcm of the products' denominators; ScalarExpr's `dot` runs the
-contractions of the geometry on it.  `divexact` divides in `_divide`;
-linalg's elimination shares both kernels.
+it maps the other operand's terms in one pass, in their key order.  Any
+other product sums its term products in the kernel `_dot`, as `poly_dot`
+does for a list of pairs, over the lcm of the products' denominators;
+ScalarExpr's `dot` runs the contractions of the geometry on it.  `divexact`
+divides in `_divide`; linalg's elimination shares both kernels.
 
 The gcd starts from degree bounds read from images mod P (see modp.py): for
 each variable, an upper bound on the degree of the gcd in it.  Bounds that
@@ -178,12 +178,7 @@ class Polynomial:
             if pairs:
                 return _make(n, {ea + eb: _pair_mul(ca, cb) for ea, ca in a.items()}, den, w)
             return _make(n, {ea + eb: ca * cb for ea, ca in a.items()}, den, w)
-        b = b.items()
-        if pairs:
-            terms = ((ea + eb, _pair_mul(ca, cb)) for ea, ca in a.items() for eb, cb in b)
-        else:
-            terms = ((ea + eb, na * nb) for ea, na in a.items() for eb, nb in b)
-        return _make(n, _summed({}, terms), den, w)
+        return _make(n, _dot([(a, b, 1)], pairs), den, w)
 
     def scale(self, c) -> "Polynomial":
         return self * Polynomial.const(self.nvars, c)
@@ -497,7 +492,8 @@ def _kernel_form(p: Polynomial, w: int, pairs: bool, k: int = 1) -> dict:
 
 def _dot(products, pairs: bool) -> dict:
     """sum k*p*q over the (p, q, k) of products, for packed polynomials p and
-    q with int coefficients, or (re, im) ones with pairs, and ints k."""
+    q with int coefficients, or (re, im) ones with pairs, and ints k; a sum
+    that cancels is dropped at once, as `_summed` drops it."""
     out: dict = {}
     get = out.get
     if not pairs:
@@ -507,8 +503,10 @@ def _dot(products, pairs: bool) -> dict:
                 cp *= k
                 for kq, cq in q:
                     e = kp + kq
-                    out[e] = get(e, 0) + cp * cq
-        return {e: c for e, c in out.items() if c}
+                    c = out[e] = get(e, 0) + cp * cq
+                    if not c:
+                        del out[e]
+        return out
     for p, q, k in products:
         q = q.items()
         for kp, (pr, pi) in p.items():
@@ -516,8 +514,10 @@ def _dot(products, pairs: bool) -> dict:
             for kq, (qr, qi) in q:
                 e = kp + kq
                 re, im = get(e, (0, 0))
-                out[e] = re + pr * qr - pi * qi, im + pr * qi + pi * qr
-    return {e: c for e, c in out.items() if c[0] or c[1]}
+                c = out[e] = re + pr * qr - pi * qi, im + pr * qi + pi * qr
+                if c == (0, 0):
+                    del out[e]
+    return out
 
 
 def _divide(rem: dict, divisor: dict, guard: int, pairs: bool):

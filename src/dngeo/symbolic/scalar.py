@@ -14,21 +14,20 @@ compare equal structurally.
 ScalarExpr, Polynomial and Chart are immutable: nothing assigns `num`,
 `den`, a polynomial's integer numerators `nums` and denominator `denom` (see
 poly.py) or a chart field after construction, so results may share them.
-The one exception is a cache that does not change the value: a scalar's
-partial derivatives, each kept in the private `_partials` slot on its
-first `diff`, which both constructors set to None.  Each chart holds one
-zero scalar, which `Chart.zero()` and the zero short-circuits of the
-arithmetic return.  `ScalarExpr.__init__` canonicalises its input; the
-trusted constructor `ScalarExpr._make` skips that and may be used only
-where the result is canonical by construction: a negation, a power of a
-nonzero scalar, a nonzero sum or product of two scalars over denominator 1
-(over a field a product of nonzero polynomials is nonzero), a nonzero
-`dot` of pairs of such scalars, the general product once its cross pairs
-are cancelled (the numerator of each factor is then coprime to the
-denominator of the other, and a monic denominator divided by a monic gcd
-stays monic), the derivative of a scalar over denominator 1, and a nonzero
-polynomial over denominator 1 (a solution entry y/D of linalg that D
-divides).
+The one exception is the memo rule (see `_kept` and the README): a scalar
+keeps each partial derivative, formed on its first `diff`, in its `_memo`,
+which both constructors set to None.  Each chart holds one zero scalar,
+which `Chart.zero()` and the zero short-circuits of the arithmetic return.
+`ScalarExpr.__init__` canonicalises its input; the trusted constructor
+`ScalarExpr._make` skips that and may be used only where the result is
+canonical by construction: a negation, a power of a nonzero scalar, a
+nonzero sum or product of two scalars over denominator 1 (over a field a
+product of nonzero polynomials is nonzero), a nonzero `dot` of pairs of
+such scalars, the general product once its cross pairs are cancelled (the
+numerator of each factor is then coprime to the denominator of the other,
+and a monic denominator divided by a monic gcd stays monic), the
+derivative of a scalar over denominator 1, and a nonzero polynomial over
+denominator 1 (a solution entry y/D of linalg that D divides).
 """
 
 from __future__ import annotations
@@ -123,8 +122,21 @@ def same_chart(*objs):
     return chart
 
 
+def _kept(obj, key, form, *args):
+    """The memo rule: the derived datum `key` of obj is form(*args), formed on
+    the first read and kept in obj._memo, a dict (None until then).  form comes
+    with its arguments, not in a closure, so a read builds nothing."""
+    memo = obj._memo
+    if memo is None:
+        memo = obj._memo = {}
+    elif key in memo:
+        return memo[key]
+    value = memo[key] = form(*args)
+    return value
+
+
 class ScalarExpr:
-    __slots__ = ("chart", "num", "den", "_partials")
+    __slots__ = ("chart", "num", "den", "_memo")
 
     def __init__(self, chart: Chart, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -141,13 +153,13 @@ class ScalarExpr:
         self.chart = chart
         self.num = num
         self.den = den
-        self._partials = None
+        self._memo = None
 
     @classmethod
     def _make(cls, chart: Chart, num: Polynomial, den: Polynomial) -> "ScalarExpr":
         """Trusted constructor: num/den must already be canonical."""
         s = object.__new__(cls)
-        s.chart, s.num, s.den, s._partials = chart, num, den, None
+        s.chart, s.num, s.den, s._memo = chart, num, den, None
         return s
 
     # -- predicates ---------------------------------------------------------
@@ -259,17 +271,9 @@ class ScalarExpr:
     # -- calculus -------------------------------------------------------------
 
     def diff(self, var) -> "ScalarExpr":
-        """The partial derivative, memoized per variable."""
+        """The partial derivative, kept per variable."""
         k = var if isinstance(var, int) else self.chart.index(var)
-        memo = self._partials
-        if memo is None:
-            if not self.num.nums:
-                return self.chart._zero
-            memo = self._partials = [None] * self.chart.dim
-        out = memo[k]
-        if out is None:
-            out = memo[k] = self._diff(k)
-        return out
+        return _kept(self, k, ScalarExpr._diff, self, k) if self.num.nums else self.chart._zero
 
     def _diff(self, k: int) -> "ScalarExpr":
         if self.den.is_one():

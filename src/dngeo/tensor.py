@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .symbolic import Chart, ScalarExpr, dot, same_chart
-from .symbolic.scalar import to_str
+from .symbolic.scalar import _kept, to_str
 
 
 def _perm_sign_and_sorted(idx):
@@ -208,11 +208,10 @@ def combination(items, coeffs, zero):
 
 class OneOneTensor:
     """An immutable (1,1)-tensor.  Its partial derivatives and its Nijenhuis
-    torsion are kept in the private slots `_partials` and `_torsion` once
-    formed, so every check on the same tensor reads them; callers must not
-    change what these hold."""
+    torsion are kept by the memo rule (see `_kept`), so every check on the
+    same tensor reads them; callers must not change what they hold."""
 
-    __slots__ = ("chart", "grid", "_partials", "_torsion")
+    __slots__ = ("chart", "grid", "_memo")
 
     def __init__(self, chart: Chart, grid):
         grid = tuple(tuple(row) for row in grid)
@@ -220,7 +219,7 @@ class OneOneTensor:
             raise ValueError("grid must be n x n")
         self.chart = chart
         self.grid = grid
-        self._partials = self._torsion = None
+        self._memo = None
 
     @staticmethod
     def identity(chart: Chart) -> "OneOneTensor":
@@ -680,18 +679,18 @@ def form_r(w: PForm, r: OneOneTensor) -> CovFormValued:
 
 def _partials(r: OneOneTensor) -> list:
     """dr[l][i][j] = d_l r^i_j, each derivative taken once and kept on r."""
-    if r._partials is None:
-        r._partials = [[[c.diff(l) for c in row] for row in r.grid] for l in range(r.chart.dim)]
-    return r._partials
+    return _kept(r, "partials", _grid_partials, r.grid, r.chart.dim)
+
+
+def _grid_partials(grid, n: int) -> list:
+    return [[[c.diff(l) for c in row] for row in grid] for l in range(n)]
 
 
 def nijenhuis_torsion(r: OneOneTensor) -> VectorValuedTwoForm:
     """Torsion on coordinate fields, [r dj, r dk] - r([r dj, dk]) - r([dj, r dk]),
     in the closed form of the module docstring; tensoriality makes this complete.
     Formed once per tensor and kept on it."""
-    if r._torsion is None:
-        r._torsion = _torsion(r)
-    return r._torsion
+    return _kept(r, "torsion", _torsion, r)
 
 
 def _torsion(r: OneOneTensor) -> VectorValuedTwoForm:

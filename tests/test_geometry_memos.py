@@ -1,14 +1,30 @@
 """A scene forms each piece of geometry once: the Nijenhuis torsion of each
 tensor, and the coordinate rows of the combined derivation of each
 (section, tensor) pair, whichever checks read them.  The kept values equal
-freshly formed ones."""
+freshly formed ones, and a memo never changes an answer: every report of the
+front end on objects that earlier runs have warmed is byte-identical to the
+report on a fresh parse."""
 
+import contextlib
+import gc
+import io
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import dngeo.cli as cli
 import dngeo.courant as courant
+import dngeo.dirac as dirac
 import dngeo.tensor as tensor
 from dngeo.courant import GSection, _coordinate_D
-from dngeo.scene import parse_scene, run_scene
+from dngeo.dirac import INCONCLUSIVE, check_lagrangian, make_graph_poisson
+from dngeo.scene import CHECKS, parse_scene, run_scene
 from dngeo.symbolic import Chart
-from dngeo.tensor import OneOneTensor, PForm, VectorField, _partials, nijenhuis_torsion
+from dngeo.tensor import Bivector, OneOneTensor, PForm, VectorField, _partials, nijenhuis_torsion
+from test_golden import CASES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the scalar hierarchy with a (zero) 3-form: every check passes
 SCENE = """\
@@ -22,6 +38,60 @@ check quasi L r phi
 check algebroid L r
 check double_type L r
 check contraction_type L r
+"""
+
+# every check kind on shared objects, passing and failing; S is not
+# lagrangian, P has a pole at every sample point, so its sampled rank is None
+# and its checks are inconclusive, and V is lagrangian but drops rank at the
+# first sample point, so its verdict depends on the sample count
+EVERY_KIND = """\
+chart R2 x y
+bivector pi = 1 2 1
+bivector px = 1 2 x
+bivector pp = 1 2 1/(y - x - 1)
+oneone r = x, 0 ; 0, x
+oneone t = y, x ; 0, y
+oneone J = 0, -1 ; 1, 0
+form om 2 = 1 2 x
+form zero 2 = 1 2 0
+form phi 3 =
+form dx 1 = 1 1
+form dy 1 = 2 1
+vector E1 = 1 ; 0
+vector v = x - 1 ; 0
+vector E2 = 0 ; 1
+frame L = poisson pi
+frame M = poisson px
+frame P = poisson pp
+frame G = presymplectic om
+frame T = sections E1 0 ; E2 0
+frame S = sections E1 0 ; E1 dx
+frame V = sections v 0 ; 0 dy
+check lagrangian L
+check lagrangian S
+check lagrangian P
+check involutive G
+check dirac M
+check dirac P
+check dirac V
+check nijenhuis r
+check nijenhuis t
+check invariance L t
+check d_stability G r
+check dirac_nijenhuis L r
+check dirac_nijenhuis S r
+check form_compat om r
+check quasi L r phi
+check concur L M
+check contraction_type G t
+check double_type L r
+check double_type P r
+check holomorphic_dirac T J
+check holo_form zero zero J
+check traces L r 3
+check algebroid L r
+check algebroid T t
+check algebroid S
 """
 
 
@@ -72,5 +142,106 @@ def test_the_memos_hold_their_key_and_answer_again_only_for_it():
     twin = fresh_tensor(r)
     assert _coordinate_D(s, twin) is not _coordinate_D(s, r)
     assert _coordinate_D(s, twin) == _coordinate_D(s, r)
-    assert [key for key, _ in s._rows] == [r, twin] and s._rows[1][0] is twin
+    assert [held for held, _ in s._memo.values()] == [r, twin]
     assert nijenhuis_torsion(twin).comps == nijenhuis_torsion(r).comps
+
+
+def test_the_rows_of_a_section_keep_their_tensor_alive():
+    # the rows are kept under the id of their tensor, beside the tensor: no
+    # equal tensor made after the first is dropped can take that id and read them
+    ch = Chart("R2", ("x", "y"))
+    x, y = ch.var("x"), ch.var("y")
+    grid = [[x * y, x], [ch.one(), y * y]]
+    s = GSection(VectorField(ch, [y, x * x]), PForm(ch, 1, {(0,): x, (1,): y}))
+    first = _coordinate_D(s, OneOneTensor(ch, grid))
+    gc.collect()
+    for _ in range(20):
+        assert _coordinate_D(s, OneOneTensor(ch, grid)) is not first
+    assert len(s._memo) == 21
+
+
+def test_a_none_sampled_rank_is_kept_and_not_formed_again(monkeypatch):
+    # every sample point (1+s+7t, 2+s+7t) lies on the pole y = x + 1
+    ch = Chart("R2", ("x", "y"))
+    L = make_graph_poisson(Bivector(ch, {(0, 1): ch.scalar("1/(y - x - 1)")}))
+    calls = []
+    rank = dirac.rank_at_samples
+    monkeypatch.setattr(dirac, "rank_at_samples", lambda *a: calls.append(a) or rank(*a))
+    verdict = check_lagrangian(L, 3)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.witnesses == (("rank", "no valid sample point"),)
+    assert check_lagrangian(L, 3) is verdict
+    assert L._memo[("rank", 3)] is None and len(calls) == 1
+    # a verdict decided again reads the kept None, and forms no rank
+    del L._memo[("lagrangian", 3)]
+    assert check_lagrangian(L, 3).witnesses == verdict.witnesses
+    assert len(calls) == 1
+    # another sample count is another datum
+    assert check_lagrangian(L, 2).status == INCONCLUSIVE and len(calls) == 2
+
+
+# -- fresh against warmed --------------------------------------------------------------
+
+
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def golden_runs():
+    """{scene path: [argv]} of every golden case that reads a scene."""
+    runs = {}
+    for argv, _ in CASES.values():
+        if len(argv) > 1:
+            runs.setdefault(argv[1], []).append([argv[0], str(ROOT / argv[1]), *argv[2:]])
+    return runs
+
+
+def assert_warmed_reports_are_fresh(monkeypatch, runs):
+    """Run each argv on a fresh parse.  Then, on one parse per scene, run
+    them all in reverse order with the check lines of the scene reversed,
+    which warms its objects, and once more in order: these last reports are
+    byte-identical to the fresh ones."""
+    fresh = [report(argv) for argv in runs]
+    parse, kept, warming = cli.parse_scene, {}, [True]
+
+    def parse_once(text, default_mode="real"):
+        scene = kept.get((text, default_mode))
+        if scene is None:
+            scene = kept[text, default_mode] = parse(text, default_mode)
+        return replace(scene, checks=scene.checks[::-1]) if warming[0] else scene
+
+    monkeypatch.setattr(cli, "parse_scene", parse_once)
+    for argv in reversed(runs):
+        report(argv)
+    warming[0] = False
+    assert [report(argv) for argv in runs] == fresh
+    return fresh
+
+
+@pytest.mark.parametrize("path", sorted(golden_runs()))
+def test_every_golden_scene_reports_as_fresh_when_warmed(monkeypatch, path):
+    assert_warmed_reports_are_fresh(monkeypatch, golden_runs()[path])
+
+
+def test_every_check_kind_and_subcommand_reports_as_fresh_when_warmed(monkeypatch, tmp_path):
+    path = tmp_path / "every_kind.scene"
+    path.write_text(EVERY_KIND)
+    assert {kind for _, kind, _ in parse_scene(EVERY_KIND).checks} == set(CHECKS)
+    runs = [
+        ["check", str(path)],
+        ["check", str(path), "--samples", "1"],
+        ["hierarchy", str(path), "--frame", "L", "--oneone", "r", "--side", "n0", "--n", "2"],
+        ["hierarchy", str(path), "--frame", "L", "--oneone", "r", "--side", "0n", "--n", "2"],
+        ["traces", str(path), "--frame", "L", "--oneone", "r", "--jmax", "3"],
+        ["holomorphic", str(path), "--frame", "T", "--oneone", "J"],
+        ["algebroid", str(path), "--frame", "L", "--oneone", "r"],
+        ["algebroid", str(path), "--frame", "S", "--oneone", "r"],
+    ]
+    (code, text), *_ = assert_warmed_reports_are_fresh(monkeypatch, runs)
+    assert code == 1
+    verdicts = {line.split(": ")[1] for line in text.splitlines() if ".verdict: " in line}
+    assert verdicts == {"pass", "fail", "inconclusive"}
+    assert "no valid sample point" in text
