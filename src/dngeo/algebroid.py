@@ -153,7 +153,7 @@ def _add_bracket(out, A: AlgebroidData, rho, a: int, g: dict, s=1):
 
 def _add_D(out, T: "IMOneOne", k: int, g: dict, s=1):
     """out += s * D_{d_k}(g)."""
-    theta, lcol, rd = _kept(T, "grids", _grids, T)
+    theta, lcol, rd = _grids(T)
     for a, ga in g.items():
         _add(out, ga, theta[k][a], s)
         _add(out, ga.diff(k), lcol[a], s)
@@ -271,6 +271,10 @@ class IMOneOne:
 def _grids(T: IMOneOne) -> tuple:
     """(Theta, l, rd) with Theta[k][a] = D_{d_k}(e_a), l[a] = l(e_a) and rd[k] = r d_k,
     each {index: nonzero entry}; kept on T under "grids"."""
+    return _kept(T, "grids", _sparse_grids, T)
+
+
+def _sparse_grids(T: IMOneOne) -> tuple:
     return (
         [[_sparse(w.comps.get((k,)) for w in row) for row in T.theta] for k in range(T.r.chart.dim)],
         [_sparse(col) for col in zip(*T.l_grid)],
@@ -287,7 +291,7 @@ def check_IM_oneone(T: IMOneOne) -> Verdict:
 def _oneone_equations(T: IMOneOne):
     A = T.parent
     chart, n, m = A.chart, A.chart.dim, A.rank
-    rho, (theta, lcol, rd) = [_sparse(X.comps) for X in A.anchors], _kept(T, "grids", _grids, T)
+    rho, (theta, lcol, rd) = [_sparse(X.comps) for X in A.anchors], _grids(T)
     # (1) r . rho = rho . l
     for a in range(m):
         out = defaultdict(list)
@@ -345,7 +349,7 @@ def _nijenhuis_equations(T: IMOneOne):
     l(D_{[X,Y]}(a)) - [D_X, D_Y](a) - D_{[X,Y]_r}(a) on coordinate fields."""
     chart, m = T.parent.chart, T.parent.rank
     n = chart.dim
-    theta, lcol, _ = _kept(T, "grids", _grids, T)
+    theta, lcol, _ = _grids(T)
     for a in range(m):
         for x in range(n):
             out = defaultdict(list)
@@ -386,7 +390,7 @@ def _im_compat(imf: IMForm, T: IMOneOne) -> Verdict:
 
 def _compat_equations(imf: IMForm, T: IMOneOne):
     chart = imf.parent.chart
-    theta, _, rd = _kept(T, "grids", _grids, T)
+    theta, _, rd = _grids(T)
     ident, rows = [{k: chart.one()} for k in range(chart.dim)], [_sparse(row) for row in T.r.grid]
 
     def l_line(label, w_l, w):

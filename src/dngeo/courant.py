@@ -44,9 +44,8 @@ from .tensor import (
 
 
 class GSection:
-    """An immutable section (X, a) of the generalized tangent bundle.  It
-    keeps the rows of `_coordinate_D` along each tensor by the memo rule
-    (see `_kept`)."""
+    """An immutable section (X, a) of the generalized tangent bundle.  The rows
+    of `_coordinate_D` along each tensor are kept by the memo rule (see `_kept`)."""
 
     __slots__ = ("chart", "vec", "cov", "_memo")
 

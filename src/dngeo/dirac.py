@@ -126,9 +126,8 @@ class Verdict:
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections.
 
-    The frame is its sections.  It keeps the sampled rank of its matrix and
-    its lagrangian verdict at each sample count by the memo rule (see
-    `_kept`), formed by `_sampled_rank` and `_decide_lagrangian`."""
+    The frame is its sections.  Its sampled rank and lagrangian verdict at
+    each sample count are kept by the memo rule (see `_kept`)."""
 
     __slots__ = ("chart", "sections", "_memo")
 
@@ -293,7 +292,7 @@ def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
     isotropic = Verdict.first((f"pairing[{a},{b}]", val) for (a, b), val in _pairings(L, L))
     if isotropic.status != PASS:
         return isotropic
-    sampled = _kept(L, ("rank", samples), _sampled_rank, L, samples)
+    sampled = _sampled_rank(L, samples)
     if sampled != n and len(pivot_columns(L.matrix())) != n:
         return Verdict.fail(("rank", f"generic rank below {n}"))
     if sampled is None:
@@ -304,7 +303,11 @@ def _decide_lagrangian(L: GFrame, samples: int) -> Verdict:
 
 
 def _sampled_rank(L: GFrame, samples: int):
-    """rank_at_samples of the frame's matrix, kept per sample count."""
+    """rank_at_samples of the frame's matrix, kept on L under ("rank", samples)."""
+    return _kept(L, ("rank", samples), _frame_rank, L, samples)
+
+
+def _frame_rank(L: GFrame, samples: int):
     return rank_at_samples(L.matrix(), samples)
 
 
@@ -537,7 +540,7 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
     else:
         out = transform_frame(L, lambda v: v, rn.dual)
     dim = out.chart.dim
-    sampled = _kept(out, ("rank", samples), _sampled_rank, out, samples)
+    sampled = _sampled_rank(out, samples)
     if sampled == dim or (sampled is None and len(pivot_columns(out.matrix())) == dim):
         return out
     raise HierarchyKernelError("(n,0)" if side == "n0" else "(0,n)")

@@ -123,9 +123,8 @@ def same_chart(*objs):
 
 
 def _kept(obj, key, form, *args):
-    """The memo rule: the derived datum `key` of obj is form(*args), formed on
-    the first read and kept in obj._memo, a dict (None until then).  form comes
-    with its arguments, not in a closure, so a read builds nothing."""
+    """The memo rule: obj's derived datum `key` is form(*args), formed on first read
+    and kept in obj._memo (None until then); form and args come apart, not as a closure."""
     memo = obj._memo
     if memo is None:
         memo = obj._memo = {}

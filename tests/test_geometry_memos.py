@@ -142,7 +142,8 @@ def test_the_memos_hold_their_key_and_answer_again_only_for_it():
     twin = fresh_tensor(r)
     assert _coordinate_D(s, twin) is not _coordinate_D(s, r)
     assert _coordinate_D(s, twin) == _coordinate_D(s, r)
-    assert [held for held, _ in s._memo.values()] == [r, twin]
+    held = [t for t, _ in s._memo.values()]
+    assert held[0] is r and held[1] is twin and list(s._memo) == [id(r), id(twin)]
     assert nijenhuis_torsion(twin).comps == nijenhuis_torsion(r).comps
 
 
