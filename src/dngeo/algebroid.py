@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import PreconditionError
-from .symbolic import dot, solve_linear
+from .symbolic import dot, solve_columns
 from .symbolic.scalar import _kept
 from .courant import _coordinate_D, apply_rr, courant_bracket
 from .dirac import (
@@ -430,12 +430,12 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
 
     The frame must pass `check_lagrangian` at `samples` sample points and
     then `check_involutive`; otherwise PreconditionError.  Anchors are the
-    vector parts; structure functions come from solving the bracket of frame
-    sections back into the frame (possible exactly when the frame is
-    involutive); mu is the covector part, nu = 0.  The kernel transversality
-    condition (the frame matrix has rank n) is part of the lagrangian pass.
-    Build the algebroid once per frame and hand it to `transport_oneone` and
-    the checks.
+    vector parts; structure functions are the coefficients of the brackets
+    of frame sections in the frame, all solved by one elimination of the
+    frame matrix (possible exactly when the frame is involutive); mu is the
+    covector part, nu = 0.  The kernel transversality condition (the frame
+    matrix has rank n) is part of the lagrangian pass.  Build the algebroid
+    once per frame and hand it to `transport_oneone` and the checks.
     """
     if check_lagrangian(L, samples).status != "pass":
         raise PreconditionError("frame is not lagrangian")
@@ -443,16 +443,11 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
         raise PreconditionError("frame is not involutive")
     chart = L.chart
     n = chart.dim
-    fm = L.matrix()
-    struct = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = courant_bracket(L.sections[a], L.sections[b])
-            coeffs = solve_linear(fm, br.components())
-            if coeffs is None:
-                raise PreconditionError("bracket leaves the frame span")
-            for c in range(n):
-                struct[(a, b, c)] = coeffs[c]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    solved = solve_columns(L.matrix(), [courant_bracket(L.sections[a], L.sections[b]).components() for a, b in pairs])
+    if None in solved:
+        raise PreconditionError("bracket leaves the frame span")
+    struct = {(a, b, c): coeffs[c] for (a, b), coeffs in zip(pairs, solved) for c in range(n)}
     A = AlgebroidData(chart, [s.vec for s in L.sections], struct)
     mu = tuple(s.cov for s in L.sections)
     nu = tuple(PForm.zero(chart, 2) for _ in range(n))
@@ -463,33 +458,28 @@ def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
     """The derivation triple a compatible tensor induces on the algebroid A
     that `dirac_to_algebroid(L)` built from the frame L.
 
-    l is solved from (r, r*) applied to frame sections; theta from the
-    combined derivation along coordinate fields.  Both solves succeed exactly
-    when the compatibility conditions hold; otherwise PreconditionError.
+    l is solved from (r, r*) applied to frame sections, theta from the
+    combined derivation along coordinate fields, all n + n^2 columns by one
+    elimination of the frame matrix.  Both solves succeed exactly when the
+    compatibility conditions hold; otherwise PreconditionError, on l first.
     The frame's own checks are not repeated: A already carries them.
     """
     if A.anchors != tuple(s.vec for s in L.sections):
         raise ValueError("the algebroid is not built from this frame")
     chart = L.chart
     n = chart.dim
-    fm = L.matrix()
-    lg = []
-    for a in range(n):
-        coeffs = solve_linear(fm, apply_rr(L.sections[a], r).components())
-        if coeffs is None:
-            raise PreconditionError("(r, r*) does not preserve the frame span")
-        lg.append(coeffs)
+    columns = [apply_rr(s, r).components() for s in L.sections]
+    columns += [d.components() for s in L.sections for d in _coordinate_D(s, r)]
+    solved = solve_columns(L.matrix(), columns)
+    lg, solved = solved[:n], solved[n:]  # solved[a * n + k] = D_{d_k}(e_a)
+    if None in lg:
+        raise PreconditionError("(r, r*) does not preserve the frame span")
+    if None in solved:
+        raise PreconditionError("derivation does not preserve the frame span")
     l_grid = tuple(tuple(lg[a][b] for a in range(n)) for b in range(n))
-    solved = []  # solved[a][k] = D_{d_k}(e_a)
-    for a in range(n):
-        rows = []
-        for d in _coordinate_D(L.sections[a], r):
-            coeffs = solve_linear(fm, d.components())
-            if coeffs is None:
-                raise PreconditionError("derivation does not preserve the frame span")
-            rows.append(coeffs)
-        solved.append(rows)
-    theta = tuple(tuple(PForm(chart, 1, {(k,): rows[k][b] for k in range(n)}) for b in range(n)) for rows in solved)
+    theta = tuple(
+        tuple(PForm(chart, 1, {(k,): solved[a * n + k][b] for k in range(n)}) for b in range(n)) for a in range(n)
+    )
     return IMOneOne(A, theta, l_grid, r)
 
 

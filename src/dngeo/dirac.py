@@ -47,7 +47,7 @@ from .symbolic import (
     pivot_columns,
     rank_at_samples,
     same_chart,
-    solve_linear,
+    solve_columns,
 )
 from .symbolic import modp
 from .symbolic.scalar import _kept, to_str
@@ -549,9 +549,9 @@ def hierarchy(L: GFrame, r: OneOneTensor, n: int, side: str, samples: int = 3) -
 def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
     """Cotangential product of two Dirac structures, then Dirac checks on it.
 
-    Builds {(X1 + X2, a)} by matching covector parts of the first frame in
-    the second via linear solves; equal covector projections at the generic
-    point are a precondition.
+    Builds {(X1 + X2, a)} by solving the covector parts of the first frame in
+    the second, all by one elimination; equal covector projections at the
+    generic point are a precondition.
     """
     same_chart(L1.sections[0], L2.sections[0])
     _require(check_lagrangian(L1, samples), "first frame lagrangian")
@@ -561,14 +561,11 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
         raise PreconditionError("covector projections differ at the generic point")
     chart = L1.chart
     vecs2 = [s.vec for s in L2.sections]
-    secs = []
-    for s in L1.sections:
-        target = [s.cov.get((i,)) for i in range(chart.dim)]
-        c = solve_linear(cov2, target)
-        if c is None:
-            raise PreconditionError("covector projections differ at the generic point")
-        secs.append(GSection(s.vec + combination(vecs2, c, VectorField.zero(chart)), s.cov))
-    product = GFrame(secs)
+    solved = solve_columns(cov2, [[s.cov.get((i,)) for i in range(chart.dim)] for s in L1.sections])
+    if None in solved:
+        raise PreconditionError("covector projections differ at the generic point")
+    zero = VectorField.zero(chart)
+    product = GFrame([GSection(s.vec + combination(vecs2, c, zero), s.cov) for s, c in zip(L1.sections, solved)])
     lag = check_lagrangian(product, samples)
     if lag.status == FAIL:
         return lag
@@ -590,17 +587,16 @@ def traces(r: OneOneTensor, jmax: int):
     return out
 
 
-def hamiltonian_representative(L: GFrame, f: ScalarExpr) -> VectorField | None:
-    """X with (X, df) in the span of the frame, or None.
+def hamiltonian_representative(L: GFrame, fs) -> list:
+    """Per f of fs, X with (X, df) in the span of the frame, or None; every
+    df is solved by one elimination of the covector matrix.
 
     (X, df) is the combination of the frame's sections whose covector part
     is df, so it lies in the span by construction."""
     chart = L.chart
-    df = scalar_d(f)
-    coeffs = solve_linear(L.covector_matrix(), [df.get((i,)) for i in range(chart.dim)])
-    if coeffs is None:
-        return None
-    return combination([s.vec for s in L.sections], coeffs, VectorField.zero(chart))
+    solved = solve_columns(L.covector_matrix(), [[scalar_d(f).get((i,)) for i in range(chart.dim)] for f in fs])
+    vecs = [s.vec for s in L.sections]
+    return [None if c is None else combination(vecs, c, VectorField.zero(chart)) for c in solved]
 
 
 def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int, samples: int = 3) -> Verdict:
@@ -616,7 +612,7 @@ def check_traces_involution(L: GFrame, r: OneOneTensor, jmax: int, samples: int 
     dphi1 = scalar_d(phis[0])
     if not all(interior(k, dphi1).as_scalar().is_zero() for k in null.basis):
         raise AdmissibilityError("trace not admissible")
-    reps = [hamiltonian_representative(L, phi) for phi in phis]
+    reps = hamiltonian_representative(L, phis)
     if None in reps:
         raise AdmissibilityError("trace not admissible")
     # {phi_i, phi_j} = d phi_j (X_i), skew, and zero for i = j on an isotropic L

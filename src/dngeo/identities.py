@@ -21,7 +21,7 @@ from .symbolic import (
     kernel_basis,
     parse_scalar,
     same_chart,
-    solve_linear,
+    solve_columns,
     to_str,
 )
 from .courant import (
@@ -946,9 +946,7 @@ def _(rng, k):
     if len(n1.basis) != len(n2.basis):
         return False
     rows = FracMatrix(ch, [[v.comps[i] for v in n1.basis] for i in range(ch.dim)])
-    return all(
-        solve_linear(rows, list(v.comps)) is not None for v in n2.basis
-    )
+    return None not in solve_columns(rows, [list(v.comps) for v in n2.basis])
 
 
 @identity("hierarchy_leaf_projection")
@@ -964,8 +962,8 @@ def _(rng, k):
         FracMatrix(ch, [[s.vec.comps[i] for s in F.sections] for i in range(ch.dim)])
         for F in (L, Ln)
     )
-    return generic_rank(m1) == generic_rank(m2) and all(
-        solve_linear(m1, list(s.vec.comps)) is not None for s in Ln.sections
+    return generic_rank(m1) == generic_rank(m2) and None not in solve_columns(
+        m1, [list(s.vec.comps) for s in Ln.sections]
     )
 
 

@@ -437,7 +437,7 @@ CHECKS = {
     "holomorphic_dirac": (("frame", "oneone"), _holomorphic_dirac),
     "holo_form": (("form", "form", "oneone"), _holo_form),
     "traces": (
-        ("frame", "oneone", "integer"),
+        ("frame", "oneone", "jmax"),
         lambda L, r, jmax, samples: check_traces_involution(L, r, jmax, samples),
     ),
     "algebroid": (("frame", "oneone?"), _algebroid),
@@ -445,11 +445,14 @@ CHECKS = {
 
 
 def _argument(scene, lineno, kind, type_, word):
-    if type_ == "integer":
+    if type_ == "jmax":
         try:
-            return _integer(word)
+            jmax = _integer(word)
         except ValueError:
             raise SceneError(f"check {kind} needs an integer, not {word!r}", lineno) from None
+        if jmax < 1:
+            raise SceneError("traces jmax must be at least 1", lineno)
+        return jmax
     obj = getattr(scene, type_ + "s").get(word)
     if obj is None:
         raise SceneError(f"unknown {type_} {word!r}", lineno)

@@ -10,6 +10,7 @@ from .linalg import (
     pivot_columns,
     rank_at_samples,
     sample_point,
+    solve_columns,
     solve_linear,
 )
 from .parse import parse_scalar
@@ -36,6 +37,7 @@ __all__ = [
     "rank_at_samples",
     "same_chart",
     "sample_point",
+    "solve_columns",
     "solve_linear",
     "to_str",
 ]

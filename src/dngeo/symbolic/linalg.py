@@ -1,30 +1,35 @@
 """Linear algebra over the rational-function field.
 
-pivot_columns, solve_linear and kernel_basis share one integer elimination.
-Every row is cleared of polynomial denominators, then scaled by the lcm of
-the integer denominators of its entries (see poly.py), which changes no
-pivot and no solution; its integer numerators, on their packed exponent keys
-(widened once per matrix when the degree bound needs it), are polynomials
-with int coefficients over Q or Gaussian ones over Q(i).  Bareiss
-elimination on them makes every row update a product, a difference and an
-exact division.  The pivot of each column is the first of the remaining rows
-whose entry is a nonzero constant, else the first whose entry is nonzero.  A
-frame with an identity block, as every graph and hierarchy frame has, thus
-takes constant pivots, and its minors do not grow in degree.  No answer
-depends on the choice: Bareiss on a row chosen per column is Bareiss on a
-row-permuted matrix, so every division stays exact; the pivot columns are
-the columns that are not combinations of earlier ones, whatever the row
-order; a solve with its free entries 0 has one solution, a canonical scalar
-vector; and a kernel vector with x_free = 1 is unique, and made the one
-primitive polynomial multiple with fixed constants whatever minor D ends the
-elimination.  So eliminations, kernels and solutions are reproducible byte
-for byte.
+pivot_columns, solve_columns and kernel_basis run one integer elimination
+per call.  A solve appends every right-hand side to the rows as a column, so
+one elimination of [m | b_1 ... b_k] solves every b_j; a kernel vector is
+the solve against its own free column.  Every row is cleared of polynomial
+denominators over all its entries, then scaled by the lcm of the integer
+denominators of its entries (see poly.py), which changes no pivot and no
+solution; its integer numerators, on their packed exponent keys (widened
+once per matrix when the degree bound needs it), are polynomials with int
+coefficients over Q or Gaussian ones over Q(i).  Bareiss elimination on them
+makes every row update a product, a difference and an exact division.  The
+pivot of each column of m is the first of the remaining rows whose entry is
+a nonzero constant, else the first whose entry is nonzero.  A frame with an
+identity block, as every graph and hierarchy frame has, thus takes constant
+pivots, and its minors do not grow in degree.  No answer depends on the
+choice, nor on the columns carried along: Bareiss on a row chosen per column
+is Bareiss on a row-permuted matrix, so every division stays exact; the
+pivot columns are the columns that are not combinations of earlier ones,
+whatever the row order; a solve with its free entries 0 has one solution, a
+canonical scalar vector; and a kernel vector with x_free = -1 is unique, and
+made the one primitive polynomial multiple with fixed constants whatever
+minor D ends the elimination.  So eliminations, kernels and solutions are
+reproducible byte for byte.
 
 Solutions are read by Cramer's rule without fractions: with D the last
 pivot, an r x r minor, y = D x is polynomial and fills bottom-up with
-products and exact divisions.  solve_linear takes each x_i = y_i / D as a
-scalar once, by one trial division before any gcd; a kernel vector is y
-over D, or over gcd(y) when D does not divide it.
+products and exact divisions, in one back-substitution against a column j:
+an appended right-hand side, or a free column f of m, whose solve x' gives
+the kernel vector x' - e_f.  A solve takes each x_i = y_i / D as a scalar
+once, by one trial division before any gcd; a kernel vector is y over D, or
+over gcd(y) when D does not divide it.
 
 Every sampled rank is decided first modulo one prime (see modp.py), at the
 same sample points the exact evaluation would use.  An image of full rank
@@ -83,14 +88,13 @@ class FracMatrix:
         return self.entries[r][c]
 
 
-def _cleared_rows(m: FracMatrix, rhs=None):
+def _cleared_rows(m: FracMatrix, columns=()):
     """Denominator-free copies of the rows as Polynomial lists, each with its
-    rhs entry appended as a last column when rhs is given: the numerators of
-    a row over the lcm of its distinct denominators."""
+    entry of every column appended: the numerators of a row over the lcm of
+    its distinct denominators."""
     cleared = []
     for i, row in enumerate(m.entries):
-        if rhs is not None:
-            row += (rhs[i],)
+        row += tuple(col[i] for col in columns)
         dens = []
         for v in row:
             if not v.den.is_one() and v.den not in dens:
@@ -105,7 +109,7 @@ def _cleared_rows(m: FracMatrix, rhs=None):
     return cleared
 
 
-def _packed_rows(m: FracMatrix, rhs=None):
+def _packed_rows(m: FracMatrix, columns=()):
     """(rows, pairs, guard, unpack): the cleared rows, each scaled by the lcm
     of its coefficient denominators, as packed polynomials (see poly.py)
     with int coefficients, or (re, im) ones with pairs over Q(i), and the
@@ -115,7 +119,7 @@ def _packed_rows(m: FracMatrix, rhs=None):
     total degree is at most the sum of the row degrees, and a product of two
     at most twice that; the fields are sized for such a product.
     """
-    cleared = _cleared_rows(m, rhs)
+    cleared = _cleared_rows(m, columns)
     pairs = not all(p.is_real() for row in cleared for p in row)
     n = m.chart.dim
     degree = sum(max((_shape(p.nums, n)[0] for p in row), default=0) for row in cleared)
@@ -171,23 +175,19 @@ def _eliminate(rows, ncols, pairs, guard):
     return pivots
 
 
-def _scaled_solution(rows, pivots, ncols, free, pairs, guard):
+def _scaled_solution(rows, pivots, ncols, j, pairs, guard):
     """(y, D): D is the last pivot, an r x r minor, and y = D x for the
-    solution x of the eliminated rows with x_free = 1 and the other free
-    entries 0, or, when free is None, with every free entry 0 and the rows'
-    last entries as right-hand side.
+    solution x of the eliminated rows against their column j, with every
+    free entry 0.
 
     By Cramer's rule every y_c is a minor, so y fills bottom-up with
-    products and exact divisions only: y_pc = (D rhs - sum_c row[c] y_c) / row[pc].
+    products and exact divisions only: y_pc = (D row[j] - sum_c row[c] y_c) / row[pc].
     """
     D = rows[pivots[-1][0]][pivots[-1][1]] if pivots else {0: (1, 0) if pairs else 1}
     y = [{}] * ncols
-    if free is not None:
-        y[free] = D
     for pr, pc in reversed(pivots):
         row = rows[pr]
-        products = [(D, row[-1], 1)] if free is None else []
-        acc = _dot(products + [(row[c], y[c], -1) for c in range(pc + 1, ncols) if y[c] and row[c]], pairs)
+        acc = _dot([(D, row[j], 1)] + [(row[c], y[c], -1) for c in range(pc + 1, ncols) if y[c] and row[c]], pairs)
         y[pc] = _quotient(acc, row[pc], guard, pairs) if acc else {}
     return y, D
 
@@ -241,7 +241,7 @@ def _ratio(chart: Chart, y: Polynomial, d: Polynomial) -> ScalarExpr:
 
 def kernel_basis(m: FracMatrix):
     """Basis of the right kernel over the function field, one vector per free
-    column f: y = D x with x_f = 1 and the other free entries 0, divided by D
+    column f: y = D (x' - e_f) for the solve x' of m x' = m e_f, divided by D
     when D divides every entry and by gcd(y) otherwise, then scaled by the
     constant of primitive_vector: integer coefficient parts with gcd 1 and a
     positive leading coefficient in the first nonzero entry."""
@@ -252,29 +252,38 @@ def kernel_basis(m: FracMatrix):
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        y, _ = _scaled_solution(rows, pivots, m.cols, free, pairs, guard)
+        y, D = _scaled_solution(rows, pivots, m.cols, free, pairs, guard)
         y = [unpack(v) for v in y]
+        y[free] = -unpack(D)
         y = primitive_vector(_primitive(y, y[free]))
         basis.append([ScalarExpr(m.chart, p, poly_one(m.chart.dim)) for p in y])
     return basis
 
 
-def solve_linear(m: FracMatrix, rhs):
-    """One particular solution of m x = rhs, or None when inconsistent.
-
-    Free variables are set to zero; the solution is x = y/D from the
-    fraction-free elimination of [m | rhs].
-    """
-    if len(rhs) != m.rows:
+def solve_columns(m: FracMatrix, columns):
+    """Per column b of columns, the solution of m x = b with its free entries
+    0, or None when inconsistent, all from one fraction-free elimination of
+    [m | columns]: x = y/D."""
+    if any(len(b) != m.rows for b in columns):
         raise ValueError("rhs length mismatch")
-    rows, pairs, guard, unpack = _packed_rows(m, list(rhs))
+    rows, pairs, guard, unpack = _packed_rows(m, columns)
     pivots = _eliminate(rows, m.cols, pairs, guard)
-    # rows below the pivot rows are zero but for their rhs entry
-    if any(row[-1] for row in rows[len(pivots):]):
-        return None
-    y, D = _scaled_solution(rows, pivots, m.cols, None, pairs, guard)
-    d = unpack(D)
-    return [_ratio(m.chart, unpack(v), d) for v in y]
+    out = []
+    for j in range(m.cols, m.cols + len(columns)):
+        # rows below the pivot rows are zero in the columns of m
+        if any(row[j] for row in rows[len(pivots) :]):
+            out.append(None)
+            continue
+        y, D = _scaled_solution(rows, pivots, m.cols, j, pairs, guard)
+        d = unpack(D)
+        out.append([_ratio(m.chart, unpack(v), d) for v in y])
+    return out
+
+
+def solve_linear(m: FracMatrix, rhs):
+    """One particular solution of m x = rhs, or None when inconsistent: the
+    one-column solve_columns, with free variables set to zero."""
+    return solve_columns(m, [list(rhs)])[0]
 
 
 # -- sample points -------------------------------------------------------------

@@ -557,6 +557,20 @@ class TestInputContract:
         assert err == "error: unknown frame 'NOSUCH' (line 6, col 1)\n"
         assert calls == []
 
+    def test_a_jmax_below_one_is_refused_before_the_first_check_runs(self, capsys, scene_file, monkeypatch):
+        import dngeo.algebroid as alg
+
+        calls = []
+        build = alg.dirac_to_algebroid
+        monkeypatch.setattr(alg, "dirac_to_algebroid", lambda *a, **k: calls.append(a) or build(*a, **k))
+        text = self.POISSON + "check algebroid L r\ncheck traces L r 0\n"
+        code, out, err = run_cli(capsys, "check", scene_file(text))
+        assert (code, out, err) == (3, "", "error: traces jmax must be at least 1 (line 6, col 1)\n")
+        assert calls == []
+        # the counter sees the algebroid check once the traces line is valid
+        code, _, _ = run_cli(capsys, "check", scene_file(text.replace("r 0\n", "r 1\n")))
+        assert code in (0, 1, 2) and len(calls) == 1
+
     @pytest.mark.parametrize("argv", [["traces", "--jmax", "1"], ["algebroid"]], ids=["traces", "algebroid"])
     def test_samples_flag_reaches_the_lagrangian_precondition(self, capsys, argv):
         # the frame loses rank at the first sample point only, so with one

@@ -47,7 +47,7 @@ from dngeo.fixtures import (
     split_43_fixture,
 )
 from dngeo.identities import run_identity
-from dngeo.symbolic import Chart, parse_scalar
+from dngeo.symbolic import Chart, generic_rank, parse_scalar
 from dngeo.tensor import (
     Bivector,
     OneOneTensor,
@@ -141,8 +141,8 @@ class TestFrameConstructors:
         import dngeo.dirac as dirac
 
         calls = []
-        solve = dirac.solve_linear
-        monkeypatch.setattr(dirac, "solve_linear", lambda *a: calls.append(a) or solve(*a))
+        solve = dirac.solve_columns
+        monkeypatch.setattr(dirac, "solve_columns", lambda *a: calls.append(a) or solve(*a))
         ch = chart3()
         x = ch.var("x")
         f1 = VectorField.coordinate(ch, 0)
@@ -392,6 +392,14 @@ class TestConcur:
         with pytest.raises(PreconditionError):
             check_concur(L, Ls)
 
+    def test_equal_covector_ranks_whose_solve_fails(self, ch):
+        # Ann(d_y) = dx and Ann(d_x) = dy: both covector matrices have rank
+        # 1, so the ranks agree, and dx is not a combination of dy
+        L1, L2 = (make_split([VectorField.coordinate(ch, k)]) for k in (1, 0))
+        assert generic_rank(L1.covector_matrix()) == generic_rank(L2.covector_matrix()) == 1
+        with pytest.raises(PreconditionError, match="^covector projections differ at the generic point$"):
+            check_concur(L1, L2)
+
     def test_second_covector_matrix_is_built_once(self, monkeypatch):
         calls = []
         build = GFrame.covector_matrix
@@ -423,7 +431,7 @@ class TestTraces:
         calls = []
         pair = dirac.pairing
         monkeypatch.setattr(dirac, "pairing", lambda *a: calls.append(a) or pair(*a))
-        X = dirac.hamiltonian_representative(L, ch.var("x") * ch.var("y"))
+        (X,) = dirac.hamiltonian_representative(L, [ch.var("x") * ch.var("y")])
         assert X == VectorField(ch, [-ch.var("x"), ch.var("y")])
         assert calls == []
 

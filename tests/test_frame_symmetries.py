@@ -162,7 +162,7 @@ def old_check_traces_involution(L, r, jmax: int, samples: int = 3) -> Verdict:
             raise AdmissibilityError("trace not admissible")
     reps = []
     for j, phi in enumerate(phis):
-        X = hamiltonian_representative(L, phi)
+        (X,) = hamiltonian_representative(L, [phi])
         if X is None:
             raise AdmissibilityError("trace not admissible")
         reps.append(X)

@@ -49,6 +49,13 @@ CASES = {
     # a product of three Dirac-Nijenhuis blocks on a 6-chart: every check
     # passes, and the double bracket is formed on more than two variables
     "check_product_r6": (["check", "tests/golden/product_r6.scene"], 0),
+    # the algebroid chain on the same product, its frame solved in one
+    # elimination per solve site
+    "algebroid_product_r6": (["algebroid", "tests/golden/product_r6.scene"], 0),
+    # transport fails on l, so its message is the one for l, not the one for
+    # the derivations solved in the same elimination
+    "check_transport_fails_on_l": (["check", "tests/golden/transport_fails_on_l.scene"], 2),
+    "algebroid_transport_fails_on_l": (["algebroid", "tests/golden/transport_fails_on_l.scene"], 2),
     # exponents past any fixed field width, and operands of very different
     # degrees in one product, a sum and a dot
     "check_large_exponent": (["check", "tests/golden/large_exponent.scene"], 1),

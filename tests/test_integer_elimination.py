@@ -157,7 +157,7 @@ def kernel_values_oracle(m):
 
 def solve_oracle(m, rhs):
     chart = m.chart
-    rows = _cleared_rows(m, list(rhs))
+    rows = _cleared_rows(m, [list(rhs)])
     pivots = bareiss_oracle(rows, m.cols)
     if any(not row[-1].is_zero() for row in rows[len(pivots):]):
         return None
@@ -422,7 +422,7 @@ def test_minors_outgrow_a_width_taken_from_one_entry():
     m = parsed(R1, entries)
     rhs = [parse_scalar("x^6 + 5", R1), parse_scalar("x^2", R1), parse_scalar("1", R1)]
     check_against_oracle(m, rhs)
-    rows = _cleared_rows(m, rhs)
+    rows = _cleared_rows(m, [rhs])
     pr, pc = bareiss_oracle(rows, 3)[-1]
     assert max(sum(e) for e in rows[pr][pc].terms) == 17 > (1 << _packing(1, 2 * 6)[0] - 1) - 1
     # the same on three variables, where a carry would land in a neighbouring
