@@ -283,7 +283,10 @@ def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     The rank is sampled at `samples` points: a generic rank below n fails; a
     rank below n at every sample point, or a pole at every one, is
     inconclusive.  Frame constructors leave this sampled rank to the check.
+    A count below 1 is refused, whatever the frame.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     return _kept(L, ("lagrangian", samples), _decide_lagrangian, L, samples)
 
 

@@ -484,6 +484,8 @@ def run_check(scene: Scene, lineno: int, kind: str, args, samples: int = 3) -> V
 
 def run_scene(scene: Scene, samples: int = 3) -> list:
     """Resolve every check line, then run the checks one by one."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     for lineno, kind, args in scene.checks:
         _resolve(scene, lineno, kind, args)
     return timed(

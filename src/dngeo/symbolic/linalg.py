@@ -37,7 +37,9 @@ proves that rank over Q or Q(i); only a denominator whose image vanishes is
 evaluated exactly, and only an image rank that falls short sends the point
 to exact evaluation, so a sampled rank is the exact one.  The exact rank of a
 point is read from pivot_columns too, on its values as constants: the package
-has one exact elimination.
+has one exact elimination.  A generic rank is not a sampled rank: it reads
+the image at sample point 0 alone, and the elimination decides whatever that
+image does not prove, so no point is evaluated over Q.
 """
 
 from __future__ import annotations
@@ -202,13 +204,15 @@ def pivot_columns(m: FracMatrix) -> list:
 def generic_rank(m: FracMatrix) -> int:
     """Rank over the function field.
 
-    The generic rank is at least the rank at any point and at most
-    min(rows, cols), so a rank of min(rows, cols) at one exact sample point
-    proves it; elimination runs only when the sampled rank falls short or
-    the sample point is a pole.
+    The generic rank is at least the rank of the image at a pole-free sample
+    point and at most min(rows, cols), so an image of rank min(rows, cols)
+    proves it, as in span equality; a shorter image, a sample point with no
+    pole-free retry or a coefficient without image goes to the elimination.
+    No point is evaluated over Q.
     """
     full = min(m.rows, m.cols)
-    if rank_at_samples(m, 1) == full:
+    values = image_at_sample(m)
+    if values is not None and modp.rank(values) == full:
         return full
     return len(pivot_columns(m))
 
@@ -369,6 +373,8 @@ def rank_at_samples(m: FracMatrix, samples: int = 3):
     without image sends that retry to exact evaluation.  A matrix with a
     coefficient without image is evaluated exactly at every retry.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     image = modp.matrix_image(m)
     full = min(m.rows, m.cols)
     best = 0

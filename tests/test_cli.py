@@ -571,6 +571,37 @@ class TestInputContract:
         code, _, _ = run_cli(capsys, "check", scene_file(text.replace("r 0\n", "r 1\n")))
         assert code in (0, 1, 2) and len(calls) == 1
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_a_sample_count_below_one_is_a_usage_error_of_the_api(self, samples):
+        from dngeo.courant import GSection
+        from dngeo.dirac import GFrame, check_lagrangian, hierarchy, null_distribution
+        from dngeo.symbolic import rank_at_samples
+        from dngeo.tensor import PForm, VectorField
+
+        scene = parse_scene(
+            "chart R2 x y\nbivector p = 1 2 x\noneone r = x, 0 ; 0, x\nframe L = poisson p\n"
+            "check nijenhuis r\ncheck lagrangian L\n"
+        )
+        L, r = scene.frames["L"], scene.oneones["r"]
+        # (d/dx, dx) pairs to 2 with itself: a frame that fails before any rank
+        ch = scene.chart
+        not_isotropic = GFrame([GSection(VectorField.coordinate(ch, i), PForm.coordinate(ch, 0)) for i in range(2)])
+        calls = [
+            lambda: rank_at_samples(L.matrix(), samples),
+            lambda: check_lagrangian(L, samples),
+            lambda: check_lagrangian(not_isotropic, samples),
+            lambda: run_scene(scene, samples),
+            lambda: hierarchy(L, r, 1, "n0", samples),
+            lambda: null_distribution(L, samples),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            # the bare message: no verdict, no scene line, no kernel condition
+            assert type(info.value) is ValueError and str(info.value) == "samples must be at least 1"
+        # a valid count still decides, and gets a verdict
+        assert check_lagrangian(L, 1).status == "pass" and rank_at_samples(L.matrix(), 1) == 2
+
     @pytest.mark.parametrize("argv", [["traces", "--jmax", "1"], ["algebroid"]], ids=["traces", "algebroid"])
     def test_samples_flag_reaches_the_lagrangian_precondition(self, capsys, argv):
         # the frame loses rank at the first sample point only, so with one
@@ -668,7 +699,7 @@ class TestInputContract:
             (
                 "chart R2 x y\nvector v = 1/(y - x - 1) ; 0\nframe S = split v\ncheck lagrangian S\n",
                 ["check"],
-                (42, 0, 0, 42),
+                (42, 0, 0, 21),
             ),
             (
                 POLE + "oneone r = x, 0 ; 0, x\nframe L = poisson p\n",
@@ -688,7 +719,8 @@ class TestInputContract:
         # each of the 21 retries of its first sample point, the image of
         # each matrix has a vanishing denominator, and one exact test of
         # that denominator shows the retry a pole, with no numerator
-        # evaluated; then the matrix eliminates.
+        # evaluated; then the matrix eliminates.  The split field's generic
+        # rank reads the images alone, with no exact test of a pole.
         code, out, err = run_cli(capsys, argv[0], scene_file(text), *argv[1:])
         assert code == 2 and err == ""
         assert "rank: no valid sample point" in out

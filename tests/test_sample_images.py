@@ -369,19 +369,23 @@ def record_exact_ranks(monkeypatch, seen):
 # on rational and on Gaussian values, of full rank and short of it
 OUTCOMES = {"proved", "deficient image", "vanishing denominator image", "no pole-free retry"}
 EXACT = {("exact", field, rank) for field in ("Q", "Q(i)") for rank in ("full", "short")}
-EXPECTED = {"default": OUTCOMES | EXACT, "five": OUTCOMES | EXACT | {"no coefficient image"}}
+# and both routes of a generic rank: a full image, or the elimination
+ROUTES = {"generic rank by image", "generic rank by elimination"}
+EXPECTED = {"default": OUTCOMES | EXACT | ROUTES, "five": OUTCOMES | EXACT | ROUTES | {"no coefficient image"}}
 
 
 def exact_examples():
     """Exact fallbacks that the generator need not reach at the package's
-    prime: [[P x]] and [[i P x]], of rank 1 with an image of rank 0, and
-    [[i x, i y], [x, y]], of rank 1 on Gaussian values."""
+    prime: [[P x]] and [[i P x]], of rank 1 with an image of rank 0, whose
+    generic rank the elimination decides; [[i x, i y], [x, y]], of rank 1 on
+    Gaussian values; and [[1/(y - x - 1)]], a pole at every retry."""
     ch, cc = CHARTS[0], CHARTS[1]
     i, x, y = cc.imag_unit(), cc.var("x"), cc.var("y")
     return [
         FracMatrix(ch, [[ch.const(modp.P) * ch.var("x")]]),
         FracMatrix(cc, [[i * cc.const(modp.P) * x]]),
         FracMatrix(cc, [[i * x, i * y], [x, y]]),
+        FracMatrix(ch, [[pole(ch, "every")]]),
     ]
 
 
@@ -389,6 +393,9 @@ def exact_examples():
 def test_sampled_ranks_match_the_exact_path(name, monkeypatch):
     seen = set()
     record_exact_ranks(monkeypatch, seen)
+    eliminations = []
+    eliminate = linalg.pivot_columns
+    monkeypatch.setattr(linalg, "pivot_columns", lambda m: eliminations.append(m) or eliminate(m))
 
     @SETTINGS
     @given(matrices())
@@ -396,7 +403,9 @@ def test_sampled_ranks_match_the_exact_path(name, monkeypatch):
         with prime(name):
             for samples in (1, 3):
                 assert rank_at_samples(m, samples) == exact_rank_at_samples(m, samples)
+            eliminations.clear()
             assert generic_rank(m) == exact_generic_rank(m)
+            seen.add("generic rank by elimination" if m in eliminations else "generic rank by image")
             seen.update(image_outcome(m, s) for s in range(3))
             if eval_matrix_at_sample(m) is None:
                 seen.add("no pole-free retry")
@@ -469,10 +478,27 @@ def test_a_full_rank_is_not_lost_to_a_later_sample_without_valid_retry():
 
 def test_a_rank_deficient_image_falls_back(evaluations):
     ch = CHARTS[0]
-    # P is 0 mod P but not 0, so only the exact path sees the full rank
+    # P is 0 mod P but not 0, so only the exact path sees the full rank; the
+    # generic rank is decided by the elimination, with no point evaluated
     m = FracMatrix(ch, [[ch.const(modp.P) * ch.var("x")]])
     assert rank_at_samples(m, 1) == 1 and generic_rank(m) == 1
-    assert evaluations == {"image": 2, "matrix": 2, "scalar": 2, "denominator": 0}
+    assert evaluations == {"image": 2, "matrix": 1, "scalar": 1, "denominator": 0}
+
+
+def test_a_deficient_generic_rank_is_the_elimination_alone(evaluations, monkeypatch):
+    ch = CHARTS[2]
+    x, y, z = (ch.var(v) for v in ("x", "y", "z"))
+    # the graph of the degenerate 2-form x dx^dy + z dy^dz on R3, its third
+    # section replaced by y times the first plus the second: a 6 x 3 frame
+    # matrix of rank 2
+    s1, s2, _ = make_graph_presymplectic(PForm(ch, 2, {(0, 1): x, (1, 2): z})).sections
+    m = GFrame([s1, s2, s1.scale(y) + s2]).matrix()
+    eliminations = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or eliminate(*a))
+    assert (m.rows, m.cols) == (6, 3) and generic_rank(m) == 2
+    assert evaluations == {"image": 1, "matrix": 0, "scalar": 0, "denominator": 0}
+    assert len(eliminations) == 1
 
 
 def test_a_vanishing_denominator_image_is_not_a_pole(evaluations):
