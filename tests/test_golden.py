@@ -61,6 +61,12 @@ CASES = {
     "check_large_exponent": (["check", "tests/golden/large_exponent.scene"], 1),
     "check_wide_form": (["check", "tests/golden/wide_form.scene"], 0),
     "check_mixed_width_r3": (["check", "tests/golden/mixed_width_r3.scene"], 1),
+    # the known-pass families H_4 and S_1: every check passes on nonconstant
+    # Poisson graphs whose algebroid has nonzero structure functions
+    "check_h4": (["check", "tests/golden/h4.scene"], 0),
+    "algebroid_h4": (["algebroid", "tests/golden/h4.scene"], 0),
+    "check_s1": (["check", "tests/golden/s1.scene"], 0),
+    "algebroid_s1": (["algebroid", "tests/golden/s1.scene"], 0),
 }
 
 
