@@ -95,11 +95,6 @@ def tangent_algebroid(chart) -> AlgebroidData:
     return AlgebroidData(chart, anchors, {})
 
 
-def abelian_algebroid(chart, rank: int) -> AlgebroidData:
-    anchors = [VectorField.zero(chart) for _ in range(rank)]
-    return AlgebroidData(chart, anchors, {})
-
-
 # -- sums over nonzero entries ------------------------------------------------------------
 # `out` maps an output index (a frame index, or a form's component key) to the
 # (factor, factor) pairs of its sum; the sparse operands are {index: nonzero entry}.
@@ -175,7 +170,8 @@ def _named(label: str, out, chart):
 
 
 def check_algebroid(A: AlgebroidData) -> Verdict:
-    """Anchor morphism plus Jacobi identity on frame triples, decided once per A."""
+    """Anchor morphism plus Jacobi identity on frame triples, decided once per A
+    unless `dirac_to_algebroid` kept its frame's involutivity pass there."""
     return _kept(A, "axioms", _decide_axioms, A)
 
 
@@ -429,13 +425,15 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
     """Algebroid data of a Dirac frame plus its closed 2-form datum.
 
     The frame must pass `check_lagrangian` at `samples` sample points and
-    then `check_involutive`; otherwise PreconditionError.  Anchors are the
-    vector parts; structure functions are the coefficients of the brackets
-    of frame sections in the frame, all solved by one elimination of the
-    frame matrix (possible exactly when the frame is involutive); mu is the
-    covector part, nu = 0.  The kernel transversality condition (the frame
-    matrix has rank n) is part of the lagrangian pass.  Build the algebroid
-    once per frame and hand it to `transport_oneone` and the checks.
+    then `check_involutive`; otherwise PreconditionError.  A Dirac structure
+    with the restricted Courant bracket and the anchor pr_T is a Lie algebroid
+    (Courant 1990; Liu, Weinstein and Xu 1997), so A keeps that pass as its
+    axiom verdict.  Anchors are the vector parts; structure functions are the
+    coefficients of the brackets of frame sections in the frame, all solved by
+    one elimination of the frame matrix (possible exactly when the frame is
+    involutive); mu is the covector part, nu = 0.  The kernel transversality
+    condition (the frame matrix has rank n) is part of the lagrangian pass.
+    Build the algebroid once per frame and hand it to `transport_oneone`.
     """
     if check_lagrangian(L, samples).status != "pass":
         raise PreconditionError("frame is not lagrangian")
@@ -449,6 +447,7 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
         raise PreconditionError("bracket leaves the frame span")
     struct = {(a, b, c): coeffs[c] for (a, b), coeffs in zip(pairs, solved) for c in range(n)}
     A = AlgebroidData(chart, [s.vec for s in L.sections], struct)
+    _kept(A, "axioms", check_involutive, L, samples)
     mu = tuple(s.cov for s in L.sections)
     nu = tuple(PForm.zero(chart, 2) for _ in range(n))
     return A, IMForm(A, 2, mu, nu)
@@ -488,9 +487,9 @@ def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None =
     steps: the axioms, then the form datum, then (given r) the tensor datum
     transported onto the same A.  `A, imf` come from one
     `dirac_to_algebroid(L, samples)` call, so the frame is checked once, at
-    the caller's sample count; A keeps its axiom verdict for every later
-    check.  Each stage runs only if the one before it passed; a tensor that
-    cannot be transported ends the chain with an inconclusive step."""
+    the caller's sample count, and its involutivity pass is the axiom verdict
+    that A keeps.  Each stage runs only if the one before it passed; a tensor
+    that cannot be transported ends the chain with an inconclusive step."""
     axioms = check_algebroid(A)
     yield "algebroid_axioms", axioms
     if axioms.status != "pass":

@@ -157,9 +157,7 @@ def cmd_algebroid(args) -> int:
 
     scene, header = _load_scene(args, "algebroid")
     frame = _unique(scene.frames, args.frame, "frame")
-    r = None
-    if args.oneone or len(scene.oneones) == 1:
-        r = _unique(scene.oneones, args.oneone, "oneone")
+    r = _unique(scene.oneones, args.oneone, "oneone") if scene.oneones or args.oneone else None
 
     def steps():
         try:

@@ -126,8 +126,8 @@ class Verdict:
 class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections.
 
-    The frame is its sections.  Its sampled rank and lagrangian verdict at
-    each sample count are kept by the memo rule (see `_kept`)."""
+    The frame is its sections.  Its sampled rank and lagrangian verdict at each
+    sample count, and its involutivity verdict, are kept by the memo rule (see `_kept`)."""
 
     __slots__ = ("chart", "sections", "_memo")
 
@@ -320,9 +320,11 @@ def _require(verdict: Verdict, what: str):
 
 
 def check_involutive(L: GFrame, samples: int = 3) -> Verdict:
-    """Vanishing of T(s_a, s_b, s_c) = <[[s_a, s_b]], s_c> on frame triples."""
+    """Vanishing of T(s_a, s_b, s_c) = <[[s_a, s_b]], s_c> on frame triples of
+    a lagrangian L.  The verdict is kept on L under "involutive": the sample
+    count gates only the lagrangian verdict, which is kept per count."""
     _require(check_lagrangian(L, samples), "lagrangian")
-    return _involutive_under(L, courant_bracket)
+    return _kept(L, "involutive", _involutive_under, L, courant_bracket)
 
 
 def check_invariance(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
@@ -374,7 +376,7 @@ def _dn_steps(L: GFrame, r: OneOneTensor, samples: int = 3):
         for name in ("involutive", "invariance", "d_stability"):
             yield name, blocked
     else:
-        yield "involutive", _involutive_under(L, courant_bracket)
+        yield "involutive", check_involutive(L, samples)
         rr = check_invariance(L, r, samples)
         yield "invariance", rr
         if rr.status == PASS:
@@ -846,11 +848,11 @@ def check_double_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
             return Verdict.fail((name, "not lagrangian"))
         if flag.status != PASS:
             return Verdict.merge([(name, flag)])
-        for bname, bracket in (
-            ("courant", courant_bracket),
-            ("double", lambda s1, s2: double_bracket(s1, s2, r)),
+        for bname, involutive in (
+            ("courant", check_involutive),
+            ("double", lambda F, _: _involutive_under(F, lambda s1, s2: double_bracket(s1, s2, r))),
         ):
-            v = _involutive_under(frame, bracket)
+            v = involutive(frame, samples)
             if v.status != PASS:
                 return Verdict.fail((f"{name}.{bname}", "involutivity fails"), *v.witnesses)
     return Verdict.ok()

@@ -15,6 +15,11 @@ bivectors with nonconstant coefficients on 2- and 3-charts (Lie-Poisson
 so(3)* among them), split frames, the tangent bundle with the standard
 complex structure, drawn derivation data on drawn anchors and structure
 functions, and tensors or grids perturbed so that the equations fail.
+
+The axiom equations are also the oracle of the algebroids that
+`dirac_to_algebroid` builds: a Dirac structure is a Lie algebroid, so those
+keep their frame's involutivity pass as the axiom verdict, and the equations
+must pass on them.
 """
 
 import sys
@@ -28,12 +33,14 @@ from hypothesis import strategies as st
 
 from test_closed_forms import scalars
 
+import dngeo.algebroid as algebroid
 from dngeo.algebroid import (
     AlgebroidData,
     IMForm,
     IMOneOne,
     _axiom_equations,
     _compat_equations,
+    _decide_axioms,
     _form_equations,
     _im_compat,
     _nijenhuis_equations,
@@ -46,7 +53,7 @@ from dngeo.algebroid import (
     transport_oneone,
 )
 from dngeo.courant import GSection, _coordinate_D
-from dngeo.dirac import _components, make_graph_poisson, make_split
+from dngeo.dirac import PASS, _components, make_graph_poisson, make_graph_presymplectic, make_split
 from dngeo.errors import PreconditionError
 from dngeo.holomorphic import standard_complex_structure
 from dngeo.scene import parse_scene
@@ -76,6 +83,8 @@ SETTINGS = settings(
 
 R2 = Chart("R2", ("x", "y"))
 R3 = Chart("R3", ("x", "y", "z"))
+C2 = Chart("C2", ("x", "y"), "complex")
+C3 = Chart("C3", ("x", "y", "z"), "complex")
 
 
 # -- the definitional forms ----------------------------------------------------------------
@@ -457,6 +466,44 @@ def test_the_tangent_bundle_with_its_complex_structure_gives_the_oracle_streams(
     L = make_split([VectorField.coordinate(R2, k) for k in range(2)])
     seen = gather(transported((L, standard_complex_structure(R2).r)), examples=6)
     assert seen["transported"] == 6 and "im_oneone" in seen, seen
+
+
+@st.composite
+def dirac_frames(draw, chart2, chart3):
+    """(kind, frame) for a Dirac frame: the graph of any bivector on a
+    2-chart, of f d1^d2 on a 3-chart, of a closed 2-form d(alpha), or a split
+    frame of coordinate fields."""
+    kind = draw(st.sampled_from(("bivector", "f12", "presymplectic", "split")))
+    if kind == "bivector":
+        return kind, make_graph_poisson(Bivector(chart2, {(0, 1): draw(scalars(chart2))}))
+    if kind == "f12":
+        return kind, make_graph_poisson(Bivector(chart3, {(0, 1): draw(scalars(chart3))}))
+    chart = draw(st.sampled_from((chart2, chart3)))
+    if kind == "presymplectic":
+        alpha = PForm(chart, 1, {(k,): draw(scalars(chart)) for k in range(chart.dim)})
+        return kind, make_graph_presymplectic(ext_d(alpha))
+    return kind, draw(split_frames(chart))
+
+
+@pytest.mark.parametrize("charts", [(R2, R3), (C2, C3)], ids=["Q", "Q(i)"])
+def test_the_algebroid_of_a_dirac_frame_keeps_a_pass_the_axioms_confirm(monkeypatch, charts):
+    decided, built = [], Counter()
+    monkeypatch.setattr(algebroid, "_decide_axioms", lambda A: decided.append(A) or _decide_axioms(A))
+
+    @settings(SETTINGS, max_examples=24)
+    @given(drawn=dirac_frames(*charts))
+    def prop(drawn):
+        kind, L = drawn
+        A, _ = dirac_to_algebroid(L)
+        kept = check_algebroid(A)
+        assert kept.status == PASS and not decided
+        # the oracle, called past the patch: the equations hold on A
+        assert _decide_axioms(A) == kept
+        built.update([kind] + ["struct"] * bool(A.struct))
+
+    prop()
+    # every kind was drawn, and some graphs carry nonzero structure functions
+    assert set(built) == {"bivector", "f12", "presymplectic", "split", "struct"}, built
 
 
 def test_the_structure_functions_by_pair_are_the_brackets_of_frame_sections():

@@ -528,6 +528,36 @@ class TestInputContract:
         assert code == 3
         assert "unknown oneone 'bogus'" in err
 
+    GRAPH = "chart R2 x y\nbivector p = 1 2 x\n"
+    # r is compatible with the graph of p; t is not, so it cannot be transported
+    R, T = "oneone r = x, 0 ; 0, x\n", "oneone t = y, x ; 0, y\n"
+    CHAIN = ["algebroid_axioms", "im_form", "im_oneone", "im_nijenhuis", "im_compat"]
+
+    @pytest.mark.parametrize(
+        "oneones, flag, code, steps",
+        [
+            ("", [], 0, CHAIN[:2]),
+            (R, [], 0, CHAIN),
+            (R + T, ["--oneone", "r"], 0, CHAIN),
+            (R + T, ["--oneone", "t"], 2, CHAIN[:2] + ["transport"]),
+        ],
+        ids=["none", "one", "two-pick-r", "two-pick-t"],
+    )
+    def test_algebroid_reads_the_tensor_the_scene_names(self, capsys, scene_file, oneones, flag, code, steps):
+        text = self.GRAPH + oneones + "frame L = poisson p\n"
+        got, out, err = run_cli(capsys, "algebroid", scene_file(text), *flag)
+        assert (got, err) == (code, "")
+        assert [line.split(": ")[1] for line in out.splitlines() if ".name: " in line] == steps
+
+    def test_algebroid_refuses_two_oneones_without_the_flag(self, capsys, scene_file):
+        # without a tensor the chain would stop at im_form and pass: a usage
+        # error, as in the other commands that read one tensor
+        text = self.GRAPH + self.R + self.T + "frame L = poisson p\n"
+        for command in ("algebroid", "holomorphic"):
+            code, out, err = run_cli(capsys, command, scene_file(text))
+            assert (code, out) == (3, "")
+            assert err == "error: scene declares 2 oneones; pass --oneone to pick one\n"
+
     @pytest.mark.parametrize(
         "check, message",
         [
@@ -638,8 +668,9 @@ class TestInputContract:
         assert "check.0.name: dirac_to_algebroid\ncheck.0.verdict: inconclusive\n" in out
 
     def test_algebroid_is_built_and_checked_once(self, capsys, monkeypatch):
-        # every IM check asks for the axiom verdict, and the algebroid
-        # decides it once: `_decide_axioms` runs only on a cache miss
+        # every IM check asks for the axiom verdict, and the algebroid of a
+        # Dirac frame keeps its frame's involutivity pass as that verdict
+        # (a Dirac structure is a Lie algebroid), so `_decide_axioms` never runs
         import dngeo.algebroid as alg
 
         calls = {"dirac_to_algebroid": 0, "_decide_axioms": 0}
@@ -654,7 +685,7 @@ class TestInputContract:
         path = str(Path(__file__).resolve().parent.parent / "scenes" / "scalar_hierarchy.scene")
         code, out, _ = run_cli(capsys, "algebroid", path)
         assert code == 0 and "im_compat" in out
-        assert calls == {"dirac_to_algebroid": 1, "_decide_axioms": 1}
+        assert calls == {"dirac_to_algebroid": 1, "_decide_axioms": 0}
 
     def test_algebroid_reads_D_r_from_closed_forms(self, capsys, monkeypatch):
         # D^r and the degree-1 D^{r,*} along coordinate fields are the two

@@ -1,6 +1,7 @@
 """A scene forms each piece of geometry once: the Nijenhuis torsion of each
-tensor, and the coordinate rows of the combined derivation of each
-(section, tensor) pair, whichever checks read them.  The kept values equal
+tensor, the coordinate rows of the combined derivation of each
+(section, tensor) pair, and the Courant involutivity of each frame,
+whichever checks read them.  The kept values equal
 freshly formed ones, and a memo never changes an answer: every report of the
 front end on objects that earlier runs have warmed is byte-identical to the
 report on a fresh parse."""
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import dngeo.algebroid as algebroid
 import dngeo.cli as cli
 import dngeo.courant as courant
 import dngeo.dirac as dirac
@@ -95,6 +97,35 @@ check algebroid S
 """
 
 
+# every check that reads the Courant involutivity of L, which also decides
+# the axioms of its algebroid (a Dirac structure is a Lie algebroid)
+ONE_FRAME = """\
+chart R2 x y
+bivector pi = 1 2 x
+oneone r = x, 0 ; 0, x
+frame L = poisson pi
+check involutive L
+check dirac L
+check dirac_nijenhuis L r
+check double_type L r
+check algebroid L r
+"""
+
+# pi = f d1^d2 + x2 k d2^d3 with f = x1 and k = 1 has Jacobiator f * k != 0:
+# the graph is lagrangian but not involutive
+NOT_INVOLUTIVE = """\
+chart R3 x1 x2 x3
+bivector pi = 1 2 x1 ; 2 3 x2
+oneone r = x1, 0, 0 ; 0, x1, 0 ; 0, 0, x1
+frame L = poisson pi
+check involutive L
+check dirac L
+check dirac_nijenhuis L r
+check double_type L r
+check algebroid L r
+"""
+
+
 def fresh_tensor(r):
     return OneOneTensor(r.chart, r.grid)
 
@@ -128,6 +159,22 @@ def test_a_scene_forms_one_torsion_per_tensor_and_one_row_set_per_pair(monkeypat
     assert nijenhuis_torsion(r).comps == tensor._torsion(fresh_tensor(r)).comps
     for s, _ in rows:
         assert _coordinate_D(s, r) == courant._coordinate_rows(GSection(s.vec, s.cov), fresh_tensor(r))
+
+
+def test_a_scene_forms_the_courant_involutivity_of_a_frame_once(monkeypatch):
+    formed, decided = [], []
+    under, decide = dirac._involutive_under, algebroid._decide_axioms
+    monkeypatch.setattr(dirac, "_involutive_under", lambda F, bracket: formed.append((F, bracket)) or under(F, bracket))
+    monkeypatch.setattr(algebroid, "_decide_axioms", lambda A: decided.append(A) or decide(A))
+    scene = parse_scene(ONE_FRAME)
+    assert [rec.verdict.status for rec in run_scene(scene)] == ["pass"] * 5
+    # L once, and the (1,0) transform that double_type builds once; the
+    # double bracket is formed on each of the two after its Courant pass
+    courant_frames = [F for F, bracket in formed if bracket is courant.courant_bracket]
+    assert sum(F is scene.frames["L"] for F in courant_frames) == 1
+    assert len(courant_frames) == len({id(F) for F in courant_frames}) == 2
+    assert len(formed) == 4
+    assert decided == []
 
 
 def test_the_memos_hold_their_key_and_answer_again_only_for_it():
@@ -246,3 +293,19 @@ def test_every_check_kind_and_subcommand_reports_as_fresh_when_warmed(monkeypatc
     verdicts = {line.split(": ")[1] for line in text.splitlines() if ".verdict: " in line}
     assert verdicts == {"pass", "fail", "inconclusive"}
     assert "no valid sample point" in text
+
+
+def test_a_frame_that_is_not_involutive_reports_as_fresh_when_warmed(monkeypatch, tmp_path):
+    # warmed in reverse, the algebroid decides the kept Courant verdict that
+    # the involutive check reads first when fresh
+    path = tmp_path / "not_involutive.scene"
+    path.write_text(NOT_INVOLUTIVE)
+    (code, text), (alg_code, alg_text) = assert_warmed_reports_are_fresh(
+        monkeypatch, [["check", str(path)], ["algebroid", str(path)]]
+    )
+    assert (code, alg_code) == (1, 2)
+    # involutive, dirac, dirac_nijenhuis and double_type name the same triple
+    witnesses = [line.split(".witness.")[1] for line in text.splitlines() if "T[0,1,2]" in line]
+    assert witnesses == ["T[0,1,2]: x1"] * 2 + ["involutive.T[0,1,2]: x1", "T[0,1,2]: x1"]
+    assert "check.4.witness.precondition: frame is not involutive\n" in text
+    assert "check.0.witness.precondition: frame is not involutive\n" in alg_text
