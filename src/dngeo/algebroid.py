@@ -29,11 +29,12 @@ from itertools import combinations
 from .errors import PreconditionError
 from .symbolic import dot, solve_columns
 from .symbolic.scalar import _kept
-from .courant import _coordinate_D, apply_rr, courant_bracket
+from .courant import _coordinate_D, apply_rr
 from .dirac import (
     GFrame,
     Verdict,
     _components,
+    _frame_bracket,
     _require,
     check_involutive,
     check_lagrangian,
@@ -431,8 +432,10 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
     axiom verdict.  Anchors are the vector parts; structure functions are the
     coefficients of the brackets of frame sections in the frame, all solved by
     one elimination of the frame matrix (possible exactly when the frame is
-    involutive); mu is the covector part, nu = 0.  The kernel transversality
-    condition (the frame matrix has rank n) is part of the lagrangian pass.
+    involutive), and the brackets are the ones the involutivity pass kept on
+    L, so each is formed once; mu is the covector part, nu = 0.  The kernel
+    transversality condition (the frame matrix has rank n) is part of the
+    lagrangian pass.
     Build the algebroid once per frame and hand it to `transport_oneone`.
     """
     if check_lagrangian(L, samples).status != "pass":
@@ -442,7 +445,7 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
     chart = L.chart
     n = chart.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    solved = solve_columns(L.matrix(), [courant_bracket(L.sections[a], L.sections[b]).components() for a, b in pairs])
+    solved = solve_columns(L.matrix(), [_frame_bracket(L, a, b).components() for a, b in pairs])
     if None in solved:
         raise PreconditionError("bracket leaves the frame span")
     struct = {(a, b, c): coeffs[c] for (a, b), coeffs in zip(pairs, solved) for c in range(n)}

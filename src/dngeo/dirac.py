@@ -127,7 +127,9 @@ class GFrame:
     """A rank-n subbundle of TM + T*M presented by n generating sections.
 
     The frame is its sections.  Its sampled rank and lagrangian verdict at each
-    sample count, and its involutivity verdict, are kept by the memo rule (see `_kept`)."""
+    sample count, its involutivity verdict, the Courant brackets of its
+    sections and its invariance verdict under each tensor are kept by the
+    memo rule (see `_kept`)."""
 
     __slots__ = ("chart", "sections", "_memo")
 
@@ -324,15 +326,28 @@ def check_involutive(L: GFrame, samples: int = 3) -> Verdict:
     a lagrangian L.  The verdict is kept on L under "involutive": the sample
     count gates only the lagrangian verdict, which is kept per count."""
     _require(check_lagrangian(L, samples), "lagrangian")
-    return _kept(L, "involutive", _involutive_under, L, courant_bracket)
+    return _kept(L, "involutive", _involutive_under, L, _frame_bracket)
+
+
+def _frame_bracket(L: GFrame, a: int, b: int):
+    """The Courant bracket [[s_a, s_b]] of two sections of L, formed once and
+    kept on L under ("bracket", a, b)."""
+    return _kept(L, ("bracket", a, b), courant_bracket, L.sections[a], L.sections[b])
 
 
 def check_invariance(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
-    """(r, r*)(L) inside L, tested by pairing against the frame (valid since L = L-perp)."""
+    """(r, r*)(L) inside L, tested by pairing against the frame (valid since
+    L = L-perp).  The lagrangian precondition is read on every call; the
+    verdict is formed once per (L, r) and kept on L under ("invariance",
+    id(r)), beside r, so while it is kept no other tensor can have that id."""
     same_chart(L.sections[0], r)
     _require(check_lagrangian(L, samples), "lagrangian")
+    return _kept(L, ("invariance", id(r)), _held_invariance, L, r)[1]
+
+
+def _held_invariance(L: GFrame, r: OneOneTensor):
     n = L.chart.dim
-    return Verdict.first(
+    return r, Verdict.first(
         (f"invariance[{a},{b}]", pairing(ra, L.sections[b]))
         for a in range(n)
         for ra in [apply_rr(L.sections[a], r)]
@@ -820,13 +835,14 @@ def check_contraction_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verd
 
 
 def _involutive_under(L: GFrame, bracket) -> Verdict:
-    """T(a, b, c) = <bracket(s_a, s_b), s_c> over a < b < c: totally skew on
-    an isotropic frame, so the brackets with b = n - 1 are never formed."""
+    """T(a, b, c) = <bracket(L, a, b), s_c> over a < b < c, for the bracket
+    bracket(L, a, b) of s_a and s_b: totally skew on an isotropic frame, so
+    the brackets with b = n - 1 are never formed."""
     n = L.chart.dim
     return Verdict.first(
         (f"T[{a},{b},{c}]", pairing(br, L.sections[c]))
         for a, b in combinations(range(n - 1), 2)
-        for br in [bracket(L.sections[a], L.sections[b])]
+        for br in [bracket(L, a, b)]
         for c in range(b + 1, n)
     )
 
@@ -842,6 +858,9 @@ def check_double_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
         L10 = hierarchy(L, r, 1, "n0", samples)
     except HierarchyKernelError:
         return Verdict.inconclusive(("transform", "(r, id) restricted to L is not injective"))
+    def double(F, a, b):
+        return double_bracket(F.sections[a], F.sections[b], r)
+
     for name, frame in (("L", L), ("L10", L10)):
         flag = check_lagrangian(frame, samples)
         if flag.status == FAIL:
@@ -850,7 +869,7 @@ def check_double_type(L: GFrame, r: OneOneTensor, samples: int = 3) -> Verdict:
             return Verdict.merge([(name, flag)])
         for bname, involutive in (
             ("courant", check_involutive),
-            ("double", lambda F, _: _involutive_under(F, lambda s1, s2: double_bracket(s1, s2, r))),
+            ("double", lambda F, _: _involutive_under(F, double)),
         ):
             v = involutive(frame, samples)
             if v.status != PASS:

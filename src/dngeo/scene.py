@@ -145,12 +145,25 @@ def _tail(span, word):
     return text[word[1] - offset:], word[1]
 
 
-def _parse_expr(span, chart, lineno):
+def _parse_expr(span, chart, lineno, parsed):
+    """The scalar of an expression span; `parsed` maps each text already
+    parsed in this scene to its scalar, so an equal text is parsed once."""
     text, offset = span
-    try:
-        return parse_scalar(text, chart)
-    except ExprSyntaxError as e:
-        raise SceneError(e.bare_message, lineno, offset + e.col) from None
+    scalar = parsed.get(text)
+    if scalar is None:
+        try:
+            scalar = parsed[text] = parse_scalar(text, chart)
+        except ExprSyntaxError as e:
+            raise SceneError(e.bare_message, lineno, offset + e.col) from None
+    return scalar
+
+
+def _check_new_entry(head, comps, idx, piece, lineno):
+    """Refuse a component whose index tuple an earlier entry of the same
+    declaration already set, naming the entry and its column."""
+    if idx in comps:
+        indices = " ".join(str(i + 1) for i in idx)
+        raise SceneError(f"repeated {head} entry {indices}", lineno, piece[1] + 1)
 
 
 def _need_chart(scene, lineno):
@@ -166,8 +179,11 @@ def _check_fresh(scene, name, lineno):
 
 def parse_scene(text: str, default_mode: str = "real") -> Scene:
     """Parse a scene; charts declared without an explicit mode use
-    default_mode (settable from the command line)."""
+    default_mode (settable from the command line).  Equal expression texts
+    of one scene give one shared scalar, and so share its kept partial
+    derivatives; two calls share none."""
     scene = Scene()
+    parsed = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
@@ -214,13 +230,13 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
             _check_fresh(scene, name, lineno)
             n = chart.dim
             if head == "scalar":
-                scene.scalars[name] = _parse_expr(body, chart, lineno)
+                scene.scalars[name] = _parse_expr(body, chart, lineno, parsed)
             elif head == "vector":
                 comps = _split(body, ";")
                 if len(comps) != n:
                     raise SceneError(f"vector needs {n} components", lineno)
                 scene.vectors[name] = VectorField(
-                    chart, [_parse_expr(c, chart, lineno) for c in comps]
+                    chart, [_parse_expr(c, chart, lineno, parsed) for c in comps]
                 )
             elif head == "oneone":
                 rows = _split(body, ";")
@@ -231,7 +247,7 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                     cols = _split(r, ",")
                     if len(cols) != n:
                         raise SceneError(f"oneone rows need {n} entries", lineno)
-                    grid.append([_parse_expr(c, chart, lineno) for c in cols])
+                    grid.append([_parse_expr(c, chart, lineno, parsed) for c in cols])
                 scene.oneones[name] = OneOneTensor(chart, grid)
             elif head == "bivector":
                 comps = {}
@@ -250,7 +266,9 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                             ) from None
                         if not (0 <= i < j < n):
                             raise SceneError("bivector indices must satisfy 1 <= i < j <= n", lineno)
-                        comps[(i, j)] = _parse_expr(_tail(piece, words[2]), chart, lineno)
+                        value = _parse_expr(_tail(piece, words[2]), chart, lineno, parsed)
+                        _check_new_entry(head, comps, (i, j), piece, lineno)
+                        comps[(i, j)] = value
                 scene.bivectors[name] = Bivector(chart, comps)
             else:  # form
                 comps = {}
@@ -274,7 +292,9 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
                                 "form indices must be strictly increasing and in range",
                                 lineno,
                             )
-                        comps[idx] = _parse_expr(_tail(piece, words[degree]), chart, lineno)
+                        value = _parse_expr(_tail(piece, words[degree]), chart, lineno, parsed)
+                        _check_new_entry(head, comps, idx, piece, lineno)
+                        comps[idx] = value
                 try:
                     scene.forms[name] = PForm(chart, degree, comps)
                 except ValueError as e:

@@ -201,15 +201,29 @@ def pivot_columns(m: FracMatrix) -> list:
     return [pc for _, pc in _eliminate(rows, m.cols, pairs, guard)]
 
 
+def _has_unit_rows(m: FracMatrix) -> bool:
+    """Whether some m.cols rows of m are the unit rows e_1 ... e_cols, whose
+    one nonzero entry is 1 over denominator 1: their minor is 1."""
+    found = set()
+    for row in m.entries:
+        nonzero = [c for c, e in enumerate(row) if e.num.nums]
+        if len(nonzero) == 1 and row[nonzero[0]].num.is_one() and row[nonzero[0]].den.is_one():
+            found.add(nonzero[0])
+    return len(found) == m.cols
+
+
 def generic_rank(m: FracMatrix) -> int:
     """Rank over the function field.
 
-    The generic rank is at least the rank of the image at a pole-free sample
-    point and at most min(rows, cols), so an image of rank min(rows, cols)
-    proves it, as in span equality; a shorter image, a sample point with no
-    pole-free retry or a coefficient without image goes to the elimination.
-    No point is evaluated over Q.
+    Unit rows e_1 ... e_cols prove the rank m.cols, whatever the other
+    entries.  Otherwise the generic rank is at least the rank of the image
+    at a pole-free sample point and at most min(rows, cols), so an image of
+    rank min(rows, cols) proves it, as in span equality; a shorter image, a
+    sample point with no pole-free retry or a coefficient without image goes
+    to the elimination.  No point is evaluated over Q.
     """
+    if _has_unit_rows(m):
+        return m.cols
     full = min(m.rows, m.cols)
     values = image_at_sample(m)
     if values is not None and modp.rank(values) == full:
@@ -371,10 +385,13 @@ def rank_at_samples(m: FracMatrix, samples: int = 3):
     the retry a pole.  At the first pole-free retry an image rank of
     min(rows, cols) proves that rank; a shorter image rank or an entry
     without image sends that retry to exact evaluation.  A matrix with a
-    coefficient without image is evaluated exactly at every retry.
+    coefficient without image is evaluated exactly at every retry.  A matrix
+    over denominator 1 with unit rows e_1 ... e_cols has no pole: no point is read.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if _has_unit_rows(m) and all(e.den.is_one() for row in m.entries for e in row):
+        return m.cols
     image = modp.matrix_image(m)
     full = min(m.rows, m.cols)
     best = 0

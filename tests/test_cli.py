@@ -486,6 +486,23 @@ class TestInputContract:
         code, out, err = run_cli(capsys, "check", scene_file(text))
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bivector p = 1 2 x ; 1 2 y", "repeated bivector entry 1 2 (line 2, col 22)"),
+            ("form w 2 = 1 2 x ;  1 2 z", "repeated form entry 1 2 (line 2, col 21)"),
+            ("form w 2 = 1 2 x ; 1 3 y ; 1 2 x", "repeated form entry 1 2 (line 2, col 28)"),
+        ],
+        ids=["bivector", "form", "form-equal-value"],
+    )
+    def test_a_repeated_component_is_refused(self, capsys, scene_file, line, message):
+        # the later entry used to replace the earlier one, and the check ran
+        # on a tensor the scene does not write
+        frame = "poisson p" if line.startswith("bivector") else "presymplectic w"
+        text = f"chart R3 x y z\n{line}\nframe L = {frame}\ncheck dirac L\n"
+        code, out, err = run_cli(capsys, "check", scene_file(text))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_scene_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.scene"
         path.write_bytes(b"chart R2 x y\n# caf\xe9\n")

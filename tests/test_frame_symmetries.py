@@ -555,9 +555,10 @@ def frame_draws(body, examples=15):
 def test_involutivity_agrees_with_the_old_loop():
     def body(L, r):
         double = lambda s1, s2: double_bracket(s1, s2, r)  # noqa: E731
+        on_frame = lambda F, a, b: double(F.sections[a], F.sections[b])  # noqa: E731
         return {
             "courant": agree(check_involutive, lambda L: old_involutive_under(L, courant_bracket), L),
-            "double": agree(lambda L: _involutive_under(L, double), lambda L: old_involutive_under(L, double), L),
+            "double": agree(lambda L: _involutive_under(L, on_frame), lambda L: old_involutive_under(L, double), L),
         }
 
     seen = frame_draws(body)

@@ -1,7 +1,8 @@
 """A scene forms each piece of geometry once: the Nijenhuis torsion of each
 tensor, the coordinate rows of the combined derivation of each
-(section, tensor) pair, and the Courant involutivity of each frame,
-whichever checks read them.  The kept values equal
+(section, tensor) pair, the Courant involutivity of each frame, the Courant
+bracket of each pair of its sections and the (r, r*)-invariance verdict of
+each (frame, tensor) pair, whichever checks read them.  The kept values equal
 freshly formed ones, and a memo never changes an answer: every report of the
 front end on objects that earlier runs have warmed is byte-identical to the
 report on a fresh parse."""
@@ -126,6 +127,22 @@ check algebroid L r
 """
 
 
+# every check that reads the invariance verdict of (L, r)
+INVARIANCE = """\
+chart R2 x y
+bivector pi = 1 2 1
+oneone r = x, 0 ; 0, x
+frame L = poisson pi
+check invariance L r
+check d_stability L r
+check dirac_nijenhuis L r
+check contraction_type L r
+"""
+
+
+R3 = Chart("R3", ("x1", "x2", "x3"))
+
+
 def fresh_tensor(r):
     return OneOneTensor(r.chart, r.grid)
 
@@ -170,11 +187,46 @@ def test_a_scene_forms_the_courant_involutivity_of_a_frame_once(monkeypatch):
     assert [rec.verdict.status for rec in run_scene(scene)] == ["pass"] * 5
     # L once, and the (1,0) transform that double_type builds once; the
     # double bracket is formed on each of the two after its Courant pass
-    courant_frames = [F for F, bracket in formed if bracket is courant.courant_bracket]
+    courant_frames = [F for F, bracket in formed if bracket is dirac._frame_bracket]
     assert sum(F is scene.frames["L"] for F in courant_frames) == 1
     assert len(courant_frames) == len({id(F) for F in courant_frames}) == 2
     assert len(formed) == 4
     assert decided == []
+
+
+def test_a_scene_forms_one_invariance_verdict_per_frame_and_tensor(monkeypatch):
+    applied = []
+    apply = dirac.apply_rr
+    monkeypatch.setattr(dirac, "apply_rr", lambda s, r: applied.append((s, r)) or apply(s, r))
+    scene = parse_scene(INVARIANCE)
+    assert [rec.verdict.status for rec in run_scene(scene)] == ["pass"] * 4
+    r, L = scene.oneones["r"], scene.frames["L"]
+    # (r, r*) is applied to each of the n sections once, by the one formation
+    assert [s for s, _ in applied] == list(L.sections)
+    assert all(key is r for _, key in applied)
+    kept_r, verdict = L._memo[("invariance", id(r))]
+    assert kept_r is r and dirac.check_invariance(L, r) is verdict
+    assert len(applied) == 2
+    # an equal tensor is another key, and forms its verdict again
+    twin = fresh_tensor(r)
+    assert dirac.check_invariance(L, twin) == verdict and len(applied) == 4
+    assert L._memo[("invariance", id(twin))][0] is twin
+
+
+def test_the_algebroid_reads_the_brackets_the_involutivity_pass_kept(monkeypatch):
+    brackets = []
+    formed = dirac.courant_bracket
+    monkeypatch.setattr(dirac, "courant_bracket", lambda s1, s2: brackets.append((s1, s2)) or formed(s1, s2))
+    # the graph of pi = x1 d1^d2 on R3: pi is Poisson, so its graph is Dirac
+    L = make_graph_poisson(Bivector(R3, {(0, 1): R3.var("x1")}))
+    assert dirac.check_involutive(L).status == "pass"
+    # the pass forms the brackets with b < n - 1 only: (0, 1) of n = 3
+    assert brackets == [(L.sections[0], L.sections[1])]
+    algebroid.dirac_to_algebroid(L)
+    # the solve reads that one and forms the two left, each once
+    pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+    assert brackets == [(L.sections[a], L.sections[b]) for a, b in pairs]
+    assert all(L._memo[("bracket", a, b)] == formed(L.sections[a], L.sections[b]) for a, b in pairs)
 
 
 def test_the_memos_hold_their_key_and_answer_again_only_for_it():
@@ -247,13 +299,15 @@ def golden_runs():
     return runs
 
 
-def assert_warmed_reports_are_fresh(monkeypatch, runs):
+def assert_warmed_reports_are_fresh(monkeypatch, runs, kept=None):
     """Run each argv on a fresh parse.  Then, on one parse per scene, run
     them all in reverse order with the check lines of the scene reversed,
     which warms its objects, and once more in order: these last reports are
-    byte-identical to the fresh ones."""
+    byte-identical to the fresh ones.  `kept`, when given, receives the
+    warmed scenes by (text, mode)."""
     fresh = [report(argv) for argv in runs]
-    parse, kept, warming = cli.parse_scene, {}, [True]
+    parse, warming = cli.parse_scene, [True]
+    kept = {} if kept is None else kept
 
     def parse_once(text, default_mode="real"):
         scene = kept.get((text, default_mode))
@@ -288,8 +342,15 @@ def test_every_check_kind_and_subcommand_reports_as_fresh_when_warmed(monkeypatc
         ["algebroid", str(path), "--frame", "L", "--oneone", "r"],
         ["algebroid", str(path), "--frame", "S", "--oneone", "r"],
     ]
-    (code, text), *_ = assert_warmed_reports_are_fresh(monkeypatch, runs)
+    kept = {}
+    (code, text), *_ = assert_warmed_reports_are_fresh(monkeypatch, runs, kept)
     assert code == 1
+    # the warmed reads include the kept invariance verdicts and frame brackets
+    scene = kept[EVERY_KIND, "real"]
+    frames, oneones = scene.frames, scene.oneones
+    for frame, tensor_ in (("L", "t"), ("G", "r"), ("G", "t"), ("L", "r")):
+        assert frames[frame]._memo[("invariance", id(oneones[tensor_]))][0] is oneones[tensor_]
+    assert ("bracket", 0, 1) in frames["L"]._memo
     verdicts = {line.split(": ")[1] for line in text.splitlines() if ".verdict: " in line}
     assert verdicts == {"pass", "fail", "inconclusive"}
     assert "no valid sample point" in text

@@ -444,7 +444,9 @@ def test_frame_decisions_match_the_exact_path(name):
 
 def test_a_coefficient_without_image_falls_back(evaluations):
     ch = CHARTS[0]
-    m = FracMatrix(ch, [[ch.var("x") * ch.const(Fraction(1, modp.P))], [ch.one()]])
+    # the second row is 2, not the unit row 1, which would prove the rank
+    # without reading a point
+    m = FracMatrix(ch, [[ch.var("x") * ch.const(Fraction(1, modp.P))], [ch.const(2)]])
     assert modp.matrix_image(m) is None
     assert rank_at_samples(m, 2) == 1
     # the first sample point has full rank, so the second is not read
