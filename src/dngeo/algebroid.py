@@ -47,9 +47,7 @@ from .tensor import (
     _partials,
     combination,
     ext_d,
-    interior,
     lie_deriv_form,
-    nijenhuis_torsion,
 )
 
 
@@ -508,25 +506,3 @@ def _im_steps(A: AlgebroidData, imf: IMForm, L: GFrame, r: OneOneTensor | None =
         yield "im_compat", _im_compat(imf, T)
     except PreconditionError as e:
         yield "transport", Verdict.inconclusive(("precondition", str(e)))
-
-
-# -- the quasi variant ------------------------------------------------------------------
-
-
-def quasi_IM_check(imf: IMForm, r: OneOneTensor, phi: PForm) -> Verdict:
-    """The twisted-torsion relation for the closed 2-form datum:
-    <mu(a), torsion(.,.)> = -i_{rho(a)} phi on every frame section; the
-    companion 3-form datum vanishes identically, asserted via the squared
-    derivation of the transported tensor when available."""
-    A = imf.parent
-    if phi.degree != 3:
-        raise ValueError("need a 3-form")
-    if not ext_d(phi).is_zero():
-        raise PreconditionError("phi is not closed")
-    N = nijenhuis_torsion(r)
-    # <mu(a), N(., .)> + i_{rho(a)} phi, component by component
-    return Verdict.first(
-        item
-        for a, (rho, mu_a) in enumerate(zip(A.anchors, imf.mu))
-        for item in _components(f"quasi_mu[{a}]", N.pair_form(mu_a) + interior(rho, phi))
-    )

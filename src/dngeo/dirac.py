@@ -42,14 +42,12 @@ from .symbolic import (
     FracMatrix,
     ScalarExpr,
     generic_rank,
-    image_at_sample,
     kernel_basis,
     pivot_columns,
     rank_at_samples,
     same_chart,
     solve_columns,
 )
-from .symbolic import modp
 from .symbolic.scalar import _kept, to_str
 from .courant import (
     GSection,
@@ -261,24 +259,6 @@ def _beside(m1: FracMatrix, m2: FracMatrix) -> FracMatrix:
     return FracMatrix(m1.chart, [r1 + r2 for r1, r2 in zip(m1.entries, m2.entries)])
 
 
-def _pairings_vanish(L1: GFrame, L2: GFrame, v1, v2) -> bool:
-    """Whether every section of L1 pairs to zero with every section of L2.
-
-    v1 and v2 are the frames' matrices mod P at one common sample point, or
-    None.  A pairing whose image is nonzero there is nonzero, so a frame pair
-    that fails is mostly rejected before any pairing of rational functions
-    is formed.
-    """
-    n = L1.chart.dim
-    if v1 is not None and any(
-        sum(v1[i][a] * v2[n + i][b] + v1[n + i][a] * v2[i][b] for i in range(n)) % modp.P
-        for a in range(n)
-        for b in range(n)
-    ):
-        return False
-    return all(val.is_zero() for _, val in _pairings(L1, L2))
-
-
 def check_lagrangian(L: GFrame, samples: int = 3) -> Verdict:
     """Pass iff the frame pairs to zero with itself and has rank n pointwise.
 
@@ -417,43 +397,21 @@ def section_in_span(s: GSection, L: GFrame, samples: int = 3) -> bool:
 def frames_equal_span(L1: GFrame, L2: GFrame) -> bool:
     """Equality of the spans over the function field.
 
-    Equal spans have equal generic rank, and then they are equal exactly when
-    rank [m1 | m2] is that rank too; a rank of [m1 | m2] above it at a sample
-    point already proves them unequal, since the generic rank is at least the
-    rank at any point.  The pairing b(X) + a(Y) is nondegenerate over Q(x) and
-    Q(i)(x), so a lagrangian span L is its own orthogonal.  Hence when both
-    ranks are n and L2 is isotropic, so lagrangian, the spans are equal
-    exactly when <L1, L2> = 0, and [m1 | m2] is never eliminated.
-
-    [m1 | m2] is taken mod P once, at the first retry of sample point 0
-    where no denominator image vanishes.  Every sampled rank and pairing is
-    read from that image, and each read is one-sided: an image rank of n
-    proves a generic rank of n, an image rank of [m1 | m2] above r proves
-    the spans unequal, and a nonzero image pairing proves a nonzero pairing.
-    Whatever the image does not prove is decided exactly.
+    Equal spans have equal generic rank r, and then they are equal exactly
+    when [m1 | m2] has rank r too.  The pairing b(X) + a(Y) is nondegenerate
+    over Q(x) and Q(i)(x), so a lagrangian span is its own orthogonal: when
+    r = n and L2 pairs to zero with itself, so is lagrangian, the spans are
+    equal exactly when <L1, L2> = 0, read from the exact pairings, and
+    [m1 | m2] is not formed.  Every rank is read by generic_rank.
     """
     same_chart(L1.sections[0], L2.sections[0])
-    n = L1.chart.dim
     m1, m2 = L1.matrix(), L2.matrix()
-    both = _beside(m1, m2)
-    v = image_at_sample(both)
-    v1 = v2 = None
-    if v is not None:
-        v1, v2 = [row[:n] for row in v], [row[n:] for row in v]
-
-    def rank(m, values):
-        if values is not None and modp.rank(values) == n:
-            return n
-        return len(pivot_columns(m))
-
-    r = rank(m1, v1)
-    if rank(m2, v2) != r:
+    r = generic_rank(m1)
+    if generic_rank(m2) != r:
         return False
-    if r == n and _pairings_vanish(L2, L2, v2, v2):
-        return _pairings_vanish(L1, L2, v1, v2)
-    if v is not None and modp.rank(v) > r:
-        return False
-    return len(pivot_columns(both)) == r
+    if r == L1.chart.dim and all(val.is_zero() for _, val in _pairings(L2, L2)):
+        return all(val.is_zero() for _, val in _pairings(L1, L2))
+    return generic_rank(_beside(m1, m2)) == r
 
 
 # -- concomitants ------------------------------------------------------------------

@@ -302,9 +302,12 @@ def parse_scene(text: str, default_mode: str = "real") -> Scene:
         elif head == "frame":
             chart = _need_chart(scene, lineno)
             name, eq, body = rest.partition("=")
-            name = name.strip()
             if not eq:
                 raise SceneError("frame declaration needs '='", lineno)
+            nameparts = name.split()
+            if len(nameparts) != 1:
+                raise SceneError("bad frame declaration", lineno)
+            name = nameparts[0]
             _check_fresh(scene, name, lineno)
             words = body.strip().split()
             if not words:

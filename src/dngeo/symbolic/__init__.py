@@ -5,7 +5,6 @@ from .gaussian import GaussianRational
 from .linalg import (
     FracMatrix,
     generic_rank,
-    image_at_sample,
     kernel_basis,
     pivot_columns,
     rank_at_samples,
@@ -27,7 +26,6 @@ __all__ = [
     "divexact",
     "dot",
     "generic_rank",
-    "image_at_sample",
     "kernel_basis",
     "pivot_columns",
     "parse_scalar",

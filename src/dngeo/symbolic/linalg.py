@@ -218,9 +218,9 @@ def generic_rank(m: FracMatrix) -> int:
     Unit rows e_1 ... e_cols prove the rank m.cols, whatever the other
     entries.  Otherwise the generic rank is at least the rank of the image
     at a pole-free sample point and at most min(rows, cols), so an image of
-    rank min(rows, cols) proves it, as in span equality; a shorter image, a
-    sample point with no pole-free retry or a coefficient without image goes
-    to the elimination.  No point is evaluated over Q.
+    rank min(rows, cols) proves it; a shorter image, a sample point with no
+    pole-free retry or a coefficient without image goes to the elimination.
+    No point is evaluated over Q.
     """
     if _has_unit_rows(m):
         return m.cols
@@ -326,15 +326,15 @@ def _pole(s: ScalarExpr, point) -> bool:
     return not s.den.eval(point)
 
 
-def image_at_sample(m: FracMatrix, s: int = 0):
-    """The entries mod P at the first retry of sample point s where no
+def image_at_sample(m: FracMatrix):
+    """The entries mod P at the first retry of sample point 0 where no
     denominator image vanishes; None when there is none, or when a
     coefficient has no image."""
     image = modp.matrix_image(m)
     if image is None:
         return None
     for retry in range(MAX_POINT_RETRIES + 1):
-        values = image.at(sample_point(m.chart, s, retry))
+        values = image.at(sample_point(m.chart, 0, retry))
         if values is not None and None not in (v for row in values for v in row):
             return values
     return None

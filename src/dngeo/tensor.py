@@ -565,22 +565,6 @@ def interior(X: VectorField, w: PForm) -> PForm:
     return PForm(chart, w.degree - 1, out)
 
 
-def wedge(a: PForm, b: PForm) -> PForm:
-    chart = same_chart(a, b)
-    out: dict = {}
-    for ia, va in a.comps.items():
-        for ib, vb in b.comps.items():
-            sign, key = _perm_sign_and_sorted(ia + ib)
-            if sign == 0:
-                continue
-            term = va * vb
-            if sign < 0:
-                term = -term
-            cur = out.get(key)
-            out[key] = term if cur is None else cur + term
-    return PForm(chart, a.degree + b.degree, out)
-
-
 def lie_deriv_form(X: VectorField, w: PForm) -> PForm:
     """L_X w in the closed form of the module docstring, one `dot` per
     component; no partial is taken for a k with X^k = 0, and L_X 0 = 0."""

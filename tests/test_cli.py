@@ -503,6 +503,13 @@ class TestInputContract:
         code, out, err = run_cli(capsys, "check", scene_file(text))
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("name", ["", "a b"], ids=["empty", "two-words"])
+    def test_a_frame_name_is_one_word(self, capsys, scene_file, name):
+        # the error names the declaration, not a later line that uses the name
+        text = f"chart R2 x y\nbivector p = 1 2 x\nframe {name} = poisson p\ncheck dirac a\n"
+        code, out, err = run_cli(capsys, "check", scene_file(text))
+        assert (code, out, err) == (3, "", "error: bad frame declaration (line 3, col 1)\n")
+
     def test_scene_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.scene"
         path.write_bytes(b"chart R2 x y\n# caf\xe9\n")
@@ -832,16 +839,16 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "frames, equal, counts",
         [
-            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, (1, 0, 0)),
-            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (1, 0, 0)),
+            ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, (3, 0, 0)),
+            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (3, 0, 0)),
             ("frame A = sections u 0 ; t 0\nframe B = sections v 0 ; t 0\n", True, (1, 0, 0)),
         ],
         ids=["isotropic-rank-1", "rank-2-not-isotropic", "lagrangian"],
     )
     def test_span_equality_evaluates_each_sample_point_once(self, evaluations, frames, equal, counts):
-        # (image, exact matrix, exact scalar) evaluations: [m1 | m2] is
-        # taken mod P once, every sampled rank and pairing is read from
-        # that image, and nothing is evaluated exactly
+        # (image, exact matrix, exact scalar) evaluations: each matrix is
+        # taken mod P at most once, by generic_rank, and nothing is
+        # evaluated exactly; a lagrangian pair never forms [m1 | m2]
         from dngeo.dirac import frames_equal_span
 
         scene = parse_scene(self.SPANS + frames)

@@ -39,12 +39,12 @@ from dngeo.symbolic import (
     Polynomial,
     ScalarExpr,
     generic_rank,
-    image_at_sample,
     pivot_columns,
     rank_at_samples,
     sample_point,
 )
 from dngeo.symbolic import linalg, modp
+from dngeo.symbolic.linalg import image_at_sample
 from dngeo.symbolic.poly import poly_one
 from dngeo.tensor import Bivector, PForm, VectorField
 
@@ -510,7 +510,7 @@ def test_a_vanishing_denominator_image_is_not_a_pole(evaluations):
     m = FracMatrix(ch, [[ch.one() / (x + ch.const(modp.P - 1))]])
     assert rank_at_samples(m, 1) == 1
     assert evaluations == {"image": 1, "matrix": 1, "scalar": 1, "denominator": 1}
-    # span equality takes the image at the next retry instead
+    # generic_rank takes the image at the next retry instead
     assert image_at_sample(m) == [[pow(8 + modp.P - 1, -1, modp.P)]]
 
 

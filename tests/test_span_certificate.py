@@ -8,6 +8,7 @@ make_split flagged them from their fields' sampled rank."""
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from dngeo.dirac import (
 )
 from dngeo.errors import HierarchyKernelError, PointEvaluationError
 from dngeo.fixtures import chart2, chart3, random_scalar
-from dngeo.symbolic import FracMatrix, generic_rank, pivot_columns, rank_at_samples, solve_linear
+from dngeo.symbolic import FracMatrix, generic_rank, linalg, pivot_columns, rank_at_samples, solve_linear
 from dngeo.tensor import Bivector, OneOneTensor, PForm, VectorField
 
 SETTINGS = settings(
@@ -453,6 +454,23 @@ def test_span_equality_matches_the_solve_oracle():
 
     check()
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_a_poisson_graph_equals_its_span_with_no_image(evaluations, monkeypatch, mode):
+    # the dx^i rows of a Poisson graph frame are the unit rows, so both
+    # generic ranks are n with no image, and a bivector's graph pairs to zero
+    # with itself, so the exact pairings decide and [m | m] is not formed
+    ch = chart3(mode)
+    x, y, z = (ch.var(v) for v in ("x", "y", "z"))
+    pi = Bivector(ch, {(0, 1): x / (y + ch.one()), (0, 2): y * z, (1, 2): ch.const(3)})
+    eliminations = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or eliminate(*a))
+    L = make_graph_poisson(pi)
+    assert frames_equal_span(L, L) and frames_equal_span(L, make_graph_poisson(pi))
+    assert evaluations == {"image": 0, "matrix": 0, "scalar": 0, "denominator": 0}
+    assert eliminations == []
 
 
 def test_lagrangian_verdicts_match_the_old_order():

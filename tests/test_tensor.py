@@ -41,7 +41,6 @@ from dngeo.tensor import (
     schouten_is_zero,
     tangent_chart,
     tangent_lift,
-    wedge,
 )
 
 
@@ -105,13 +104,6 @@ class TestCartan:
     def test_lie_identity_tensor(self, ch):
         X = random_vf(ch, random.Random(0))
         assert lie_deriv_tensor(X, OneOneTensor.identity(ch)).is_zero()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_wedge_graded_commutativity(self, seed):
-        ch = chart3()
-        rng = random.Random(seed)
-        a, b = random_oneform(ch, rng), random_oneform(ch, rng)
-        assert (wedge(a, b) + wedge(b, a)).is_zero()
 
 
 class TestDerivationOperators:
