@@ -44,7 +44,10 @@ from .tensor import (
     OneOneTensor,
     PForm,
     VectorField,
+    _add_interior,
+    _add_split,
     _partials,
+    _sparse,
     combination,
     ext_d,
     lie_deriv_form,
@@ -99,10 +102,6 @@ def tangent_algebroid(chart) -> AlgebroidData:
 # (factor, factor) pairs of its sum; the sparse operands are {index: nonzero entry}.
 
 
-def _sparse(values) -> dict:
-    return {i: v for i, v in enumerate(values) if v}
-
-
 def _add(out, f, v: dict, s=1):
     """out += s * f * v."""
     if f:
@@ -117,25 +116,6 @@ def _add_deriv(out, X: dict, g: dict, s=1):
         X = X if s > 0 else {j: -x for j, x in X.items()}
         for c, gc in g.items():
             out[c] += [(x, gc.diff(j)) for j, x in X.items()]
-
-
-def _add_interior(out, V: dict, w: PForm, s=1):
-    """out += s * i_V w, with (i_V w)_I = sum_v V^v w_{(v,) + I}."""
-    for key, wk in w.comps.items():
-        for p, v in enumerate(key):
-            x = V.get(v)
-            if x:
-                out[key[:p] + key[p + 1 :]].append((x if (-1) ** p == s else -x, wk))
-
-
-def _add_split(out, M, w: PForm, s=1):
-    """out[(i, I)] += s * sum_v M[v][i] w_{(v,) + I}: the first slot of w
-    split off (M the identity) or moved by r (M[v] the row v of r)."""
-    for key, wk in w.comps.items():
-        for p, v in enumerate(key):
-            rest = key[:p] + key[p + 1 :]
-            for i, x in M[v].items():
-                out[i, rest].append((x if (-1) ** p == s else -x, wk))
 
 
 def _add_bracket(out, A: AlgebroidData, rho, a: int, g: dict, s=1):

@@ -66,13 +66,13 @@ from .tensor import (
     D_r_star,
     combination,
     ext_d,
-    form_as_covform,
     form_r,
     interior,
     lie_bracket,
     lie_deriv_form,
     nijenhuis_torsion,
     scalar_d,
+    split_first,
 )
 
 PASS = "pass"
@@ -188,8 +188,8 @@ class DNReport:
 
 
 def _components(label: str, form):
-    """(label + key, value) for each nonzero component of a form, or of a
-    form-valued tensor, in key order."""
+    """(label + key, value) for each nonzero component of a form, in key
+    order."""
     return ((f"{label}{key}", form.comps[key]) for key in sorted(form.comps))
 
 
@@ -466,12 +466,18 @@ def concomitant_S(omega: PForm, r: OneOneTensor, X: VectorField, Y: VectorField)
 def check_form_compat(omega: PForm, r: OneOneTensor) -> Verdict:
     """Pass iff omega_r is skew and d(omega_r) = (d omega)_r."""
     same_chart(omega, r)
-    wr = form_r(omega, r)
-    if not wr.is_skew():
+    return _form_compat(omega, r, form_r(omega, r))
+
+
+def _form_compat(omega: PForm, r: OneOneTensor, wr: PForm | None) -> Verdict:
+    """`check_form_compat` on wr = form_r(omega, r), formed by the caller:
+    d(omega_r) and (d omega)_r are compared on their first-slot splits, key
+    by key in sorted order."""
+    if wr is None:
         return Verdict.fail(("omega_r", "not antisymmetric"))
-    lhs = form_as_covform(ext_d(wr.to_form()))
-    rhs = form_r(ext_d(omega), r)
-    return Verdict.first(_components("d(omega_r)-(d omega)_r", lhs - rhs))
+    lhs, rhs, zero = split_first(ext_d(wr)), split_first(ext_d(omega), r), omega.chart.zero()
+    keys = sorted(lhs.keys() | rhs.keys())
+    return Verdict.first((f"d(omega_r)-(d omega)_r{k}", lhs.get(k, zero) - rhs.get(k, zero)) for k in keys)
 
 
 # -- null distribution -------------------------------------------------------------

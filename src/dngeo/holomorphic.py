@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .symbolic import Chart, same_chart
 from .courant import GSection, _coordinate_D, courant_bracket, pairing
-from .dirac import PASS, Verdict, _components
+from .dirac import PASS, Verdict, _components, _form_compat
 from .tensor import (
     Bivector,
     OneOneTensor,
-    PForm,
     ext_d,
     form_r,
     interior,
@@ -96,27 +95,16 @@ def is_holomorphic_section(s: GSection, J: ComplexStructure) -> bool:
     return all(d.is_zero() for d in _coordinate_D(s, J.r))
 
 
-def holo_form_from_real(omega: PForm, J: ComplexStructure):
-    """(omega, -omega_J); raises when omega_J is not skew."""
-    same_chart(omega, J.r)
-    wr = form_r(omega, J.r)
-    if not wr.is_skew():
-        raise PreconditionError("omega_J is not antisymmetric")
-    return omega, -wr.to_form()
-
-
 def check_holo_form(pair, J: ComplexStructure) -> Verdict:
     """pair = (omega, omega1) encodes a holomorphic p-form iff omega1 = -omega_J
     and (omega, J) is a compatible pair."""
-    from .dirac import check_form_compat
-
     omega, omega1 = pair
     same_chart(omega, omega1, J.r)
     wr = form_r(omega, J.r)
-    if not wr.is_skew():
+    if wr is None:
         return Verdict.fail(("omega_J", "not antisymmetric"))
-    imaginary = Verdict.first(_components("imaginary part", omega1 + wr.to_form()))
-    return imaginary if imaginary.status != PASS else check_form_compat(omega, J.r)
+    imaginary = Verdict.first(_components("imaginary part", omega1 + wr))
+    return imaginary if imaginary.status != PASS else _form_compat(omega, J.r, wr)
 
 
 def phi_courant_check(s1: GSection, s2: GSection, J: ComplexStructure) -> Verdict:

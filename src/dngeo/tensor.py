@@ -8,6 +8,11 @@ Conventions (fixed once, used everywhere):
       (pi# a)^j = a_i pi^{ij}, so pi = dx ^ dy sends dx to d_y and dy to -d_x.
     * PForm components are stored on strictly increasing index tuples; the
       flat map omega_b(X) = i_X omega.
+    * omega_r(X1, .., Xp) = omega(r X1, X2, .., Xp).  Its entries are the
+      first-slot split {(i, I): omega(r d_i, d_I)} with I strictly increasing
+      (`split_first`).  They are skew in I only; omega_r is a form exactly
+      when it equals the form rebuilt from its split, the form with
+      components omega_r(d_i, d_I) for i < I[0].
     * lie_deriv_tensor follows (L_X r)^i_j = X^k dk r^i_j - r^k_j dk X^i
       + r^i_k dj X^k.
 
@@ -39,6 +44,7 @@ with each derivative of r taken once.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from .symbolic import Chart, ScalarExpr, dot, same_chart
@@ -390,97 +396,6 @@ class Bivector:
     __hash__ = None
 
 
-class CovFormValued:
-    """A section of T*M tensor wedge^{p-1} T*M: first slot free, rest skew."""
-
-    __slots__ = ("chart", "degree", "comps")
-
-    def __init__(self, chart: Chart, degree: int, comps: dict):
-        clean = {}
-        for key, val in comps.items():
-            first, rest = key
-            rest = tuple(rest)
-            if list(rest) != sorted(rest) or len(set(rest)) != len(rest):
-                raise ValueError("trailing indices must be strictly increasing")
-            if len(rest) != degree - 1:
-                raise ValueError("wrong trailing arity")
-            if not val.is_zero():
-                clean[(first, rest)] = val
-        self.chart = chart
-        self.degree = degree
-        self.comps = clean
-
-    def get(self, first: int, rest) -> ScalarExpr:
-        sign, key = _perm_sign_and_sorted(tuple(rest))
-        if sign == 0:
-            return self.chart.zero()
-        val = self.comps.get((first, key))
-        if val is None:
-            return self.chart.zero()
-        return val if sign == 1 else -val
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __sub__(self, other: "CovFormValued") -> "CovFormValued":
-        same_chart(self, other)
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            cur = out.get(k)
-            out[k] = -v if cur is None else cur - v
-        return CovFormValued(self.chart, self.degree, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CovFormValued)
-            and self.chart.compatible(other.chart)
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
-
-    __hash__ = None
-
-    def is_skew(self) -> bool:
-        """True when the first slot is antisymmetric against the rest."""
-        n = self.chart.dim
-        for idx in combinations(range(n), self.degree):
-            # all splits of a strictly increasing tuple must agree up to sign
-            base = self.get(idx[0], idx[1:])
-            for pos in range(1, self.degree):
-                rest = idx[:pos] + idx[pos + 1 :]
-                if (self.get(idx[pos], rest) - ((-1) ** pos) * base).is_zero():
-                    continue
-                return False
-        # mixed components with a repeated index must vanish
-        for (first, rest), val in self.comps.items():
-            if first in rest and not val.is_zero():
-                return False
-        return True
-
-    def to_form(self) -> PForm:
-        if not self.is_skew():
-            raise ValueError("tensor is not antisymmetric")
-        n = self.chart.dim
-        out = {}
-        for idx in combinations(range(n), self.degree):
-            out[idx] = self.get(idx[0], idx[1:])
-        return PForm(self.chart, self.degree, out)
-
-
-def form_as_covform(w: PForm) -> CovFormValued:
-    """Split the first slot of a p-form (p >= 1)."""
-    if w.degree < 1:
-        raise ValueError("need degree >= 1")
-    n = w.chart.dim
-    out = {}
-    for first in range(n):
-        for rest in combinations(range(n), w.degree - 1):
-            val = w.get((first,) + rest)
-            if not val.is_zero():
-                out[(first, rest)] = val
-    return CovFormValued(w.chart, w.degree, out)
-
-
 class VectorValuedTwoForm:
     """N^i_{jk}, antisymmetric in (j, k); e.g. the torsion of a (1,1)-tensor."""
 
@@ -527,6 +442,34 @@ class VectorValuedTwoForm:
         return PForm(self.chart, 2, out)
 
 
+# -- sums over nonzero entries ------------------------------------------------
+# `out` maps an output index (a frame index, or a form's component key) to the
+# (factor, factor) pairs of its sum; the sparse operands are {index: nonzero entry}.
+
+
+def _sparse(values) -> dict:
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def _add_interior(out, V: dict, w: PForm, s=1):
+    """out += s * i_V w, with (i_V w)_I = sum_v V^v w_{(v,) + I}."""
+    for key, wk in w.comps.items():
+        for p, v in enumerate(key):
+            x = V.get(v)
+            if x:
+                out[key[:p] + key[p + 1 :]].append((x if (-1) ** p == s else -x, wk))
+
+
+def _add_split(out, M, w: PForm, s=1):
+    """out[(i, I)] += s * sum_v M[v][i] w_{(v,) + I}: the first slot of w
+    split off (M the identity) or moved by r (M[v] the row v of r)."""
+    for key, wk in w.comps.items():
+        for p, v in enumerate(key):
+            rest = key[:p] + key[p + 1 :]
+            for i, x in M[v].items():
+                out[i, rest].append((x if (-1) ** p == s else -x, wk))
+
+
 # -- Cartan calculus ----------------------------------------------------------
 
 
@@ -558,11 +501,9 @@ def interior(X: VectorField, w: PForm) -> PForm:
     chart = same_chart(X, w)
     if w.degree == 0:
         raise ValueError("interior product needs degree >= 1")
-    out = {
-        rest: dot(chart, ((xv, w.get((v,) + rest)) for v, xv in enumerate(X.comps) if xv))
-        for rest in combinations(range(chart.dim), w.degree - 1)
-    }
-    return PForm(chart, w.degree - 1, out)
+    out = defaultdict(list)
+    _add_interior(out, _sparse(X.comps), w)
+    return PForm(chart, w.degree - 1, {key: dot(chart, pairs) for key, pairs in out.items()})
 
 
 def lie_deriv_form(X: VectorField, w: PForm) -> PForm:
@@ -647,18 +588,30 @@ def _D_r_star_rows(a: PForm, r: OneOneTensor) -> list:
     ]
 
 
-def form_r(w: PForm, r: OneOneTensor) -> CovFormValued:
-    """omega_r(X1; X2..Xp) = omega(r X1, X2, .., Xp)."""
+def split_first(w: PForm, r: OneOneTensor | None = None) -> dict:
+    """{(i, I): w(r d_i, d_I)} over its nonzero values, I strictly increasing;
+    w(d_i, d_I) when r is None."""
+    chart = w.chart
+    if r is None:
+        rows = [{k: chart.one()} for k in range(chart.dim)]
+    else:
+        same_chart(w, r)
+        rows = [_sparse(row) for row in r.grid]
+    out = defaultdict(list)
+    _add_split(out, rows, w)
+    return {key: val for key, pairs in out.items() if (val := dot(chart, pairs))}
+
+
+def form_r(w: PForm, r: OneOneTensor) -> PForm | None:
+    """The p-form omega_r(X1, .., Xp) = omega(r X1, X2, .., Xp), or None when
+    omega_r is not skew: the form read off its entries with i < I[0] must
+    split back into all of them."""
     chart = same_chart(w, r)
     if w.degree < 1:
         raise ValueError("need degree >= 1")
-    n = chart.dim
-    out = {
-        (first, rest): dot(chart, ((r.grid[k][first], w.get((k,) + rest)) for k in range(n)))
-        for first in range(n)
-        for rest in combinations(range(n), w.degree - 1)
-    }
-    return CovFormValued(chart, w.degree, out)
+    split = split_first(w, r)
+    form = PForm(chart, w.degree, {(i,) + rest: v for (i, rest), v in split.items() if not rest or i < rest[0]})
+    return form if split_first(form) == split else None
 
 
 def _partials(r: OneOneTensor) -> list:
@@ -722,14 +675,6 @@ def schouten_bivector(p: Bivector, q: Bivector) -> dict:
         if not val.is_zero():
             out[(i, j, k)] = val
     return out
-
-
-def schouten_is_zero(tri: dict) -> bool:
-    return all(v.is_zero() for v in tri.values())
-
-
-def is_poisson(p: Bivector) -> bool:
-    return schouten_is_zero(schouten_bivector(p, p))
 
 
 # -- tangent and cotangent lifts ------------------------------------------------

@@ -6,7 +6,9 @@ Theta_k[a][b] = theta[a][b]_k.  The definitions those closed forms replace
 are kept here, as oracles: the bracket of any two coefficient-vector
 sections with its derivative terms, the Leibniz extension of D to any field
 and any section, the squared derivation along any two fields, and the
-equation streams the checks read before, built from them.
+equation streams the checks read before, built from them.  The compat
+stream reads omega_r and the first-slot splits from the dense oracles of
+tests/test_form_split.py.
 
 Each closed-form stream gives the same nonzero (label, value) items as its
 oracle stream, in the same order, so the first witness of every verdict is
@@ -32,6 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_closed_forms import scalars
+from test_form_split import dense_form_r, dense_split, named, split_difference
 
 import dngeo.algebroid as algebroid
 from dngeo.algebroid import (
@@ -66,8 +69,6 @@ from dngeo.tensor import (
     combination,
     deformed_bracket,
     ext_d,
-    form_as_covform,
-    form_r,
     interior,
     lie_bracket,
     lie_deriv_form,
@@ -240,18 +241,23 @@ def compat_stream(imf, T):
     coords = [VectorField.coordinate(chart, k) for k in range(chart.dim)]
     r_coords = [T.r.apply(X) for X in coords]
 
-    def D_star(w, w_r):
-        dw_r, dw = ext_d(w_r.to_form()), ext_d(w)
+    def l_line(label, w_l, w):
+        return named(label, split_difference(dense_split(w_l), dense_split(w, T.r), chart))
+
+    def D_star(w):
+        w_r = dense_form_r(w, T.r)
+        if w_r is None:
+            raise ValueError("omega_r is not antisymmetric")
+        dw_r, dw = ext_d(w_r), ext_d(w)
         return [interior(X, dw_r) - interior(rX, dw) for X, rX in zip(coords, r_coords)]
 
     for a, (mu_a, nu_a) in enumerate(zip(imf.mu, imf.nu)):
         ea = frame_section(A, a)
         la = l_of(T, ea)
-        mu_r, nu_r = form_r(mu_a, T.r), form_r(nu_a, T.r)
-        yield from _components(f"mu_l[{a}]", form_as_covform(mu_of(imf, la)) - mu_r)
+        yield from l_line(f"mu_l[{a}]", mu_of(imf, la), mu_a)
         lhs_nu = nu_of(imf, la)
-        yield from _components(f"nu_l[{a}]", lhs_nu if nu_a.is_zero() else form_as_covform(lhs_nu) - nu_r)
-        for X, dmu, dnu in zip(coords, D_star(mu_a, mu_r), D_star(nu_a, nu_r)):
+        yield from _components(f"nu_l[{a}]", lhs_nu) if nu_a.is_zero() else l_line(f"nu_l[{a}]", lhs_nu, nu_a)
+        for X, dmu, dnu in zip(coords, D_star(mu_a), D_star(nu_a)):
             da = D_of(T, X, ea)
             yield from _components(f"mu_D[{a}]", mu_of(imf, da) - dmu)
             yield from _components(f"nu_D[{a}]", nu_of(imf, da) - dnu)

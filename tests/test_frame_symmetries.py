@@ -11,7 +11,9 @@ of its indices, and the checks against the loops they ran before.
   at a = b, whatever the anchors, structure functions and derivation.
 
 The `old_*` functions are the hand-written loops that `Verdict.first` and
-these index sets replaced, kept verbatim.  On random passing and failing inputs the checks give
+these index sets replaced, kept verbatim but for omega_r and the first-slot
+splits, which `old_im_compat` reads from the dense oracles of
+tests/test_form_split.py.  On random passing and failing inputs the checks give
 the same verdict as the old loops, status and witness bytes alike, and the
 draws include failures past the first index of a family.
 """
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from test_algebroid_closed_forms import D_of, anchor_of, bracket_coeffs, frame_section, l_of, mu_of, nu_of
 from test_closed_forms import scalars
+from test_form_split import dense_form_r, dense_split, split_difference
 from test_tensor import D_r_star_pform
 
 from dngeo.algebroid import (
@@ -68,8 +71,6 @@ from dngeo.tensor import (
     VectorField,
     combination,
     ext_d,
-    form_as_covform,
-    form_r,
     interior,
     lie_bracket,
     lie_deriv_form,
@@ -321,12 +322,12 @@ def old_im_compat(imf, T) -> Verdict:
         mu_a = imf.mu[a]
         lhs = mu_of(imf, la)
         if mu_a.degree == 1:
-            rhs_cov = form_as_covform(T.r.dual(mu_a))
+            rhs_split = dense_split(T.r.dual(mu_a))
         else:
-            rhs_cov = form_r(mu_a, T.r)
-        diff = form_as_covform(lhs) - rhs_cov
-        for key in sorted(diff.comps):
-            return Verdict.fail((f"mu_l[{a}]{key}", diff.comps[key]))
+            rhs_split = dense_split(mu_a, T.r)
+        diff = split_difference(dense_split(lhs), rhs_split, chart)
+        for key in sorted(diff):
+            return Verdict.fail((f"mu_l[{a}]{key}", diff[key]))
         # nu(l(a)) = nu(a)_r
         lhs_nu = nu_of(imf, la)
         nu_a = imf.nu[a]
@@ -335,15 +336,15 @@ def old_im_compat(imf, T) -> Verdict:
                 key = sorted(lhs_nu.comps)[0]
                 return Verdict.fail((f"nu_l[{a}]{key}", lhs_nu.comps[key]))
         else:
-            diff = form_as_covform(lhs_nu) - form_r(nu_a, T.r)
-            for key in sorted(diff.comps):
-                return Verdict.fail((f"nu_l[{a}]{key}", diff.comps[key]))
+            diff = split_difference(dense_split(lhs_nu), dense_split(nu_a, T.r), chart)
+            for key in sorted(diff):
+                return Verdict.fail((f"nu_l[{a}]{key}", diff[key]))
         # mu(D_X(a)) = D^{r,*}_X(mu(a)), the covector part of bigD on a 1-form, and the same for nu
         row = _coordinate_D(GSection.from_form(mu_a), T.r) if mu_a.degree == 1 else None
         for k, X in enumerate(coords):
             da = D_of(T, X, ea)
             lhs_mu = mu_of(imf, da)
-            rhs_mu = row[k].cov if row else D_r_star_pform(X, mu_a, T.r).to_form()
+            rhs_mu = row[k].cov if row else D_r_star_pform(X, mu_a, T.r)
             diffm = lhs_mu - rhs_mu
             if not diffm.is_zero():
                 key = sorted(diffm.comps)[0]
@@ -352,11 +353,11 @@ def old_im_compat(imf, T) -> Verdict:
             if nu_a.is_zero():
                 diffn = lhs_nu
             else:
-                wr = form_r(nu_a, T.r)
-                if not wr.is_skew():
+                wr = dense_form_r(nu_a, T.r)
+                if wr is None:
                     return Verdict.fail((f"nu_r[{a}]", "nu(a)_r not antisymmetric"))
                 diffn = lhs_nu - (
-                    interior(X, ext_d(wr.to_form()))
+                    interior(X, ext_d(wr))
                     - interior(T.r.apply(X), ext_d(nu_a))
                 )
             if not diffn.is_zero():

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
+from test_form_split import dense_form_r
+
 from dngeo.courant import GSection
 from dngeo.dirac import (
     FAIL,
     PASS,
     GFrame,
+    Verdict,
     dirac_nijenhuis_report,
     )
 from dngeo.errors import PreconditionError
@@ -23,7 +26,6 @@ from dngeo.fixtures import (
 from dngeo.holomorphic import (
     ComplexStructure,
     check_holo_form,
-    holo_form_from_real,
     is_holomorphic_section,
     phi_courant_check,
     phi_map,
@@ -173,19 +175,21 @@ class TestHolomorphicDirac:
 class TestHolomorphicForms:
     def test_c2_fixture(self):
         ch, J, omega, omega_im = c2_presymplectic_fixture()
-        w, w1 = holo_form_from_real(omega, J)
-        assert w1 == omega_im
+        assert -dense_form_r(omega, J.r) == omega_im
         assert check_holo_form((omega, omega_im), J).status == PASS
 
     def test_no_holomorphic_2form_on_c1(self, ch, J):
         w = PForm(ch, 2, {(0, 1): ch.var("x")})
-        assert check_holo_form((w, PForm.zero(ch, 2)), J).status == FAIL
-        with pytest.raises(PreconditionError):
-            holo_form_from_real(w, J)
+        assert dense_form_r(w, J.r) is None
+        assert check_holo_form((w, PForm.zero(ch, 2)), J) == Verdict.fail(("omega_J", "not antisymmetric"))
 
     def test_wrong_imaginary_part_fails(self):
         ch, J, omega, omega_im = c2_presymplectic_fixture()
         assert check_holo_form((omega, -omega_im), J).status == FAIL
+        # the witness is the first component of omega1 + omega_J, here 2 omega_J
+        wrong = -omega_im + dense_form_r(omega, J.r)
+        key = min(wrong.comps)
+        assert check_holo_form((omega, -omega_im), J) == Verdict.fail((f"imaginary part{key}", wrong.comps[key]))
 
     def test_presymplectic_correspondence(self):
         # closed real part with compatible pair <=> the closed holomorphic form
