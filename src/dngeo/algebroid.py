@@ -408,10 +408,11 @@ def dirac_to_algebroid(L: GFrame, samples: int = 3):
     with the restricted Courant bracket and the anchor pr_T is a Lie algebroid
     (Courant 1990; Liu, Weinstein and Xu 1997), so A keeps that pass as its
     axiom verdict.  Anchors are the vector parts; structure functions are the
-    coefficients of the brackets of frame sections in the frame, all solved by
-    one elimination of the frame matrix (possible exactly when the frame is
-    involutive), and the brackets are the ones the involutivity pass kept on
-    L, so each is formed once; mu is the covector part, nu = 0.  The kernel
+    coefficients of the brackets of frame sections in the frame, all solved in
+    one solve_columns call against the frame matrix (possible exactly when the
+    frame is involutive), on a graph frame read off its identity block, and
+    the brackets are the ones the involutivity pass kept on L, so each is
+    formed once; mu is the covector part, nu = 0.  The kernel
     transversality condition (the frame matrix has rank n) is part of the
     lagrangian pass.
     Build the algebroid once per frame and hand it to `transport_oneone`.
@@ -439,8 +440,8 @@ def transport_oneone(A: AlgebroidData, L: GFrame, r: OneOneTensor) -> IMOneOne:
     that `dirac_to_algebroid(L)` built from the frame L.
 
     l is solved from (r, r*) applied to frame sections, theta from the
-    combined derivation along coordinate fields, all n + n^2 columns by one
-    elimination of the frame matrix.  Both solves succeed exactly when the
+    combined derivation along coordinate fields, all n + n^2 columns in one
+    solve_columns call against the frame matrix.  Both solves succeed exactly when the
     compatibility conditions hold; otherwise PreconditionError, on l first.
     The frame's own checks are not repeated: A already carries them.
     """

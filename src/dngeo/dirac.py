@@ -48,7 +48,7 @@ from .symbolic import (
     same_chart,
     solve_columns,
 )
-from .symbolic.scalar import _kept, to_str
+from .symbolic.scalar import _kept
 from .courant import (
     GSection,
     _coordinate_D,
@@ -534,8 +534,8 @@ def check_concur(L1: GFrame, L2: GFrame, samples: int = 3) -> Verdict:
     """Cotangential product of two Dirac structures, then Dirac checks on it.
 
     Builds {(X1 + X2, a)} by solving the covector parts of the first frame in
-    the second, all by one elimination; equal covector projections at the
-    generic point are a precondition.
+    the second, all in one solve_columns call; equal covector projections at
+    the generic point are a precondition.
     """
     same_chart(L1.sections[0], L2.sections[0])
     _require(check_lagrangian(L1, samples), "first frame lagrangian")
@@ -573,7 +573,8 @@ def traces(r: OneOneTensor, jmax: int):
 
 def hamiltonian_representative(L: GFrame, fs) -> list:
     """Per f of fs, X with (X, df) in the span of the frame, or None; every
-    df is solved by one elimination of the covector matrix.
+    df is solved in one solve_columns call against the covector matrix,
+    read off its identity block on a Poisson graph.
 
     (X, df) is the combination of the frame's sections whose covector part
     is df, so it lies in the span by construction."""

@@ -1,27 +1,33 @@
 """Linear algebra over the rational-function field.
 
-pivot_columns, solve_columns and kernel_basis run one integer elimination
-per call.  A solve appends every right-hand side to the rows as a column, so
-one elimination of [m | b_1 ... b_k] solves every b_j; a kernel vector is
-the solve against its own free column.  Every row is cleared of polynomial
-denominators over all its entries, then scaled by the lcm of the integer
-denominators of its entries (see poly.py), which changes no pivot and no
-solution; its integer numerators, on their packed exponent keys (widened
-once per matrix when the degree bound needs it), are polynomials with int
-coefficients over Q or Gaussian ones over Q(i).  Bareiss elimination on them
-makes every row update a product, a difference and an exact division.  The
-pivot of each column of m is the first of the remaining rows whose entry is
-a nonzero constant, else the first whose entry is nonzero.  A frame with an
-identity block, as every graph and hierarchy frame has, thus takes constant
-pivots, and its minors do not grow in degree.  No answer depends on the
-choice, nor on the columns carried along: Bareiss on a row chosen per column
-is Bareiss on a row-permuted matrix, so every division stays exact; the
-pivot columns are the columns that are not combinations of earlier ones,
-whatever the row order; a solve with its free entries 0 has one solution, a
-canonical scalar vector; and a kernel vector with x_free = -1 is unique, and
-made the one primitive polynomial multiple with fixed constants whatever
-minor D ends the elimination.  So eliminations, kernels and solutions are
-reproducible byte for byte.
+Single-entry rows decide ranks, solves and kernels: a row whose one nonzero
+entry lies in column c pins x_c, and when every column has one, as graph and
+hierarchy frames do in their identity block (diagonal once scaled), m has
+full column rank.  generic_rank is then m.cols, kernel_basis is empty, and
+solve_columns reads x off those rows and checks the others exactly.
+
+Bareiss runs only where the rows do not decide: pivot_columns, and any other
+call, run one integer elimination.  A solve appends every right-hand side to
+the rows as a column, so one elimination of [m | b_1 ... b_k] solves every
+b_j; a kernel vector is the solve against its own free column.  Every row is
+cleared of polynomial denominators over all its entries, then scaled by the
+lcm of the integer denominators of its entries (see poly.py), which changes
+no pivot and no solution; its integer numerators, on their packed exponent
+keys (widened once per matrix when the degree bound needs it), are
+polynomials with int coefficients over Q or Gaussian ones over Q(i).
+Bareiss elimination on them makes every row update a product, a difference
+and an exact division.  The pivot of each column of m is the first of the
+remaining rows whose entry is a nonzero constant, else the first whose entry
+is nonzero.  A frame with an identity block, as every graph and hierarchy
+frame has, thus takes constant pivots, and its minors do not grow in degree.
+No answer depends on the choice, nor on the columns carried along: Bareiss
+on a row chosen per column is Bareiss on a row-permuted matrix, so every
+division stays exact; the pivot columns are the columns that are not
+combinations of earlier ones, whatever the row order; a solve with its free
+entries 0 has one solution, a canonical scalar vector; and a kernel vector
+with x_free = -1 is unique, and made the one primitive polynomial multiple
+with fixed constants whatever minor D ends the elimination.  So
+eliminations, kernels and solutions are reproducible byte for byte.
 
 Solutions are read by Cramer's rule without fractions: with D the last
 pivot, an r x r minor, y = D x is polynomial and fills bottom-up with
@@ -64,7 +70,7 @@ from .poly import (
     poly_one,
     primitive_vector,
 )
-from .scalar import Chart, ScalarExpr
+from .scalar import Chart, ScalarExpr, dot, same_chart
 
 
 class FracMatrix:
@@ -201,28 +207,33 @@ def pivot_columns(m: FracMatrix) -> list:
     return [pc for _, pc in _eliminate(rows, m.cols, pairs, guard)]
 
 
-def _has_unit_rows(m: FracMatrix) -> bool:
-    """Whether some m.cols rows of m are the unit rows e_1 ... e_cols, whose
-    one nonzero entry is 1 over denominator 1: their minor is 1."""
-    found = set()
-    for row in m.entries:
+def _is_one(e: ScalarExpr) -> bool:
+    return e.num.is_one() and e.den.is_one()
+
+
+def _single_rows(m: FracMatrix):
+    """{column c: a row whose only nonzero entry lies in c, 1 over 1 if one
+    is}, or None when a column has no such row.  The minor of those rows is
+    the product of their entries, nonzero, so m has full column rank."""
+    single = {}
+    for i, row in enumerate(m.entries):
         nonzero = [c for c, e in enumerate(row) if e.num.nums]
-        if len(nonzero) == 1 and row[nonzero[0]].num.is_one() and row[nonzero[0]].den.is_one():
-            found.add(nonzero[0])
-    return len(found) == m.cols
+        if len(nonzero) == 1 and (nonzero[0] not in single or _is_one(row[nonzero[0]])):
+            single[nonzero[0]] = i
+    return single if len(single) == m.cols else None
 
 
 def generic_rank(m: FracMatrix) -> int:
     """Rank over the function field.
 
-    Unit rows e_1 ... e_cols prove the rank m.cols, whatever the other
-    entries.  Otherwise the generic rank is at least the rank of the image
-    at a pole-free sample point and at most min(rows, cols), so an image of
-    rank min(rows, cols) proves it; a shorter image, a sample point with no
-    pole-free retry or a coefficient without image goes to the elimination.
-    No point is evaluated over Q.
+    A single-entry row for every column proves the rank m.cols, whatever
+    the other entries (see _single_rows).  Otherwise the generic rank is at
+    least the rank of the image at a pole-free sample point and at most
+    min(rows, cols), so an image of rank min(rows, cols) proves it; a
+    shorter image, a sample point with no pole-free retry or a coefficient
+    without image goes to the elimination.  No point is evaluated over Q.
     """
-    if _has_unit_rows(m):
+    if _single_rows(m) is not None:
         return m.cols
     full = min(m.rows, m.cols)
     values = image_at_sample(m)
@@ -262,7 +273,10 @@ def kernel_basis(m: FracMatrix):
     column f: y = D (x' - e_f) for the solve x' of m x' = m e_f, divided by D
     when D divides every entry and by gcd(y) otherwise, then scaled by the
     constant of primitive_vector: integer coefficient parts with gcd 1 and a
-    positive leading coefficient in the first nonzero entry."""
+    positive leading coefficient in the first nonzero entry.  Single rows
+    (see _single_rows) prove the kernel trivial."""
+    if _single_rows(m) is not None:
+        return []
     rows, pairs, guard, unpack = _packed_rows(m)
     pivots = _eliminate(rows, m.cols, pairs, guard)
     pivot_cols = {pc for _, pc in pivots}
@@ -280,10 +294,21 @@ def kernel_basis(m: FracMatrix):
 
 def solve_columns(m: FracMatrix, columns):
     """Per column b of columns, the solution of m x = b with its free entries
-    0, or None when inconsistent, all from one fraction-free elimination of
-    [m | columns]: x = y/D."""
+    0, or None when inconsistent; ChartMismatchError for an entry of b on a
+    chart incompatible with m's.  With single rows r_c (see _single_rows),
+    x_c = b[r_c] / m[r_c][c], and each other row is checked exactly; else all
+    come from one fraction-free elimination of [m | columns]: x = y/D."""
     if any(len(b) != m.rows for b in columns):
         raise ValueError("rhs length mismatch")
+    same_chart(m.chart.zero(), *(v for b in columns for v in b))
+    single = _single_rows(m)
+    if single is not None:
+        others = [i for i in range(m.rows) if i not in single.values()]
+        out = []
+        for b in columns:
+            x = [b[r] if _is_one(m[r, c]) else b[r] / m[r, c] for c, r in sorted(single.items())]
+            out.append(x if all(dot(m.chart, zip(m.entries[i], x)) == b[i] for i in others) else None)
+        return out
     rows, pairs, guard, unpack = _packed_rows(m, columns)
     pivots = _eliminate(rows, m.cols, pairs, guard)
     out = []
@@ -386,11 +411,14 @@ def rank_at_samples(m: FracMatrix, samples: int = 3):
     min(rows, cols) proves that rank; a shorter image rank or an entry
     without image sends that retry to exact evaluation.  A matrix with a
     coefficient without image is evaluated exactly at every retry.  A matrix
-    over denominator 1 with unit rows e_1 ... e_cols has no pole: no point is read.
+    over denominator 1 with unit rows e_1 ... e_cols has no pole: no point is
+    read.  Other single rows are not read off: their entries can vanish there.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if _has_unit_rows(m) and all(e.den.is_one() for row in m.entries for e in row):
+    single = _single_rows(m)
+    units = single is not None and all(_is_one(m[r, c]) for c, r in single.items())
+    if units and all(e.den.is_one() for row in m.entries for e in row):
         return m.cols
     image = modp.matrix_image(m)
     full = min(m.rows, m.cols)

@@ -840,15 +840,17 @@ class TestInputContract:
         "frames, equal, counts",
         [
             ("frame A = sections u 0 ; v 0\nframe B = sections u 0 ; w 0\n", True, (3, 0, 0)),
-            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (3, 0, 0)),
-            ("frame A = sections u 0 ; t 0\nframe B = sections v 0 ; t 0\n", True, (1, 0, 0)),
+            ("frame A = sections u a ; v 0\nframe B = sections t a ; v 0\n", False, (2, 0, 0)),
+            ("frame A = sections u 0 ; t 0\nframe B = sections v 0 ; t 0\n", True, (0, 0, 0)),
         ],
         ids=["isotropic-rank-1", "rank-2-not-isotropic", "lagrangian"],
     )
     def test_span_equality_evaluates_each_sample_point_once(self, evaluations, frames, equal, counts):
         # (image, exact matrix, exact scalar) evaluations: each matrix is
         # taken mod P at most once, by generic_rank, and nothing is
-        # evaluated exactly; a lagrangian pair never forms [m1 | m2]
+        # evaluated exactly; a matrix with a single-entry row for every
+        # column is not taken mod P at all, and a lagrangian pair never
+        # forms [m1 | m2]
         from dngeo.dirac import frames_equal_span
 
         scene = parse_scene(self.SPANS + frames)

@@ -49,8 +49,8 @@ CASES = {
     # a product of three Dirac-Nijenhuis blocks on a 6-chart: every check
     # passes, and the double bracket is formed on more than two variables
     "check_product_r6": (["check", "tests/golden/product_r6.scene"], 0),
-    # the algebroid chain on the same product, its frame solved in one
-    # elimination per solve site
+    # the algebroid chain on the same product, its frame solved off its
+    # single-entry rows at every solve site
     "algebroid_product_r6": (["algebroid", "tests/golden/product_r6.scene"], 0),
     # transport fails on l, so its message is the one for l, not the one for
     # the derivations solved in the same elimination

@@ -499,15 +499,23 @@ def test_without_a_constant_the_pivot_rows_are_the_first_nonzero_ones():
 def test_a_graph_solve_forms_few_term_products(monkeypatch):
     # the term products of the packed kernel; the first-nonzero rule takes
     # the pi# rows as pivots, whose minors grow in degree, and forms 20,991
-    products = [0]
+    products, eliminations = [0], []
 
     def counted(terms, pairs, _real=linalg._dot):
         products[0] += sum(len(p) * len(q) for p, q, _ in terms)
         return _real(terms, pairs)
 
     monkeypatch.setattr(linalg, "_dot", counted)
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or _eliminate(*a))
     m = graph_frames(R4)[0]
     c = [parse_scalar(e, R4) for e in ("x", "y - 1", "z*w", "2")]
     rhs = [sum((a * b for a, b in zip(row, c)), R4.zero()) for row in m.entries]
+    # the identity block pins every unknown: the solve eliminates nothing
     assert solve_linear(m, rhs) == c
+    assert eliminations == [] and products[0] == 0
+    # the elimination of the same system, reached past the single rows
+    rows, pairs, guard, unpack = _packed_rows(m, [rhs])
+    pivots = _eliminate(rows, m.cols, pairs, guard)
+    y, D = linalg._scaled_solution(rows, pivots, m.cols, m.cols, pairs, guard)
+    assert [linalg._ratio(R4, unpack(v), unpack(D)) for v in y] == c
     assert products[0] == 201

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dngeo.errors import ChartMismatchError
 from dngeo.fixtures import random_scalar
 from dngeo.symbolic import (
     Chart,
@@ -16,6 +17,7 @@ from dngeo.symbolic import (
     pivot_columns,
     rank_at_samples,
     sample_point,
+    solve_columns,
     solve_linear,
 )
 
@@ -94,6 +96,25 @@ class TestSolveLinear:
         for i in range(2):
             got = sum((m.entries[i][j] * sol[j] for j in range(3)), ch.zero())
             assert (got - rhs[i]).is_zero()
+
+    def test_a_rhs_on_another_chart_is_refused(self, ch):
+        # u and v are not x and y: both the single-row solve and the
+        # elimination refuse the right-hand side before any work, after the
+        # length check
+        other = Chart("B", ("u", "v"))
+        b = [parse_scalar(e, other) for e in ("u*v", "u*v", "u^2 + v^2")]
+        for m in (M(ch, [["y", "0"], ["0", "x"], ["x", "y"]]), M(ch, [["y", "x"], ["x", "y"], ["x", "1"]])):
+            with pytest.raises(ChartMismatchError):
+                solve_linear(m, b)
+            with pytest.raises(ChartMismatchError):
+                solve_columns(m, [[ch.one()] * 3, b])
+            with pytest.raises(ValueError, match="rhs length mismatch"):
+                solve_columns(m, [b, b[:2]])
+        # a compatible chart under another name is the same chart
+        same = Chart("A2", ("x", "y"))
+        m = M(ch, [["y", "0"], ["0", "x"], ["x", "y"]])
+        b = [parse_scalar(e, same) for e in ("x*y", "x*y", "x^2 + y^2")]
+        assert solve_linear(m, b) == [ch.var("x"), ch.var("y")]
 
     def test_deterministic(self, ch):
         m = M(ch, [["x", "1", "0"], ["0", "0", "1"]])

@@ -481,10 +481,12 @@ def test_a_full_rank_is_not_lost_to_a_later_sample_without_valid_retry():
 def test_a_rank_deficient_image_falls_back(evaluations):
     ch = CHARTS[0]
     # P is 0 mod P but not 0, so only the exact path sees the full rank; the
-    # generic rank is decided by the elimination, with no point evaluated
-    m = FracMatrix(ch, [[ch.const(modp.P) * ch.var("x")]])
+    # generic rank is decided by the elimination, with no point evaluated.
+    # Its one row has two nonzero entries, so no single row decides the rank
+    p = ch.const(modp.P)
+    m = FracMatrix(ch, [[p * ch.var("x"), p * ch.var("y")]])
     assert rank_at_samples(m, 1) == 1 and generic_rank(m) == 1
-    assert evaluations == {"image": 2, "matrix": 1, "scalar": 1, "denominator": 0}
+    assert evaluations == {"image": 2, "matrix": 1, "scalar": 2, "denominator": 0}
 
 
 def test_a_deficient_generic_rank_is_the_elimination_alone(evaluations, monkeypatch):
